@@ -133,15 +133,16 @@ TrialRecord RunTrial(GuardedModel& gm, const FaultCampaignConfig& cfg,
     gr = gm.Predict(input);
     injection_timed = true;  // strike at cycle 0 of the inference
   } else {
-    // The injector fires exactly once, so ladder retries after the strike run clean. If
-    // the kRedeploy rung swapped machines mid-ladder the probe pointer below targets the
-    // replacement — a no-op detach, which is fine: the original machine is gone.
+    // The alarm fires exactly once, inside the first inference (its instruction count is
+    // input-independent and equals the golden count), so ladder retries after the strike
+    // run clean. If the kRedeploy rung swapped machines mid-ladder the clear below targets
+    // the replacement — a no-op, which is fine: the original machine is gone.
     const uint64_t trigger = 1 + rng.NextBounded(golden.instructions);
-    TriggeredInjector injector(&gm.deployed().machine().memory(), trigger, span.base,
-                               span.size, cfg.fault_model, cfg.bits, rng);
-    gm.deployed().machine().cpu().set_probe(&injector);
+    TriggeredInjector injector(trigger, span.base, span.size, cfg.fault_model, cfg.bits,
+                               rng);
+    injector.Arm(gm.deployed().machine().cpu());
     gr = gm.Predict(input);
-    gm.deployed().machine().cpu().set_probe(nullptr);
+    gm.deployed().machine().cpu().ClearInstructionAlarm();
     rec.masked = injector.fired() && !injector.fault().changed();
     injected_at_cycles = injector.fired_at_cycles();
     injection_timed = injector.fired();

@@ -26,6 +26,7 @@ void Cpu::EnableDecodeCache(bool enabled) {
     icache_ = std::vector<Predecoded>();  // release memory, not just clear
     blocks_ = std::vector<Block>();
     block_index_ = std::vector<int32_t>();
+    free_blocks_ = std::vector<int32_t>();
     icache_valid_ = false;
   }
 }
@@ -37,6 +38,7 @@ void Cpu::EnableBlockCompile(bool enabled) {
     FlushBlockProfiles();
     blocks_ = std::vector<Block>();
     block_index_ = std::vector<int32_t>();
+    free_blocks_ = std::vector<int32_t>();
   }
   // Force a rebuild either way so block_index_ is (re)sized with the decode cache.
   icache_valid_ = false;
@@ -72,8 +74,27 @@ void Cpu::RebuildDecodeCache() {
   // does, Step falls back to the interpreter path below, which behaves identically).
   const size_t covered = std::min<size_t>(flash.size(), mem_->flash_high_water());
   const size_t slots = covered / 2;
+  // Stale slots: those whose bytes changed, widened one slot back (a BL prefix decodes
+  // with the next halfword), plus every slot the cache does not cover yet. The changed
+  // range may extend past `slots` after a high-water rewind; blocks there retire too.
+  const FlashSpan dirty = mem_->TakeFlashDirtySpan();
+  size_t lo = slots;
+  size_t hi = 0;
+  if (!dirty.empty()) {
+    lo = dirty.lo / 2 == 0 ? 0 : dirty.lo / 2 - 1;
+    hi = (static_cast<size_t>(dirty.hi) + 1) / 2;
+  }
+  if (icache_.size() < slots) {
+    lo = std::min(lo, icache_.size());
+    hi = std::max(hi, slots);
+  }
+  // Compiled blocks are views over the predecoded slots: retire those over stale slots
+  // before the slots change under them.
+  RetireBlocks(lo, hi);
   icache_.resize(slots);
-  for (size_t s = 0; s < slots; ++s) {
+  block_index_.resize(block_enabled_ ? slots : 0, kBlockNotCompiled);
+  hi = std::min(hi, slots);
+  for (size_t s = lo; s < hi; ++s) {
     const uint16_t hw1 = static_cast<uint16_t>(flash[2 * s] | (flash[2 * s + 1] << 8));
     // Same peek rule as the interpreter: hw2 is read only for a wide (BL-prefix)
     // encoding, and reads as 0 when the prefix sits on the last mapped halfword.
@@ -84,14 +105,31 @@ void Cpu::RebuildDecodeCache() {
       flash_reads = 2;
     }
     icache_[s] = Predecoded{DecodeInstr(hw1, hw2), hw1, hw2, flash_reads};
+    // Overlapping blocks are retired, so only a kBlockStepOnly verdict on the old decode
+    // can remain here.
+    if (s < block_index_.size()) {
+      block_index_[s] = kBlockNotCompiled;
+    }
   }
-  // Compiled blocks are views over the predecoded slots; drop them whenever the slots
-  // change (any host write into flash lands here via the shared listener flag).
-  FlushBlockHistograms();
-  FlushBlockProfiles();
-  blocks_.clear();
-  block_index_.assign(block_enabled_ ? slots : 0, kBlockNotCompiled);
   icache_valid_ = true;
+}
+
+void Cpu::RetireBlocks(size_t lo, size_t hi) {
+  for (size_t i = 0; i < blocks_.size(); ++i) {
+    Block& blk = blocks_[i];
+    if (blk.ops.empty() || blk.entry_slot >= hi || blk.end_slot <= lo) {
+      continue;
+    }
+    FoldBlockHistogram(blk);
+    if (block_profile_enabled_) {
+      FoldBlockProfile(blk);
+    }
+    if (blk.entry_slot < block_index_.size()) {
+      block_index_[blk.entry_slot] = kBlockNotCompiled;
+    }
+    blk = Block{};
+    free_blocks_.push_back(static_cast<int32_t>(i));
+  }
 }
 
 namespace {
@@ -354,8 +392,18 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
       b.histogram.emplace_back(static_cast<uint8_t>(op), histo[op]);
     }
   }
-  blocks_.push_back(std::move(b));
-  const int32_t index = static_cast<int32_t>(blocks_.size() - 1);
+  const BlockOp& last = b.ops.back();
+  b.entry_slot = static_cast<uint32_t>(entry_slot);
+  b.end_slot = (last.addr - mem_->flash_base()) / 2 + last.fetch_reads;
+  int32_t index;
+  if (free_blocks_.empty()) {
+    index = static_cast<int32_t>(blocks_.size());
+    blocks_.push_back(std::move(b));
+  } else {
+    index = free_blocks_.back();
+    free_blocks_.pop_back();
+    blocks_[static_cast<size_t>(index)] = std::move(b);
+  }
   block_index_[entry_slot] = index;
   return index;
 }
@@ -397,15 +445,19 @@ void Cpu::ResetCounters() {
   mem_->ResetStats();
 }
 
+void Cpu::FoldBlockHistogram(const Block& blk) const {
+  if (blk.execs == 0) {
+    return;
+  }
+  for (const auto& [hist_op, count] : blk.histogram) {
+    op_histogram_[hist_op] += count * blk.execs;
+  }
+  blk.execs = 0;
+}
+
 void Cpu::FlushBlockHistograms() const {
   for (const Block& blk : blocks_) {
-    if (blk.execs == 0) {
-      continue;
-    }
-    for (const auto& [hist_op, count] : blk.histogram) {
-      op_histogram_[hist_op] += count * blk.execs;
-    }
-    blk.execs = 0;
+    FoldBlockHistogram(blk);
   }
 }
 
@@ -417,43 +469,50 @@ void Cpu::FlushBlockHistograms() const {
 // entries. Mid-block fault residue and interpreter-step residue were already folded into
 // block_profile_ at the point they occurred, so after this flush the map's cycle total
 // equals the exact interpreter-visible charge for every retired instruction.
-void Cpu::FlushBlockProfiles() const {
+void Cpu::FoldBlockProfile(const Block& blk) const {
+  if (blk.prof_execs == 0) {
+    // Counters are always sized, so "never ran profiled" needs a hit scan — nonzero
+    // hits without an exec happen only when every profiled run faulted mid-block.
+    bool any_hits = false;
+    for (const uint64_t h : blk.prof_mem_hits) {
+      any_hits |= h != 0;
+    }
+    if (!any_hits) {
+      return;
+    }
+  }
   const uint64_t fetch_ws = static_cast<uint64_t>(model_.flash_wait_states);
+  const size_t n = blk.ops.size();
+  for (size_t k = 0; k < n; ++k) {
+    const BlockOp& o = blk.ops[k];
+    const uint64_t static_k =
+        (k + 1 < n ? blk.ops[k + 1].cycles_before : blk.static_cycles) - o.cycles_before;
+    uint64_t cyc = blk.prof_execs * static_k;
+    cyc += blk.prof_mem_hits[k] * fetch_ws;
+    if (o.op == Op::kBcond) {
+      cyc += blk.prof_bcond_taken * static_cast<uint64_t>(model_.branch_taken) +
+             (blk.prof_execs - blk.prof_bcond_taken) *
+                 static_cast<uint64_t>(model_.branch_not_taken);
+    }
+    if (blk.prof_execs == 0 && cyc == 0) {
+      continue;  // nothing retired at this PC through this block
+    }
+    ProfiledPc& stat = block_profile_[o.addr];
+    stat.count += blk.prof_execs;
+    stat.cycles += cyc;
+    stat.op = o.op;
+  }
+  blk.prof_execs = 0;
+  blk.prof_bcond_taken = 0;
+  std::fill(blk.prof_mem_hits.begin(), blk.prof_mem_hits.end(), 0);
+}
+
+void Cpu::FlushBlockProfiles() const {
+  if (!block_profile_enabled_) {
+    return;
+  }
   for (const Block& blk : blocks_) {
-    if (blk.prof_execs == 0) {
-      // Counters are always sized, so "never ran profiled" needs a hit scan — nonzero
-      // hits without an exec happen only when every profiled run faulted mid-block.
-      bool any_hits = false;
-      for (const uint64_t h : blk.prof_mem_hits) {
-        any_hits |= h != 0;
-      }
-      if (!any_hits) {
-        continue;
-      }
-    }
-    const size_t n = blk.ops.size();
-    for (size_t k = 0; k < n; ++k) {
-      const BlockOp& o = blk.ops[k];
-      const uint64_t static_k =
-          (k + 1 < n ? blk.ops[k + 1].cycles_before : blk.static_cycles) - o.cycles_before;
-      uint64_t cyc = blk.prof_execs * static_k;
-      cyc += blk.prof_mem_hits[k] * fetch_ws;
-      if (o.op == Op::kBcond) {
-        cyc += blk.prof_bcond_taken * static_cast<uint64_t>(model_.branch_taken) +
-               (blk.prof_execs - blk.prof_bcond_taken) *
-                   static_cast<uint64_t>(model_.branch_not_taken);
-      }
-      if (blk.prof_execs == 0 && cyc == 0) {
-        continue;  // nothing retired at this PC through this block
-      }
-      ProfiledPc& stat = block_profile_[o.addr];
-      stat.count += blk.prof_execs;
-      stat.cycles += cyc;
-      stat.op = o.op;
-    }
-    blk.prof_execs = 0;
-    blk.prof_bcond_taken = 0;
-    std::fill(blk.prof_mem_hits.begin(), blk.prof_mem_hits.end(), 0);
+    FoldBlockProfile(blk);
   }
 }
 
@@ -547,21 +606,44 @@ void Cpu::ChargeMemAccess(uint32_t addr, bool is_store) {
   }
 }
 
+void Cpu::SetInstructionAlarm(uint64_t at_instructions, std::function<void()> on_alarm) {
+  alarm_ = std::move(on_alarm);
+  alarm_at_ = at_instructions;
+}
+
+uint64_t Cpu::InstructionLimit(uint64_t budget_end) const {
+  if (!alarm_ || alarm_at_ > budget_end) {
+    return budget_end;
+  }
+  return alarm_at_ == 0 ? 0 : alarm_at_ - 1;
+}
+
 void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
-  const uint64_t start = instructions_;
+  // Absolute retired-instruction bounds: past budget_end the budget fault fires, and
+  // `limit` stops one short of an armed alarm, so the instruction that reaches the alarm
+  // always retires on the step path below. Block dispatch compares against `limit` alone.
+  const uint64_t budget_end = max_instructions > UINT64_MAX - instructions_
+                                  ? UINT64_MAX
+                                  : instructions_ + max_instructions;
+  uint64_t limit = InstructionLimit(budget_end);
   while (!halted()) {
+    // Instructions to retire on the step interpreter before block dispatch is tried
+    // again: one, or all of a block that could cross a limit.
+    size_t steps = 1;
     if (BlockModeActive()) {
       if (!icache_valid_) {
         RebuildDecodeCache();
       }
       // Chained block dispatch: block mode's activation conditions and the cache validity
-      // cannot change inside Run (probes/traces attach between calls, and the guest
-      // cannot write flash — it faults), so blocks execute back to back until the pc
-      // leaves compiled coverage, an entry can't start a block, or a block could cross
-      // the instruction budget or the watchdog cycle limit. Those cases break to the step
-      // interpreter, which keeps the budget/deadline fault firing at exactly the same
-      // retired instruction as the legacy path. A wrapping pc (SRAM, unmapped, the halt
-      // sentinel) makes `slot` huge and exits the loop through the coverage check.
+      // cannot change inside this loop (probes/traces attach between calls, an alarm
+      // callback runs on the step path, and the guest cannot write flash — it faults), so
+      // blocks execute back to back until the pc leaves compiled coverage, an entry can't
+      // start a block, or a block could cross the instruction limit or the watchdog cycle
+      // limit. That block then runs on the step interpreter, which keeps the
+      // budget/deadline fault and the alarm firing at exactly the same retired
+      // instruction as the legacy path, without compiling a block at every entry it
+      // steps through. A wrapping pc (SRAM, unmapped, the halt sentinel) makes `slot`
+      // huge and exits the loop through the coverage check.
       const uint32_t flash_base = mem_->flash_base();
       const size_t covered_slots = block_index_.size();
       for (;;) {
@@ -577,11 +659,9 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
           break;
         }
         const Block& blk = blocks_[static_cast<size_t>(index)];
-        if (instructions_ - start + blk.ops.size() > max_instructions) {
-          break;
-        }
-        if (cycle_limit != 0 &&
-            cycles_ + blk.static_cycles + blk.dyn_bound > cycle_limit) {
+        if (instructions_ + blk.ops.size() > limit ||
+            (cycle_limit != 0 && cycles_ + blk.static_cycles + blk.dyn_bound > cycle_limit)) {
+          steps = blk.ops.size();
           break;
         }
         if (block_profile_enabled_) {
@@ -594,14 +674,26 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
         return;
       }
     }
-    Step();
-    if (instructions_ - start > max_instructions) {
-      throw GuestFault{ErrorCode::kInstructionBudgetExceeded, "instruction budget exceeded",
-                       /*addr=*/0, /*pc=*/pc_, /*instruction=*/0};
-    }
-    if (cycle_limit != 0 && cycles_ > cycle_limit) {
-      throw GuestFault{ErrorCode::kDeadlineExceeded, "watchdog cycle deadline exceeded",
-                       /*addr=*/0, /*pc=*/pc_, /*instruction=*/0};
+    for (; steps > 0 && !halted(); --steps) {
+      Step();
+      if (instructions_ > limit) {
+        if (alarm_ && instructions_ >= alarm_at_) {
+          // One-shot: disarm before the call so the callback may arm a new alarm.
+          const std::function<void()> on_alarm = std::move(alarm_);
+          alarm_ = nullptr;
+          on_alarm();
+          limit = InstructionLimit(budget_end);
+        }
+        if (instructions_ > budget_end) {
+          throw GuestFault{ErrorCode::kInstructionBudgetExceeded,
+                           "instruction budget exceeded", /*addr=*/0, /*pc=*/pc_,
+                           /*instruction=*/0};
+        }
+      }
+      if (cycle_limit != 0 && cycles_ > cycle_limit) {
+        throw GuestFault{ErrorCode::kDeadlineExceeded, "watchdog cycle deadline exceeded",
+                         /*addr=*/0, /*pc=*/pc_, /*instruction=*/0};
+      }
     }
   }
 }

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -43,8 +44,8 @@ class CpuProbe {
 // Snapshot of the CPU's architectural state (see Cpu::SaveState). Deferred block-exit
 // accounting is folded in before capture, so `op_histogram` and the counters always read
 // as the step interpreter would have left them. Derived state (decode cache, compiled
-// blocks, trace ring, probe attachment) is deliberately absent — caches rebuild
-// deterministically and observers are host-side attachments, not machine state.
+// blocks, trace ring, probe and alarm attachments) is deliberately absent — caches
+// rebuild deterministically and observers are host-side attachments, not machine state.
 struct CpuArchState {
   std::array<uint32_t, 16> regs{};
   uint32_t pc = 0;
@@ -85,10 +86,24 @@ class Cpu {
   // the per-instruction dispatch stay call-free and hot. `cycle_limit` is the watchdog
   // deadline: an absolute bound on `cycles()` (0 disables). The first retired instruction
   // that pushes the counter past it throws GuestFault(kDeadlineExceeded) — block-compiled
-  // execution breaks to the step interpreter before any block that *could* cross the
-  // limit, so the faulting instruction, counters and registers are bit-identical across
-  // all decode modes, and a limit that is never approached costs one compare per block.
+  // execution runs any block that *could* cross the limit on the step interpreter, so the
+  // faulting instruction, counters and registers are bit-identical across all decode
+  // modes, and a limit that is never approached costs one compare per block.
   void Run(uint64_t max_instructions, uint64_t cycle_limit = 0);
+
+  // One-shot instruction alarm, the hook for host events that strike mid-run (the fault
+  // injector's mid-inference upset). Run calls `on_alarm` once, right after the first
+  // instruction that completes with instructions() >= `at_instructions`; cycles(),
+  // instructions(), registers, flags and pc() then read exactly as the step interpreter
+  // leaves them after that instruction, on every decode path. Run folds the alarm into
+  // the retired-instruction limit it already checks once per block, so only the block
+  // holding the alarm instruction runs on the step interpreter and block dispatch resumes
+  // after it. The callback may write flash (the caches re-validate before the next
+  // block), attach observers, or arm a new alarm. An instruction that faults never fires
+  // it: the alarm stays armed until it fires or is cleared.
+  void SetInstructionAlarm(uint64_t at_instructions, std::function<void()> on_alarm);
+  void ClearInstructionAlarm() { alarm_ = nullptr; }
+  bool instruction_alarm_armed() const { return static_cast<bool>(alarm_); }
 
   // Architectural state capture/restore, the substrate for Machine::Snapshot. Save folds
   // the deferred block-exit histograms first (so the capture matches the interpreter);
@@ -120,8 +135,9 @@ class Cpu {
   void set_probe(CpuProbe* probe) { probe_ = probe; }
   CpuProbe* probe() const { return probe_; }
 
-  // Predecoded-instruction cache: each halfword-aligned flash slot is decoded once (on the
-  // first Step after any host write into flash) so the fetch path becomes a table lookup.
+  // Predecoded-instruction cache: each halfword-aligned flash slot is decoded once, and
+  // re-decoded only when a host write or restore changes its bytes (or the second
+  // halfword of its BL pair), so the fetch path becomes a table lookup.
   // Cycle/instruction counters, memory-access stats, heatmaps, traces and probe callbacks
   // are bit-identical with the cache on or off; the toggle exists so benchmarks can
   // measure the legacy decode-every-step path. Disabling the decode cache also disables
@@ -136,12 +152,17 @@ class Cpu {
   // only materialized when a later consumer — conditional branch, ADC/SBC — or a possible
   // guest-fault site can observe them). Execution falls back to the step interpreter at
   // block boundaries, for SRAM or uncovered flash, when a CpuProbe or trace ring is
-  // attached, and for blocks that could cross the instruction budget, so every observable
-  // quantity (counters, stats, heatmaps, probe streams, traces, fault reports) stays
-  // bit-identical to the interpreter. On by default; benchmarks toggle it off to measure
-  // the predecode-cache-only path.
+  // attached, and for blocks that could cross the instruction budget, an instruction
+  // alarm or the watchdog deadline, so every observable quantity (counters, stats,
+  // heatmaps, probe streams, traces, fault reports) stays bit-identical to the
+  // interpreter. A flash change retires only the blocks whose slots it overlaps. On by
+  // default; benchmarks toggle it off to measure the predecode-cache-only path.
   void EnableBlockCompile(bool enabled);
   bool block_compile_enabled() const { return block_enabled_; }
+  // Entries in the compiled-block table, live or awaiting reuse. Flash changes retire
+  // blocks and later compiles reuse their entries, so this stays bounded by the code's
+  // distinct block entry points however many invalidations a run sees.
+  size_t block_table_size() const { return blocks_.size(); }
 
   // Block-granular profiling: per-PC/per-opcode cycle attribution that stays on the
   // block-compiled fast path. While enabled, ExecuteBlock bumps one exec counter per
@@ -185,6 +206,10 @@ class Cpu {
     uint16_t hw2 = 0;
     uint8_t flash_reads = 1;
   };
+  // Brings the decode cache up to date with flash: re-decodes the slots host writes and
+  // restores changed (one slot back for a BL pair) plus any newly covered slots, and
+  // retires the compiled blocks overlapping them. A first build, or one after the cache
+  // was dropped, is the same loop over the whole covered range.
   void RebuildDecodeCache();
   // Fetch/decode/execute without the fault-context catch frame (Step wraps it).
   void StepInner();
@@ -212,8 +237,13 @@ class Cpu {
     int32_t imm = 0;
     uint32_t addr = 0;       // instruction address (PC reads, LR writes, fault stamps)
   };
+  // An index into blocks_ is free (retired, awaiting reuse) when its ops are empty.
   struct Block {
     std::vector<BlockOp> ops;
+    // Flash slots the block was compiled from, [entry_slot, end_slot): a flash change
+    // overlapping them retires the block.
+    uint32_t entry_slot = 0;
+    uint32_t end_slot = 0;
     // Batched accounting applied once at block exit instead of per retired instruction.
     uint32_t static_cycles = 0;  // fetch wait states + fixed execution costs, whole block
     // Upper bound on the runtime-dynamic cycles one execution can add on top of
@@ -254,12 +284,26 @@ class Cpu {
   int32_t CompileBlock(size_t entry_slot);
   template <bool kProfiled>
   void ExecuteBlock(const Block& b);
-  // Folds every block's deferred (histogram * execs) contribution into op_histogram_ and
-  // zeroes the exec counters. Must run before blocks_ is cleared or the counts are lost.
+  // Retires every block whose [entry_slot, end_slot) overlaps slots [lo, hi): folds its
+  // deferred counters first, unmaps its entry and frees its index for the next compile,
+  // so blocks_ stays bounded by the live code however many invalidations a run sees.
+  void RetireBlocks(size_t lo, size_t hi);
+  // Folds one block's deferred (histogram * execs) contribution into op_histogram_ and
+  // zeroes its exec counter.
+  void FoldBlockHistogram(const Block& blk) const;
+  // Expands one block's profile counters into block_profile_ per-PC entries and zeroes
+  // them.
+  void FoldBlockProfile(const Block& blk) const;
+  // FoldBlockHistogram over every block. Must run before blocks_ is cleared or the
+  // counts are lost.
   void FlushBlockHistograms() const;
-  // Expands every block's profile counters into block_profile_ per-PC entries and zeroes
-  // them. Like FlushBlockHistograms, must run before blocks_ is cleared.
+  // FoldBlockProfile over every block while block profiling is on. Off, every counter is
+  // already zero (disabling folds them), so the flush is skipped. Like
+  // FlushBlockHistograms, must run before blocks_ is cleared.
   void FlushBlockProfiles() const;
+  // Run's retired-instruction limit: `budget_end`, or the instruction before an armed
+  // alarm when that comes first.
+  uint64_t InstructionLimit(uint64_t budget_end) const;
   // Uncounted decode peek for the interpreter-fallback residue path (host-side read; no
   // fetch accounting, no heatmap traffic). Returns kInvalid for unmapped addresses.
   Op PeekOpAt(uint32_t addr) const;
@@ -293,12 +337,18 @@ class Cpu {
   CpuProbe* probe_ = nullptr;
   std::vector<Predecoded> icache_;  // covers flash up to the load high-water mark
   bool icache_enabled_ = true;
-  bool icache_valid_ = false;  // cleared by the MemoryMap on any host write into flash
-  // Block cache, rebuilt with (and lazily on top of) the decode cache: block_index_ maps a
-  // flash halfword slot to its compiled block, kBlockNotCompiled before first dispatch.
-  // Any host write into flash invalidates both via the same flash-write listener flag.
+  bool icache_valid_ = false;  // cleared by the MemoryMap on any change to flash
+  // Block cache, maintained with (and lazily on top of) the decode cache: block_index_
+  // maps a flash halfword slot to its compiled block, kBlockNotCompiled before first
+  // dispatch. A flash change clears the same listener flag; the rebuild then retires only
+  // the blocks over the changed slots, and free_blocks_ holds their indices for reuse.
   std::vector<Block> blocks_;
   std::vector<int32_t> block_index_;
+  std::vector<int32_t> free_blocks_;
+  // Armed instruction alarm (empty function when none) and the instructions() value
+  // whose retirement fires it.
+  std::function<void()> alarm_;
+  uint64_t alarm_at_ = 0;
   bool block_enabled_ = true;
   bool block_profile_enabled_ = false;
   // Accumulated per-PC profile: expanded block counters, mid-block fault residue, and

@@ -71,4 +71,13 @@ InjectedFault InjectFault(MemoryMap& memory, uint32_t base, uint32_t size,
   return f;
 }
 
+void TriggeredInjector::Arm(Cpu& cpu) {
+  const uint64_t armed_cycles = cpu.cycles();
+  cpu.SetInstructionAlarm(cpu.instructions() + trigger_, [this, &cpu, armed_cycles] {
+    fault_ = InjectFault(cpu.memory(), base_, size_, model_, bits_, rng_);
+    fired_at_cycles_ = cpu.cycles() - armed_cycles;
+    fired_ = true;
+  });
+}
+
 }  // namespace neuroc

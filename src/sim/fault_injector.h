@@ -3,9 +3,10 @@
 // Models the transient and stuck-at byte-level faults the robustness harness studies:
 // seeded single/multi-bit flips and stuck-at-0/1 faults into configurable flash or SRAM
 // ranges, applied either between inferences (host-triggered) or mid-inference after a
-// chosen number of retired instructions (via a CpuProbe). Injection goes through the
-// host-write path, so flash corruption invalidates the predecoded-instruction cache
-// exactly like a legitimate image reload — corrupted code takes effect on the next step.
+// chosen number of retired instructions (via the CPU's instruction alarm). Injection goes
+// through the host-write path, so flash corruption invalidates the predecoded slots and
+// compiled blocks over the struck byte exactly like a legitimate image reload — corrupted
+// code takes effect on the next instruction, and the rest of the caches stay warm.
 //
 // Everything is a pure function of the caller-provided Rng/seed: campaigns replay
 // bit-identically from (seed, config) regardless of thread count.
@@ -49,54 +50,43 @@ struct InjectedFault {
 InjectedFault InjectFault(MemoryMap& memory, uint32_t base, uint32_t size,
                           FaultModel model, int bits, Rng& rng);
 
-// CpuProbe that injects exactly one fault after `trigger_instructions` further retired
-// instructions, modelling an upset that strikes mid-inference. Attach with
-// cpu.set_probe(&injector); the injection site/pattern is fixed by the Rng at trigger
-// time, so a given (seed, trigger) replays identically.
-class TriggeredInjector : public CpuProbe {
+// Injects exactly one fault after `trigger_instructions` further retired instructions,
+// modelling an upset that strikes mid-inference. Arm(cpu) sets the CPU's one-shot
+// instruction alarm, so execution stays on the block-compiled path before and after the
+// strike; the injection site/pattern is fixed by the Rng at trigger time, so a given
+// (seed, trigger) replays identically on every decode path. The count runs on the CPU's
+// instruction counter, so a snapshot restore between arming and the strike rewinds it
+// too. The injector must outlive the armed alarm: call Cpu::ClearInstructionAlarm after
+// the run unless the alarm fired or the machine is gone.
+class TriggeredInjector {
  public:
-  TriggeredInjector(MemoryMap* memory, uint64_t trigger_instructions, uint32_t base,
-                    uint32_t size, FaultModel model, int bits, Rng rng)
-      : memory_(memory),
-        remaining_(trigger_instructions),
+  TriggeredInjector(uint64_t trigger_instructions, uint32_t base, uint32_t size,
+                    FaultModel model, int bits, Rng rng)
+      : trigger_(trigger_instructions),
         base_(base),
         size_(size),
         model_(model),
         bits_(bits),
         rng_(rng) {}
 
-  void OnRetire(uint32_t addr, Op op, uint32_t cycles) override {
-    (void)addr;
-    (void)op;
-    if (fired_) {
-      return;
-    }
-    seen_cycles_ += cycles;
-    if (remaining_ > 1) {
-      --remaining_;
-      return;
-    }
-    fault_ = InjectFault(*memory_, base_, size_, model_, bits_, rng_);
-    fired_ = true;
-  }
+  void Arm(Cpu& cpu);
 
   bool fired() const { return fired_; }
   const InjectedFault& fault() const { return fault_; }
-  // Cycles retired between probe attachment and the injection (exact: per-retire charges
-  // sum to the CPU cycle delta). Feeds detection-latency reporting — the campaign
-  // subtracts this from the cycles-at-detection to get injection→detection latency.
-  uint64_t fired_at_cycles() const { return seen_cycles_; }
+  // Cycles retired between arming and the injection, the strike's own instruction
+  // included. Feeds detection-latency reporting — the campaign subtracts this from the
+  // cycles-at-detection to get injection→detection latency.
+  uint64_t fired_at_cycles() const { return fired_at_cycles_; }
 
  private:
-  MemoryMap* memory_;
-  uint64_t remaining_;
+  uint64_t trigger_;
   uint32_t base_;
   uint32_t size_;
   FaultModel model_;
   int bits_;
   Rng rng_;
   bool fired_ = false;
-  uint64_t seen_cycles_ = 0;  // cycles retired before the injection fired
+  uint64_t fired_at_cycles_ = 0;
   InjectedFault fault_;
 };
 

@@ -27,8 +27,9 @@ struct MachineConfig {
 
 // Full architectural snapshot of a machine: CPU registers/flags/counters plus memory
 // contents and observation state. What is NOT captured (all host-side attachments or
-// deterministically rebuilt derived state): probe/trace attachment and ring contents,
-// the decode cache, compiled blocks, and block-profile windows. Restoring is therefore
+// deterministically rebuilt derived state): probe/trace attachment and ring contents, an
+// armed instruction alarm, the decode cache, compiled blocks, and block-profile windows.
+// Restoring is therefore
 // bit-identical for every architecturally observable quantity — cycles, instructions,
 // registers, memory, stats, heatmaps — across all decode modes.
 struct MachineSnapshot {
@@ -37,9 +38,11 @@ struct MachineSnapshot {
   FaultReport last_fault;
 };
 
-// How much of a snapshot Restore rewinds. kFull also rewrites flash (and invalidates the
-// decode/block caches); kRamAndRegisters leaves flash and its derived caches untouched —
-// the cheap per-trial fork/retry path when flash is known (or assumed) pristine.
+// How much of a snapshot Restore rewinds. kFull also rewinds flash, rewriting only the
+// bytes that differ from the snapshot, so only the decoded slots and compiled blocks over
+// them are invalidated (restoring an intact image invalidates nothing); kRamAndRegisters
+// leaves flash and its derived caches untouched — the cheap per-trial fork/retry path
+// when flash is known (or assumed) pristine.
 enum class RestoreScope : uint8_t { kFull = 0, kRamAndRegisters = 1 };
 
 class Machine {
@@ -75,9 +78,9 @@ class Machine {
   // trials), or park one as the pristine image for scrub/retry recovery.
   MachineSnapshot Snapshot() const;
   // Restores a snapshot taken on a machine with the same configuration. kFull rewinds
-  // everything including flash; kRamAndRegisters skips the flash rewrite (and the decode
-  // cache invalidation it forces), which is the fast path for retry-from-snapshot when
-  // flash integrity is separately assured.
+  // everything including flash (a byte compare of the image, plus a rewrite and targeted
+  // cache invalidation where it differs); kRamAndRegisters skips flash altogether, which
+  // is the fast path for retry-from-snapshot when flash integrity is separately assured.
   void Restore(const MachineSnapshot& snapshot, RestoreScope scope = RestoreScope::kFull);
 
   // Legacy abort-on-fault wrapper: prints the FaultReport diagnostic and aborts if the

@@ -109,20 +109,59 @@ const uint8_t* MemoryMap::HostPtrConst(uint32_t addr, uint32_t size) const {
   HostFault("access to unmapped address", addr);
 }
 
+void MemoryMap::MarkFlashChanged(uint32_t lo, uint32_t hi) {
+  ++flash_generation_;
+  flash_dirty_.Cover(lo, hi);
+  if (flash_listener_ != nullptr) {
+    *flash_listener_ = false;
+  }
+}
+
 void MemoryMap::HostWrite(uint32_t addr, std::span<const uint8_t> bytes) {
   uint8_t* p = HostPtr(addr, static_cast<uint32_t>(bytes.size()), /*allow_flash_write=*/true);
   std::memcpy(p, bytes.data(), bytes.size());
   if (InFlash(addr)) {
-    ++flash_generation_;
-    if (flash_listener_ != nullptr) {
-      *flash_listener_ = false;
-    }
-    const uint32_t end = addr + static_cast<uint32_t>(bytes.size()) - flash_base_;
+    const uint32_t begin = addr - flash_base_;
+    const uint32_t end = begin + static_cast<uint32_t>(bytes.size());
     if (end > flash_high_water_) {
       flash_high_water_ = end;
     }
+    MarkFlashChanged(begin, end);
   }
 }
+
+namespace {
+
+// Restores compare the live flash image with the capture on every scrub; memcmp over
+// fixed chunks finds the differing region at memory speed before the byte loops pin it.
+constexpr uint32_t kCompareChunk = 64;
+
+// First index in [0, n) where a and b differ, or n when they are equal.
+uint32_t FirstDifference(const uint8_t* a, const uint8_t* b, uint32_t n) {
+  uint32_t i = 0;
+  while (i + kCompareChunk <= n && std::memcmp(a + i, b + i, kCompareChunk) == 0) {
+    i += kCompareChunk;
+  }
+  while (i < n && a[i] == b[i]) {
+    ++i;
+  }
+  return i;
+}
+
+// One past the last index in [lo, n) where a and b differ; a[lo] != b[lo].
+uint32_t EndOfDifference(const uint8_t* a, const uint8_t* b, uint32_t lo, uint32_t n) {
+  uint32_t i = n;
+  while (i - lo >= kCompareChunk &&
+         std::memcmp(a + i - kCompareChunk, b + i - kCompareChunk, kCompareChunk) == 0) {
+    i -= kCompareChunk;
+  }
+  while (a[i - 1] == b[i - 1]) {
+    --i;
+  }
+  return i;
+}
+
+}  // namespace
 
 MemoryState MemoryMap::SaveState() const {
   MemoryState s;
@@ -141,18 +180,29 @@ void MemoryMap::RestoreState(const MemoryState& state, bool restore_flash) {
   NEUROC_CHECK(state.ram.size() == ram_.size());
   NEUROC_CHECK(state.flash_high_water <= flash_.size());
   if (restore_flash) {
-    std::memcpy(flash_.data(), state.flash.data(), state.flash.size());
-    // Bytes loaded after the capture sit between the two high-water marks; re-erase them
-    // so the flash image is byte-identical to capture time, then let the mark revert (it
-    // normally never shrinks, but a restore is an explicit rewind of load history).
-    if (flash_high_water_ > state.flash_high_water) {
-      std::memset(flash_.data() + state.flash_high_water, 0,
-                  flash_high_water_ - state.flash_high_water);
+    // Rewrite only the differing range. Flash past the live high-water mark is erased
+    // (0), so comparing the capture's bytes against the live image covers that part too.
+    const uint32_t n = state.flash_high_water;
+    FlashSpan changed;
+    const uint32_t lo = FirstDifference(flash_.data(), state.flash.data(), n);
+    if (lo < n) {
+      const uint32_t hi = EndOfDifference(flash_.data(), state.flash.data(), lo, n);
+      std::memcpy(flash_.data() + lo, state.flash.data() + lo, hi - lo);
+      changed.Cover(lo, hi);
     }
-    flash_high_water_ = state.flash_high_water;
-    ++flash_generation_;
-    if (flash_listener_ != nullptr) {
-      *flash_listener_ = false;
+    // Bytes loaded after the capture sit between the two high-water marks; re-erase them
+    // so the flash image is byte-identical to capture time, then let the mark revert (a
+    // restore is an explicit rewind of load history). Decode coverage follows the mark,
+    // so the span between the marks is reported even where its bytes were already 0.
+    if (flash_high_water_ != n) {
+      if (flash_high_water_ > n) {
+        std::memset(flash_.data() + n, 0, flash_high_water_ - n);
+      }
+      changed.Cover(std::min(n, flash_high_water_), std::max(n, flash_high_water_));
+      flash_high_water_ = n;
+    }
+    if (!changed.empty()) {
+      MarkFlashChanged(changed.lo, changed.hi);
     }
   }
   ram_ = state.ram;

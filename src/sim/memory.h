@@ -6,6 +6,7 @@
 #ifndef NEUROC_SRC_SIM_MEMORY_H_
 #define NEUROC_SRC_SIM_MEMORY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -15,6 +16,26 @@
 namespace neuroc {
 
 enum class MemRegion : uint8_t { kFlash = 0, kSram = 1, kNone = 2 };
+
+// Half-open range of flash byte offsets [lo, hi); empty when lo >= hi.
+struct FlashSpan {
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  bool empty() const { return lo >= hi; }
+  // Widens the span to include [a, b); an empty range changes nothing.
+  void Cover(uint32_t a, uint32_t b) {
+    if (a >= b) {
+      return;
+    }
+    if (empty()) {
+      lo = a;
+      hi = b;
+    } else {
+      lo = std::min(lo, a);
+      hi = std::max(hi, b);
+    }
+  }
+};
 
 struct MemAccessStats {
   uint64_t flash_reads = 0;
@@ -121,11 +142,20 @@ class MemoryMap {
   void HostWrite(uint32_t addr, std::span<const uint8_t> bytes);
   void HostRead(uint32_t addr, std::span<uint8_t> bytes) const;
 
-  // Bumped on every HostWrite that lands in flash. Consumers that cache decoded flash
-  // contents (the CPU's predecoded-instruction cache) compare against this to invalidate.
+  // Bumped on every HostWrite that lands in flash and on every RestoreState that changes
+  // a flash byte or the high-water mark (restoring an unchanged image leaves it alone).
   uint64_t flash_generation() const { return flash_generation_; }
-  // Highest flash offset (exclusive) ever touched by a HostWrite; bounds how much of
-  // flash a decode-cache rebuild needs to cover. Never shrinks.
+  // Returns the flash bytes that host writes and restores may have changed since the
+  // last call, and clears the record. The decoded-flash consumer takes it on rebuild and
+  // re-decodes only this range; a high-water rewind is included, so the consumer can
+  // drop the slots it uncovered.
+  FlashSpan TakeFlashDirtySpan() {
+    const FlashSpan span = flash_dirty_;
+    flash_dirty_ = FlashSpan{};
+    return span;
+  }
+  // Highest flash offset (exclusive) touched by a HostWrite; bounds how much of flash a
+  // decode-cache rebuild needs to cover. Only a flash restore rewinds it.
   uint32_t flash_high_water() const { return flash_high_water_; }
   // Raw flash contents for host-side decoding. Fetches routed through this must be
   // recorded via CountFlashFetch to keep the access counters identical to Read16.
@@ -157,8 +187,9 @@ class MemoryMap {
   bool observing() const { return observing_; }
 
   // At most one decoded-flash consumer (the owning CPU) parks its cache-validity flag
-  // here; every HostWrite into flash clears it. This replaces a per-step generation
-  // compare through the MemoryMap pointer with a test of the consumer's own flag.
+  // here; every flash change (a HostWrite into flash, a restore that rewrites a byte)
+  // clears it and widens the dirty span. This replaces a per-step generation compare
+  // through the MemoryMap pointer with a test of the consumer's own flag.
   void RegisterFlashWriteListener(bool* valid_flag) { flash_listener_ = valid_flag; }
   void UnregisterFlashWriteListener(bool* valid_flag) {
     if (flash_listener_ == valid_flag) {
@@ -191,13 +222,18 @@ class MemoryMap {
   // SRAM, access stats, heatmap/stack-watch configuration and contents).
   MemoryState SaveState() const;
   // Restores a captured state. With `restore_flash` the flash contents and high-water
-  // mark revert to capture time (bytes loaded after the capture are re-erased to 0) and
-  // the flash generation is bumped so decoded-flash consumers rebuild; without it the
-  // flash image — and therefore every derived cache — is left untouched, making the
-  // RAM-and-stats restore cheap enough for per-trial forking.
+  // mark revert to capture time (bytes loaded after the capture are re-erased to 0).
+  // Only bytes that differ from the capture are rewritten and reported as dirty, so
+  // restoring an unchanged image bumps no generation and keeps every derived cache, and
+  // undoing a one-byte upset re-decodes two slots. Without `restore_flash` the flash image
+  // is left untouched, making the RAM-and-stats restore cheap enough for per-trial forking.
   void RestoreState(const MemoryState& state, bool restore_flash);
 
  private:
+  // Records a change to flash bytes [lo, hi): bumps the generation, widens the dirty
+  // span and clears the consumer's validity flag.
+  void MarkFlashChanged(uint32_t lo, uint32_t hi);
+
   uint8_t* HostPtr(uint32_t addr, uint32_t size, bool allow_flash_write);
   const uint8_t* HostPtrConst(uint32_t addr, uint32_t size) const;
   void Observe(uint32_t addr, MemRegion region, bool is_write);
@@ -263,6 +299,7 @@ class MemoryMap {
   std::vector<uint8_t> ram_;
   uint64_t flash_generation_ = 0;
   uint32_t flash_high_water_ = 0;
+  FlashSpan flash_dirty_;
   bool* flash_listener_ = nullptr;
   MemAccessStats stats_;
   MemHeatmap heatmap_;

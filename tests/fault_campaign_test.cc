@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/thread_pool.h"
 #include "src/core/synthetic.h"
 #include "src/runtime/deployed_model.h"
@@ -238,6 +241,37 @@ TEST(FaultCampaignTest, FullLadderJsonIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(json1, json4);
   EXPECT_NE(json1.find("\"dual_run\": true"), std::string::npos);
   EXPECT_NE(json1.find("mean_detect_latency_cycles"), std::string::npos);
+}
+
+TEST(FaultCampaignTest, JsonDigestsArePinned) {
+  // Reports of the default campaign (seed 11, 20 trials x 5 encodings) pinned by CRC-32.
+  // The digests were taken when mid-inference strikes still came from a step-interpreter
+  // CpuProbe and every flash change dropped the whole decode cache; running trials on the
+  // block path with the instruction alarm and range-precise invalidation must not move a
+  // single byte of any report.
+  struct Case {
+    FaultTrigger trigger;
+    bool dual_run;
+    uint32_t crc;
+  };
+  const Case cases[] = {
+      {FaultTrigger::kPreInference, false, 0x5f78777au},
+      {FaultTrigger::kPreInference, true, 0xa1fd6ca3u},
+      {FaultTrigger::kMidInference, false, 0x42ee6393u},
+      {FaultTrigger::kMidInference, true, 0xae01010cu},
+  };
+  for (const Case& c : cases) {
+    FaultCampaignConfig cfg;
+    cfg.seed = 11;
+    cfg.trials_per_encoding = 20;
+    cfg.trigger = c.trigger;
+    cfg.policy.dual_run = c.dual_run;
+    const std::string json = FaultCampaignJson(RunFaultCampaign(cfg));
+    EXPECT_EQ(Crc32(std::span<const uint8_t>(
+                  reinterpret_cast<const uint8_t*>(json.data()), json.size())),
+              c.crc)
+        << "trigger=" << FaultTriggerName(c.trigger) << " dual_run=" << c.dual_run;
+  }
 }
 
 TEST(FaultCampaignTest, RecoveryReportOnCleanDeploymentDoesNotFault) {

@@ -113,7 +113,7 @@ TEST(UnrolledKernelTest, SizeModelPinsAssembledBytes) {
   // The contract that keeps UnrolledEncoding::Sizes() honest: assembled kernel bytes must
   // equal the marginal size model plus the fixed scaffold, for any adjacency.
   Rng rng(987);
-  for (const auto [in, out, density] :
+  for (const auto& [in, out, density] :
        {std::tuple<size_t, size_t, double>{64, 16, 0.2}, {300, 24, 0.05}, {17, 3, 0.9},
         {784, 32, 0.02}, {40, 8, 0.0}}) {
     for (const bool scale : {false, true}) {

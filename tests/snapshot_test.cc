@@ -38,29 +38,7 @@ NeuroCModel SmallModel(uint64_t seed, EncodingKind kind) {
   return testutil::MakeTestModel(seed, spec);
 }
 
-// Field-by-field equality over everything a MachineSnapshot captures. Done explicitly
-// (not memcmp) so a failure names the diverging quantity.
-void ExpectSnapshotsEqual(const MachineSnapshot& a, const MachineSnapshot& b) {
-  EXPECT_EQ(a.cpu.regs, b.cpu.regs);
-  EXPECT_EQ(a.cpu.pc, b.cpu.pc);
-  EXPECT_EQ(a.cpu.flags.n, b.cpu.flags.n);
-  EXPECT_EQ(a.cpu.flags.z, b.cpu.flags.z);
-  EXPECT_EQ(a.cpu.flags.c, b.cpu.flags.c);
-  EXPECT_EQ(a.cpu.flags.v, b.cpu.flags.v);
-  EXPECT_EQ(a.cpu.cycles, b.cpu.cycles);
-  EXPECT_EQ(a.cpu.instructions, b.cpu.instructions);
-  EXPECT_EQ(a.cpu.op_histogram, b.cpu.op_histogram);
-  EXPECT_EQ(a.memory.flash, b.memory.flash);
-  EXPECT_EQ(a.memory.flash_high_water, b.memory.flash_high_water);
-  EXPECT_EQ(a.memory.ram, b.memory.ram);
-  EXPECT_EQ(a.memory.stats.flash_reads, b.memory.stats.flash_reads);
-  EXPECT_EQ(a.memory.stats.sram_reads, b.memory.stats.sram_reads);
-  EXPECT_EQ(a.memory.stats.sram_writes, b.memory.stats.sram_writes);
-  EXPECT_EQ(a.memory.heatmap.bucket_bytes, b.memory.heatmap.bucket_bytes);
-  EXPECT_EQ(a.memory.heatmap.flash_reads, b.memory.heatmap.flash_reads);
-  EXPECT_EQ(a.memory.heatmap.sram_reads, b.memory.heatmap.sram_reads);
-  EXPECT_EQ(a.memory.heatmap.sram_writes, b.memory.heatmap.sram_writes);
-}
+using testutil::ExpectSnapshotsEqual;
 
 class SnapshotTest : public ::testing::TestWithParam<EncodingKind> {};
 
@@ -132,13 +110,12 @@ TEST_P(SnapshotTest, ScrubAfterMidInferenceSramFaultRestoresPristineExactly) {
   // Strike activation SRAM a few hundred instructions into the inference. Whether the
   // corrupted value ends up masked, silently wrong or faulting is irrelevant here — only
   // the post-scrub state matters.
-  TriggeredInjector injector(&dm.machine().memory(), /*trigger_instructions=*/300,
-                             dm.machine().config().ram_base,
+  TriggeredInjector injector(/*trigger_instructions=*/300, dm.machine().config().ram_base,
                              dm.machine().config().ram_size, FaultModel::kSingleBitFlip,
                              1, Rng(99));
-  dm.machine().cpu().set_probe(&injector);
+  injector.Arm(dm.machine().cpu());
   (void)dm.TryPredict(input);
-  dm.machine().cpu().set_probe(nullptr);
+  dm.machine().cpu().ClearInstructionAlarm();
   EXPECT_TRUE(injector.fired());
 
   dm.Scrub();

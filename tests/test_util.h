@@ -1,12 +1,13 @@
 // Shared helpers for the unit tests: seeded random-model construction (previously
 // duplicated across the firmware, robustness and fault-campaign tests), the global
-// thread-pool guard, and the FakeClient serve-protocol driver (tests that use it must
-// link neuroc_serve). Layers are built sequentially from a single Rng, so a (seed, spec)
-// pair fully determines the model.
+// thread-pool guard, machine-snapshot equality, and the FakeClient serve-protocol client
+// (tests that use it must link neuroc_serve). Layers are built sequentially from a single
+// Rng, so a (seed, spec) pair fully determines the model.
 
 #ifndef NEUROC_TESTS_TEST_UTIL_H_
 #define NEUROC_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/synthetic.h"
 #include "src/serve/frame.h"
+#include "src/sim/machine.h"
 
 namespace neuroc::testutil {
 
@@ -48,6 +50,41 @@ inline NeuroCModel MakeTestModel(uint64_t seed, const TestModelSpec& spec = {}) 
 struct GlobalThreadsGuard {
   ~GlobalThreadsGuard() { ThreadPool::SetGlobalThreads(0); }
 };
+
+// Field-by-field equality over everything a MachineSnapshot captures. Done explicitly
+// (not memcmp) so a failure names the diverging quantity.
+inline void ExpectSnapshotsEqual(const MachineSnapshot& a, const MachineSnapshot& b) {
+  EXPECT_EQ(a.cpu.regs, b.cpu.regs);
+  EXPECT_EQ(a.cpu.pc, b.cpu.pc);
+  EXPECT_EQ(a.cpu.flags.n, b.cpu.flags.n);
+  EXPECT_EQ(a.cpu.flags.z, b.cpu.flags.z);
+  EXPECT_EQ(a.cpu.flags.c, b.cpu.flags.c);
+  EXPECT_EQ(a.cpu.flags.v, b.cpu.flags.v);
+  EXPECT_EQ(a.cpu.cycles, b.cpu.cycles);
+  EXPECT_EQ(a.cpu.instructions, b.cpu.instructions);
+  EXPECT_EQ(a.cpu.op_histogram, b.cpu.op_histogram);
+  EXPECT_EQ(a.memory.flash, b.memory.flash);
+  EXPECT_EQ(a.memory.flash_high_water, b.memory.flash_high_water);
+  EXPECT_EQ(a.memory.ram, b.memory.ram);
+  EXPECT_EQ(a.memory.stats.flash_reads, b.memory.stats.flash_reads);
+  EXPECT_EQ(a.memory.stats.sram_reads, b.memory.stats.sram_reads);
+  EXPECT_EQ(a.memory.stats.sram_writes, b.memory.stats.sram_writes);
+  EXPECT_EQ(a.memory.heatmap.bucket_bytes, b.memory.heatmap.bucket_bytes);
+  EXPECT_EQ(a.memory.heatmap.flash_reads, b.memory.heatmap.flash_reads);
+  EXPECT_EQ(a.memory.heatmap.sram_reads, b.memory.heatmap.sram_reads);
+  EXPECT_EQ(a.memory.heatmap.sram_writes, b.memory.heatmap.sram_writes);
+}
+
+// Identity of two fault reports (code, message, stamped pc/address, counters).
+inline void ExpectFaultsEqual(const FaultReport& a, const FaultReport& b) {
+  EXPECT_EQ(a.code, b.code);
+  EXPECT_EQ(a.message, b.message);
+  EXPECT_EQ(a.pc, b.pc);
+  EXPECT_EQ(a.addr, b.addr);
+  EXPECT_EQ(a.instruction, b.instruction);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.instructions, b.instructions);
+}
 
 // Scripted serve-protocol client over one end of a socketpair: sends request frames (or
 // raw bytes, for malformed-input tests) and reads response frames with a poll timeout so
