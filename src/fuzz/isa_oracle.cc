@@ -1,5 +1,6 @@
 #include <string>
 
+#include "src/common/rng.h"
 #include "src/fuzz/oracles.h"
 #include "src/isa/assembler.h"
 #include "src/isa/decoder.h"
@@ -30,6 +31,53 @@ bool SameInstr(const Instr& a, const Instr& b) {
 // still goes through the binary encode->decode fix-point above.
 bool TextRoundTrips(Op op) { return op != Op::kAdr; }
 
+// The first quantity two machines that ran the same case report differently — status,
+// fault report, registers, pc, flags, counters, op histogram — or "" when they agree.
+std::string CrossModeDiff(Machine& a, const StatusOr<uint64_t>& a_run, Machine& b,
+                          const StatusOr<uint64_t>& b_run) {
+  const auto differ = [](const std::string& what, uint64_t x, uint64_t y) {
+    return what + " " + std::to_string(x) + " vs " + std::to_string(y);
+  };
+  if (a_run.ok() != b_run.ok() || a_run.status().code() != b_run.status().code()) {
+    return "status " + a_run.status().ToString() + " vs " + b_run.status().ToString();
+  }
+  if (a_run.ok() && *a_run != *b_run) {
+    return differ("call cycles", *a_run, *b_run);
+  }
+  const FaultReport& fa = a.last_fault();
+  const FaultReport& fb = b.last_fault();
+  if (fa.code != fb.code || fa.message != fb.message || fa.pc != fb.pc ||
+      fa.addr != fb.addr || fa.instruction != fb.instruction || fa.cycles != fb.cycles ||
+      fa.instructions != fb.instructions || fa.trace_tail != fb.trace_tail) {
+    return "fault report '" + fa.Describe() + "' vs '" + fb.Describe() + "'";
+  }
+  const Cpu& ca = a.cpu();
+  const Cpu& cb = b.cpu();
+  for (int r = 0; r < 16; ++r) {
+    if (ca.reg(r) != cb.reg(r)) {
+      return differ(RegName(static_cast<uint8_t>(r)), ca.reg(r), cb.reg(r));
+    }
+  }
+  if (ca.pc() != cb.pc()) {
+    return differ("pc", ca.pc(), cb.pc());
+  }
+  const CpuFlags& f = ca.flags();
+  const CpuFlags& g = cb.flags();
+  if (f.n != g.n || f.z != g.z || f.c != g.c || f.v != g.v) {
+    return "flags";
+  }
+  if (ca.cycles() != cb.cycles()) {
+    return differ("cycles", ca.cycles(), cb.cycles());
+  }
+  if (ca.instructions() != cb.instructions()) {
+    return differ("instructions", ca.instructions(), cb.instructions());
+  }
+  if (ca.op_histogram() != cb.op_histogram()) {
+    return "op histogram";
+  }
+  return "";
+}
+
 }  // namespace
 
 FuzzCase GenerateIsaCase(uint64_t case_seed) {
@@ -54,16 +102,44 @@ CaseResult RunIsaCase(const FuzzCase& c) {
   // Structural-fault leg: every halfword — valid or not — must either execute cleanly or
   // raise a structured guest fault. A NEUROC_CHECK abort anywhere in the decode/execute
   // path would kill the fuzzer process, which is exactly the signal this leg exists for.
+  // Cross-mode leg: the pair runs on a block-compiled machine and on a legacy
+  // decode-every-step one, and the two must agree on everything they report. r0-r12
+  // start as a per-case mix of raw words, SRAM and flash addresses and small offsets, so
+  // loads and stores both complete and fault; one flash wait state makes the fetch and
+  // data-access charges visible.
   MachineConfig mc;
   mc.max_instructions = 64;  // random control flow may loop; keep runaways cheap
+  mc.cycle_model.flash_wait_states = 1;
   Machine m(mc);
+  Machine legacy(mc);
+  legacy.cpu().EnableDecodeCache(false);
+  Rng regs(FuzzSubSeed(c.case_seed, 1));
+  for (int r = 0; r <= 12; ++r) {
+    const uint32_t word = regs.NextU32();
+    uint32_t value = word;
+    switch (regs.NextBounded(4)) {
+      case 0: value = mc.ram_base + word % mc.ram_size; break;
+      case 1: value = mc.flash_base + word % 256; break;
+      case 2: value = word % 256; break;
+      default: break;
+    }
+    m.cpu().set_reg(r, value);
+    legacy.cpu().set_reg(r, value);
+  }
   const std::vector<uint8_t> prog = {
       static_cast<uint8_t>(c.hw1 & 0xFF), static_cast<uint8_t>(c.hw1 >> 8),
       static_cast<uint8_t>(c.hw2 & 0xFF), static_cast<uint8_t>(c.hw2 >> 8),
       0x70, 0x47,  // bx lr
   };
   m.LoadBytes(mc.flash_base, prog);
+  legacy.LoadBytes(mc.flash_base, prog);
   const StatusOr<uint64_t> run = m.TryCallFunction(mc.flash_base, {});
+  const StatusOr<uint64_t> legacy_run = legacy.TryCallFunction(mc.flash_base, {});
+  const std::string diff = CrossModeDiff(m, run, legacy, legacy_run);
+  if (!diff.empty()) {
+    return {FuzzVerdict::kFail, "block and legacy decode disagree on " + hws + " (" +
+                                    OpName(d.op) + "): " + diff};
+  }
   if (d.op == Op::kInvalid || d.op == Op::kUdf) {
     // The undecodable (or explicit UDF) halfword is the first instruction executed: the
     // machine must report exactly an undefined-instruction fault.

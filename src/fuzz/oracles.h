@@ -10,7 +10,8 @@
 //   isa     random halfwords: valid decodes must fix-point through encode -> decode (and,
 //           for textually round-trippable ops, disassemble -> assemble -> decode), and
 //           every halfword — valid or not — must execute or fault *structurally* on the
-//           simulated CPU (Status/FaultReport, never a host abort).
+//           simulated CPU (Status/FaultReport, never a host abort), identically on the
+//           block-compiled and legacy decode paths from seeded registers.
 //   serde   random models: serialize -> deserialize -> re-serialize must be lossless and
 //           the reloaded model must deploy and predict identically; seeded single-bit
 //           mutations must be rejected with a structured error (CRC on v2 images).

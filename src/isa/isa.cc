@@ -1,81 +1,17 @@
 #include "src/isa/isa.h"
 
+#include <iterator>
+
 namespace neuroc {
 
 const char* OpName(Op op) {
-  switch (op) {
-    case Op::kInvalid: return "invalid";
-    case Op::kLslImm: return "lsls";
-    case Op::kLsrImm: return "lsrs";
-    case Op::kAsrImm: return "asrs";
-    case Op::kAddReg: return "adds";
-    case Op::kSubReg: return "subs";
-    case Op::kAddImm3: return "adds";
-    case Op::kSubImm3: return "subs";
-    case Op::kMovImm: return "movs";
-    case Op::kCmpImm: return "cmp";
-    case Op::kAddImm8: return "adds";
-    case Op::kSubImm8: return "subs";
-    case Op::kAnd: return "ands";
-    case Op::kEor: return "eors";
-    case Op::kLslReg: return "lsls";
-    case Op::kLsrReg: return "lsrs";
-    case Op::kAsrReg: return "asrs";
-    case Op::kAdc: return "adcs";
-    case Op::kSbc: return "sbcs";
-    case Op::kRor: return "rors";
-    case Op::kTst: return "tst";
-    case Op::kNeg: return "rsbs";
-    case Op::kCmpReg: return "cmp";
-    case Op::kCmn: return "cmn";
-    case Op::kOrr: return "orrs";
-    case Op::kMul: return "muls";
-    case Op::kBic: return "bics";
-    case Op::kMvn: return "mvns";
-    case Op::kAddHi: return "add";
-    case Op::kCmpHi: return "cmp";
-    case Op::kMovHi: return "mov";
-    case Op::kBx: return "bx";
-    case Op::kBlx: return "blx";
-    case Op::kLdrLit: return "ldr";
-    case Op::kStrReg: return "str";
-    case Op::kStrhReg: return "strh";
-    case Op::kStrbReg: return "strb";
-    case Op::kLdrsbReg: return "ldrsb";
-    case Op::kLdrReg: return "ldr";
-    case Op::kLdrhReg: return "ldrh";
-    case Op::kLdrbReg: return "ldrb";
-    case Op::kLdrshReg: return "ldrsh";
-    case Op::kStrImm: return "str";
-    case Op::kLdrImm: return "ldr";
-    case Op::kStrbImm: return "strb";
-    case Op::kLdrbImm: return "ldrb";
-    case Op::kStrhImm: return "strh";
-    case Op::kLdrhImm: return "ldrh";
-    case Op::kStrSp: return "str";
-    case Op::kLdrSp: return "ldr";
-    case Op::kAdr: return "adr";
-    case Op::kAddSpImm: return "add";
-    case Op::kAddSp7: return "add";
-    case Op::kSubSp7: return "sub";
-    case Op::kSxth: return "sxth";
-    case Op::kSxtb: return "sxtb";
-    case Op::kUxth: return "uxth";
-    case Op::kUxtb: return "uxtb";
-    case Op::kRev: return "rev";
-    case Op::kRev16: return "rev16";
-    case Op::kRevsh: return "revsh";
-    case Op::kPush: return "push";
-    case Op::kPop: return "pop";
-    case Op::kLdm: return "ldmia";
-    case Op::kStm: return "stmia";
-    case Op::kNop: return "nop";
-    case Op::kBcond: return "b";
-    case Op::kB: return "b";
-    case Op::kBl: return "bl";
-    case Op::kUdf: return "udf";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+#define NEUROC_OP_MNEMONIC(name, mnemonic) mnemonic,
+      NEUROC_THUMB_OPS(NEUROC_OP_MNEMONIC)
+#undef NEUROC_OP_MNEMONIC
+  };
+  const size_t index = static_cast<size_t>(op);
+  return index < std::size(kNames) ? kNames[index] : "?";
 }
 
 const char* CondName(Cond cond) {

@@ -20,37 +20,49 @@ inline constexpr uint8_t kRegSp = 13;
 inline constexpr uint8_t kRegLr = 14;
 inline constexpr uint8_t kRegPc = 15;
 
+// Every op as X(enumerator, mnemonic), in Op value order. Op, OpName and the simulator's
+// dispatch table are generated from this one list; appending keeps existing values.
+#define NEUROC_THUMB_OPS(X)                                                               \
+  X(kInvalid, "invalid")                                                                 \
+  /* Shift (immediate). */                                                               \
+  X(kLslImm, "lsls") X(kLsrImm, "lsrs") X(kAsrImm, "asrs")                               \
+  /* Add/subtract register and 3-bit immediate. */                                       \
+  X(kAddReg, "adds") X(kSubReg, "subs") X(kAddImm3, "adds") X(kSubImm3, "subs")          \
+  /* Move/compare/add/subtract 8-bit immediate. */                                       \
+  X(kMovImm, "movs") X(kCmpImm, "cmp") X(kAddImm8, "adds") X(kSubImm8, "subs")           \
+  /* Data processing (register). */                                                      \
+  X(kAnd, "ands") X(kEor, "eors") X(kLslReg, "lsls") X(kLsrReg, "lsrs")                  \
+  X(kAsrReg, "asrs") X(kAdc, "adcs") X(kSbc, "sbcs") X(kRor, "rors") X(kTst, "tst")      \
+  X(kNeg, "rsbs") X(kCmpReg, "cmp") X(kCmn, "cmn") X(kOrr, "orrs") X(kMul, "muls")       \
+  X(kBic, "bics") X(kMvn, "mvns")                                                        \
+  /* High-register operations and branch-exchange. */                                    \
+  X(kAddHi, "add") X(kCmpHi, "cmp") X(kMovHi, "mov") X(kBx, "bx") X(kBlx, "blx")         \
+  /* PC-relative literal load. */                                                        \
+  X(kLdrLit, "ldr")                                                                      \
+  /* Load/store with register offset. */                                                 \
+  X(kStrReg, "str") X(kStrhReg, "strh") X(kStrbReg, "strb") X(kLdrsbReg, "ldrsb")        \
+  X(kLdrReg, "ldr") X(kLdrhReg, "ldrh") X(kLdrbReg, "ldrb") X(kLdrshReg, "ldrsh")        \
+  /* Load/store with immediate offset. */                                                \
+  X(kStrImm, "str") X(kLdrImm, "ldr") X(kStrbImm, "strb") X(kLdrbImm, "ldrb")            \
+  X(kStrhImm, "strh") X(kLdrhImm, "ldrh")                                                \
+  /* SP-relative load/store and address generation. */                                  \
+  X(kStrSp, "str") X(kLdrSp, "ldr") X(kAdr, "adr") X(kAddSpImm, "add")                   \
+  /* SP adjustment. */                                                                   \
+  X(kAddSp7, "add") X(kSubSp7, "sub")                                                    \
+  /* Extend and byte-reverse. */                                                         \
+  X(kSxth, "sxth") X(kSxtb, "sxtb") X(kUxth, "uxth") X(kUxtb, "uxtb") X(kRev, "rev")     \
+  X(kRev16, "rev16") X(kRevsh, "revsh")                                                  \
+  /* Stack multiple. */                                                                  \
+  X(kPush, "push") X(kPop, "pop")                                                        \
+  /* Load/store multiple, increment-after with writeback (LDMIA/STMIA). */               \
+  X(kLdm, "ldmia") X(kStm, "stmia")                                                      \
+  /* Hints and control flow. */                                                          \
+  X(kNop, "nop") X(kBcond, "b") X(kB, "b") X(kBl, "bl") X(kUdf, "udf")
+
 enum class Op : uint8_t {
-  kInvalid = 0,
-  // Shift (immediate).
-  kLslImm, kLsrImm, kAsrImm,
-  // Add/subtract register and 3-bit immediate.
-  kAddReg, kSubReg, kAddImm3, kSubImm3,
-  // Move/compare/add/subtract 8-bit immediate.
-  kMovImm, kCmpImm, kAddImm8, kSubImm8,
-  // Data processing (register).
-  kAnd, kEor, kLslReg, kLsrReg, kAsrReg, kAdc, kSbc, kRor, kTst, kNeg, kCmpReg, kCmn,
-  kOrr, kMul, kBic, kMvn,
-  // High-register operations and branch-exchange.
-  kAddHi, kCmpHi, kMovHi, kBx, kBlx,
-  // PC-relative literal load.
-  kLdrLit,
-  // Load/store with register offset.
-  kStrReg, kStrhReg, kStrbReg, kLdrsbReg, kLdrReg, kLdrhReg, kLdrbReg, kLdrshReg,
-  // Load/store with immediate offset.
-  kStrImm, kLdrImm, kStrbImm, kLdrbImm, kStrhImm, kLdrhImm,
-  // SP-relative load/store and address generation.
-  kStrSp, kLdrSp, kAdr, kAddSpImm,
-  // SP adjustment.
-  kAddSp7, kSubSp7,
-  // Extend and byte-reverse.
-  kSxth, kSxtb, kUxth, kUxtb, kRev, kRev16, kRevsh,
-  // Stack multiple.
-  kPush, kPop,
-  // Load/store multiple, increment-after with writeback (LDMIA/STMIA).
-  kLdm, kStm,
-  // Hints and control flow.
-  kNop, kBcond, kB, kBl, kUdf,
+#define NEUROC_OP_ENUMERATOR(name, mnemonic) name,
+  NEUROC_THUMB_OPS(NEUROC_OP_ENUMERATOR)
+#undef NEUROC_OP_ENUMERATOR
 };
 
 enum class Cond : uint8_t {

@@ -219,27 +219,6 @@ int DeployedModel::Predict(std::span<const int8_t> input) {
   return *best;
 }
 
-RecoveryReport DeployedModel::PredictWithRecovery(std::span<const int8_t> input) {
-  RecoveryReport rr;
-  StatusOr<int> first = TryPredict(input);
-  if (first.ok()) {
-    rr.prediction = *first;
-    return rr;
-  }
-  rr.faulted = true;
-  rr.fault = first.status().fault() != nullptr ? *first.status().fault() : FaultReport{};
-  // Attribute the damage before scrubbing destroys the evidence; SRAM/transient faults
-  // leave every flash section intact and the list empty.
-  rr.corrupted_sections = CorruptedSections();
-  Scrub();
-  StatusOr<int> retry = TryPredict(input);
-  if (retry.ok()) {
-    rr.recovered = true;
-    rr.prediction = *retry;
-  }
-  return rr;
-}
-
 Status DeployedModel::VerifyIntegrity() const {
   std::vector<std::string> bad = CorruptedSections();
   if (bad.empty()) {

@@ -32,17 +32,6 @@ struct DeploymentReport {
   std::vector<uint64_t> layer_cycles;  // per-layer split of the most recent inference
 };
 
-// Outcome of a PredictWithRecovery call: whether the inference faulted, which integrity
-// sections the fault corrupted (attributed by CRC before scrubbing), and whether the
-// scrub-and-retry pass produced a clean prediction.
-struct RecoveryReport {
-  bool faulted = false;
-  bool recovered = false;  // retry after scrub succeeded (only meaningful when faulted)
-  int prediction = -1;     // valid when !faulted or recovered
-  FaultReport fault;       // first fault (only meaningful when faulted)
-  std::vector<std::string> corrupted_sections;  // CRC-mismatching sections at fault time
-};
-
 // What the flash-budget guard did: whether the requested model overflowed flash, the
 // structured overflow status naming the shortfall, and which encoding was deployed instead.
 struct DeployFallbackReport {
@@ -94,11 +83,6 @@ class DeployedModel {
   // Legacy abort-on-fault wrapper: prints the FaultReport diagnostic and aborts if the
   // inference faults.
   int Predict(std::span<const int8_t> input);
-
-  // Fault-tolerant inference: on a detected guest fault, attributes flash corruption via
-  // the per-section CRCs, scrubs (re-deploys the pristine code + image, zeroes SRAM) and
-  // retries exactly once. Never aborts on guest faults.
-  RecoveryReport PredictWithRecovery(std::span<const int8_t> input);
 
   // Re-verifies every integrity section (kernel code + packed image) against the CRC-32
   // digests captured at pack/deploy time. Returns kIntegrityFailure naming the mismatching

@@ -244,9 +244,9 @@ int PopCount8(uint16_t reglist) {
   return count;
 }
 
-// Static execution cost, mirroring the charge the interpreter makes for the instruction
-// (excluding the per-fetch flash wait states and the dynamic parts: data-access wait
-// states and the taken/not-taken split of kBcond, which the executor resolves at runtime).
+// Static execution cost of an instruction, the one source of fixed costs for both
+// executors (excluding the per-fetch flash wait states and the dynamic parts: data-access
+// wait states and the taken/not-taken split of kBcond, which the op bodies add to `dyn`).
 uint32_t StaticExecCycles(const Instr& in, const CycleModel& m) {
   switch (in.op) {
     case Op::kMul:
@@ -291,6 +291,33 @@ uint32_t StaticExecCycles(const Instr& in, const CycleModel& m) {
 
 }  // namespace
 
+inline Cpu::BlockOp Cpu::Lower(const Instr& in, uint32_t addr) {
+  BlockOp o;
+  o.op = in.op;
+  o.rd = in.rd;
+  o.rn = in.rn;
+  o.rm = in.rm;
+  o.cond = in.cond;
+  o.reglist = in.reglist;
+  o.imm = in.imm;
+  o.addr = addr;
+  // Pre-resolve PC-relative operands to absolute values.
+  switch (in.op) {
+    case Op::kLdrLit:
+    case Op::kAdr:
+      o.imm = static_cast<int32_t>(((addr + 4) & ~3u) + static_cast<uint32_t>(in.imm));
+      break;
+    case Op::kB:
+    case Op::kBcond:
+    case Op::kBl:
+      o.imm = static_cast<int32_t>(addr + 4 + static_cast<uint32_t>(in.imm));
+      break;
+    default:
+      break;
+  }
+  return o;
+}
+
 // Walks predecoded slots from `entry_slot` until a control-flow terminator, an
 // invalid/UDF decode, the end of decode coverage, or the length cap, fusing the run into
 // one Block. Returns the block index, or kBlockStepOnly when the entry cannot start a
@@ -312,34 +339,12 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
     if (in.op == Op::kInvalid || in.op == Op::kUdf) {
       break;  // the interpreter raises the fault with the exact seed diagnostics
     }
-    BlockOp o;
-    o.op = in.op;
-    o.rd = in.rd;
-    o.rn = in.rn;
-    o.rm = in.rm;
-    o.cond = in.cond;
-    o.reglist = in.reglist;
-    o.imm = in.imm;
+    BlockOp o = Lower(in, mem_->flash_base() + static_cast<uint32_t>(2 * slot));
     o.fetch_reads = pd.flash_reads;
     o.is_mem = MayFault(in.op) ? 1 : 0;
-    o.addr = mem_->flash_base() + static_cast<uint32_t>(2 * slot);
     o.cycles_before = static_cycles;
     static_cycles += static_cast<uint32_t>(model_.flash_wait_states) +
                      StaticExecCycles(in, model_);
-    // Pre-resolve PC-relative operands to absolute values.
-    switch (in.op) {
-      case Op::kLdrLit:
-      case Op::kAdr:
-        o.imm = static_cast<int32_t>(((o.addr + 4) & ~3u) + static_cast<uint32_t>(in.imm));
-        break;
-      case Op::kB:
-      case Op::kBcond:
-      case Op::kBl:
-        o.imm = static_cast<int32_t>(o.addr + 4 + static_cast<uint32_t>(in.imm));
-        break;
-      default:
-        break;
-    }
     b.ops.push_back(o);
     if (IsTerminator(in)) {
       b.terminated = true;
@@ -516,23 +521,6 @@ void Cpu::FlushBlockProfiles() const {
   }
 }
 
-Op Cpu::PeekOpAt(uint32_t addr) const {
-  // Host-side (uncounted) decode peek, mirroring the interpreter's fetch rule: hw2 is
-  // read only for a wide (BL-prefix) encoding whose second halfword is mapped.
-  if (mem_->RegionOf(addr) == MemRegion::kNone) {
-    return Op::kInvalid;
-  }
-  uint8_t raw[2];
-  mem_->HostRead(addr, raw);
-  const uint16_t hw1 = static_cast<uint16_t>(raw[0] | (raw[1] << 8));
-  uint16_t hw2 = 0;
-  if ((hw1 & 0xF800) == 0xF000 && mem_->RegionOf(addr + 2) != MemRegion::kNone) {
-    mem_->HostRead(addr + 2, raw);
-    hw2 = static_cast<uint16_t>(raw[0] | (raw[1] << 8));
-  }
-  return DecodeInstr(hw1, hw2).op;
-}
-
 void Cpu::EnableTrace(size_t depth) {
   trace_.assign(depth, TraceEntry{});
   trace_pos_ = 0;
@@ -592,18 +580,6 @@ bool Cpu::EvalCond(Cond cond) const {
     case Cond::kAl: return true;
   }
   return false;
-}
-
-void Cpu::Branch(uint32_t target, int cost) {
-  pc_ = target & ~1u;
-  cycles_ += static_cast<uint64_t>(cost);
-}
-
-void Cpu::ChargeMemAccess(uint32_t addr, bool is_store) {
-  cycles_ += static_cast<uint64_t>(is_store ? model_.store : model_.load);
-  if (mem_->InFlash(addr)) {
-    cycles_ += static_cast<uint64_t>(model_.flash_wait_states);
-  }
 }
 
 void Cpu::SetInstructionAlarm(uint64_t at_instructions, std::function<void()> on_alarm) {
@@ -702,23 +678,13 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
 // or probe checks (block mode is inactive when those are attached), and no per-step
 // decode-cache lookups. Cycle, instruction, histogram and fetch accounting are applied
 // once at block exit; a GuestFault mid-block patches them to the exact interpreter state
-// for the faulting instruction before rethrowing. Cases mirror StepInner one for one —
-// the differences are the compile-time-folded static cycle costs, the dead-flag elision
-// (`o.set_flags`), and the compile-time-resolved PC-relative operands.
-// Dispatch plumbing for ExecuteBlock. With GNU extensions every op ends in its own
-// indirect jump through the label table (token threading), giving the host branch
-// predictor one dispatch site per preceding op instead of a single shared one; other
-// compilers get a plain switch in a loop with identical semantics.
-#if defined(__GNUC__) || defined(__clang__)
-#define NEUROC_BLOCK_COMPUTED_GOTO 1
-#else
-#define NEUROC_BLOCK_COMPUTED_GOTO 0
-#endif
-
-#if NEUROC_BLOCK_COMPUTED_GOTO
-// NEUROC_NEXT also advances the profiled hit-counter cursor in lockstep with the op
-// pointer (discarded in the unprofiled instantiation), so charge_mem records a flash-wait
-// hit with a plain `++*prof_slot` — no per-access op-index math on the hot path.
+// for the faulting instruction before rethrowing. The ops run the bodies of
+// thumb_ops.inc, each ending in its own indirect jump through the label table (token
+// threading), which gives the host branch predictor one dispatch site per preceding op
+// instead of a single shared one. NEUROC_NEXT also advances the profiled hit-counter
+// cursor in lockstep with the op pointer (discarded in the unprofiled instantiation), so
+// charge_mem records a flash-wait hit with a plain `++*prof_slot` — no per-access
+// op-index math on the hot path.
 #define NEUROC_OP(name) lbl_##name:
 #define NEUROC_NEXT                                   \
   do {                                                \
@@ -726,21 +692,12 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
     if (++op == op_end) goto block_exit;              \
     goto* kDispatch[static_cast<size_t>(op->op)];     \
   } while (0)
-#else
-#define NEUROC_OP(name) case Op::name:
-#define NEUROC_NEXT                                   \
-  {                                                   \
-    if constexpr (kProfiled) ++prof_slot;             \
-    if (++op == op_end) goto block_exit;              \
-  }                                                   \
-  break
-#endif
-
-// Reads of r15 observe the instruction's address + 4; only hi-register forms and BX/BLX
-// can encode r15 as an operand, so the compare lives in those cases alone.
-#define NEUROC_RVAL(r) ((r) == kRegPc ? op->addr + 4 : regs_[(r)])
+#define NEUROC_TAKEN                                  \
+  do {                                                \
+    if constexpr (kProfiled) ++b.prof_bcond_taken;    \
+  } while (0)
 template <bool kProfiled>
-#if NEUROC_BLOCK_COMPUTED_GOTO && defined(__GNUC__) && !defined(__clang__)
+#if defined(__GNUC__) && !defined(__clang__)
 // Keep GCC's global CSE from re-merging the per-op indirect jumps into one shared
 // dispatch site, which would undo the branch-prediction benefit of token threading.
 __attribute__((optimize("no-gcse")))
@@ -763,9 +720,9 @@ void Cpu::ExecuteBlock(const Block& b) {
   if constexpr (kProfiled) {
     prof_slot = b.prof_mem_hits.data();
   }
-  // Dynamic part of ChargeMemAccess (the static load/store cost is folded). Under
-  // profiling the hit is also attributed to the current op so the expansion can charge
-  // it to the exact PC.
+  // A data access's flash wait states (its load/store cost is static). Under profiling
+  // the hit is also attributed to the current op so the expansion can charge it to the
+  // exact PC.
   const auto charge_mem = [&](uint32_t a) {
     if (fetch_ws != 0 && a - flash_base < flash_size) {
       dyn += fetch_ws;
@@ -775,584 +732,13 @@ void Cpu::ExecuteBlock(const Block& b) {
     }
   };
   try {
-#if NEUROC_BLOCK_COMPUTED_GOTO
-    // One entry per Op value, in enum order (spot-checked below so silent reordering of
-    // the enum cannot misroute dispatch).
     static const void* const kDispatch[] = {
-        &&lbl_kInvalid,
-        &&lbl_kLslImm,   &&lbl_kLsrImm,   &&lbl_kAsrImm,
-        &&lbl_kAddReg,   &&lbl_kSubReg,   &&lbl_kAddImm3,  &&lbl_kSubImm3,
-        &&lbl_kMovImm,   &&lbl_kCmpImm,   &&lbl_kAddImm8,  &&lbl_kSubImm8,
-        &&lbl_kAnd,      &&lbl_kEor,      &&lbl_kLslReg,   &&lbl_kLsrReg,
-        &&lbl_kAsrReg,   &&lbl_kAdc,      &&lbl_kSbc,      &&lbl_kRor,
-        &&lbl_kTst,      &&lbl_kNeg,      &&lbl_kCmpReg,   &&lbl_kCmn,
-        &&lbl_kOrr,      &&lbl_kMul,      &&lbl_kBic,      &&lbl_kMvn,
-        &&lbl_kAddHi,    &&lbl_kCmpHi,    &&lbl_kMovHi,    &&lbl_kBx,
-        &&lbl_kBlx,      &&lbl_kLdrLit,   &&lbl_kStrReg,   &&lbl_kStrhReg,
-        &&lbl_kStrbReg,  &&lbl_kLdrsbReg, &&lbl_kLdrReg,   &&lbl_kLdrhReg,
-        &&lbl_kLdrbReg,  &&lbl_kLdrshReg, &&lbl_kStrImm,   &&lbl_kLdrImm,
-        &&lbl_kStrbImm,  &&lbl_kLdrbImm,  &&lbl_kStrhImm,  &&lbl_kLdrhImm,
-        &&lbl_kStrSp,    &&lbl_kLdrSp,    &&lbl_kAdr,      &&lbl_kAddSpImm,
-        &&lbl_kAddSp7,   &&lbl_kSubSp7,   &&lbl_kSxth,     &&lbl_kSxtb,
-        &&lbl_kUxth,     &&lbl_kUxtb,     &&lbl_kRev,      &&lbl_kRev16,
-        &&lbl_kRevsh,    &&lbl_kPush,     &&lbl_kPop,      &&lbl_kLdm,
-        &&lbl_kStm,      &&lbl_kNop,      &&lbl_kBcond,    &&lbl_kB,
-        &&lbl_kBl,       &&lbl_kUdf,
+#define NEUROC_OP_LABEL(name, mnemonic) &&lbl_##name,
+        NEUROC_THUMB_OPS(NEUROC_OP_LABEL)
+#undef NEUROC_OP_LABEL
     };
-    static_assert(static_cast<size_t>(Op::kLslImm) == 1 &&
-                      static_cast<size_t>(Op::kMovImm) == 8 &&
-                      static_cast<size_t>(Op::kAnd) == 12 &&
-                      static_cast<size_t>(Op::kAddHi) == 28 &&
-                      static_cast<size_t>(Op::kLdrLit) == 33 &&
-                      static_cast<size_t>(Op::kStrImm) == 42 &&
-                      static_cast<size_t>(Op::kStrSp) == 48 &&
-                      static_cast<size_t>(Op::kSxth) == 54 &&
-                      static_cast<size_t>(Op::kPush) == 61 &&
-                      static_cast<size_t>(Op::kNop) == 65 &&
-                      static_cast<size_t>(Op::kUdf) == 69,
-                  "dispatch table must match the Op enum order");
-    static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) == 70,
-                  "dispatch table must cover every Op");
     goto* kDispatch[static_cast<size_t>(op->op)];
-#else
-    for (;;) {
-      switch (op->op) {
-#endif
-    NEUROC_OP(kLslImm) {
-      const uint32_t v = regs_[op->rm];
-      uint32_t result;
-      if (op->imm == 0) {
-        result = v;  // MOVS register form: C unchanged
-      } else {
-        if (op->set_flags) {
-          flags_.c = (v >> (32 - op->imm)) & 1;
-        }
-        result = v << op->imm;
-      }
-      regs_[op->rd] = result;
-      if (op->set_flags) {
-        SetNZ(result);
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kLsrImm) {
-      const uint32_t v = regs_[op->rm];
-      const int amount = op->imm == 0 ? 32 : op->imm;
-      uint32_t result;
-      if (amount == 32) {
-        if (op->set_flags) {
-          flags_.c = (v >> 31) & 1;
-        }
-        result = 0;
-      } else {
-        if (op->set_flags) {
-          flags_.c = (v >> (amount - 1)) & 1;
-        }
-        result = v >> amount;
-      }
-      regs_[op->rd] = result;
-      if (op->set_flags) {
-        SetNZ(result);
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kAsrImm) {
-      const uint32_t v = regs_[op->rm];
-      const int amount = op->imm == 0 ? 32 : op->imm;
-      uint32_t result;
-      if (amount == 32) {
-        if (op->set_flags) {
-          flags_.c = (v >> 31) & 1;
-        }
-        result = (v >> 31) ? 0xFFFFFFFFu : 0u;
-      } else {
-        if (op->set_flags) {
-          flags_.c = (v >> (amount - 1)) & 1;
-        }
-        result = static_cast<uint32_t>(static_cast<int32_t>(v) >> amount);
-      }
-      regs_[op->rd] = result;
-      if (op->set_flags) {
-        SetNZ(result);
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kAddReg)
-    NEUROC_OP(kAddImm3) {
-      const uint32_t op2 =
-          op->op == Op::kAddReg ? regs_[op->rm] : static_cast<uint32_t>(op->imm);
-      if (op->set_flags) {
-        const AddResult r = AddWithCarry(regs_[op->rn], op2, false);
-        regs_[op->rd] = r.value;
-        SetNZ(r.value);
-        flags_.c = r.carry;
-        flags_.v = r.overflow;
-      } else {
-        regs_[op->rd] = regs_[op->rn] + op2;
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kSubReg)
-    NEUROC_OP(kSubImm3) {
-      const uint32_t op2 =
-          op->op == Op::kSubReg ? regs_[op->rm] : static_cast<uint32_t>(op->imm);
-      if (op->set_flags) {
-        const AddResult r = AddWithCarry(regs_[op->rn], ~op2, true);
-        regs_[op->rd] = r.value;
-        SetNZ(r.value);
-        flags_.c = r.carry;
-        flags_.v = r.overflow;
-      } else {
-        regs_[op->rd] = regs_[op->rn] - op2;
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kMovImm)
-      regs_[op->rd] = static_cast<uint32_t>(op->imm);
-      if (op->set_flags) {
-        SetNZ(regs_[op->rd]);
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kCmpImm)
-    NEUROC_OP(kCmpReg)
-    NEUROC_OP(kCmpHi) {
-      if (op->set_flags) {
-        const uint32_t lhs = NEUROC_RVAL(op->rn);
-        const uint32_t rhs =
-            op->op == Op::kCmpImm ? static_cast<uint32_t>(op->imm) : NEUROC_RVAL(op->rm);
-        const AddResult r = AddWithCarry(lhs, ~rhs, true);
-        SetNZ(r.value);
-        flags_.c = r.carry;
-        flags_.v = r.overflow;
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kAddImm8) {
-      if (op->set_flags) {
-        const AddResult r =
-            AddWithCarry(regs_[op->rd], static_cast<uint32_t>(op->imm), false);
-        regs_[op->rd] = r.value;
-        SetNZ(r.value);
-        flags_.c = r.carry;
-        flags_.v = r.overflow;
-      } else {
-        regs_[op->rd] += static_cast<uint32_t>(op->imm);
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kSubImm8) {
-      if (op->set_flags) {
-        const AddResult r =
-            AddWithCarry(regs_[op->rd], ~static_cast<uint32_t>(op->imm), true);
-        regs_[op->rd] = r.value;
-        SetNZ(r.value);
-        flags_.c = r.carry;
-        flags_.v = r.overflow;
-      } else {
-        regs_[op->rd] -= static_cast<uint32_t>(op->imm);
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kAnd)
-      regs_[op->rd] &= regs_[op->rm];
-      if (op->set_flags) {
-        SetNZ(regs_[op->rd]);
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kEor)
-      regs_[op->rd] ^= regs_[op->rm];
-      if (op->set_flags) {
-        SetNZ(regs_[op->rd]);
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kOrr)
-      regs_[op->rd] |= regs_[op->rm];
-      if (op->set_flags) {
-        SetNZ(regs_[op->rd]);
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kBic)
-      regs_[op->rd] &= ~regs_[op->rm];
-      if (op->set_flags) {
-        SetNZ(regs_[op->rd]);
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kMvn)
-      regs_[op->rd] = ~regs_[op->rm];
-      if (op->set_flags) {
-        SetNZ(regs_[op->rd]);
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kTst)
-      if (op->set_flags) {
-        SetNZ(regs_[op->rn] & regs_[op->rm]);
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kCmn)
-      if (op->set_flags) {
-        const AddResult r = AddWithCarry(regs_[op->rn], regs_[op->rm], false);
-        SetNZ(r.value);
-        flags_.c = r.carry;
-        flags_.v = r.overflow;
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kLslReg)
-    NEUROC_OP(kLsrReg)
-    NEUROC_OP(kAsrReg)
-    NEUROC_OP(kRor) {
-      const uint32_t amount = regs_[op->rm] & 0xFF;
-      uint32_t v = regs_[op->rd];
-      if (amount != 0) {
-        switch (op->op) {
-          case Op::kLslReg:
-            if (amount < 32) {
-              if (op->set_flags) {
-                flags_.c = (v >> (32 - amount)) & 1;
-              }
-              v <<= amount;
-            } else {
-              if (op->set_flags) {
-                flags_.c = (amount == 32) ? (v & 1) : false;
-              }
-              v = 0;
-            }
-            break;
-          case Op::kLsrReg:
-            if (amount < 32) {
-              if (op->set_flags) {
-                flags_.c = (v >> (amount - 1)) & 1;
-              }
-              v >>= amount;
-            } else {
-              if (op->set_flags) {
-                flags_.c = (amount == 32) ? ((v >> 31) & 1) : false;
-              }
-              v = 0;
-            }
-            break;
-          case Op::kAsrReg:
-            if (amount < 32) {
-              if (op->set_flags) {
-                flags_.c = (v >> (amount - 1)) & 1;
-              }
-              v = static_cast<uint32_t>(static_cast<int32_t>(v) >> amount);
-            } else {
-              if (op->set_flags) {
-                flags_.c = (v >> 31) & 1;
-              }
-              v = (v >> 31) ? 0xFFFFFFFFu : 0u;
-            }
-            break;
-          case Op::kRor: {
-            const uint32_t rot = amount & 31;
-            if (rot != 0) {
-              v = (v >> rot) | (v << (32 - rot));
-            }
-            if (op->set_flags) {
-              flags_.c = (v >> 31) & 1;
-            }
-            break;
-          }
-          default:
-            break;
-        }
-      }
-      regs_[op->rd] = v;
-      if (op->set_flags) {
-        SetNZ(v);
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kAdc) {
-      if (op->set_flags) {
-        const AddResult r = AddWithCarry(regs_[op->rd], regs_[op->rm], flags_.c);
-        regs_[op->rd] = r.value;
-        SetNZ(r.value);
-        flags_.c = r.carry;
-        flags_.v = r.overflow;
-      } else {
-        regs_[op->rd] += regs_[op->rm] + (flags_.c ? 1u : 0u);
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kSbc) {
-      if (op->set_flags) {
-        const AddResult r = AddWithCarry(regs_[op->rd], ~regs_[op->rm], flags_.c);
-        regs_[op->rd] = r.value;
-        SetNZ(r.value);
-        flags_.c = r.carry;
-        flags_.v = r.overflow;
-      } else {
-        regs_[op->rd] += ~regs_[op->rm] + (flags_.c ? 1u : 0u);
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kNeg) {
-      if (op->set_flags) {
-        const AddResult r = AddWithCarry(~regs_[op->rm], 0, true);
-        regs_[op->rd] = r.value;
-        SetNZ(r.value);
-        flags_.c = r.carry;
-        flags_.v = r.overflow;
-      } else {
-        regs_[op->rd] = 0u - regs_[op->rm];
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kMul)
-      regs_[op->rd] = regs_[op->rd] * regs_[op->rm];
-      if (op->set_flags) {
-        SetNZ(regs_[op->rd]);  // ARMv6-M MULS sets N and Z only
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kAddHi) {
-      const uint32_t result = NEUROC_RVAL(op->rd) + NEUROC_RVAL(op->rm);
-      if (op->rd == kRegPc) {
-        pc_ = result & ~1u;  // block terminator
-      } else {
-        regs_[op->rd] = result;
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kMovHi) {
-      const uint32_t result = NEUROC_RVAL(op->rm);
-      if (op->rd == kRegPc) {
-        pc_ = result & ~1u;  // block terminator
-      } else {
-        regs_[op->rd] = result;
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kBx)
-      pc_ = NEUROC_RVAL(op->rm) & ~1u;
-      NEUROC_NEXT;
-    NEUROC_OP(kBlx) {
-      const uint32_t target = NEUROC_RVAL(op->rm);
-      regs_[kRegLr] = (op->addr + 2) | 1;
-      pc_ = target & ~1u;
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kLdrLit) {
-      const uint32_t a = static_cast<uint32_t>(op->imm);  // resolved at compile time
-      regs_[op->rd] = mem_->Read32(a);
-      charge_mem(a);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kStrReg)
-    NEUROC_OP(kStrImm)
-    NEUROC_OP(kStrSp) {
-      uint32_t a;
-      if (op->op == Op::kStrReg) {
-        a = regs_[op->rn] + regs_[op->rm];
-      } else if (op->op == Op::kStrSp) {
-        a = regs_[kRegSp] + static_cast<uint32_t>(op->imm);
-      } else {
-        a = regs_[op->rn] + static_cast<uint32_t>(op->imm);
-      }
-      mem_->Write32(a, regs_[op->rd]);
-      charge_mem(a);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kLdrReg)
-    NEUROC_OP(kLdrImm)
-    NEUROC_OP(kLdrSp) {
-      uint32_t a;
-      if (op->op == Op::kLdrReg) {
-        a = regs_[op->rn] + regs_[op->rm];
-      } else if (op->op == Op::kLdrSp) {
-        a = regs_[kRegSp] + static_cast<uint32_t>(op->imm);
-      } else {
-        a = regs_[op->rn] + static_cast<uint32_t>(op->imm);
-      }
-      regs_[op->rd] = mem_->Read32(a);
-      charge_mem(a);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kStrbReg)
-    NEUROC_OP(kStrbImm) {
-      const uint32_t a = op->op == Op::kStrbReg
-                             ? regs_[op->rn] + regs_[op->rm]
-                             : regs_[op->rn] + static_cast<uint32_t>(op->imm);
-      mem_->Write8(a, static_cast<uint8_t>(regs_[op->rd]));
-      charge_mem(a);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kLdrbReg)
-    NEUROC_OP(kLdrbImm) {
-      const uint32_t a = op->op == Op::kLdrbReg
-                             ? regs_[op->rn] + regs_[op->rm]
-                             : regs_[op->rn] + static_cast<uint32_t>(op->imm);
-      regs_[op->rd] = mem_->Read8(a);
-      charge_mem(a);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kStrhReg)
-    NEUROC_OP(kStrhImm) {
-      const uint32_t a = op->op == Op::kStrhReg
-                             ? regs_[op->rn] + regs_[op->rm]
-                             : regs_[op->rn] + static_cast<uint32_t>(op->imm);
-      mem_->Write16(a, static_cast<uint16_t>(regs_[op->rd]));
-      charge_mem(a);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kLdrhReg)
-    NEUROC_OP(kLdrhImm) {
-      const uint32_t a = op->op == Op::kLdrhReg
-                             ? regs_[op->rn] + regs_[op->rm]
-                             : regs_[op->rn] + static_cast<uint32_t>(op->imm);
-      regs_[op->rd] = mem_->Read16(a);
-      charge_mem(a);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kLdrsbReg) {
-      const uint32_t a = regs_[op->rn] + regs_[op->rm];
-      regs_[op->rd] = static_cast<uint32_t>(
-          static_cast<int32_t>(static_cast<int8_t>(mem_->Read8(a))));
-      charge_mem(a);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kLdrshReg) {
-      const uint32_t a = regs_[op->rn] + regs_[op->rm];
-      regs_[op->rd] = static_cast<uint32_t>(
-          static_cast<int32_t>(static_cast<int16_t>(mem_->Read16(a))));
-      charge_mem(a);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kAdr)
-      regs_[op->rd] = static_cast<uint32_t>(op->imm);  // resolved at compile time
-      NEUROC_NEXT;
-    NEUROC_OP(kAddSpImm)
-      regs_[op->rd] = regs_[kRegSp] + static_cast<uint32_t>(op->imm);
-      NEUROC_NEXT;
-    NEUROC_OP(kAddSp7)
-      regs_[kRegSp] += static_cast<uint32_t>(op->imm);
-      NEUROC_NEXT;
-    NEUROC_OP(kSubSp7)
-      regs_[kRegSp] -= static_cast<uint32_t>(op->imm);
-      NEUROC_NEXT;
-    NEUROC_OP(kSxth)
-      regs_[op->rd] = static_cast<uint32_t>(
-          static_cast<int32_t>(static_cast<int16_t>(regs_[op->rm] & 0xFFFF)));
-      NEUROC_NEXT;
-    NEUROC_OP(kSxtb)
-      regs_[op->rd] = static_cast<uint32_t>(
-          static_cast<int32_t>(static_cast<int8_t>(regs_[op->rm] & 0xFF)));
-      NEUROC_NEXT;
-    NEUROC_OP(kUxth)
-      regs_[op->rd] = regs_[op->rm] & 0xFFFF;
-      NEUROC_NEXT;
-    NEUROC_OP(kUxtb)
-      regs_[op->rd] = regs_[op->rm] & 0xFF;
-      NEUROC_NEXT;
-    NEUROC_OP(kRev) {
-      const uint32_t v = regs_[op->rm];
-      regs_[op->rd] = ((v & 0xFF) << 24) | ((v & 0xFF00) << 8) | ((v >> 8) & 0xFF00) |
-                    ((v >> 24) & 0xFF);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kRev16) {
-      const uint32_t v = regs_[op->rm];
-      regs_[op->rd] = ((v & 0x00FF00FF) << 8) | ((v & 0xFF00FF00) >> 8);
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kRevsh) {
-      const uint32_t v = regs_[op->rm];
-      const uint16_t swapped =
-          static_cast<uint16_t>(((v & 0xFF) << 8) | ((v >> 8) & 0xFF));
-      regs_[op->rd] =
-          static_cast<uint32_t>(static_cast<int32_t>(static_cast<int16_t>(swapped)));
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kPush) {
-      const int count = PopCount8(op->reglist);
-      uint32_t a = regs_[kRegSp] - 4u * static_cast<uint32_t>(count);
-      regs_[kRegSp] = a;
-      for (int r = 0; r < 8; ++r) {
-        if (op->reglist & (1 << r)) {
-          mem_->Write32(a, regs_[r]);
-          a += 4;
-        }
-      }
-      if (op->reglist & 0x100) {
-        mem_->Write32(a, regs_[kRegLr]);
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kPop) {
-      const int count = PopCount8(op->reglist);
-      uint32_t a = regs_[kRegSp];
-      for (int r = 0; r < 8; ++r) {
-        if (op->reglist & (1 << r)) {
-          regs_[r] = mem_->Read32(a);
-          a += 4;
-        }
-      }
-      bool to_pc = false;
-      uint32_t pc_value = 0;
-      if (op->reglist & 0x100) {
-        pc_value = mem_->Read32(a);
-        a += 4;
-        to_pc = true;
-      }
-      regs_[kRegSp] = regs_[kRegSp] + 4u * static_cast<uint32_t>(count);
-      if (to_pc) {
-        pc_ = pc_value & ~1u;  // block terminator
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kLdm) {
-      uint32_t a = regs_[op->rn];
-      for (int r = 0; r < 8; ++r) {
-        if (op->reglist & (1 << r)) {
-          regs_[r] = mem_->Read32(a);
-          a += 4;
-        }
-      }
-      if ((op->reglist & (1 << op->rn)) == 0) {
-        regs_[op->rn] = a;
-      }
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kStm) {
-      uint32_t a = regs_[op->rn];
-      for (int r = 0; r < 8; ++r) {
-        if (op->reglist & (1 << r)) {
-          mem_->Write32(a, regs_[r]);
-          a += 4;
-        }
-      }
-      regs_[op->rn] = a;
-      NEUROC_NEXT;
-    }
-    NEUROC_OP(kNop)
-      NEUROC_NEXT;
-    NEUROC_OP(kBcond)
-      if (EvalCond(op->cond)) {
-        pc_ = static_cast<uint32_t>(op->imm) & ~1u;  // target resolved at compile time
-        dyn += static_cast<uint32_t>(model_.branch_taken);
-        if constexpr (kProfiled) {
-          ++b.prof_bcond_taken;
-        }
-      } else {
-        pc_ = op->addr + 2;
-        dyn += static_cast<uint32_t>(model_.branch_not_taken);
-      }
-      NEUROC_NEXT;
-    NEUROC_OP(kB)
-      pc_ = static_cast<uint32_t>(op->imm) & ~1u;
-      NEUROC_NEXT;
-    NEUROC_OP(kBl)
-      regs_[kRegLr] = (op->addr + 4) | 1;
-      pc_ = static_cast<uint32_t>(op->imm) & ~1u;
-      NEUROC_NEXT;
-    NEUROC_OP(kUdf)
-    NEUROC_OP(kInvalid)
-      NEUROC_CHECK(false);  // never compiled into a block
-      NEUROC_NEXT;
-#if !NEUROC_BLOCK_COMPUTED_GOTO
-      }
-    }
-#endif
+#include "src/sim/thumb_ops.inc"
   } catch (GuestFault& gf) {
     const size_t i = static_cast<size_t>(op - ops);  // index of the faulting op
     // Patch the batched accounting so the architectural state is exactly what the step
@@ -1415,615 +801,115 @@ block_exit:
   }
 }
 
-#undef NEUROC_BLOCK_COMPUTED_GOTO
 #undef NEUROC_OP
 #undef NEUROC_NEXT
-#undef NEUROC_RVAL
+#undef NEUROC_TAKEN
 
 void Cpu::Step() {
+  NEUROC_CHECK(!halted());
+  const uint32_t addr = pc_;
+  const uint64_t cycles_at_entry = cycles_;
+  // The instruction in the executors' shared form. Its op stays kInvalid unless the
+  // instruction retires: a fetch fault or an undefined instruction throws first.
+  BlockOp lowered;
+  // Interpreter-fallback residue: any step taken while block profiling is on (step-only
+  // entries, uncovered flash, budget-crossing tails, SRAM execution, or block mode
+  // disabled outright) is attributed by counter delta, so the profile stays exact off the
+  // block path too. A fault that retires nothing records nothing.
+  const auto record_residue = [&] {
+    if (block_profile_enabled_ && lowered.op != Op::kInvalid) {
+      ProfiledPc& stat = block_profile_[addr];
+      stat.count += 1;
+      stat.cycles += cycles_ - cycles_at_entry;
+      stat.op = lowered.op;
+    }
+  };
   // One catch site per retired instruction: a guest fault thrown anywhere inside the
   // fetch/execute path (memory system or decode) is stamped with the address of the
   // instruction that caused it before propagating to Machine::TryCallFunction. The
   // non-faulting path is unaffected (table-based unwinding costs only on throw).
-  const uint32_t fault_pc = pc_;
-  if (block_profile_enabled_) {
-    // Interpreter-fallback residue: any step taken while block profiling is on (step-only
-    // entries, uncovered flash, budget-crossing tails, SRAM execution, or block mode
-    // disabled outright) is attributed by counter delta, so the profile stays exact off
-    // the block path too. The decode peek is uncounted host observation on this cold
-    // path; a fault that retires nothing (undefined instruction throws before the retire
-    // counters move) correctly records nothing.
-    const Op op = PeekOpAt(fault_pc);
-    const uint64_t cycles_before = cycles_;
-    const uint64_t instructions_before = instructions_;
-    const auto record = [&] {
-      if (instructions_ == instructions_before) {
-        return;
-      }
-      ProfiledPc& stat = block_profile_[fault_pc];
-      stat.count += 1;
-      stat.cycles += cycles_ - cycles_before;
-      stat.op = op;
-    };
-    try {
-      StepInner();
-    } catch (GuestFault& gf) {
-      gf.pc = fault_pc;
-      record();
-      throw;
-    }
-    record();
-    return;
-  }
   try {
-    StepInner();
+    const bool fetch_from_flash = mem_->InFlash(addr);
+    uint16_t hw1 = 0;
+    uint16_t hw2 = 0;
+    Instr in;
+    size_t slot = 0;
+    bool cached = false;
+    if (icache_enabled_ && fetch_from_flash) {
+      if (!icache_valid_) {
+        RebuildDecodeCache();
+      }
+      slot = static_cast<size_t>(addr - mem_->flash_base()) >> 1;
+      cached = slot < icache_.size();
+    }
+    if (cached) {
+      const Predecoded& pd = icache_[slot];
+      hw1 = pd.hw1;
+      hw2 = pd.hw2;
+      in = pd.instr;
+      // Fetch accounting identical to the interpreter path: one counted flash read per
+      // halfword fetched (the per-slot count already encodes the wide/mapped rule).
+      mem_->CountFlashFetches(addr, pd.flash_reads);
+    } else {
+      hw1 = mem_->Read16(addr);
+      // Peek the second halfword only for 32-bit encodings (BL prefix). A wide prefix on
+      // the last mapped halfword is an undefined instruction (hw2 reads as 0), not a
+      // memory fault mid-fetch — the trace dump below must still show it.
+      const bool wide = (hw1 & 0xF800) == 0xF000;
+      hw2 = (wide && mem_->RegionOf(addr + 2) != MemRegion::kNone) ? mem_->Read16(addr + 2)
+                                                                   : 0;
+      in = DecodeInstr(hw1, hw2);
+    }
+    if (!trace_.empty()) {
+      trace_[trace_pos_] = {addr, hw1, hw2};
+      trace_pos_ = (trace_pos_ + 1) % trace_.size();
+      ++trace_count_;
+    }
+    if (in.op == Op::kInvalid || in.op == Op::kUdf) {
+      char msg[48];
+      std::snprintf(msg, sizeof(msg), "undefined instruction 0x%04x", hw1);
+      throw GuestFault{ErrorCode::kUndefinedInstruction, msg, /*addr=*/0, /*pc=*/addr,
+                       /*instruction=*/hw1};
+    }
+    ++instructions_;
+    ++op_histogram_[static_cast<size_t>(in.op)];
+    const uint32_t fetch_ws = static_cast<uint32_t>(model_.flash_wait_states);
+    if (fetch_from_flash) {
+      cycles_ += fetch_ws;
+    }
+    pc_ = addr + 2u * in.length;  // default fall-through; branches overwrite
+    // What the block executor leaves in r15 after this instruction, so cpu.reg(15) reads
+    // the same on every decode path (the bodies read r15 through NEUROC_RVAL).
+    regs_[kRegPc] = addr + 4;
+    lowered = Lower(in, addr);
+    const BlockOp* const op = &lowered;
+    uint64_t dyn = 0;
+    const auto charge_mem = [&](uint32_t a) {
+      if (mem_->InFlash(a)) {
+        dyn += fetch_ws;
+      }
+    };
+    switch (op->op) {
+#define NEUROC_OP(name) case Op::name:
+#define NEUROC_NEXT break
+#define NEUROC_TAKEN
+#include "src/sim/thumb_ops.inc"
+#undef NEUROC_OP
+#undef NEUROC_NEXT
+#undef NEUROC_TAKEN
+    }
+    // Charged only once the op retires, so a faulting access costs just its fetch wait
+    // states, as on the block path.
+    cycles_ += StaticExecCycles(in, model_) + dyn;
   } catch (GuestFault& gf) {
-    gf.pc = fault_pc;
+    gf.pc = addr;
+    record_residue();
     throw;
   }
-}
-
-void Cpu::StepInner() {
-  NEUROC_CHECK(!halted());
-  const uint32_t addr = pc_;
-  const uint64_t cycles_at_entry = cycles_;
-  const bool fetch_from_flash = mem_->InFlash(addr);
-  uint16_t hw1 = 0;
-  uint16_t hw2 = 0;
-  Instr in;
-  size_t slot = 0;
-  bool cached = false;
-  if (icache_enabled_ && fetch_from_flash) {
-    if (!icache_valid_) {
-      RebuildDecodeCache();
-    }
-    slot = static_cast<size_t>(addr - mem_->flash_base()) >> 1;
-    cached = slot < icache_.size();
-  }
-  if (cached) {
-    const Predecoded& pd = icache_[slot];
-    hw1 = pd.hw1;
-    hw2 = pd.hw2;
-    in = pd.instr;
-    // Fetch accounting identical to the interpreter path: one counted flash read per
-    // halfword fetched (the per-slot count already encodes the wide/mapped rule).
-    mem_->CountFlashFetches(addr, pd.flash_reads);
-  } else {
-    hw1 = mem_->Read16(addr);
-    // Peek the second halfword only for 32-bit encodings (BL prefix). A wide prefix on
-    // the last mapped halfword is an undefined instruction (hw2 reads as 0), not a
-    // memory fault mid-fetch — the trace dump below must still show it.
-    const bool wide = (hw1 & 0xF800) == 0xF000;
-    hw2 = (wide && mem_->RegionOf(addr + 2) != MemRegion::kNone) ? mem_->Read16(addr + 2)
-                                                                 : 0;
-    in = DecodeInstr(hw1, hw2);
-  }
-  if (!trace_.empty()) {
-    trace_[trace_pos_] = {addr, hw1, hw2};
-    trace_pos_ = (trace_pos_ + 1) % trace_.size();
-    ++trace_count_;
-  }
-  if (in.op == Op::kInvalid || in.op == Op::kUdf) {
-    char msg[48];
-    std::snprintf(msg, sizeof(msg), "undefined instruction 0x%04x", hw1);
-    throw GuestFault{ErrorCode::kUndefinedInstruction, msg, /*addr=*/0, /*pc=*/addr,
-                     /*instruction=*/hw1};
-  }
-  ++instructions_;
-  ++op_histogram_[static_cast<size_t>(in.op)];
-  if (fetch_from_flash) {
-    cycles_ += static_cast<uint64_t>(model_.flash_wait_states);
-  }
-  pc_ = addr + 2u * in.length;  // default fall-through; branches overwrite
-
-  // PC-read rule: reads of r15 observe the current instruction's address + 4.
-  // Materializing that into the register file once per step makes every operand read a
-  // plain array load instead of a compare-and-select per read. Nothing outside Step
-  // reads slot 15 (the architectural PC lives in pc_).
-  regs_[kRegPc] = addr + 4;
-  auto rr = [&](uint8_t r) -> uint32_t { return regs_[r]; };
-
-  switch (in.op) {
-    case Op::kLslImm: {
-      const uint32_t v = rr(in.rm);
-      uint32_t result;
-      if (in.imm == 0) {
-        result = v;  // MOVS register form: C unchanged
-      } else {
-        flags_.c = (v >> (32 - in.imm)) & 1;
-        result = v << in.imm;
-      }
-      regs_[in.rd] = result;
-      SetNZ(result);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kLsrImm: {
-      const uint32_t v = rr(in.rm);
-      const int amount = in.imm == 0 ? 32 : in.imm;
-      uint32_t result;
-      if (amount == 32) {
-        flags_.c = (v >> 31) & 1;
-        result = 0;
-      } else {
-        flags_.c = (v >> (amount - 1)) & 1;
-        result = v >> amount;
-      }
-      regs_[in.rd] = result;
-      SetNZ(result);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAsrImm: {
-      const uint32_t v = rr(in.rm);
-      const int amount = in.imm == 0 ? 32 : in.imm;
-      uint32_t result;
-      if (amount == 32) {
-        flags_.c = (v >> 31) & 1;
-        result = (v >> 31) ? 0xFFFFFFFFu : 0u;
-      } else {
-        flags_.c = (v >> (amount - 1)) & 1;
-        result = static_cast<uint32_t>(static_cast<int32_t>(v) >> amount);
-      }
-      regs_[in.rd] = result;
-      SetNZ(result);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAddReg:
-    case Op::kAddImm3: {
-      const uint32_t op2 = in.op == Op::kAddReg ? rr(in.rm) : static_cast<uint32_t>(in.imm);
-      const AddResult r = AddWithCarry(rr(in.rn), op2, false);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kSubReg:
-    case Op::kSubImm3: {
-      const uint32_t op2 = in.op == Op::kSubReg ? rr(in.rm) : static_cast<uint32_t>(in.imm);
-      const AddResult r = AddWithCarry(rr(in.rn), ~op2, true);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kMovImm:
-      regs_[in.rd] = static_cast<uint32_t>(in.imm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kCmpImm:
-    case Op::kCmpReg:
-    case Op::kCmpHi: {
-      const uint32_t lhs = rr(in.rn);
-      const uint32_t rhs =
-          in.op == Op::kCmpImm ? static_cast<uint32_t>(in.imm) : rr(in.rm);
-      const AddResult r = AddWithCarry(lhs, ~rhs, true);
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAddImm8: {
-      const AddResult r = AddWithCarry(regs_[in.rd], static_cast<uint32_t>(in.imm), false);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kSubImm8: {
-      const AddResult r =
-          AddWithCarry(regs_[in.rd], ~static_cast<uint32_t>(in.imm), true);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAnd:
-      regs_[in.rd] &= rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kEor:
-      regs_[in.rd] ^= rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kOrr:
-      regs_[in.rd] |= rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kBic:
-      regs_[in.rd] &= ~rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kMvn:
-      regs_[in.rd] = ~rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kTst: {
-      const uint32_t result = rr(in.rn) & rr(in.rm);
-      SetNZ(result);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kCmn: {
-      const AddResult r = AddWithCarry(rr(in.rn), rr(in.rm), false);
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kLslReg:
-    case Op::kLsrReg:
-    case Op::kAsrReg:
-    case Op::kRor: {
-      const uint32_t amount = rr(in.rm) & 0xFF;
-      uint32_t v = regs_[in.rd];
-      if (amount != 0) {
-        switch (in.op) {
-          case Op::kLslReg:
-            if (amount < 32) {
-              flags_.c = (v >> (32 - amount)) & 1;
-              v <<= amount;
-            } else {
-              flags_.c = (amount == 32) ? (v & 1) : false;
-              v = 0;
-            }
-            break;
-          case Op::kLsrReg:
-            if (amount < 32) {
-              flags_.c = (v >> (amount - 1)) & 1;
-              v >>= amount;
-            } else {
-              flags_.c = (amount == 32) ? ((v >> 31) & 1) : false;
-              v = 0;
-            }
-            break;
-          case Op::kAsrReg:
-            if (amount < 32) {
-              flags_.c = (v >> (amount - 1)) & 1;
-              v = static_cast<uint32_t>(static_cast<int32_t>(v) >> amount);
-            } else {
-              flags_.c = (v >> 31) & 1;
-              v = (v >> 31) ? 0xFFFFFFFFu : 0u;
-            }
-            break;
-          case Op::kRor: {
-            const uint32_t rot = amount & 31;
-            if (rot != 0) {
-              v = (v >> rot) | (v << (32 - rot));
-            }
-            flags_.c = (v >> 31) & 1;
-            break;
-          }
-          default:
-            break;
-        }
-      }
-      regs_[in.rd] = v;
-      SetNZ(v);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAdc: {
-      const AddResult r = AddWithCarry(regs_[in.rd], rr(in.rm), flags_.c);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kSbc: {
-      const AddResult r = AddWithCarry(regs_[in.rd], ~rr(in.rm), flags_.c);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kNeg: {
-      const AddResult r = AddWithCarry(~rr(in.rm), 0, true);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kMul:
-      regs_[in.rd] = regs_[in.rd] * rr(in.rm);
-      SetNZ(regs_[in.rd]);  // ARMv6-M MULS sets N and Z only
-      cycles_ += model_.mul;
-      break;
-    case Op::kAddHi: {
-      const uint32_t result = rr(in.rd) + rr(in.rm);
-      if (in.rd == kRegPc) {
-        Branch(result, model_.pc_alu);
-      } else {
-        regs_[in.rd] = result;
-        cycles_ += model_.alu;
-      }
-      break;
-    }
-    case Op::kMovHi: {
-      const uint32_t result = rr(in.rm);
-      if (in.rd == kRegPc) {
-        Branch(result, model_.pc_alu);
-      } else {
-        regs_[in.rd] = result;
-        cycles_ += model_.alu;
-      }
-      break;
-    }
-    case Op::kBx:
-      Branch(rr(in.rm), model_.bx);
-      break;
-    case Op::kBlx: {
-      const uint32_t target = rr(in.rm);
-      regs_[kRegLr] = (addr + 2) | 1;
-      Branch(target, model_.bx);
-      break;
-    }
-    case Op::kLdrLit: {
-      const uint32_t a = ((addr + 4) & ~3u) + static_cast<uint32_t>(in.imm);
-      regs_[in.rd] = mem_->Read32(a);
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kStrReg:
-    case Op::kStrImm:
-    case Op::kStrSp: {
-      uint32_t a;
-      if (in.op == Op::kStrReg) {
-        a = rr(in.rn) + rr(in.rm);
-      } else if (in.op == Op::kStrSp) {
-        a = regs_[kRegSp] + static_cast<uint32_t>(in.imm);
-      } else {
-        a = rr(in.rn) + static_cast<uint32_t>(in.imm);
-      }
-      mem_->Write32(a, regs_[in.rd]);
-      ChargeMemAccess(a, true);
-      break;
-    }
-    case Op::kLdrReg:
-    case Op::kLdrImm:
-    case Op::kLdrSp: {
-      uint32_t a;
-      if (in.op == Op::kLdrReg) {
-        a = rr(in.rn) + rr(in.rm);
-      } else if (in.op == Op::kLdrSp) {
-        a = regs_[kRegSp] + static_cast<uint32_t>(in.imm);
-      } else {
-        a = rr(in.rn) + static_cast<uint32_t>(in.imm);
-      }
-      regs_[in.rd] = mem_->Read32(a);
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kStrbReg:
-    case Op::kStrbImm: {
-      const uint32_t a = in.op == Op::kStrbReg ? rr(in.rn) + rr(in.rm)
-                                               : rr(in.rn) + static_cast<uint32_t>(in.imm);
-      mem_->Write8(a, static_cast<uint8_t>(regs_[in.rd]));
-      ChargeMemAccess(a, true);
-      break;
-    }
-    case Op::kLdrbReg:
-    case Op::kLdrbImm: {
-      const uint32_t a = in.op == Op::kLdrbReg ? rr(in.rn) + rr(in.rm)
-                                               : rr(in.rn) + static_cast<uint32_t>(in.imm);
-      regs_[in.rd] = mem_->Read8(a);
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kStrhReg:
-    case Op::kStrhImm: {
-      const uint32_t a = in.op == Op::kStrhReg ? rr(in.rn) + rr(in.rm)
-                                               : rr(in.rn) + static_cast<uint32_t>(in.imm);
-      mem_->Write16(a, static_cast<uint16_t>(regs_[in.rd]));
-      ChargeMemAccess(a, true);
-      break;
-    }
-    case Op::kLdrhReg:
-    case Op::kLdrhImm: {
-      const uint32_t a = in.op == Op::kLdrhReg ? rr(in.rn) + rr(in.rm)
-                                               : rr(in.rn) + static_cast<uint32_t>(in.imm);
-      regs_[in.rd] = mem_->Read16(a);
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kLdrsbReg: {
-      const uint32_t a = rr(in.rn) + rr(in.rm);
-      regs_[in.rd] = static_cast<uint32_t>(static_cast<int32_t>(static_cast<int8_t>(
-          mem_->Read8(a))));
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kLdrshReg: {
-      const uint32_t a = rr(in.rn) + rr(in.rm);
-      regs_[in.rd] = static_cast<uint32_t>(static_cast<int32_t>(static_cast<int16_t>(
-          mem_->Read16(a))));
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kAdr:
-      regs_[in.rd] = ((addr + 4) & ~3u) + static_cast<uint32_t>(in.imm);
-      cycles_ += model_.alu;
-      break;
-    case Op::kAddSpImm:
-      regs_[in.rd] = regs_[kRegSp] + static_cast<uint32_t>(in.imm);
-      cycles_ += model_.alu;
-      break;
-    case Op::kAddSp7:
-      regs_[kRegSp] += static_cast<uint32_t>(in.imm);
-      cycles_ += model_.alu;
-      break;
-    case Op::kSubSp7:
-      regs_[kRegSp] -= static_cast<uint32_t>(in.imm);
-      cycles_ += model_.alu;
-      break;
-    case Op::kSxth:
-      regs_[in.rd] = static_cast<uint32_t>(
-          static_cast<int32_t>(static_cast<int16_t>(rr(in.rm) & 0xFFFF)));
-      cycles_ += model_.alu;
-      break;
-    case Op::kSxtb:
-      regs_[in.rd] =
-          static_cast<uint32_t>(static_cast<int32_t>(static_cast<int8_t>(rr(in.rm) & 0xFF)));
-      cycles_ += model_.alu;
-      break;
-    case Op::kUxth:
-      regs_[in.rd] = rr(in.rm) & 0xFFFF;
-      cycles_ += model_.alu;
-      break;
-    case Op::kUxtb:
-      regs_[in.rd] = rr(in.rm) & 0xFF;
-      cycles_ += model_.alu;
-      break;
-    case Op::kRev: {
-      const uint32_t v = rr(in.rm);
-      regs_[in.rd] = ((v & 0xFF) << 24) | ((v & 0xFF00) << 8) | ((v >> 8) & 0xFF00) |
-                     ((v >> 24) & 0xFF);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kRev16: {
-      const uint32_t v = rr(in.rm);
-      regs_[in.rd] = ((v & 0x00FF00FF) << 8) | ((v & 0xFF00FF00) >> 8);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kRevsh: {
-      const uint32_t v = rr(in.rm);
-      const uint16_t swapped = static_cast<uint16_t>(((v & 0xFF) << 8) | ((v >> 8) & 0xFF));
-      regs_[in.rd] =
-          static_cast<uint32_t>(static_cast<int32_t>(static_cast<int16_t>(swapped)));
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kPush: {
-      int count = 0;
-      for (int r = 0; r <= 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          ++count;
-        }
-      }
-      uint32_t a = regs_[kRegSp] - 4u * static_cast<uint32_t>(count);
-      regs_[kRegSp] = a;
-      for (int r = 0; r < 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          mem_->Write32(a, regs_[r]);
-          a += 4;
-        }
-      }
-      if (in.reglist & 0x100) {
-        mem_->Write32(a, regs_[kRegLr]);
-      }
-      cycles_ += static_cast<uint64_t>(model_.push_pop_base + count);
-      break;
-    }
-    case Op::kPop: {
-      int count = 0;
-      for (int r = 0; r <= 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          ++count;
-        }
-      }
-      uint32_t a = regs_[kRegSp];
-      for (int r = 0; r < 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          regs_[r] = mem_->Read32(a);
-          a += 4;
-        }
-      }
-      bool to_pc = false;
-      uint32_t pc_value = 0;
-      if (in.reglist & 0x100) {
-        pc_value = mem_->Read32(a);
-        a += 4;
-        to_pc = true;
-      }
-      regs_[kRegSp] = regs_[kRegSp] + 4u * static_cast<uint32_t>(count);
-      cycles_ += static_cast<uint64_t>(model_.push_pop_base + count);
-      if (to_pc) {
-        cycles_ += static_cast<uint64_t>(model_.pop_pc_extra);
-        pc_ = pc_value & ~1u;
-      }
-      break;
-    }
-    case Op::kLdm: {
-      // LDMIA rn!, {list}: ascending loads; writeback unless rn is in the list.
-      uint32_t a = rr(in.rn);
-      int count = 0;
-      for (int r = 0; r < 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          regs_[r] = mem_->Read32(a);
-          a += 4;
-          ++count;
-        }
-      }
-      if ((in.reglist & (1 << in.rn)) == 0) {
-        regs_[in.rn] = a;
-      }
-      cycles_ += static_cast<uint64_t>(model_.push_pop_base + count);
-      break;
-    }
-    case Op::kStm: {
-      uint32_t a = rr(in.rn);
-      int count = 0;
-      for (int r = 0; r < 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          mem_->Write32(a, regs_[r]);
-          a += 4;
-          ++count;
-        }
-      }
-      regs_[in.rn] = a;
-      cycles_ += static_cast<uint64_t>(model_.push_pop_base + count);
-      break;
-    }
-    case Op::kNop:
-      cycles_ += model_.alu;
-      break;
-    case Op::kBcond:
-      if (EvalCond(in.cond)) {
-        Branch(addr + 4 + static_cast<uint32_t>(in.imm), model_.branch_taken);
-      } else {
-        cycles_ += model_.branch_not_taken;
-      }
-      break;
-    case Op::kB:
-      Branch(addr + 4 + static_cast<uint32_t>(in.imm), model_.branch_taken);
-      break;
-    case Op::kBl:
-      regs_[kRegLr] = (addr + 4) | 1;
-      Branch(addr + 4 + static_cast<uint32_t>(in.imm), model_.bl);
-      break;
-    case Op::kUdf:
-    case Op::kInvalid:
-      NEUROC_CHECK(false);
-      break;
-  }
   if (probe_ != nullptr) {
-    probe_->OnRetire(addr, in.op, static_cast<uint32_t>(cycles_ - cycles_at_entry));
+    probe_->OnRetire(addr, lowered.op, static_cast<uint32_t>(cycles_ - cycles_at_entry));
   }
+  record_residue();
 }
 
 }  // namespace neuroc

@@ -75,7 +75,10 @@ class Cpu {
 
   bool halted() const { return pc_ == (kStopAddress & ~1u); }
 
-  // Executes one instruction; updates cycle and instruction counters. Guest faults
+  // Executes one instruction on the step interpreter; updates cycle and instruction
+  // counters. It fetches and decodes (through the decode cache when enabled), lowers the
+  // instruction with the block compiler's lowering and runs the same op body the block
+  // executor runs, so the two paths share one definition of every op. Guest faults
   // (undefined instruction, unmapped/unaligned access, store into flash) propagate as
   // GuestFault exceptions stamped with the faulting instruction's address — recoverable
   // at the Machine::TryCallFunction boundary, never a host abort.
@@ -211,18 +214,17 @@ class Cpu {
   // retires the compiled blocks overlapping them. A first build, or one after the cache
   // was dropped, is the same loop over the whole covered range.
   void RebuildDecodeCache();
-  // Fetch/decode/execute without the fault-context catch frame (Step wraps it).
-  void StepInner();
 
-  // One fused instruction of a compiled block. PC-relative operands (literal-load and ADR
-  // addresses, branch targets) are resolved to absolute values at compile time. All static
-  // cycle costs — fetch wait states and fixed execution costs — are folded into the
-  // block's static_cycles total; cycles_before is this op's prefix of that total (the
-  // static cycles of everything retired before it, plus nothing of its own), which lets a
-  // mid-block fault reconstruct the exact interpreter cycle count. Only the dynamic costs
-  // (data-access flash wait states, the conditional-branch outcome) are accumulated at
-  // runtime. fetch_reads doubles as the instruction length in halfwords: invalid wide
-  // encodings never enter a block, so the counted-fetch rule and the length coincide.
+  // One lowered instruction, the form both executors run (src/sim/thumb_ops.inc).
+  // PC-relative operands (literal-load and ADR addresses, branch targets) are resolved to
+  // absolute values by Lower. In a compiled block, all static cycle costs — fetch wait
+  // states and fixed execution costs — are folded into the block's static_cycles total;
+  // cycles_before is this op's prefix of that total (the static cycles of everything
+  // retired before it, plus nothing of its own), which lets a mid-block fault reconstruct
+  // the exact interpreter cycle count. Only the dynamic costs (data-access flash wait
+  // states, the conditional-branch outcome) are accumulated at runtime. fetch_reads
+  // doubles as the instruction length in halfwords: invalid wide encodings never enter a
+  // block, so the counted-fetch rule and the length coincide.
   struct BlockOp {
     Op op = Op::kInvalid;
     uint8_t rd = 0;
@@ -278,10 +280,18 @@ class Cpu {
   // which raises the fault with the exact message/trace the seed produced.
   static constexpr int32_t kBlockStepOnly = -2;
 
+  // The Instr -> BlockOp lowering CompileBlock and Step share: copies the operands and
+  // resolves PC-relative ones for an instruction at `addr`. The block-only fields
+  // (fetch_reads, is_mem, cycles_before, set_flags) keep their defaults.
+  static BlockOp Lower(const Instr& in, uint32_t addr);
+
   bool BlockModeActive() const {
     return block_enabled_ && icache_enabled_ && probe_ == nullptr && trace_.empty();
   }
   int32_t CompileBlock(size_t entry_slot);
+  // Runs one compiled block: the op bodies Step runs, token-threaded, with the block's
+  // static cycles, instructions, histogram and fetches accounted once at exit (or patched
+  // to the faulting instruction's step-interpreter state on a mid-block fault).
   template <bool kProfiled>
   void ExecuteBlock(const Block& b);
   // Retires every block whose [entry_slot, end_slot) overlaps slots [lo, hi): folds its
@@ -304,9 +314,6 @@ class Cpu {
   // Run's retired-instruction limit: `budget_end`, or the instruction before an armed
   // alarm when that comes first.
   uint64_t InstructionLimit(uint64_t budget_end) const;
-  // Uncounted decode peek for the interpreter-fallback residue path (host-side read; no
-  // fetch accounting, no heatmap traffic). Returns kInvalid for unmapped addresses.
-  Op PeekOpAt(uint32_t addr) const;
 
   struct AddResult {
     uint32_t value;
@@ -320,8 +327,6 @@ class Cpu {
     flags_.z = value == 0;
   }
   bool EvalCond(Cond cond) const;
-  void Branch(uint32_t target, int cost);
-  void ChargeMemAccess(uint32_t addr, bool is_store);
 
   MemoryMap* mem_;
   CycleModel model_;

@@ -271,7 +271,9 @@ struct IdxPair {
     be32(f, 0x00000801);
     be32(f, n_lab);
     const std::vector<unsigned char> labels(label_bytes, label);
-    std::fwrite(labels.data(), 1, labels.size(), f);
+    if (!labels.empty()) {  // an empty vector's data() may be null, which fwrite forbids
+      std::fwrite(labels.data(), 1, labels.size(), f);
+    }
     std::fclose(f);
   }
 };

@@ -274,19 +274,5 @@ TEST(FaultCampaignTest, JsonDigestsArePinned) {
   }
 }
 
-TEST(FaultCampaignTest, RecoveryReportOnCleanDeploymentDoesNotFault) {
-  NeuroCModel model = TinyModel(5);
-  DeployedModel deployed = DeployedModel::Deploy(model);
-  std::vector<int8_t> input(32, 3);
-  RecoveryReport rec = deployed.PredictWithRecovery(input);
-  EXPECT_FALSE(rec.faulted);
-  EXPECT_TRUE(rec.corrupted_sections.empty());
-  std::vector<int8_t> host;
-  model.Forward(input, host);
-  EXPECT_EQ(deployed.LastOutput(), host);
-  EXPECT_EQ(rec.prediction,
-            static_cast<int>(std::max_element(host.begin(), host.end()) - host.begin()));
-}
-
 }  // namespace
 }  // namespace neuroc

@@ -7,13 +7,15 @@
 
 #include "src/isa/assembler.h"
 #include "src/sim/machine.h"
+#include "tests/test_util.h"
 
 namespace neuroc {
 namespace {
 
 constexpr uint32_t kFlash = 0x08000000;
 
-// Runs a fragment and returns the CPU for state inspection.
+// Runs a fragment on all three decode paths, which must agree on every register, flag
+// and counter, and returns the block path's CPU state for inspection.
 struct RunState {
   std::unique_ptr<Machine> machine;
   CpuFlags flags;
@@ -25,8 +27,7 @@ RunState RunAsm(const std::string& body, std::initializer_list<uint32_t> args = 
   RunState st;
   st.machine = std::make_unique<Machine>();
   const AssembledProgram p = Assemble(body + "\nbx lr\n", kFlash);
-  st.machine->LoadBytes(kFlash, p.bytes);
-  st.machine->CallFunction(kFlash, args);
+  testutil::CallOnAllDecodePaths(*st.machine, p.bytes, args);
   st.flags = st.machine->cpu().flags();
   st.r0 = st.machine->cpu().reg(0);
   st.r1 = st.machine->cpu().reg(1);
@@ -313,23 +314,20 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Stack discipline ---------------------------------------------------------
 
 TEST(StackSemanticsTest, PushStoresAscendingRegistersAtDescendingAddresses) {
-  Machine m;
-  const AssembledProgram p = Assemble(R"(
+  auto st = RunAsm(R"(
     movs r4, #11
     movs r5, #22
     movs r6, #33
     push {r4, r5, r6}
     mov r0, sp
     pop {r4, r5, r6}
-    bx lr
-  )", kFlash);
-  m.LoadBytes(kFlash, p.bytes);
-  m.CallFunction(kFlash, {});
-  const uint32_t sp_during = m.ReturnValue();
+  )");
+  const uint32_t sp_during = st.r0;
   // Lowest register at lowest address.
-  EXPECT_EQ(m.memory().Read32(sp_during + 0), 11u);
-  EXPECT_EQ(m.memory().Read32(sp_during + 4), 22u);
-  EXPECT_EQ(m.memory().Read32(sp_during + 8), 33u);
+  MemoryMap& mem = st.machine->memory();
+  EXPECT_EQ(mem.Read32(sp_during + 0), 11u);
+  EXPECT_EQ(mem.Read32(sp_during + 4), 22u);
+  EXPECT_EQ(mem.Read32(sp_during + 8), 33u);
 }
 
 TEST(StackSemanticsTest, SpArithmeticForms) {

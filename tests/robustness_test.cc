@@ -10,6 +10,7 @@
 #include "src/isa/assembler.h"
 #include "src/kernels/kernel_set.h"
 #include "src/runtime/deployed_model.h"
+#include "src/runtime/recovery.h"
 #include "tests/test_util.h"
 
 namespace neuroc {
@@ -27,8 +28,10 @@ NeuroCModel SmallModel(uint64_t seed) {
 TEST(FaultInjectionTest, CorruptedKernelCodeReturnsStructuredFault) {
   // Overwrite the kernel's first instructions with a value that decodes to UDF: execution
   // must surface a structured fault report, not return garbage.
-  NeuroCModel model = SmallModel(1);
-  DeployedModel deployed = DeployedModel::Deploy(model);
+  StatusOr<GuardedModel> created = GuardedModel::Create(SmallModel(1));
+  ASSERT_TRUE(created.ok());
+  GuardedModel& gm = *created;
+  DeployedModel& deployed = gm.deployed();
   const uint8_t udf[2] = {0x00, 0xDE};  // udf #0
   deployed.machine().LoadBytes(kFlash, udf);
   std::vector<int8_t> input(64, 1);
@@ -43,14 +46,19 @@ TEST(FaultInjectionTest, CorruptedKernelCodeReturnsStructuredFault) {
   const std::vector<std::string> bad = deployed.CorruptedSections();
   ASSERT_FALSE(bad.empty());
   EXPECT_EQ(bad[0], "kernel_code");
-  // …and scrub-and-retry produces a clean prediction that matches the host reference.
-  RecoveryReport rec = deployed.PredictWithRecovery(input);
-  EXPECT_TRUE(rec.faulted);  // still corrupted on entry: first attempt faults again
-  EXPECT_TRUE(rec.recovered);
+  // …and the recovery ladder repairs it on the scrub rung (a RAM-only snapshot restore
+  // leaves the code corrupted), producing a clean prediction that matches the host.
+  const GuardedResult r = gm.Predict(input);
+  EXPECT_TRUE(r.ok);
+  EXPECT_TRUE(r.faulted);  // still corrupted on entry: the first attempt faults again
+  EXPECT_EQ(r.resolved_by, RecoveryRung::kScrubRetry);
+  EXPECT_NE(std::find(r.corrupted_sections.begin(), r.corrupted_sections.end(),
+                      "kernel_code"),
+            r.corrupted_sections.end());
   std::vector<int8_t> host;
-  model.Forward(input, host);
-  EXPECT_EQ(deployed.LastOutput(), host);
-  EXPECT_TRUE(deployed.VerifyIntegrity().ok());
+  gm.model().Forward(input, host);
+  EXPECT_EQ(gm.deployed().LastOutput(), host);
+  EXPECT_TRUE(gm.deployed().VerifyIntegrity().ok());
 }
 
 TEST(FaultInjectionTest, DescriptorPointingOutsideMemoryFaults) {

@@ -3,6 +3,7 @@
 #include "src/isa/assembler.h"
 #include "src/sim/guest_fault.h"
 #include "src/sim/machine.h"
+#include "tests/test_util.h"
 
 namespace neuroc {
 namespace {
@@ -10,19 +11,18 @@ namespace {
 constexpr uint32_t kFlash = 0x08000000;
 constexpr uint32_t kRam = 0x20000000;
 
-// Assembles, loads at flash base, calls with args, returns r0.
+// Assembles, loads at flash base and calls with args on all three decode paths, which
+// must agree on every register, flag and counter (see CallOnAllDecodePaths). Returns the
+// block path's r0; `machine_out` (default config when null) is that block-path machine.
 uint32_t RunProgram(const std::string& source, std::initializer_list<uint32_t> args,
                     Machine* machine_out = nullptr, uint64_t* cycles_out = nullptr) {
-  static Machine machine_storage{MachineConfig{}};
   Machine local;
   Machine& m = machine_out != nullptr ? *machine_out : local;
   const AssembledProgram p = Assemble(source, kFlash);
-  m.LoadBytes(kFlash, p.bytes);
-  const uint64_t cycles = m.CallFunction(kFlash, args);
+  const uint64_t cycles = testutil::CallOnAllDecodePaths(m, p.bytes, args);
   if (cycles_out != nullptr) {
     *cycles_out = cycles;
   }
-  (void)machine_storage;
   return m.ReturnValue();
 }
 
@@ -299,10 +299,8 @@ TEST(CycleModelTest, MulConfigurableCost) {
   MachineConfig cfg;
   cfg.cycle_model = CycleModel::CortexM0SlowMul();
   Machine m(cfg);
-  const AssembledProgram p = Assemble("muls r0, r1, r0\nbx lr\n", kFlash);
-  m.LoadBytes(kFlash, p.bytes);
-  const uint64_t cycles = m.CallFunction(kFlash, {3, 4});
-  EXPECT_EQ(m.ReturnValue(), 12u);
+  uint64_t cycles = 0;
+  EXPECT_EQ(RunProgram("muls r0, r1, r0\nbx lr\n", {3, 4}, &m, &cycles), 12u);
   EXPECT_EQ(cycles, 32u + 3u);  // slow mul + bx
 }
 
@@ -310,15 +308,15 @@ TEST(CycleModelTest, FlashWaitStatesIncreaseCycles) {
   MachineConfig fast;
   MachineConfig slow;
   slow.cycle_model.flash_wait_states = 1;
-  const std::string src = "movs r0, #1\nmovs r0, #2\nmovs r0, #3\nbx lr\n";
+  const std::string src = "movs r0, #1\nmovs r0, #2\nldr r1, =0x12345678\nbx lr\n";
   Machine mf(fast);
   Machine ms(slow);
-  const AssembledProgram p = Assemble(src, kFlash);
-  mf.LoadBytes(kFlash, p.bytes);
-  ms.LoadBytes(kFlash, p.bytes);
-  const uint64_t cf = mf.CallFunction(kFlash, {});
-  const uint64_t cs = ms.CallFunction(kFlash, {});
-  EXPECT_EQ(cs, cf + 4);  // one extra cycle per fetched instruction
+  uint64_t cf = 0;
+  uint64_t cs = 0;
+  RunProgram(src, {}, &mf, &cf);
+  RunProgram(src, {}, &ms, &cs);
+  // One extra cycle per fetched instruction, plus one for the literal load's flash read.
+  EXPECT_EQ(cs, cf + 5);
 }
 
 TEST(CycleModelTest, PushPopCosts) {
@@ -396,10 +394,7 @@ TEST(CpuTest, LdmStmMultipleTransfer) {
     bx lr
   )";
   Machine m;
-  const AssembledProgram p = Assemble(src, kFlash);
-  m.LoadBytes(kFlash, p.bytes);
-  m.CallFunction(kFlash, {});
-  EXPECT_EQ(m.ReturnValue(), 66u);
+  EXPECT_EQ(RunProgram(src, {}, &m), 66u);
   // Writeback advanced r1 by 12 past the base.
   EXPECT_EQ(m.cpu().reg(1), 0x20000100u + 12u);
   EXPECT_EQ(m.memory().Read32(0x20000100), 11u);
@@ -414,11 +409,7 @@ TEST(CpuTest, LdmWithoutBaseInListWritesBack) {
     mov r0, r1
     bx lr
   )";
-  Machine m;
-  const AssembledProgram p = Assemble(src, kFlash);
-  m.LoadBytes(kFlash, p.bytes);
-  m.CallFunction(kFlash, {});
-  EXPECT_EQ(m.ReturnValue(), 0x20000204u);
+  EXPECT_EQ(RunProgram(src, {}), 0x20000204u);
 }
 
 TEST(CycleModelTest, LdmStmCostIsBasePlusCount) {

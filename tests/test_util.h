@@ -1,8 +1,9 @@
 // Shared helpers for the unit tests: seeded random-model construction (previously
 // duplicated across the firmware, robustness and fault-campaign tests), the global
-// thread-pool guard, machine-snapshot equality, and the FakeClient serve-protocol client
-// (tests that use it must link neuroc_serve). Layers are built sequentially from a single
-// Rng, so a (seed, spec) pair fully determines the model.
+// thread-pool guard, machine-snapshot equality, a call run on all three decode paths,
+// and the FakeClient serve-protocol client (tests that use it must link neuroc_serve).
+// Layers are built sequentially from a single Rng, so a (seed, spec) pair fully
+// determines the model.
 
 #ifndef NEUROC_TESTS_TEST_UTIL_H_
 #define NEUROC_TESTS_TEST_UTIL_H_
@@ -12,6 +13,8 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -73,6 +76,36 @@ inline void ExpectSnapshotsEqual(const MachineSnapshot& a, const MachineSnapshot
   EXPECT_EQ(a.memory.heatmap.flash_reads, b.memory.heatmap.flash_reads);
   EXPECT_EQ(a.memory.heatmap.sram_reads, b.memory.heatmap.sram_reads);
   EXPECT_EQ(a.memory.heatmap.sram_writes, b.memory.heatmap.sram_writes);
+}
+
+// Loads `program` at the flash base of `block` and of two twins built from its config —
+// one on the predecode cache alone, one on legacy decode-every-step — calls it with
+// `args` on all three, and expects each twin's snapshot (registers, pc, flags, cycles,
+// instructions, op histogram, memory and its statistics) to equal the block-compiled
+// machine's. `block` must be on its default path. Returns the block machine's call
+// cycles.
+inline uint64_t CallOnAllDecodePaths(Machine& block, std::span<const uint8_t> program,
+                                     std::initializer_list<uint32_t> args) {
+  Machine cached(block.config());
+  Machine legacy(block.config());
+  cached.cpu().EnableBlockCompile(false);
+  legacy.cpu().EnableDecodeCache(false);
+  const uint32_t entry = block.config().flash_base;
+  uint64_t cycles = 0;
+  for (Machine* m : {&legacy, &cached, &block}) {
+    m->LoadBytes(entry, program);
+    cycles = m->CallFunction(entry, args);
+  }
+  const MachineSnapshot want = block.Snapshot();
+  {
+    SCOPED_TRACE("predecode-cache path vs block path");
+    ExpectSnapshotsEqual(cached.Snapshot(), want);
+  }
+  {
+    SCOPED_TRACE("legacy path vs block path");
+    ExpectSnapshotsEqual(legacy.Snapshot(), want);
+  }
+  return cycles;
 }
 
 // Identity of two fault reports (code, message, stamped pc/address, counters).
