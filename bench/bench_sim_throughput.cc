@@ -1,6 +1,7 @@
 // Host-side simulator throughput: three decode/execute paths (legacy decode-every-step,
-// predecoded-instruction cache, block-compiled) × the four adjacency encodings, plus
-// RandomSearch wall-clock at 1 vs N threads.
+// predecoded-instruction cache, block-compiled), lockstep batches of 8 on the block path,
+// and the profiled paths × the adjacency encodings, plus RandomSearch wall-clock at 1 vs
+// N threads.
 //
 // Every reported paper metric (cycles, latency) flows through the CPU's execute loop, so
 // simulation speed bounds how many candidate architectures a search can afford. This bench
@@ -13,6 +14,7 @@
 // `--smoke` shrinks repetitions/trials to seconds so the tier-1 ctest sweep can run this
 // binary and keep it from bit-rotting.
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -44,8 +46,11 @@ constexpr int kRepeats = 5;
 // block-granular counters (block_profiled) and the step-interpreter CpuProbe profiler
 // over both step paths (step_profiled = predecode cache + probe, legacy_profiled =
 // decode-every-step + probe, the pre-block-profiler default). The profiled rows bound
-// what turning attribution on costs on each path.
-constexpr int kModes = 6;
+// what turning attribution on costs on each path. block_lockstep8 runs the inferences as
+// lockstep batches of kLanes (DeployedModel::TryPredictLockstep) on the block path.
+constexpr int kModes = 7;
+constexpr int kLockstepMode = 6;
+constexpr size_t kLanes = 8;
 
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
@@ -78,26 +83,42 @@ struct InferenceResult {
   double sim_mips = 0.0;  // simulated instructions retired per host second / 1e6
 };
 
-// One timed block: `reps` back-to-back inferences. Returns wall seconds and checks the
-// reported cycle count never drifts across repetitions.
-double TimeBlock(DeployedModel& deployed, const std::vector<int8_t>& input, int reps,
-                 InferenceResult& r) {
-  const uint64_t instr0 = deployed.machine().cpu().instructions();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < reps; ++i) {
-    deployed.Predict(input);
+// Runs `reps` inferences: one at a time, or with `batch` as lockstep batches of its size
+// (which must all commit). Returns the inferences run.
+int RunInferences(DeployedModel& deployed, const std::vector<std::vector<int8_t>>* batch,
+                  const std::vector<int8_t>& input, int reps) {
+  if (batch == nullptr) {
+    for (int i = 0; i < reps; ++i) {
+      deployed.Predict(input);
+    }
+    return reps;
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  const uint64_t instr = deployed.machine().cpu().instructions() - instr0;
-  r.instructions_per_inference = instr / static_cast<uint64_t>(reps);
-  // The reported cycle count must not depend on the decode path or the repetition.
-  NEUROC_CHECK(deployed.report().cycles_per_inference == r.cycles_per_inference);
-  return Seconds(t0, t1);
+  const int batches = std::max(1, reps / static_cast<int>(batch->size()));
+  for (int i = 0; i < batches; ++i) {
+    NEUROC_CHECK_MSG(deployed.TryPredictLockstep(*batch).has_value(),
+                     "bench_sim_throughput: a lockstep batch fell back");
+  }
+  return batches * static_cast<int>(batch->size());
 }
 
-// Measures the six execute/profile paths for one encoding, alternating timed blocks
-// kRepeats times and keeping the best block of each.
-// Returns {legacy, cached, block, block_profiled, step_profiled, legacy_profiled}.
+// One timed block of about `reps` inferences. Returns wall seconds per inference and
+// checks the reported cycle count never drifts across repetitions.
+double TimeBlock(DeployedModel& deployed, const std::vector<std::vector<int8_t>>* batch,
+                 const std::vector<int8_t>& input, int reps, InferenceResult& r) {
+  const uint64_t instr0 = deployed.machine().cpu().instructions();
+  const auto t0 = std::chrono::steady_clock::now();
+  const int inferences = RunInferences(deployed, batch, input, reps);
+  const auto t1 = std::chrono::steady_clock::now();
+  const uint64_t instr = deployed.machine().cpu().instructions() - instr0;
+  r.instructions_per_inference = instr / static_cast<uint64_t>(inferences);
+  // The reported cycle count must not depend on the decode path or the repetition.
+  NEUROC_CHECK(deployed.report().cycles_per_inference == r.cycles_per_inference);
+  return Seconds(t0, t1) / inferences;
+}
+
+// Measures the seven execute/profile paths for one encoding, alternating timed blocks
+// kRepeats times and keeping the best block of each. Returns {legacy, cached, block,
+// block_profiled, step_profiled, legacy_profiled, block_lockstep8}.
 std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int reps) {
   DeployedModel legacy = DeployedModel::Deploy(MakeBenchModel(kind));
   DeployedModel cached = DeployedModel::Deploy(MakeBenchModel(kind));
@@ -105,6 +126,7 @@ std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int rep
   DeployedModel block_prof = DeployedModel::Deploy(MakeBenchModel(kind));
   DeployedModel step_prof = DeployedModel::Deploy(MakeBenchModel(kind));
   DeployedModel legacy_prof = DeployedModel::Deploy(MakeBenchModel(kind));
+  DeployedModel lockstep = DeployedModel::Deploy(MakeBenchModel(kind));
   legacy.machine().cpu().EnableDecodeCache(false);
   cached.machine().cpu().EnableBlockCompile(false);  // predecode cache only
   legacy_prof.machine().cpu().EnableDecodeCache(false);
@@ -115,6 +137,10 @@ std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int rep
   ScopedCpuProbe attach_legacy(legacy_prof.machine().cpu(), &legacy_profiler);
   Rng rng(17);
   const std::vector<int8_t> input = MakeRandomInput(legacy.input_dim(), rng);
+  std::vector<std::vector<int8_t>> batch = {input};
+  while (batch.size() < kLanes) {
+    batch.push_back(MakeRandomInput(legacy.input_dim(), rng));
+  }
   std::array<InferenceResult, kModes> out;
   out[0].decode = "legacy";
   out[1].decode = "cached";
@@ -122,8 +148,9 @@ std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int rep
   out[3].decode = "block_profiled";
   out[4].decode = "step_profiled";
   out[5].decode = "legacy_profiled";
-  std::array<DeployedModel*, kModes> models = {&legacy,     &cached,    &block,
-                                               &block_prof, &step_prof, &legacy_prof};
+  out[kLockstepMode].decode = "block_lockstep8";
+  std::array<DeployedModel*, kModes> models = {&legacy,    &cached,      &block,   &block_prof,
+                                               &step_prof, &legacy_prof, &lockstep};
   std::array<double, kModes> best = {};
   for (int which = 0; which < kModes; ++which) {
     out[which].encoding = EncodingKindName(kind);
@@ -132,17 +159,18 @@ std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int rep
   }
   for (int rep = 0; rep < kRepeats; ++rep) {
     for (int which = 0; which < kModes; ++which) {
-      const double seconds = TimeBlock(*models[which], input, reps, out[which]);
+      const double seconds = TimeBlock(*models[which],
+                                       which == kLockstepMode ? &batch : nullptr, input,
+                                       reps, out[which]);
       if (best[which] == 0.0 || seconds < best[which]) {
         best[which] = seconds;
       }
     }
   }
   for (int which = 0; which < kModes; ++which) {
-    out[which].wall_ms_per_inference = best[which] * 1000.0 / reps;
+    out[which].wall_ms_per_inference = best[which] * 1000.0;
     out[which].sim_mips =
-        static_cast<double>(out[which].instructions_per_inference) * reps /
-        (best[which] * 1e6);
+        static_cast<double>(out[which].instructions_per_inference) / (best[which] * 1e6);
   }
   return out;
 }
@@ -221,8 +249,9 @@ int main(int argc, char** argv) {
       inference.push_back(r);
     }
   }
-  // The execute path (profiled or not) must not change a single reported cycle or
-  // retired instruction.
+  // The execute path (profiled, lockstep-batched or not) must not change a single
+  // reported cycle or retired instruction: every row equals the legacy row, and so the
+  // block row.
   for (size_t i = 0; i + kModes - 1 < inference.size(); i += kModes) {
     for (size_t m = 1; m < kModes; ++m) {
       NEUROC_CHECK(inference[i].cycles_per_inference ==
@@ -274,6 +303,9 @@ int main(int argc, char** argv) {
     w.Key(key).ValueFixed(cached.wall_ms_per_inference / block.wall_ms_per_inference, 3);
     std::snprintf(key, sizeof(key), "block_vs_legacy_%s", legacy.encoding.c_str());
     w.Key(key).ValueFixed(legacy.wall_ms_per_inference / block.wall_ms_per_inference, 3);
+    const InferenceResult& lockstep = inference[i + kLockstepMode];
+    std::snprintf(key, sizeof(key), "block_lockstep8_vs_block_%s", legacy.encoding.c_str());
+    w.Key(key).ValueFixed(block.wall_ms_per_inference / lockstep.wall_ms_per_inference, 3);
   }
   w.Key("search_4t_vs_1t").ValueFixed(s1.wall_ms / s4.wall_ms, 3);
   w.EndObject();
@@ -325,6 +357,9 @@ int main(int argc, char** argv) {
   w.Value(
       "block fuses straight-line basic blocks into one dispatch with batched "
       "accounting and lazy APSR flags, breaking the per-step Amdahl cap");
+  w.Value(
+      "block_lockstep8 runs batches of 8 inferences through the compiled blocks once, "
+      "each op dispatched once and applied to every lane");
   w.Value("search_4t_vs_1t cannot exceed 1x when host_threads_available is 1");
   w.EndArray();
   w.Key("search").BeginObject();

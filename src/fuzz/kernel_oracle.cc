@@ -1,3 +1,4 @@
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,17 +11,79 @@ namespace neuroc {
 
 namespace {
 
+// Names the first quantity two machine snapshots disagree on; empty when they agree.
+std::string SnapshotDifference(const MachineSnapshot& a, const MachineSnapshot& b) {
+  const CpuArchState& x = a.cpu;
+  const CpuArchState& y = b.cpu;
+  if (x.regs != y.regs || x.pc != y.pc) return "registers";
+  if (x.flags.n != y.flags.n || x.flags.z != y.flags.z || x.flags.c != y.flags.c ||
+      x.flags.v != y.flags.v) {
+    return "flags";
+  }
+  if (x.cycles != y.cycles || x.instructions != y.instructions) return "counters";
+  if (x.op_histogram != y.op_histogram) return "op histogram";
+  if (a.memory.ram != b.memory.ram) return "sram";
+  if (a.memory.flash != b.memory.flash) return "flash";
+  const MemAccessStats& s = a.memory.stats;
+  const MemAccessStats& t = b.memory.stats;
+  if (s.flash_reads != t.flash_reads || s.sram_reads != t.sram_reads ||
+      s.sram_writes != t.sram_writes) {
+    return "memory stats";
+  }
+  if (a.last_fault.code != b.last_fault.code) return "last fault";
+  return "";
+}
+
+// The batch leg: the case's inputs as one lockstep batch on a fresh deployment (one by
+// one when the batch falls back, as GuardedModel::PredictBatch does) must end exactly as
+// `sequential` ended after TryPredict on each input — outputs, per-inference cycles and
+// the full machine snapshot.
+CaseResult CompareBatch(DeployedModel& batch, const DeployedModel& sequential,
+                        const std::vector<std::vector<int8_t>>& inputs,
+                        const std::vector<int>& predictions,
+                        const std::vector<uint64_t>& cycles) {
+  std::vector<int> got;
+  std::vector<uint64_t> got_cycles;
+  if (std::optional<std::vector<int>> lockstep = batch.TryPredictLockstep(inputs)) {
+    got = *lockstep;
+    got_cycles.assign(inputs.size(), batch.report().cycles_per_inference);
+  } else {
+    for (const std::vector<int8_t>& input : inputs) {
+      const StatusOr<int> pred = batch.TryPredict(input);
+      if (!pred.ok()) {
+        return {FuzzVerdict::kFail, "guest fault, batch leg: " + pred.status().ToString()};
+      }
+      got.push_back(*pred);
+      got_cycles.push_back(batch.report().cycles_per_inference);
+    }
+  }
+  if (got != predictions) {
+    return {FuzzVerdict::kFail, "batch argmax != one-by-one argmax"};
+  }
+  if (got_cycles != cycles) {
+    return {FuzzVerdict::kFail, "batch cycles per inference != one-by-one cycles"};
+  }
+  const std::string diff =
+      SnapshotDifference(batch.machine().Snapshot(), sequential.machine().Snapshot());
+  if (!diff.empty()) {
+    return {FuzzVerdict::kFail, "batch final machine state != one-by-one state: " + diff};
+  }
+  return {};
+}
+
 // One reference/device comparison across all three simulator decode paths. `block` runs
 // block-compiled execution (the deploy default), `cached` the predecoded-instruction path
 // with block fusion off, `legacy` the decode-every-step interpreter — all must agree with
 // the host byte-for-byte, and with each other on cycle counts (both the predecode cache
-// and block compilation are pure performance transforms).
+// and block compilation are pure performance transforms). A fourth deployment then runs
+// the inputs as one batch (CompareBatch), which must end where `block` ended.
 template <typename Model>
 CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
   auto block_or = DeployedModel::TryDeploy(model);
   auto cached_or = DeployedModel::TryDeploy(model);
   auto legacy_or = DeployedModel::TryDeploy(model);
-  for (const auto* d : {&block_or, &cached_or, &legacy_or}) {
+  auto batch_or = DeployedModel::TryDeploy(model);
+  for (const auto* d : {&block_or, &cached_or, &legacy_or, &batch_or}) {
     if (!d->ok()) {
       if (d->status().code() == ErrorCode::kResourceExhausted) {
         return {FuzzVerdict::kSkip, "resource_exhausted: model does not fit the device"};
@@ -40,6 +103,8 @@ CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
 
   const std::vector<std::vector<int8_t>> inputs = KernelCaseInputs(c);
   std::vector<int8_t> expected;
+  std::vector<int> predictions;
+  std::vector<uint64_t> cycles;
   for (size_t i = 0; i < inputs.size(); ++i) {
     const std::string which = " (input " + std::to_string(i) + ")";
     model.Forward(inputs[i], expected);
@@ -58,18 +123,20 @@ CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
       if (*pred != host_pred) {
         return {FuzzVerdict::kFail, "sim argmax != host argmax" + where};
       }
-      const uint64_t cycles = mode.deployed.report().cycles_per_inference;
+      const uint64_t mode_cycles = mode.deployed.report().cycles_per_inference;
       if (&mode == &modes[0]) {
-        block_cycles = cycles;
-      } else if (cycles != block_cycles) {
+        block_cycles = mode_cycles;
+      } else if (mode_cycles != block_cycles) {
         return {FuzzVerdict::kFail,
                 "cycle count differs between decode modes" + which + ": block=" +
                     std::to_string(block_cycles) + " " + mode.name + "=" +
-                    std::to_string(cycles)};
+                    std::to_string(mode_cycles)};
       }
     }
+    predictions.push_back(host_pred);
+    cycles.push_back(block_cycles);
   }
-  return {};
+  return CompareBatch(*batch_or, modes[0].deployed, inputs, predictions, cycles);
 }
 
 }  // namespace

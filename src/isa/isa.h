@@ -10,6 +10,7 @@
 #ifndef NEUROC_SRC_ISA_ISA_H_
 #define NEUROC_SRC_ISA_ISA_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -64,6 +65,13 @@ enum class Op : uint8_t {
   NEUROC_THUMB_OPS(NEUROC_OP_ENUMERATOR)
 #undef NEUROC_OP_ENUMERATOR
 };
+
+// Number of ops, the size of every per-op table (retire histograms, profiles).
+#define NEUROC_OP_COUNT(name, mnemonic) +1
+inline constexpr size_t kNumOps = 0 NEUROC_THUMB_OPS(NEUROC_OP_COUNT);
+#undef NEUROC_OP_COUNT
+// Compiled blocks record their per-op retire counts under a uint8_t op index.
+static_assert(kNumOps <= 256, "an Op index must fit the uint8_t block histograms use");
 
 enum class Cond : uint8_t {
   kEq = 0, kNe = 1, kCs = 2, kCc = 3, kMi = 4, kPl = 5, kVs = 6, kVc = 7,

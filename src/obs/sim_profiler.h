@@ -50,8 +50,8 @@ struct PcProfile {
   // Keyed by instruction address; std::map so iteration (and thus every report built from
   // it) is deterministically address-ordered.
   std::map<uint32_t, PcStat> pc_stats;
-  std::array<uint64_t, 80> op_counts{};
-  std::array<uint64_t, 80> op_cycles{};
+  std::array<uint64_t, kNumOps> op_counts{};
+  std::array<uint64_t, kNumOps> op_cycles{};
   uint64_t total_instructions = 0;
   uint64_t total_cycles = 0;
   // Provenance: which collection backend produced this profile (recorded in profile JSON).
@@ -91,8 +91,8 @@ class SimProfiler : public CpuProbe {
 
   const PcProfile& profile() const { return profile_; }
   const std::map<uint32_t, PcStat>& pc_stats() const { return profile_.pc_stats; }
-  const std::array<uint64_t, 80>& op_counts() const { return profile_.op_counts; }
-  const std::array<uint64_t, 80>& op_cycles() const { return profile_.op_cycles; }
+  const std::array<uint64_t, kNumOps>& op_counts() const { return profile_.op_counts; }
+  const std::array<uint64_t, kNumOps>& op_cycles() const { return profile_.op_cycles; }
   uint64_t total_instructions() const { return profile_.total_instructions; }
   uint64_t total_cycles() const { return profile_.total_cycles; }
 

@@ -21,6 +21,33 @@ size_t EstimateFromParts(size_t code_bytes, size_t image_bytes) {
   return code_bytes + image_bytes + kRuntimeOverheadBytes;
 }
 
+// Index of the largest final-layer activation (the first on ties): the predicted class.
+int ArgMax(std::span<const int8_t> activations) {
+  int best = 0;
+  for (size_t i = 1; i < activations.size(); ++i) {
+    if (activations[i] > activations[best]) {
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
+}
+
+// The runtime.* counters every inference updates, resolved once: a GetCounter call is a
+// name lookup under the registry mutex, which serving workers would otherwise contend
+// on per inference. Resolved at the first successful inference, where the lookups used
+// to register them, so registration order is unchanged.
+struct InferenceCounters {
+  MetricsRegistry::Counter& inferences;
+  MetricsRegistry::Counter& cycles;
+};
+
+InferenceCounters& GlobalInferenceCounters() {
+  static InferenceCounters counters{
+      MetricsRegistry::Global().GetCounter("runtime.inferences"),
+      MetricsRegistry::Global().GetCounter("runtime.inference_cycles")};
+  return counters;
+}
+
 }  // namespace
 
 size_t DeployedModel::EstimateProgramBytes(const NeuroCModel& model) {
@@ -198,19 +225,58 @@ StatusOr<int> DeployedModel::TryPredict(std::span<const int8_t> input) {
     report_.layer_cycles[k] = *layer_cycles;
     cycles += report_.layer_cycles[k];
   }
+  AccountInferences(1, cycles);
+  return ArgMax(LastOutput());
+}
+
+void DeployedModel::AccountInferences(uint64_t inferences, uint64_t cycles) {
   report_.cycles_per_inference = cycles;
   report_.latency_ms = machine_->CyclesToMs(cycles);
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("runtime.inferences").Add(1);
-  reg.GetCounter("runtime.inference_cycles").Add(cycles);
-  const std::vector<int8_t> out = LastOutput();
-  int best = 0;
-  for (size_t i = 1; i < out.size(); ++i) {
-    if (out[i] > out[best]) {
-      best = static_cast<int>(i);
-    }
+  InferenceCounters& counters = GlobalInferenceCounters();
+  counters.inferences.Add(inferences);
+  counters.cycles.Add(inferences * cycles);
+}
+
+std::optional<std::vector<int>> DeployedModel::TryPredictLockstep(
+    std::span<const std::vector<int8_t>> inputs) {
+  std::vector<std::span<const uint8_t>> bytes;
+  bytes.reserve(inputs.size());
+  for (const std::vector<int8_t>& input : inputs) {
+    NEUROC_CHECK(input.size() == image_.input_dim);
+    bytes.emplace_back(reinterpret_cast<const uint8_t*>(input.data()), input.size());
   }
-  return best;
+  std::vector<LockstepCall> calls;
+  calls.reserve(image_.num_layers());
+  for (size_t k = 0; k < image_.num_layers(); ++k) {
+    calls.push_back({layer_entries_[k], image_.descriptor_addrs[k]});
+  }
+  LockstepBatch batch;
+  batch.input_addr = image_.input_addr;
+  batch.inputs = bytes;
+  batch.calls = calls;
+  batch.cycle_budget = watchdog_budget_;
+  batch.output_addr = image_.output_addr;
+  batch.output_size = static_cast<uint32_t>(image_.output_dim);
+  const std::optional<LockstepResult> result = machine_->TryRunLockstep(batch);
+  if (!result) {
+    static MetricsRegistry::Counter& fallbacks =
+        MetricsRegistry::Global().GetCounter("runtime.lockstep_fallbacks");
+    fallbacks.Add(1);
+    return std::nullopt;
+  }
+  report_.layer_cycles = result->call_cycles;
+  uint64_t cycles = 0;
+  for (const uint64_t c : result->call_cycles) {
+    cycles += c;
+  }
+  AccountInferences(inputs.size(), cycles);
+  std::vector<int> predictions;
+  predictions.reserve(inputs.size());
+  for (const std::vector<uint8_t>& out : result->outputs) {
+    predictions.push_back(
+        ArgMax({reinterpret_cast<const int8_t*>(out.data()), out.size()}));
+  }
+  return predictions;
 }
 
 int DeployedModel::Predict(std::span<const int8_t> input) {

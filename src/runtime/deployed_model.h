@@ -9,6 +9,7 @@
 #define NEUROC_SRC_RUNTIME_DEPLOYED_MODEL_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -84,6 +85,16 @@ class DeployedModel {
   // inference faults.
   int Predict(std::span<const int8_t> input);
 
+  // Batch entry point: runs `inputs` (1..Cpu::kMaxLanes) as one lockstep batch
+  // (Machine::TryRunLockstep), under the watchdog like TryPredict. When the batch
+  // commits, returns the predictions and leaves the machine, report() and the runtime.*
+  // counters exactly as TryPredict on each input in order would. Otherwise — the lanes
+  // diverged, one would fault or hit the watchdog, or an observer is attached — returns
+  // nullopt with nothing changed except runtime.lockstep_fallbacks, and the caller runs
+  // its per-input loop.
+  std::optional<std::vector<int>> TryPredictLockstep(
+      std::span<const std::vector<int8_t>> inputs);
+
   // Re-verifies every integrity section (kernel code + packed image) against the CRC-32
   // digests captured at pack/deploy time. Returns kIntegrityFailure naming the mismatching
   // sections, or OK.
@@ -147,6 +158,10 @@ class DeployedModel {
   static StatusOr<DeployedModel> DeployImage(DeviceModelImage image, KernelSet kernels,
                                              const MachineConfig& config,
                                              uint32_t image_base);
+
+  // Records `inferences` inferences of `cycles` each in report_ and the runtime.*
+  // counters.
+  void AccountInferences(uint64_t inferences, uint64_t cycles);
 
   std::unique_ptr<Machine> machine_;  // stable address; KernelSet/image refer to it
   DeviceModelImage image_;

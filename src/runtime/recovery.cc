@@ -1,5 +1,6 @@
 #include "src/runtime/recovery.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -213,7 +214,34 @@ std::vector<GuardedResult> GuardedModel::PredictBatch(
     cycles->clear();
     cycles->reserve(inputs.size());
   }
-  for (const std::vector<int8_t>& input : inputs) {
+  // Lockstep first, chunks of two to Cpu::kMaxLanes inputs: a committed chunk is exactly
+  // the clean path of Predict on each of its inputs. A chunk that does not commit
+  // changed nothing, and the per-input loop below, ladder included, takes over from its
+  // first input. Dual-run batches stay sequential.
+  size_t next = 0;
+  if (!policy_.dual_run) {
+    while (inputs.size() - next >= 2) {
+      const size_t n = std::min(inputs.size() - next, Cpu::kMaxLanes);
+      const std::optional<std::vector<int>> predictions = dm_->TryPredictLockstep(
+          std::span<const std::vector<int8_t>>(inputs).subspan(next, n));
+      if (!predictions) {
+        break;
+      }
+      for (const int prediction : *predictions) {
+        GuardedResult gr;
+        gr.ok = true;
+        gr.prediction = prediction;
+        gr.active_encoding = active_encoding_;
+        results.push_back(gr);
+        if (cycles != nullptr) {
+          cycles->push_back(dm_->report().cycles_per_inference);
+        }
+      }
+      next += n;
+    }
+  }
+  for (const std::vector<int8_t>& input :
+       std::span<const std::vector<int8_t>>(inputs).subspan(next)) {
     results.push_back(Predict(input));
     if (cycles != nullptr) {
       cycles->push_back(results.back().ok ? dm_->report().cycles_per_inference : 0);

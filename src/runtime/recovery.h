@@ -92,10 +92,13 @@ class GuardedModel {
 
   // Batched entrypoint for the serving layer: runs `inputs` back-to-back on the one
   // deployed machine (the simulated MCU is single-core — batching amortizes host-side
-  // dispatch, it cannot parallelize the guest). Each element gets the full guarded
-  // treatment independently; `cycles` (when non-null) receives the per-inference
-  // simulated cycle count of each successful element (0 on permanent failure). Results
-  // are element-wise identical to calling Predict in a loop.
+  // work, it cannot parallelize the guest). Without dual_run, inputs run in lockstep
+  // chunks of up to Cpu::kMaxLanes (DeployedModel::TryPredictLockstep), and from the
+  // first chunk that does not commit on, each element gets the full guarded treatment
+  // independently; `cycles` (when non-null) receives the per-inference simulated cycle
+  // count of each successful element (0 on permanent failure). Results, the machine
+  // state and the metrics are identical to calling Predict in a loop, apart from
+  // runtime.lockstep_fallbacks.
   std::vector<GuardedResult> PredictBatch(
       const std::vector<std::vector<int8_t>>& inputs,
       std::vector<uint64_t>* cycles = nullptr);

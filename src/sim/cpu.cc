@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <span>
 
 #include "src/common/check.h"
@@ -11,6 +12,78 @@
 #include "src/sim/guest_fault.h"
 
 namespace neuroc {
+
+namespace {
+
+// Lockstep lanes keep one state byte per SRAM word: the bytes of the word the inference
+// has written (low nibble) and those it read before writing them (high nibble).
+constexpr int kReadFirstShift = 4;
+
+// The first word at or after `w` whose state byte is set (or state.size()): the commit
+// walks only the SRAM a batch touched, skipping untouched words eight at a time.
+size_t NextTouchedWord(const std::vector<uint8_t>& state, size_t w) {
+  for (uint64_t chunk = 0; w + sizeof(chunk) <= state.size(); w += sizeof(chunk)) {
+    std::memcpy(&chunk, state.data() + w, sizeof(chunk));
+    if (chunk != 0) {
+      break;
+    }
+  }
+  while (w < state.size() && state[w] == 0) {
+    ++w;
+  }
+  return w;
+}
+
+}  // namespace
+
+// An open lockstep batch. Every lane starts from the CPU's registers and flags and the
+// memory's SRAM as BeginLanes found them (the base). A lane's SRAM buffer holds only the
+// bytes that lane wrote; which bytes those are is the same for every lane, since the
+// lanes access the same addresses, so one `word_state` byte per SRAM word records it
+// for all of them, plus which bytes were read before being written. Reads of bytes not
+// written yet come from the base.
+struct Cpu::Lanes {
+  struct Lane {
+    std::array<uint32_t, 16> regs{};
+    CpuFlags flags;
+    uint32_t pc = 0;         // written by control-flow bodies, compared across lanes
+    uint64_t dyn = 0;        // dynamic cycles; only the first lane's are read
+    uint8_t* ram = nullptr;  // this lane's SRAM buffer
+  };
+  std::array<Lane, kMaxLanes> lane;
+  size_t count = 0;
+  bool open = false;
+  // The lanes' SRAM buffers, kept for the next batch. From calloc rather than a zeroing
+  // vector: a batch reads only bytes its lanes wrote, and a large calloc block comes as
+  // untouched zero pages, so SRAM no lane writes costs no resident memory.
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<uint8_t, FreeDeleter> ram;
+  size_t ram_bytes = 0;
+  std::vector<uint8_t> word_state;
+  std::array<uint32_t, 16> base_regs{};
+  CpuFlags base_flags;
+  // Registers and flags the inference reads before writing them, and those it has
+  // certainly written so far (harness register writes included).
+  uint16_t regs_read_first = 0;
+  uint16_t regs_written = 0;
+  uint8_t flags_read_first = 0;
+  uint8_t flags_written = 0;
+  uint32_t pc = 0;   // the lanes' common pc
+  uint32_t r15 = 0;  // what the last block leaves in r15
+  // The running call's limits (RunLanes): its start, and the instruction count and
+  // cycle budget it must not cross.
+  uint64_t call_start_cycles = 0;
+  uint64_t call_budget_end = 0;
+  uint64_t call_cycle_budget = 0;
+  // One lane's cycles, instructions and instruction fetches; every lane's data accesses.
+  uint64_t cycles = 0;
+  uint64_t instructions = 0;
+  uint64_t fetch_reads = 0;
+  MemAccessStats data;
+  std::array<uint64_t, kNumOps> histogram_before{};  // restored when the batch fails
+};
 
 Cpu::Cpu(MemoryMap* memory, CycleModel model) : mem_(memory), model_(model) {
   mem_->RegisterFlashWriteListener(&icache_valid_);
@@ -195,6 +268,83 @@ FlagEffects FlagEffectsOf(Op op, int32_t imm) {
   }
 }
 
+// The APSR as FlagEffects bits.
+uint8_t FlagBits(const CpuFlags& f) {
+  return static_cast<uint8_t>((f.n ? kFlagN : 0) | (f.z ? kFlagZ : 0) | (f.c ? kFlagC : 0) |
+                              (f.v ? kFlagV : 0));
+}
+
+// Registers an instruction reads and writes, as masks over r0..r14: an r15 read is the
+// instruction's address and a PC write is control flow, so bit 15 is never set.
+struct RegEffects {
+  uint16_t reads = 0;
+  uint16_t writes = 0;
+};
+
+RegEffects RegEffectsOf(const Instr& in) {
+  const auto bit = [](int r) { return static_cast<uint16_t>(r == kRegPc ? 0 : 1u << r); };
+  const uint16_t d = bit(in.rd);
+  const uint16_t n = bit(in.rn);
+  const uint16_t m = bit(in.rm);
+  const uint16_t sp = bit(kRegSp);
+  const uint16_t lr = bit(kRegLr);
+  const uint16_t list = in.reglist & 0xFF;
+  switch (in.op) {
+    case Op::kLslImm: case Op::kLsrImm: case Op::kAsrImm:
+    case Op::kMvn: case Op::kNeg: case Op::kMovHi:
+    case Op::kSxth: case Op::kSxtb: case Op::kUxth: case Op::kUxtb:
+    case Op::kRev: case Op::kRev16: case Op::kRevsh:
+      return {m, d};
+    case Op::kAddReg: case Op::kSubReg:
+      return {static_cast<uint16_t>(n | m), d};
+    case Op::kAddImm3: case Op::kSubImm3:
+    case Op::kLdrImm: case Op::kLdrbImm: case Op::kLdrhImm:
+      return {n, d};
+    case Op::kMovImm: case Op::kAdr: case Op::kLdrLit:
+      return {0, d};
+    case Op::kCmpImm:
+      return {n, 0};
+    case Op::kCmpReg: case Op::kCmpHi: case Op::kTst: case Op::kCmn:
+      return {static_cast<uint16_t>(n | m), 0};
+    case Op::kAddImm8: case Op::kSubImm8:
+      return {d, d};
+    case Op::kAnd: case Op::kEor: case Op::kOrr: case Op::kBic:
+    case Op::kLslReg: case Op::kLsrReg: case Op::kAsrReg: case Op::kRor:
+    case Op::kAdc: case Op::kSbc: case Op::kMul: case Op::kAddHi:
+      return {static_cast<uint16_t>(d | m), d};
+    case Op::kBx:
+      return {m, 0};
+    case Op::kBlx:
+      return {m, lr};
+    case Op::kBl:
+      return {0, lr};
+    case Op::kStrReg: case Op::kStrhReg: case Op::kStrbReg:
+      return {static_cast<uint16_t>(d | n | m), 0};
+    case Op::kStrImm: case Op::kStrbImm: case Op::kStrhImm:
+      return {static_cast<uint16_t>(d | n), 0};
+    case Op::kStrSp:
+      return {static_cast<uint16_t>(d | sp), 0};
+    case Op::kLdrReg: case Op::kLdrhReg: case Op::kLdrbReg:
+    case Op::kLdrsbReg: case Op::kLdrshReg:
+      return {static_cast<uint16_t>(n | m), d};
+    case Op::kLdrSp: case Op::kAddSpImm:
+      return {sp, d};
+    case Op::kAddSp7: case Op::kSubSp7:
+      return {sp, sp};
+    case Op::kPush:
+      return {static_cast<uint16_t>(sp | list | ((in.reglist & 0x100) ? lr : 0)), sp};
+    case Op::kPop:
+      return {sp, static_cast<uint16_t>(sp | list)};
+    case Op::kLdm:  // writes the base back unless it is loaded
+      return {n, static_cast<uint16_t>(list | ((list & n) ? 0 : n))};
+    case Op::kStm:
+      return {static_cast<uint16_t>(n | list), n};
+    case Op::kNop: case Op::kBcond: case Op::kB: case Op::kUdf: case Op::kInvalid:
+      return {};
+  }
+  return {};
+}
+
 // Ops whose execution can raise a GuestFault (every memory access; a branch itself cannot
 // fault — a bad target faults on the next fetch, in the interpreter). The architectural
 // flags are observable at a fault, so liveness must be forced across these.
@@ -345,6 +495,9 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
     o.cycles_before = static_cycles;
     static_cycles += static_cast<uint32_t>(model_.flash_wait_states) +
                      StaticExecCycles(in, model_);
+    const RegEffects re = RegEffectsOf(in);
+    b.regs_read_first |= re.reads & ~b.regs_written;
+    b.regs_written |= re.writes;
     b.ops.push_back(o);
     if (IsTerminator(in)) {
       b.terminated = true;
@@ -369,6 +522,16 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
       live = kAllFlags;
     }
   }
+  // The flags one execution reads before writing them, over the writes it performs (an
+  // elided write leaves the flags alone). A conditional C write (shift by register)
+  // passes the old C through when the amount is zero, so it counts as reading C.
+  for (const BlockOp& o : b.ops) {
+    const FlagEffects fe = FlagEffectsOf(o.op, o.imm);
+    const uint8_t writes = o.set_flags ? fe.may_write : 0;
+    const uint8_t reads = fe.reads | (writes & ~fe.must_write);
+    b.flags_read_first |= reads & ~b.flags_written;
+    b.flags_written |= writes & fe.must_write;
+  }
   // Batched accounting: the static cycle total, total counted fetches and the per-Op
   // retire histogram. The profiled execute path indexes prof_mem_hits unconditionally,
   // so it is sized here once instead of checked on every block entry.
@@ -380,7 +543,7 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
   // dearer outcome of a kBcond terminator. Run uses static_cycles + dyn_bound to prove a
   // block cannot cross the watchdog cycle limit.
   const uint32_t fw = static_cast<uint32_t>(model_.flash_wait_states);
-  std::array<uint32_t, 80> histo{};
+  std::array<uint32_t, kNumOps> histo{};
   for (const BlockOp& o : b.ops) {
     b.fetch_reads += o.fetch_reads;
     if (o.is_mem) {
@@ -561,26 +724,33 @@ Cpu::AddResult Cpu::AddWithCarry(uint32_t x, uint32_t y, bool carry_in) {
   return r;
 }
 
-bool Cpu::EvalCond(Cond cond) const {
+// Inlined into both callers, so the machine executors call an EvalCond whose body is
+// the whole switch, and the lane executor tests each lane's flags in place.
+#if defined(__GNUC__)
+__attribute__((always_inline))
+#endif
+inline bool Cpu::CondHolds(const CpuFlags& flags, Cond cond) {
   switch (cond) {
-    case Cond::kEq: return flags_.z;
-    case Cond::kNe: return !flags_.z;
-    case Cond::kCs: return flags_.c;
-    case Cond::kCc: return !flags_.c;
-    case Cond::kMi: return flags_.n;
-    case Cond::kPl: return !flags_.n;
-    case Cond::kVs: return flags_.v;
-    case Cond::kVc: return !flags_.v;
-    case Cond::kHi: return flags_.c && !flags_.z;
-    case Cond::kLs: return !flags_.c || flags_.z;
-    case Cond::kGe: return flags_.n == flags_.v;
-    case Cond::kLt: return flags_.n != flags_.v;
-    case Cond::kGt: return !flags_.z && flags_.n == flags_.v;
-    case Cond::kLe: return flags_.z || flags_.n != flags_.v;
+    case Cond::kEq: return flags.z;
+    case Cond::kNe: return !flags.z;
+    case Cond::kCs: return flags.c;
+    case Cond::kCc: return !flags.c;
+    case Cond::kMi: return flags.n;
+    case Cond::kPl: return !flags.n;
+    case Cond::kVs: return flags.v;
+    case Cond::kVc: return !flags.v;
+    case Cond::kHi: return flags.c && !flags.z;
+    case Cond::kLs: return !flags.c || flags.z;
+    case Cond::kGe: return flags.n == flags.v;
+    case Cond::kLt: return flags.n != flags.v;
+    case Cond::kGt: return !flags.z && flags.n == flags.v;
+    case Cond::kLe: return flags.z || flags.n != flags.v;
     case Cond::kAl: return true;
   }
   return false;
 }
+
+bool Cpu::EvalCond(Cond cond) const { return CondHolds(flags_, cond); }
 
 void Cpu::SetInstructionAlarm(uint64_t at_instructions, std::function<void()> on_alarm) {
   alarm_ = std::move(on_alarm);
@@ -685,6 +855,14 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
 // cursor in lockstep with the op pointer (discarded in the unprofiled instantiation), so
 // charge_mem records a flash-wait hit with a plain `++*prof_slot` — no per-access
 // op-index math on the hot path.
+// The machine's own state, as both ExecuteBlock and Step present it to the op bodies.
+#define NEUROC_REG(r) regs_[r]
+#define NEUROC_FLAGS flags_
+#define NEUROC_COND(cond) EvalCond(cond)
+#define NEUROC_MEM (*mem_)
+#define NEUROC_PC pc_
+#define NEUROC_DYN dyn
+#define NEUROC_ADDR(a)
 #define NEUROC_OP(name) lbl_##name:
 #define NEUROC_NEXT                                   \
   do {                                                \
@@ -911,5 +1089,460 @@ void Cpu::Step() {
   }
   record_residue();
 }
+
+#undef NEUROC_REG
+#undef NEUROC_FLAGS
+#undef NEUROC_COND
+#undef NEUROC_MEM
+#undef NEUROC_PC
+#undef NEUROC_DYN
+#undef NEUROC_ADDR
+
+// Where the lanes' data accesses go: the shared flash, the base SRAM image, and the
+// per-word written/read-first record (Cpu::Lanes). `failed` is set instead of faulting.
+struct LaneMemory {
+  const uint8_t* flash;
+  uint32_t flash_base;
+  uint32_t flash_size;
+  const uint8_t* base_ram;
+  uint32_t ram_base;
+  uint32_t ram_size;
+  uint8_t* word_state;
+  MemAccessStats stats;  // every lane's accesses
+  bool failed = false;
+};
+
+namespace {
+
+// NEUROC_MEM in the lane executor: MemoryMap's CPU-side accessors and access counts over
+// one lane's SRAM buffer. An access the machine would fault on marks the batch failed
+// and reads 0 or writes nothing, which keeps every lane in bounds until the block ends
+// and the batch is abandoned (a sequential rerun then raises the fault).
+class LaneAccess {
+ public:
+  LaneAccess(LaneMemory& m, uint8_t* ram) : m_(m), ram_(ram) {}
+
+  uint8_t Read8(uint32_t a) { return static_cast<uint8_t>(Read<1>(a)); }
+  uint16_t Read16(uint32_t a) { return static_cast<uint16_t>(Read<2>(a)); }
+  uint32_t Read32(uint32_t a) { return Read<4>(a); }
+  void Write8(uint32_t a, uint8_t v) { Write<1>(a, v); }
+  void Write16(uint32_t a, uint16_t v) { Write<2>(a, v); }
+  void Write32(uint32_t a, uint32_t v) { Write<4>(a, v); }
+
+ private:
+  static uint32_t Load(const uint8_t* p, uint32_t size) {
+    uint32_t v = 0;
+    for (uint32_t i = 0; i < size; ++i) {
+      v |= static_cast<uint32_t>(p[i]) << (8 * i);
+    }
+    return v;
+  }
+  // The bytes of its word an aligned access of kSize at SRAM offset `off` covers.
+  template <uint32_t kSize>
+  static uint8_t Bytes(uint32_t off) {
+    return static_cast<uint8_t>(((1u << kSize) - 1) << (off & 3));
+  }
+
+  template <uint32_t kSize>
+  uint32_t Read(uint32_t a) {
+    if (a % kSize != 0) {
+      return Fail();
+    }
+    if (a - m_.flash_base < m_.flash_size) {
+      if (a - m_.flash_base > m_.flash_size - kSize) {
+        return Fail();
+      }
+      ++m_.stats.flash_reads;
+      return Load(m_.flash + (a - m_.flash_base), kSize);
+    }
+    const uint32_t off = a - m_.ram_base;
+    if (off > m_.ram_size - kSize) {
+      return Fail();
+    }
+    ++m_.stats.sram_reads;
+    uint8_t& state = m_.word_state[off >> 2];
+    const uint8_t bytes = Bytes<kSize>(off);
+    if ((state & bytes) == bytes) {
+      return Load(ram_ + off, kSize);
+    }
+    return ReadFirst(off, kSize, state, bytes);
+  }
+
+  // A read touching bytes this inference has not written: those come from the base and
+  // are recorded as read before written.
+  uint32_t ReadFirst(uint32_t off, uint32_t size, uint8_t& state, uint8_t bytes) {
+    uint32_t v = 0;
+    for (uint32_t i = 0; i < size; ++i) {
+      const bool written = (state >> ((off + i) & 3)) & 1;
+      const uint8_t byte = written ? ram_[off + i] : m_.base_ram[off + i];
+      v |= static_cast<uint32_t>(byte) << (8 * i);
+    }
+    state |= static_cast<uint8_t>((bytes & ~state) << kReadFirstShift);
+    return v;
+  }
+
+  template <uint32_t kSize>
+  void Write(uint32_t a, uint32_t v) {
+    const uint32_t off = a - m_.ram_base;
+    if (a % kSize != 0 || off > m_.ram_size - kSize) {
+      Fail();  // unaligned, flash (read-only to the guest) or unmapped
+      return;
+    }
+    ++m_.stats.sram_writes;
+    for (uint32_t i = 0; i < kSize; ++i) {
+      ram_[off + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    m_.word_state[off >> 2] |= Bytes<kSize>(off);
+  }
+
+  uint32_t Fail() {
+    m_.failed = true;
+    return 0;
+  }
+
+  LaneMemory& m_;
+  uint8_t* ram_;
+};
+
+}  // namespace
+
+bool Cpu::BeginLanes(size_t lanes) {
+  NEUROC_CHECK(lanes >= 1 && lanes <= kMaxLanes);
+  NEUROC_CHECK(lanes_ == nullptr || !lanes_->open);
+  if (!BlockModeActive() || block_profile_enabled_ || alarm_ || mem_->observing()) {
+    return false;
+  }
+  if (lanes_ == nullptr) {
+    lanes_ = std::make_unique<Lanes>();
+  }
+  Lanes& ls = *lanes_;
+  const size_t ram_size = mem_->ram_size();
+  if (ls.ram_bytes < lanes * ram_size) {
+    ls.ram_bytes = lanes * ram_size;
+    ls.ram.reset(static_cast<uint8_t*>(std::calloc(ls.ram_bytes, 1)));
+    NEUROC_CHECK(ls.ram != nullptr);
+  }
+  ls.word_state.assign((ram_size + 3) / 4, 0);
+  for (size_t j = 0; j < lanes; ++j) {
+    Lanes::Lane& lane = ls.lane[j];
+    lane.regs = regs_;
+    lane.flags = flags_;
+    lane.pc = pc_;
+    lane.dyn = 0;
+    lane.ram = ls.ram.get() + j * ram_size;
+  }
+  ls.count = lanes;
+  ls.base_regs = regs_;
+  ls.base_flags = flags_;
+  ls.regs_read_first = 0;
+  ls.regs_written = 0;
+  ls.flags_read_first = 0;
+  ls.flags_written = 0;
+  ls.pc = pc_;
+  ls.r15 = regs_[kRegPc];
+  ls.cycles = 0;
+  ls.instructions = 0;
+  ls.fetch_reads = 0;
+  ls.data = MemAccessStats{};
+  // Lane blocks add to the deferred histogram as any block does; fold what is pending so
+  // a failed batch can put back exactly the pre-batch histogram.
+  FlushBlockHistograms();
+  ls.histogram_before = op_histogram_;
+  ls.open = true;
+  return true;
+}
+
+bool Cpu::WriteLanes(uint32_t addr, std::span<const std::span<const uint8_t>> bytes) {
+  Lanes& ls = *lanes_;
+  NEUROC_CHECK(ls.open && bytes.size() == ls.count);
+  const size_t size = bytes[0].size();
+  const uint32_t off = addr - mem_->ram_base();
+  if (off > mem_->ram_size() || size > mem_->ram_size() - off) {
+    AbortLanes();
+    return false;
+  }
+  for (size_t j = 0; j < ls.count; ++j) {
+    NEUROC_CHECK(bytes[j].size() == size);
+    std::copy(bytes[j].begin(), bytes[j].end(), ls.lane[j].ram + off);
+  }
+  for (size_t i = off; i < off + size; ++i) {
+    ls.word_state[i >> 2] |= static_cast<uint8_t>(1u << (i & 3));
+  }
+  return true;
+}
+
+bool Cpu::ReadLane(size_t lane, uint32_t addr, std::span<uint8_t> out) {
+  Lanes& ls = *lanes_;
+  NEUROC_CHECK(ls.open && lane < ls.count);
+  const uint32_t off = addr - mem_->ram_base();
+  if (off > mem_->ram_size() || out.size() > mem_->ram_size() - off) {
+    AbortLanes();
+    return false;
+  }
+  const uint8_t* base = mem_->sram_bytes().data();
+  for (size_t i = 0; i < out.size(); ++i) {
+    const size_t b = off + i;
+    const bool written = (ls.word_state[b >> 2] >> (b & 3)) & 1;
+    out[i] = written ? ls.lane[lane].ram[b] : base[b];
+  }
+  return true;
+}
+
+void Cpu::SetLaneReg(int index, uint32_t value) {
+  Lanes& ls = *lanes_;
+  NEUROC_CHECK(ls.open && index >= 0 && index < kRegPc);
+  for (size_t j = 0; j < ls.count; ++j) {
+    ls.lane[j].regs[static_cast<size_t>(index)] = value;
+  }
+  ls.regs_written |= static_cast<uint16_t>(1u << index);
+}
+
+bool Cpu::CommitLanes() {
+  Lanes& ls = *lanes_;
+  NEUROC_CHECK(ls.open);
+  // Lane j + 1 ran from the base where a sequential run starts from lane j's end state.
+  // The two differ only in what lane j changed, and lane j + 1 can only have seen that
+  // through state it read before writing: those registers, flags and SRAM bytes must
+  // hold in lane j's end state what they hold in the base.
+  const uint8_t base_flags = FlagBits(ls.base_flags);
+  const uint8_t* base_ram = mem_->sram_bytes().data();
+  for (size_t j = 0; j + 1 < ls.count; ++j) {
+    const Lanes::Lane& lane = ls.lane[j];
+    for (int r = 0; r < kRegPc; ++r) {
+      if (((ls.regs_read_first >> r) & 1) && lane.regs[static_cast<size_t>(r)] !=
+                                                 ls.base_regs[static_cast<size_t>(r)]) {
+        AbortLanes();
+        return false;
+      }
+    }
+    if (((FlagBits(lane.flags) ^ base_flags) & ls.flags_read_first) != 0) {
+      AbortLanes();
+      return false;
+    }
+  }
+  const size_t words = ls.word_state.size();
+  for (size_t w = NextTouchedWord(ls.word_state, 0); w < words;
+       w = NextTouchedWord(ls.word_state, w + 1)) {
+    const uint8_t state = ls.word_state[w];
+    const uint8_t dependent = (state >> kReadFirstShift) & state;
+    for (size_t i = 0; dependent != 0 && i < 4; ++i) {
+      if ((dependent >> i) & 1) {
+        const size_t off = 4 * w + i;
+        for (size_t j = 0; j + 1 < ls.count; ++j) {
+          if (ls.lane[j].ram[off] != base_ram[off]) {
+            AbortLanes();
+            return false;
+          }
+        }
+      }
+    }
+  }
+  // Commit the last lane's state: its registers and flags, and the SRAM bytes the lanes
+  // wrote (the rest still holds the base, as sequentially).
+  const Lanes::Lane& last = ls.lane[ls.count - 1];
+  const uint32_t ram_base = mem_->ram_base();
+  for (size_t w = NextTouchedWord(ls.word_state, 0); w < words;) {
+    const uint8_t written = ls.word_state[w] & 0xF;
+    if (written != 0xF) {
+      for (uint32_t i = 0; i < 4; ++i) {
+        if ((written >> i) & 1) {
+          const size_t off = 4 * w + i;
+          mem_->HostWrite(ram_base + static_cast<uint32_t>(off),
+                          std::span<const uint8_t>(last.ram + off, 1));
+        }
+      }
+      w = NextTouchedWord(ls.word_state, w + 1);
+      continue;
+    }
+    size_t end = w + 1;
+    while (end < words && (ls.word_state[end] & 0xF) == 0xF) {
+      ++end;
+    }
+    mem_->HostWrite(ram_base + static_cast<uint32_t>(4 * w),
+                    std::span<const uint8_t>(last.ram + 4 * w, 4 * (end - w)));
+    w = NextTouchedWord(ls.word_state, end);
+  }
+  regs_ = last.regs;
+  regs_[kRegPc] = ls.r15;
+  flags_ = last.flags;
+  pc_ = ls.pc;
+  const uint64_t lanes = ls.count;
+  cycles_ += lanes * ls.cycles;
+  instructions_ += lanes * ls.instructions;
+  MemAccessStats delta = ls.data;
+  delta.flash_reads += lanes * ls.fetch_reads;
+  mem_->AddStats(delta);
+  ls.open = false;  // the lane blocks' execs already carry lanes x their retirements
+  return true;
+}
+
+void Cpu::AbortLanes() {
+  Lanes& ls = *lanes_;
+  NEUROC_CHECK(ls.open);
+  FlushBlockHistograms();
+  op_histogram_ = ls.histogram_before;
+  ls.open = false;
+}
+
+std::optional<uint64_t> Cpu::RunLanes(uint32_t entry, uint64_t max_instructions,
+                                      uint64_t cycle_budget) {
+  Lanes& ls = *lanes_;
+  NEUROC_CHECK(ls.open);
+  if (!icache_valid_) {
+    RebuildDecodeCache();
+  }
+  ls.call_start_cycles = ls.cycles;
+  ls.call_budget_end = max_instructions > UINT64_MAX - ls.instructions
+                           ? UINT64_MAX
+                           : ls.instructions + max_instructions;
+  ls.call_cycle_budget = cycle_budget;
+  ls.pc = entry & ~1u;
+  // On this frame rather than in Lanes: the lane executor ran measurably slower with it
+  // beside the lanes' register files.
+  LaneMemory memory{mem_->flash_bytes().data(), mem_->flash_base(), mem_->flash_size(),
+                    mem_->sram_bytes().data(),  mem_->ram_base(),   mem_->ram_size(),
+                    ls.word_state.data(),       MemAccessStats{}};
+  const Block* first = NextLaneBlock();
+  if (first != nullptr ? !ExecuteLanes(first, memory)
+                       : ls.pc != (kStopAddress & ~1u)) {
+    AbortLanes();
+    return std::nullopt;
+  }
+  ls.data.flash_reads += memory.stats.flash_reads;
+  ls.data.sram_reads += memory.stats.sram_reads;
+  ls.data.sram_writes += memory.stats.sram_writes;
+  return ls.cycles - ls.call_start_cycles;
+}
+
+inline const Cpu::Block* Cpu::NextLaneBlock() {
+  Lanes& ls = *lanes_;
+  if (ls.pc == (kStopAddress & ~1u)) {
+    return nullptr;
+  }
+  const size_t slot = static_cast<size_t>(ls.pc - mem_->flash_base()) >> 1;
+  int32_t index = slot < block_index_.size() ? block_index_[slot] : kBlockStepOnly;
+  if (index == kBlockNotCompiled) {
+    index = CompileBlock(slot);
+  }
+  if (index < 0) {
+    return nullptr;
+  }
+  const Block& blk = blocks_[static_cast<size_t>(index)];
+  // Run's limits, counted on one lane: every lane retires the same instructions and
+  // cycles, so a block that could cross either runs nowhere — the batch fails and the
+  // sequential rerun reaches the limit on the step interpreter, as Run does.
+  if (ls.instructions + blk.ops.size() > ls.call_budget_end ||
+      (ls.call_cycle_budget != 0 && ls.cycles - ls.call_start_cycles + blk.static_cycles +
+                                            blk.dyn_bound >
+                                        ls.call_cycle_budget)) {
+    return nullptr;
+  }
+  ls.regs_read_first |= blk.regs_read_first & ~ls.regs_written;
+  ls.regs_written |= blk.regs_written;
+  ls.flags_read_first |= blk.flags_read_first & ~ls.flags_written;
+  ls.flags_written |= blk.flags_written;
+  return &blk;
+}
+
+// Runs the lanes through compiled blocks from `b` on, chained as in Run, until they
+// return. Each op is dispatched once, and its body from thumb_ops.inc then runs once per
+// lane over that lane's registers, flags and SRAM. Addresses are checked as they are
+// formed — each lane's must equal the previous lane's — and branch targets at block
+// exit, so the batch fails at the first block the lanes would leave in different ways.
+// Accounting happens once per block for one lane; the commit multiplies it.
+#define NEUROC_REG(r) lane->regs[r]
+#define NEUROC_FLAGS lane->flags
+#define NEUROC_COND(cond) CondHolds(lane->flags, cond)
+#define NEUROC_MEM LaneAccess(memory, lane->ram)
+#define NEUROC_PC lane->pc
+#define NEUROC_DYN lane->dyn
+#define NEUROC_ADDR(a)           \
+  if (lane == lanes_begin) {       \
+    addr_first = (a);              \
+  } else {                         \
+    addr_diff |= (a) ^ addr_first; \
+  }
+// NEUROC_OP opens a loop over the lanes around the op's body; NEUROC_NEXT continues it
+// with the next lane, or after the last lane dispatches the next op. (Not wrapped in a
+// do-while, whose `continue` would bind to itself; the chain is one statement.)
+#define NEUROC_OP(name) lbl_##name: for (;;)
+#define NEUROC_NEXT                                   \
+  if (++lane != lanes_end) {                          \
+    continue;                                         \
+  } else if (lane = lanes_begin, ++op == op_end) {    \
+    goto lanes_exit;                                  \
+  } else                                              \
+    goto* kDispatch[static_cast<size_t>(op->op)]
+#define NEUROC_TAKEN
+#if defined(__GNUC__) && !defined(__clang__)
+// As for ExecuteBlock: keep each body's dispatch jump its own, for the branch predictor.
+__attribute__((optimize("no-gcse")))
+#endif
+bool Cpu::ExecuteLanes(const Block* b, LaneMemory& memory) {
+  Lanes& ls = *lanes_;
+  Lanes::Lane* const lanes_begin = ls.lane.data();
+  Lanes::Lane* const lanes_end = lanes_begin + ls.count;
+  const uint32_t fetch_ws = static_cast<uint32_t>(model_.flash_wait_states);
+  const uint32_t flash_base = memory.flash_base;
+  const uint32_t flash_size = memory.flash_size;
+  uint32_t addr_first = 0;  // the first lane's address at the current op
+  uint32_t addr_diff = 0;
+  Lanes::Lane* lane = lanes_begin;
+  const BlockOp* op = b->ops.data();
+  const BlockOp* op_end = op + b->ops.size();
+  const auto charge_mem = [&](uint32_t a) {
+    if (fetch_ws != 0 && a - flash_base < flash_size) {
+      lane->dyn += fetch_ws;
+    }
+  };
+  static const void* const kDispatch[] = {
+#define NEUROC_OP_LABEL(name, mnemonic) &&lbl_##name,
+      NEUROC_THUMB_OPS(NEUROC_OP_LABEL)
+#undef NEUROC_OP_LABEL
+  };
+  goto* kDispatch[static_cast<size_t>(op->op)];
+#include "src/sim/thumb_ops.inc"
+lanes_exit:
+  if (addr_diff != 0 || memory.failed) {
+    return false;
+  }
+  {
+    const BlockOp& last = b->ops.back();
+    if (b->terminated) {
+      for (const Lanes::Lane* l = lanes_begin + 1; l != lanes_end; ++l) {
+        if (l->pc != lanes_begin->pc) {
+          return false;
+        }
+      }
+      ls.pc = lanes_begin->pc;
+    } else {
+      ls.pc = last.addr + 2u * last.fetch_reads;
+    }
+    ls.r15 = last.addr + 4;
+  }
+  ls.cycles += b->static_cycles + lanes_begin->dyn;
+  lanes_begin->dyn = 0;
+  ls.instructions += b->ops.size();
+  ls.fetch_reads += b->fetch_reads;
+  b->execs += ls.count;
+  b = NextLaneBlock();
+  if (b == nullptr) {
+    return ls.pc == (kStopAddress & ~1u);
+  }
+  op = b->ops.data();
+  op_end = op + b->ops.size();
+  goto* kDispatch[static_cast<size_t>(op->op)];
+}
+
+#undef NEUROC_REG
+#undef NEUROC_FLAGS
+#undef NEUROC_COND
+#undef NEUROC_MEM
+#undef NEUROC_PC
+#undef NEUROC_DYN
+#undef NEUROC_ADDR
+#undef NEUROC_OP
+#undef NEUROC_NEXT
+#undef NEUROC_TAKEN
 
 }  // namespace neuroc

@@ -12,6 +12,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +24,8 @@
 #include "src/sim/memory.h"
 
 namespace neuroc {
+
+struct LaneMemory;
 
 struct CpuFlags {
   bool n = false;
@@ -52,7 +57,7 @@ struct CpuArchState {
   CpuFlags flags;
   uint64_t cycles = 0;
   uint64_t instructions = 0;
-  std::array<uint64_t, 80> op_histogram{};
+  std::array<uint64_t, kNumOps> op_histogram{};
 };
 
 class Cpu {
@@ -121,7 +126,7 @@ class Cpu {
   // Per-opcode retired-instruction histogram (indexed by Op). Block-compiled execution
   // defers histogram updates (one exec counter per block instead of one add per unique op
   // per block exit); reading through this accessor folds the deferred counts in first.
-  const std::array<uint64_t, 80>& op_histogram() const {
+  const std::array<uint64_t, kNumOps>& op_histogram() const {
     FlushBlockHistograms();
     return op_histogram_;
   }
@@ -188,6 +193,45 @@ class Cpu {
   // resets the per-block counters; the accumulated map persists until ResetBlockProfile.
   const std::map<uint32_t, ProfiledPc>& CollectBlockProfile() const;
   void ResetBlockProfile();
+
+  // Lockstep lanes: one batch of up to kMaxLanes inferences of the same code, run
+  // together through the compiled blocks. Each lane has its own registers, flags and
+  // SRAM over the shared flash and starts from the CPU's current state; each op is
+  // dispatched once and its body applied to every lane. The batch commits exactly the
+  // state running the lanes one after another would leave, or fails and leaves the CPU
+  // and memory as they were (docs/SIMULATOR.md, "Lockstep lanes"). Machine::
+  // TryRunLockstep drives these steps; calls outside an open batch are host bugs.
+  static constexpr size_t kMaxLanes = 8;
+  // Opens a batch of `lanes` (1..kMaxLanes). Declines, opening nothing, unless block
+  // dispatch is active with no probe, trace, block profile, instruction alarm, heatmap
+  // or stack watch attached.
+  bool BeginLanes(size_t lanes);
+  // Host write of each lane's own bytes at `addr` (its input; one span per lane, all of
+  // one size) before the first call. False, with the batch abandoned, when the bytes are
+  // not all SRAM.
+  bool WriteLanes(uint32_t addr, std::span<const std::span<const uint8_t>> bytes);
+  // Sets register `index` in every lane, as Machine::TryCallFunction sets the argument,
+  // stack and link registers before a call.
+  void SetLaneReg(int index, uint32_t value);
+  // Runs every lane from `entry` until it returns through kStopAddress; returns the
+  // cycles one lane spent, the same in every lane. Fails, abandoning the batch, when
+  // the lanes' branches or memory addresses diverge, a lane would fault, execution
+  // leaves compiled flash, or a block could cross `max_instructions` or `cycle_budget`
+  // (relative to the call's start; 0 = unsupervised) — exactly the cases Run would
+  // need the step interpreter or a fault report for.
+  std::optional<uint64_t> RunLanes(uint32_t entry, uint64_t max_instructions,
+                                   uint64_t cycle_budget);
+  // Host read of one lane's SRAM after its calls (its output). False, with the batch
+  // abandoned, when the bytes are not all SRAM.
+  bool ReadLane(size_t lane, uint32_t addr, std::span<uint8_t> out);
+  // Closes the batch. Commits when no lane read a register, flag or SRAM byte before
+  // writing it whose value the previous lane would have left different (the one state
+  // a lane sees differently from a sequential run), and otherwise abandons it. A commit
+  // leaves the last lane's registers, flags and SRAM, and advances cycles,
+  // instructions, the op histogram and the memory stats by lanes × one lane's delta.
+  bool CommitLanes();
+  // Abandons an open batch: the CPU and memory read exactly as before BeginLanes.
+  void AbortLanes();
 
   const CycleModel& cycle_model() const { return model_; }
   MemoryMap& memory() { return *mem_; }
@@ -257,6 +301,13 @@ class Cpu {
     uint64_t fetch_reads = 0;
     std::vector<std::pair<uint8_t, uint32_t>> histogram;  // (Op, retire count)
     bool terminated = false;  // ends in a control-flow op (else falls through)
+    // The registers (bit r for r0..r14) and APSR flags (CompileBlock's flag bits) one
+    // execution reads before writing them, and those it certainly writes: lockstep lanes
+    // check from these that no inference reads state the previous one left.
+    uint16_t regs_read_first = 0;
+    uint16_t regs_written = 0;
+    uint8_t flags_read_first = 0;
+    uint8_t flags_written = 0;
     // Completed executions whose per-op histogram has not been folded into op_histogram_
     // yet; FlushBlockHistograms() applies histogram * execs and zeroes it. Mutable so the
     // flush can run from the const op_histogram() accessor.
@@ -289,6 +340,16 @@ class Cpu {
     return block_enabled_ && icache_enabled_ && probe_ == nullptr && trace_.empty();
   }
   int32_t CompileBlock(size_t entry_slot);
+  // Lane state of an open lockstep batch (defined in cpu.cc); allocated on first use and
+  // kept, lane SRAM buffers included, for the next batch.
+  struct Lanes;
+  // The next block for the open batch's lanes (RunLanes); nullptr when they have
+  // returned, and when they cannot go on in lockstep.
+  const Block* NextLaneBlock();
+  // Runs every lane of the open batch from block `b` until the lanes return, their data
+  // accesses going through `memory`; false when they diverged, one would have faulted,
+  // or they left compiled code or a limit.
+  bool ExecuteLanes(const Block* b, LaneMemory& memory);
   // Runs one compiled block: the op bodies Step runs, token-threaded, with the block's
   // static cycles, instructions, histogram and fetches accounted once at exit (or patched
   // to the faulting instruction's step-interpreter state on a mid-block fault).
@@ -322,10 +383,12 @@ class Cpu {
   };
   static AddResult AddWithCarry(uint32_t x, uint32_t y, bool carry_in);
 
-  void SetNZ(uint32_t value) {
-    flags_.n = (value >> 31) & 1;
-    flags_.z = value == 0;
+  static void SetNZ(CpuFlags& flags, uint32_t value) {
+    flags.n = (value >> 31) & 1;
+    flags.z = value == 0;
   }
+  // Whether `cond` holds on `flags`; EvalCond asks it of the CPU's own flags.
+  static bool CondHolds(const CpuFlags& flags, Cond cond);
   bool EvalCond(Cond cond) const;
 
   MemoryMap* mem_;
@@ -335,7 +398,7 @@ class Cpu {
   CpuFlags flags_;
   uint64_t cycles_ = 0;
   uint64_t instructions_ = 0;
-  mutable std::array<uint64_t, 80> op_histogram_{};
+  mutable std::array<uint64_t, kNumOps> op_histogram_{};
   std::vector<TraceEntry> trace_;  // ring buffer; empty when tracing is disabled
   size_t trace_pos_ = 0;
   uint64_t trace_count_ = 0;
@@ -361,6 +424,7 @@ class Cpu {
   // Mutable so CollectBlockProfile / FlushBlockProfiles can run through const paths
   // (mirroring the op_histogram flush).
   mutable std::map<uint32_t, ProfiledPc> block_profile_;
+  std::unique_ptr<Lanes> lanes_;
 };
 
 }  // namespace neuroc

@@ -55,6 +55,46 @@ StatusOr<uint64_t> Machine::TryCallFunction(uint32_t addr,
   return cpu_.cycles() - start_cycles;
 }
 
+std::optional<LockstepResult> Machine::TryRunLockstep(const LockstepBatch& batch) {
+  const size_t lanes = batch.inputs.size();
+  if (lanes == 0 || lanes > Cpu::kMaxLanes || !cpu_.BeginLanes(lanes) ||
+      !cpu_.WriteLanes(batch.input_addr, batch.inputs)) {
+    return std::nullopt;
+  }
+  LockstepResult result;
+  uint64_t used = 0;
+  for (const LockstepCall& call : batch.calls) {
+    // A budget spent on a call boundary is a deadline fault the sequential run reports.
+    if (batch.cycle_budget != 0 && used >= batch.cycle_budget) {
+      cpu_.AbortLanes();
+      return std::nullopt;
+    }
+    // The register setup of TryCallFunction(call.entry, {call.arg}).
+    cpu_.SetLaneReg(0, call.arg);
+    cpu_.SetLaneReg(kRegSp, (config_.ram_base + config_.ram_size) & ~7u);
+    cpu_.SetLaneReg(kRegLr, Cpu::kStopAddress | 1u);
+    const std::optional<uint64_t> cycles =
+        cpu_.RunLanes(call.entry, config_.max_instructions,
+                      batch.cycle_budget == 0 ? 0 : batch.cycle_budget - used);
+    if (!cycles) {
+      return std::nullopt;
+    }
+    result.call_cycles.push_back(*cycles);
+    used += *cycles;
+  }
+  result.outputs.assign(lanes, std::vector<uint8_t>(batch.output_size));
+  for (size_t lane = 0; lane < lanes; ++lane) {
+    if (!cpu_.ReadLane(lane, batch.output_addr, result.outputs[lane])) {
+      return std::nullopt;
+    }
+  }
+  if (!cpu_.CommitLanes()) {
+    return std::nullopt;
+  }
+  last_fault_ = FaultReport{};
+  return result;
+}
+
 MachineSnapshot Machine::Snapshot() const {
   MachineSnapshot s;
   s.cpu = cpu_.SaveState();

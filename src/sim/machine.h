@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/sim/cpu.h"
@@ -36,6 +38,33 @@ struct MachineSnapshot {
   CpuArchState cpu;
   MemoryState memory;
   FaultReport last_fault;
+};
+
+// One function call of a lockstep inference: `entry` called with r0 = `arg`, as
+// TryCallFunction(entry, {arg}) calls it.
+struct LockstepCall {
+  uint32_t entry = 0;
+  uint32_t arg = 0;
+};
+
+// A batch of inferences for Machine::TryRunLockstep. Each loads its input at
+// `input_addr` (a host write into SRAM; one span per inference, all of one size), then
+// makes `calls` in order. `cycle_budget` supervises each inference as a whole (0 =
+// unsupervised): every call gets what the earlier ones left of it, the way
+// DeployedModel::TryPredict budgets its layers. The `output_size` bytes at
+// `output_addr` are read back from every inference.
+struct LockstepBatch {
+  uint32_t input_addr = 0;
+  std::span<const std::span<const uint8_t>> inputs;
+  std::span<const LockstepCall> calls;
+  uint64_t cycle_budget = 0;
+  uint32_t output_addr = 0;
+  uint32_t output_size = 0;
+};
+
+struct LockstepResult {
+  std::vector<uint64_t> call_cycles;          // per call, the same for every inference
+  std::vector<std::vector<uint8_t>> outputs;  // per inference
 };
 
 // How much of a snapshot Restore rewinds. kFull also rewinds flash, rewriting only the
@@ -72,6 +101,14 @@ class Machine {
   // approached changes no observable quantity — identical cycles, counters, heatmaps.
   StatusOr<uint64_t> TryCallFunction(uint32_t addr, std::initializer_list<uint32_t> args,
                                      uint64_t cycle_budget);
+
+  // Runs a batch of up to Cpu::kMaxLanes inferences in lockstep (Cpu lockstep lanes).
+  // When the lanes stay in lockstep, returns the call cycles and outputs, and leaves the
+  // machine exactly as loading and calling for each input in turn would, with
+  // last_fault() cleared. Otherwise returns nullopt with the machine untouched, and the
+  // caller runs the inputs one by one: a batch never commits a state a sequential run
+  // would not reach, so results are bit-identical either way.
+  std::optional<LockstepResult> TryRunLockstep(const LockstepBatch& batch);
 
   // Captures the full architectural state (CPU + memory + last fault). Snapshots are
   // plain values: fork as many machines from one warmed-up state as needed (search

@@ -199,6 +199,14 @@ class MemoryMap {
 
   const MemAccessStats& stats() const { return stats_; }
   void ResetStats() { stats_ = MemAccessStats{}; }
+  // Counts accesses made off the accessors: a lockstep batch's, at its commit.
+  void AddStats(const MemAccessStats& delta) {
+    stats_.flash_reads += delta.flash_reads;
+    stats_.sram_reads += delta.sram_reads;
+    stats_.sram_writes += delta.sram_writes;
+  }
+  // Raw SRAM contents, the image lockstep lanes start from (uncounted, like HostRead).
+  std::span<const uint8_t> sram_bytes() const { return ram_; }
 
   // Heatmap recording (opt-in; the plain counters above always run). Enabling clears any
   // previous histogram. `bucket_bytes` must be a power of two.
