@@ -25,10 +25,6 @@ const char* ErrorCodeName(ErrorCode code) {
 
 std::string FaultReport::Describe() const {
   std::string out;
-  if (!trace_tail.empty()) {
-    out += "simulator: recent instructions:\n";
-    out += trace_tail;
-  }
   // "at" names the most useful address for the fault class: the faulting data address
   // for memory faults, the instruction address otherwise.
   const bool data_fault = code == ErrorCode::kUnmappedAccess ||

@@ -57,9 +57,8 @@ struct FaultReport {
   uint16_t instruction = 0; // faulting halfword encoding (undefined instruction), else 0
   uint64_t cycles = 0;
   uint64_t instructions = 0;
-  std::string trace_tail;   // disassembled ring-buffer tail when tracing was enabled
 
-  // Multi-line diagnostic: the trace tail (if any) followed by the one-line cause.
+  // One-line diagnostic: the cause, where, and the counters at the stop.
   std::string Describe() const;
 };
 

@@ -21,7 +21,6 @@ std::string SnapshotDifference(const MachineSnapshot& a, const MachineSnapshot& 
     return "flags";
   }
   if (x.cycles != y.cycles || x.instructions != y.instructions) return "counters";
-  if (x.op_histogram != y.op_histogram) return "op histogram";
   if (a.memory.ram != b.memory.ram) return "sram";
   if (a.memory.flash != b.memory.flash) return "flash";
   const MemAccessStats& s = a.memory.stats;

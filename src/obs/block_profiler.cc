@@ -4,7 +4,6 @@ namespace neuroc {
 
 PcProfile BlockProfiler::Collect() const {
   PcProfile out;
-  out.source = kProfileSourceBlockCounters;
   for (const auto& [addr, stat] : cpu_.CollectBlockProfile()) {
     out.Add(addr, stat.op, stat.count, stat.cycles);
   }

@@ -1,5 +1,5 @@
 // Dependency-free streaming JSON writer shared by every structured output in the repo:
-// profiler reports, Chrome trace exports, per-epoch metrics JSONL, and the bench harness
+// profiler reports, Chrome trace exports, metrics run records, and the bench harness
 // (bench_util.h). Replaces the hand-rolled fprintf JSON that benches used to carry.
 //
 // Usage:

@@ -31,29 +31,35 @@ void MetricsRegistry::Histogram::Reset() {
 
 template <typename T>
 T& MetricsRegistry::GetOrRegister(std::string_view name, std::vector<Named>& names,
-                                  std::deque<T>& store, const char* kind) {
+                                  std::deque<T>& store) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const Named& n : names) {
     if (n.name == name) {
       return store[n.index];
     }
   }
-  (void)kind;
+  // Registration only (a lookup of an existing metric returned above): one name must
+  // not name two kinds.
+  for (const std::vector<Named>* kind : {&counter_names_, &gauge_names_, &histogram_names_}) {
+    for (const Named& n : *kind) {
+      NEUROC_CHECK_MSG(n.name != name, "metric name registered as two kinds");
+    }
+  }
   names.push_back(Named{std::string(name), store.size()});
   store.emplace_back();
   return store.back();
 }
 
 MetricsRegistry::Counter& MetricsRegistry::GetCounter(std::string_view name) {
-  return GetOrRegister(name, counter_names_, counters_, "counter");
+  return GetOrRegister(name, counter_names_, counters_);
 }
 
 MetricsRegistry::Gauge& MetricsRegistry::GetGauge(std::string_view name) {
-  return GetOrRegister(name, gauge_names_, gauges_, "gauge");
+  return GetOrRegister(name, gauge_names_, gauges_);
 }
 
 MetricsRegistry::Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
-  return GetOrRegister(name, histogram_names_, histograms_, "histogram");
+  return GetOrRegister(name, histogram_names_, histograms_);
 }
 
 void MetricsRegistry::WriteJson(JsonWriter& w) const {

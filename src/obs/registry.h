@@ -108,8 +108,7 @@ class MetricsRegistry {
     size_t index;  // into the kind's deque
   };
   template <typename T>
-  T& GetOrRegister(std::string_view name, std::vector<Named>& names, std::deque<T>& store,
-                   const char* kind);
+  T& GetOrRegister(std::string_view name, std::vector<Named>& names, std::deque<T>& store);
 
   mutable std::mutex mutex_;
   std::vector<Named> counter_names_;

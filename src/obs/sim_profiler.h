@@ -54,8 +54,6 @@ struct PcProfile {
   std::array<uint64_t, kNumOps> op_cycles{};
   uint64_t total_instructions = 0;
   uint64_t total_cycles = 0;
-  // Provenance: which collection backend produced this profile (recorded in profile JSON).
-  std::string source;
 
   void Add(uint32_t addr, Op op, uint64_t count, uint64_t cycles) {
     PcStat& stat = pc_stats[addr];
@@ -76,15 +74,9 @@ struct PcProfile {
   }
 };
 
-// Provenance tags for PcProfile::source.
-inline constexpr const char kProfileSourceStepProbe[] = "step_probe";
-inline constexpr const char kProfileSourceBlockCounters[] = "block_counters";
-
 class SimProfiler : public CpuProbe {
  public:
   using PcStat = PcProfile::PcStat;
-
-  SimProfiler() { profile_.source = kProfileSourceStepProbe; }
 
   void OnRetire(uint32_t addr, Op op, uint32_t cycles) override;
   void Reset();

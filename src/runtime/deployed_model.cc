@@ -136,8 +136,7 @@ StatusOr<DeployedModel> DeployedModel::TryDeployWithFallback(const NeuroCModel& 
           std::to_string(config.flash_size) + " B flash; falling back");
   // Candidates in descending expected speed: the guard exists because the caller asked for
   // the fastest scheme, so "best fitting" is the fastest one that still fits.
-  for (const EncodingKind kind : {EncodingKind::kDelta, EncodingKind::kMixed,
-                                  EncodingKind::kCsc, EncodingKind::kBlock}) {
+  for (const EncodingKind kind : kFallbackEncodings) {
     const NeuroCModel candidate = ReencodeModel(model, kind);
     const size_t bytes = EstimateProgramBytes(candidate);
     if (bytes <= config.flash_size) {

@@ -8,6 +8,7 @@
 #ifndef NEUROC_SRC_RUNTIME_DEPLOYED_MODEL_H_
 #define NEUROC_SRC_RUNTIME_DEPLOYED_MODEL_H_
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -45,6 +46,11 @@ struct DeployFallbackReport {
   Status overflow = Status::Ok();  // kResourceExhausted naming the overflow when fell_back
 };
 
+// The encodings a flash-budget fallback or a recovery redeploy tries, in descending
+// expected speed.
+inline constexpr std::array<EncodingKind, 4> kFallbackEncodings = {
+    EncodingKind::kDelta, EncodingKind::kMixed, EncodingKind::kCsc, EncodingKind::kBlock};
+
 class DeployedModel {
  public:
   // Computes the program-memory footprint without requiring the model to fit the device
@@ -62,10 +68,9 @@ class DeployedModel {
 
   // Flash-budget guard: deploys `model` if it fits the platform flash; otherwise reports
   // the overflow as a structured kResourceExhausted Status (in `report->overflow`) and
-  // falls back to the best fitting encoding — candidates tried in descending expected
-  // speed order (delta, mixed, csc, block), first fit wins. Fails only when no encoding
-  // fits. Primarily guards kUnrolled, whose flash cost grows with every nonzero compiled
-  // into the kernel text.
+  // falls back to the best fitting encoding — candidates tried in kFallbackEncodings
+  // order, first fit wins. Fails only when no encoding fits. Primarily guards kUnrolled,
+  // whose flash cost grows with every nonzero compiled into the kernel text.
   static StatusOr<DeployedModel> TryDeployWithFallback(const NeuroCModel& model,
                                                        const MachineConfig& config = {},
                                                        DeployFallbackReport* report =

@@ -60,8 +60,7 @@ OpCategory Categorize(Op op) {
 
 // Rebases the aggregate profile on the attribution's per-opcode data: counts and cycles
 // per category both derive from the same exact per-opcode attribution, so category
-// cycles sum to the total cycle count exactly — regardless of which backend (step probe
-// or block counters) gathered it.
+// cycles sum to the total cycle count exactly.
 ExecutionProfile SummarizeAttribution(const PcProfile& prof, const MemAccessStats& mem) {
   ExecutionProfile p;
   p.instructions = prof.total_instructions;
@@ -105,73 +104,17 @@ ExecutionProfile SummarizeAttribution(const PcProfile& prof, const MemAccessStat
   return p;
 }
 
-std::array<uint64_t, kEnergyClassCount> CyclesByEnergyClass(const ExecutionProfile& p) {
-  std::array<uint64_t, kEnergyClassCount> cycles{};
-  cycles[static_cast<size_t>(EnergyClass::kAlu)] = p.alu_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kMul)] = p.multiply_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kLoad)] = p.load_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kStore)] = p.store_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kBranch)] = p.branch_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kStack)] = p.stack_cycles;
-  return cycles;
-}
-
-// Applies the decode/execution mode, runs one zero-input inference under the matching
-// attribution backend, and restores the CPU's previous mode. kLegacy/kCached attach the
-// step-interpreter probe (which transparently drops Run to Step); kBlock stays on
-// block-compiled dispatch and uses the block-granular counters.
-PcProfile RunAttributedInference(DeployedModel& model, ProfileMode mode) {
+// Runs one zero-input inference under the block profiler, from zeroed CPU counters.
+PcProfile RunAttributedInference(DeployedModel& model) {
   Cpu& cpu = model.machine().cpu();
-  const bool prev_icache = cpu.decode_cache_enabled();
-  const bool prev_block = cpu.block_compile_enabled();
-  cpu.EnableDecodeCache(mode != ProfileMode::kLegacy);
-  cpu.EnableBlockCompile(mode == ProfileMode::kBlock);
   cpu.ResetCounters();
-
-  PcProfile out;
-  const std::vector<int8_t> zeros(model.input_dim(), 0);
-  if (mode == ProfileMode::kBlock) {
-    BlockProfiler profiler(cpu);
-    model.Predict(zeros);
-    out = profiler.Collect();
-  } else {
-    SimProfiler profiler;
-    ScopedCpuProbe attach(cpu, &profiler);
-    model.Predict(zeros);
-    out = profiler.profile();
-  }
-  cpu.EnableDecodeCache(prev_icache);
-  cpu.EnableBlockCompile(prev_block);
+  BlockProfiler profiler(cpu);
+  model.Predict(std::vector<int8_t>(model.input_dim(), 0));
   MetricsRegistry::Global().GetCounter("profile.runs").Add(1);
-  return out;
+  return profiler.Collect();
 }
 
 }  // namespace
-
-const char* ProfileModeName(ProfileMode mode) {
-  switch (mode) {
-    case ProfileMode::kLegacy:
-      return "legacy";
-    case ProfileMode::kCached:
-      return "cached";
-    case ProfileMode::kBlock:
-      return "block";
-  }
-  return "block";
-}
-
-bool ParseProfileMode(std::string_view name, ProfileMode* out) {
-  if (name == "legacy") {
-    *out = ProfileMode::kLegacy;
-  } else if (name == "cached") {
-    *out = ProfileMode::kCached;
-  } else if (name == "block") {
-    *out = ProfileMode::kBlock;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 uint32_t StackHeadroomWarnBytes() {
   static const uint32_t value = [] {
@@ -192,30 +135,37 @@ uint32_t StackHeadroomWarnBytes() {
   return value;
 }
 
-ExecutionProfile ProfileInference(DeployedModel& model, ProfileMode mode) {
-  const PcProfile attribution = RunAttributedInference(model, mode);
+ExecutionProfile ProfileInference(DeployedModel& model) {
+  const PcProfile attribution = RunAttributedInference(model);
   return SummarizeAttribution(attribution, model.machine().memory().stats());
 }
 
+EnergyEstimate EstimateEnergy(const EnergyModel& model, const ExecutionProfile& p) {
+  std::array<uint64_t, kEnergyClassCount> cycles{};
+  cycles[static_cast<size_t>(EnergyClass::kAlu)] = p.alu_cycles;
+  cycles[static_cast<size_t>(EnergyClass::kMul)] = p.multiply_cycles;
+  cycles[static_cast<size_t>(EnergyClass::kLoad)] = p.load_cycles;
+  cycles[static_cast<size_t>(EnergyClass::kStore)] = p.store_cycles;
+  cycles[static_cast<size_t>(EnergyClass::kBranch)] = p.branch_cycles;
+  cycles[static_cast<size_t>(EnergyClass::kStack)] = p.stack_cycles;
+  return EstimateEnergy(model, cycles, p.flash_reads, p.sram_reads, p.sram_writes);
+}
+
 InferenceProfile ProfileInferenceDetailed(DeployedModel& model,
-                                          uint32_t heatmap_bucket_bytes,
-                                          ProfileMode mode) {
+                                          uint32_t heatmap_bucket_bytes) {
   Machine& machine = model.machine();
   machine.memory().EnableHeatmap(heatmap_bucket_bytes);
   machine.memory().EnableStackWatch(model.activation_top_addr());
 
   InferenceProfile out;
-  out.mode = mode;
-  out.attribution = RunAttributedInference(model, mode);
+  out.attribution = RunAttributedInference(model);
   out.summary = SummarizeAttribution(out.attribution, machine.memory().stats());
   out.hotspots =
       BuildHotspotReport(out.attribution, SymbolTable(model.kernel_program().symbols));
   out.layer_cycles = model.report().layer_cycles;
   out.heatmap = machine.memory().heatmap();
   out.energy_model = EnergyModel::CortexM0Proxy();
-  out.energy = EstimateEnergy(out.energy_model, CyclesByEnergyClass(out.summary),
-                              out.summary.flash_reads, out.summary.sram_reads,
-                              out.summary.sram_writes);
+  out.energy = EstimateEnergy(out.energy_model, out.summary);
 
   const uint32_t ram_top =
       machine.config().ram_base + machine.config().ram_size;
@@ -275,9 +225,6 @@ std::string FormatInferenceProfile(const InferenceProfile& profile,
                                    bool annotated_disassembly) {
   std::string out = FormatProfile(profile.summary);
   char buf[192];
-  std::snprintf(buf, sizeof(buf), "decode mode: %s  attribution: %s\n",
-                ProfileModeName(profile.mode), profile.attribution.source.c_str());
-  out += buf;
   const double clock_hz = model.machine().config().clock_hz;
   std::snprintf(buf, sizeof(buf),
                 "energy proxy: %.3f µJ/inference (core %.3f µJ, flash %.3f µJ, sram "
@@ -317,10 +264,7 @@ void WriteInferenceProfileJson(JsonWriter& w, const InferenceProfile& profile,
                                const DeployedModel& model) {
   const ExecutionProfile& p = profile.summary;
   w.BeginObject();
-  w.Key("schema").Value("neuroc.profile.v2");
-  // Provenance: which decode/execution path ran and which backend attributed it.
-  w.Key("mode").Value(ProfileModeName(profile.mode));
-  w.Key("profiler").Value(profile.attribution.source);
+  w.Key("schema").Value("neuroc.profile.v3");
   w.Key("summary").BeginObject();
   w.Key("instructions").Value(p.instructions);
   w.Key("cycles").Value(p.cycles);

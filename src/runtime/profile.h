@@ -1,7 +1,7 @@
-// Execution profiling of deployed models on the simulated MCU. Since the obs PR this is
-// built on the cycle-exact flat profiler (src/obs/sim_profiler.h): instruction mix and
-// per-category cycle attribution come from per-PC/per-opcode data gathered by the CPU
-// probe, and the detailed profile adds per-symbol hotspots, per-layer cycles, memory
+// Execution profiling of deployed models on the simulated MCU, built on the cycle-exact
+// block profiler (src/obs/block_profiler.h): instruction mix and per-category cycle
+// attribution come from per-PC/per-opcode data gathered on the block-compiled path, and
+// the detailed profile adds per-symbol hotspots, per-layer cycles, memory
 // heatmaps and the SRAM stack high-water mark. This is the quantitative backing for the
 // paper's Sec. 4.1 discussion — on a cache-less in-order core, the memory-access pattern
 // and control path *are* the performance model.
@@ -10,7 +10,6 @@
 #define NEUROC_SRC_RUNTIME_PROFILE_H_
 
 #include <string>
-#include <string_view>
 
 #include "src/obs/energy.h"
 #include "src/obs/json_writer.h"
@@ -18,17 +17,6 @@
 #include "src/runtime/deployed_model.h"
 
 namespace neuroc {
-
-// Which decode/execution path the profiled inference runs on. kLegacy and kCached
-// profile through the step-interpreter probe (attaching a CpuProbe forces the step
-// path anyway); kBlock stays on block-compiled execution and gathers the same exact
-// attribution through the block-granular counters (src/obs/block_profiler.h) — the
-// fast-path default.
-enum class ProfileMode { kLegacy, kCached, kBlock };
-
-const char* ProfileModeName(ProfileMode mode);
-// Accepts "legacy" | "cached" | "block".
-bool ParseProfileMode(std::string_view name, ProfileMode* out);
 
 // Stack headroom below which ProfileInferenceDetailed warns (a stack growing into the
 // activation buffers corrupts inference silently). Configurable via the
@@ -68,8 +56,7 @@ struct ExecutionProfile {
 // Full attribution package for one inference.
 struct InferenceProfile {
   ExecutionProfile summary;
-  ProfileMode mode = ProfileMode::kBlock;  // decode/execution path profiled
-  PcProfile attribution;            // raw per-PC/per-opcode attribution (+ provenance)
+  PcProfile attribution;            // raw per-PC/per-opcode attribution
   HotspotReport hotspots;           // per-symbol/per-loop-label cycle attribution
   std::vector<uint64_t> layer_cycles;
   MemHeatmap heatmap;               // per-region access histograms
@@ -80,16 +67,18 @@ struct InferenceProfile {
 };
 
 // Runs one inference on `model` (zero input) and returns the profile of exactly that run.
-ExecutionProfile ProfileInference(DeployedModel& model,
-                                  ProfileMode mode = ProfileMode::kBlock);
+ExecutionProfile ProfileInference(DeployedModel& model);
+
+// The energy proxy of a profiled run: its category cycles in EnergyClass order plus its
+// counted memory accesses, weighted by `model`.
+EnergyEstimate EstimateEnergy(const EnergyModel& model, const ExecutionProfile& profile);
 
 // As above, plus symbol-resolved hotspots, memory heatmap (`heatmap_bucket_bytes`-sized
 // buckets), stack tracking, and the energy-proxy estimate. Warns via NEUROC_LOG_WARN
 // when the measured stack high water comes within StackHeadroomWarnBytes() of the
 // activation buffers.
 InferenceProfile ProfileInferenceDetailed(DeployedModel& model,
-                                          uint32_t heatmap_bucket_bytes = 64,
-                                          ProfileMode mode = ProfileMode::kBlock);
+                                          uint32_t heatmap_bucket_bytes = 64);
 
 // Multi-line human-readable report.
 std::string FormatProfile(const ExecutionProfile& profile);

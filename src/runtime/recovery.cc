@@ -28,17 +28,9 @@ StatusOr<GuardedModel> GuardedModel::Create(NeuroCModel model,
   gm.config_ = config;
   gm.policy_ = policy;
   gm.primary_encoding_ = gm.model_.layers().front().encoding->kind();
-  gm.active_encoding_ = gm.primary_encoding_;
-  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(gm.model_, config);
-  if (!dm.ok()) {
-    return dm.status();
-  }
-  gm.dm_ = std::make_unique<DeployedModel>(std::move(*dm));
-  if (policy.watchdog_headroom > 0.0) {
-    Status armed = gm.dm_->ArmWatchdog(policy.watchdog_headroom);
-    if (!armed.ok()) {
-      return armed;
-    }
+  Status deployed = gm.Deploy(gm.model_, gm.primary_encoding_);
+  if (!deployed.ok()) {
+    return deployed;
   }
   return gm;
 }
@@ -49,25 +41,11 @@ Status GuardedModel::ResetToPrimary() {
   }
   // Rebuild exactly what Create built, so post-reset behaviour is indistinguishable from
   // a fresh GuardedModel — the determinism contract campaign trials rely on.
-  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(model_, config_);
-  if (!dm.ok()) {
-    return dm.status();
-  }
-  auto fresh = std::make_unique<DeployedModel>(std::move(*dm));
-  if (policy_.watchdog_headroom > 0.0) {
-    Status armed = fresh->ArmWatchdog(policy_.watchdog_headroom);
-    if (!armed.ok()) {
-      return armed;
-    }
-  }
-  dm_ = std::move(fresh);
-  active_encoding_ = primary_encoding_;
-  return Status::Ok();
+  return Deploy(model_, primary_encoding_);
 }
 
-Status GuardedModel::Redeploy(EncodingKind kind) {
-  const NeuroCModel candidate = ReencodeModel(model_, kind);
-  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(candidate, config_);
+Status GuardedModel::Deploy(const NeuroCModel& model, EncodingKind kind) {
+  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(model, config_);
   if (!dm.ok()) {
     return dm.status();
   }
@@ -178,14 +156,12 @@ GuardedResult GuardedModel::Predict(std::span<const int8_t> input) {
     }
   }
   if (policy_.redeploy) {
-    // Fallback order mirrors TryDeployWithFallback: descending expected speed, skipping
-    // whatever is currently deployed.
-    for (const EncodingKind kind : {EncodingKind::kDelta, EncodingKind::kMixed,
-                                    EncodingKind::kCsc, EncodingKind::kBlock}) {
+    // TryDeployWithFallback's order, skipping whatever is currently deployed.
+    for (const EncodingKind kind : kFallbackEncodings) {
       if (kind == active_encoding_) {
         continue;
       }
-      if (!Redeploy(kind).ok()) {
+      if (!Deploy(ReencodeModel(model_, kind), kind).ok()) {
         continue;
       }
       reg.GetCounter("recovery.redeploy").Add(1);

@@ -20,9 +20,9 @@
 //          and SRAM-resident faults.
 //       2. kScrubRetry   — attribute flash damage via the per-section CRCs, restore the
 //          full pristine snapshot (flash included) and retry. Fixes flash corruption.
-//       3. kRedeploy     — re-encode the model with the next encoding from the fallback
-//          order (delta, mixed, csc, block — skipping the active one), deploy fresh and
-//          retry. The last resort when a scrubbed machine still faults.
+//       3. kRedeploy     — re-encode the model with the next encoding of
+//          kFallbackEncodings (delta, mixed, csc, block — skipping the active one),
+//          deploy fresh and retry. The last resort when a scrubbed machine still faults.
 //       4. kPermanentFailure — structured give-up; the result carries the first fault.
 //
 // Every rung taken is counted in the MetricsRegistry (recovery.*). All decisions are
@@ -122,7 +122,9 @@ class GuardedModel {
   // is the simulated cycles the attempt consumed (both runs in dual mode — restores
   // rewind the machine's cycle counter, so callers cannot reconstruct this themselves).
   StatusOr<int> RunOnce(std::span<const int8_t> input, bool* mismatch, uint64_t* elapsed);
-  Status Redeploy(EncodingKind kind);
+  // Deploys `model` (model_ or a re-encoding of it), arms the watchdog per the policy and
+  // swaps the deployment in as encoding `kind`. On failure the current deployment stays.
+  Status Deploy(const NeuroCModel& model, EncodingKind kind);
 
   NeuroCModel model_;      // host copy, re-encoded on the kRedeploy rung
   MachineConfig config_;

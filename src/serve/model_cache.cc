@@ -52,12 +52,8 @@ StatusOr<ModelCache::Entry*> ModelCache::Acquire(const std::string& name) {
   // One profiled inference pins the per-request energy proxy. Cycles (and with them the
   // opcode mix) are input-independent by construction, so this zero-input estimate holds
   // for every request served by the model.
-  const ExecutionProfile prof = ProfileInference(guarded->deployed());
-  const EnergyEstimate energy = EstimateEnergy(
-      EnergyModel::CortexM0Proxy(),
-      {prof.alu_cycles, prof.multiply_cycles, prof.load_cycles, prof.store_cycles,
-       prof.branch_cycles, prof.stack_cycles},
-      prof.flash_reads, prof.sram_reads, prof.sram_writes);
+  const EnergyEstimate energy =
+      EstimateEnergy(EnergyModel::CortexM0Proxy(), ProfileInference(guarded->deployed()));
 
   lock.lock();
   // A concurrent Acquire may have loaded the same name while we were unlocked; prefer

@@ -8,7 +8,6 @@
 
 #include "src/common/check.h"
 #include "src/isa/decoder.h"
-#include "src/isa/disassembler.h"
 #include "src/sim/guest_fault.h"
 
 namespace neuroc {
@@ -82,7 +81,6 @@ struct Cpu::Lanes {
   uint64_t instructions = 0;
   uint64_t fetch_reads = 0;
   MemAccessStats data;
-  std::array<uint64_t, kNumOps> histogram_before{};  // restored when the batch fails
 };
 
 Cpu::Cpu(MemoryMap* memory, CycleModel model) : mem_(memory), model_(model) {
@@ -94,7 +92,6 @@ Cpu::~Cpu() { mem_->UnregisterFlashWriteListener(&icache_valid_); }
 void Cpu::EnableDecodeCache(bool enabled) {
   icache_enabled_ = enabled;
   if (!enabled) {
-    FlushBlockHistograms();
     FlushBlockProfiles();
     icache_ = std::vector<Predecoded>();  // release memory, not just clear
     blocks_ = std::vector<Block>();
@@ -107,7 +104,6 @@ void Cpu::EnableDecodeCache(bool enabled) {
 void Cpu::EnableBlockCompile(bool enabled) {
   block_enabled_ = enabled;
   if (!enabled) {
-    FlushBlockHistograms();
     FlushBlockProfiles();
     blocks_ = std::vector<Block>();
     block_index_ = std::vector<int32_t>();
@@ -177,7 +173,7 @@ void Cpu::RebuildDecodeCache() {
       hw2 = static_cast<uint16_t>(flash[2 * s + 2] | (flash[2 * s + 3] << 8));
       flash_reads = 2;
     }
-    icache_[s] = Predecoded{DecodeInstr(hw1, hw2), hw1, hw2, flash_reads};
+    icache_[s] = Predecoded{DecodeInstr(hw1, hw2), hw1, flash_reads};
     // Overlapping blocks are retired, so only a kBlockStepOnly verdict on the old decode
     // can remain here.
     if (s < block_index_.size()) {
@@ -193,7 +189,6 @@ void Cpu::RetireBlocks(size_t lo, size_t hi) {
     if (blk.ops.empty() || blk.entry_slot >= hi || blk.end_slot <= lo) {
       continue;
     }
-    FoldBlockHistogram(blk);
     if (block_profile_enabled_) {
       FoldBlockProfile(blk);
     }
@@ -532,9 +527,9 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
     b.flags_read_first |= reads & ~b.flags_written;
     b.flags_written |= writes & fe.must_write;
   }
-  // Batched accounting: the static cycle total, total counted fetches and the per-Op
-  // retire histogram. The profiled execute path indexes prof_mem_hits unconditionally,
-  // so it is sized here once instead of checked on every block entry.
+  // Batched accounting: the static cycle total and total counted fetches. The profiled
+  // execute path indexes prof_mem_hits unconditionally, so it is sized here once instead
+  // of checked on every block entry.
   b.static_cycles = static_cycles;
   b.prof_mem_hits.assign(b.ops.size(), 0);
   // Worst-case dynamic cycles one execution can add: every possible-fault op charged as a
@@ -543,7 +538,6 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
   // dearer outcome of a kBcond terminator. Run uses static_cycles + dyn_bound to prove a
   // block cannot cross the watchdog cycle limit.
   const uint32_t fw = static_cast<uint32_t>(model_.flash_wait_states);
-  std::array<uint32_t, kNumOps> histo{};
   for (const BlockOp& o : b.ops) {
     b.fetch_reads += o.fetch_reads;
     if (o.is_mem) {
@@ -552,12 +546,6 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
     if (o.op == Op::kBcond) {
       b.dyn_bound += static_cast<uint32_t>(
           std::max(model_.branch_taken, model_.branch_not_taken));
-    }
-    ++histo[static_cast<size_t>(o.op)];
-  }
-  for (size_t op = 0; op < histo.size(); ++op) {
-    if (histo[op] != 0) {
-      b.histogram.emplace_back(static_cast<uint8_t>(op), histo[op]);
     }
   }
   const BlockOp& last = b.ops.back();
@@ -577,56 +565,21 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
 }
 
 CpuArchState Cpu::SaveState() const {
-  // Fold deferred block-exit accounting so the captured histogram reads exactly as the
-  // step interpreter would have left it.
-  FlushBlockHistograms();
-  CpuArchState s;
-  s.regs = regs_;
-  s.pc = pc_;
-  s.flags = flags_;
-  s.cycles = cycles_;
-  s.instructions = instructions_;
-  s.op_histogram = op_histogram_;
-  return s;
+  return CpuArchState{regs_, pc_, flags_, cycles_, instructions_};
 }
 
 void Cpu::RestoreState(const CpuArchState& state) {
-  // Flush first so block exec counters accrued since the capture fold into the *current*
-  // histogram and then get overwritten — never into the restored one.
-  FlushBlockHistograms();
   regs_ = state.regs;
   pc_ = state.pc;
   flags_ = state.flags;
   cycles_ = state.cycles;
   instructions_ = state.instructions;
-  op_histogram_ = state.op_histogram;
 }
 
 void Cpu::ResetCounters() {
   cycles_ = 0;
   instructions_ = 0;
-  // Deferred block histograms describe retires that predate the reset: fold them in (so
-  // the exec counters read zero) and then wipe everything, exactly as the interpreter's
-  // per-step accounting would have been wiped.
-  FlushBlockHistograms();
-  op_histogram_.fill(0);
   mem_->ResetStats();
-}
-
-void Cpu::FoldBlockHistogram(const Block& blk) const {
-  if (blk.execs == 0) {
-    return;
-  }
-  for (const auto& [hist_op, count] : blk.histogram) {
-    op_histogram_[hist_op] += count * blk.execs;
-  }
-  blk.execs = 0;
-}
-
-void Cpu::FlushBlockHistograms() const {
-  for (const Block& blk : blocks_) {
-    FoldBlockHistogram(blk);
-  }
 }
 
 // Exact expansion of the per-block counters: each op's static cycle cost (fetch wait
@@ -682,33 +635,6 @@ void Cpu::FlushBlockProfiles() const {
   for (const Block& blk : blocks_) {
     FoldBlockProfile(blk);
   }
-}
-
-void Cpu::EnableTrace(size_t depth) {
-  trace_.assign(depth, TraceEntry{});
-  trace_pos_ = 0;
-  trace_count_ = 0;
-}
-
-std::string Cpu::DumpTrace() const {
-  std::string out;
-  if (trace_.empty()) {
-    return out;
-  }
-  const size_t n = trace_count_ < trace_.size() ? static_cast<size_t>(trace_count_)
-                                                : trace_.size();
-  // Oldest first: the ring position points at the next overwrite slot.
-  size_t start = trace_count_ < trace_.size() ? 0 : trace_pos_;
-  for (size_t i = 0; i < n; ++i) {
-    const TraceEntry& e = trace_[(start + i) % trace_.size()];
-    const Instr in = DecodeInstr(e.hw1, e.hw2);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "  %08x: %04x  ", e.addr, e.hw1);
-    out += buf;
-    out += Disassemble(in, e.addr);
-    out += "\n";
-  }
-  return out;
 }
 
 Cpu::AddResult Cpu::AddWithCarry(uint32_t x, uint32_t y, bool carry_in) {
@@ -781,8 +707,8 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
         RebuildDecodeCache();
       }
       // Chained block dispatch: block mode's activation conditions and the cache validity
-      // cannot change inside this loop (probes/traces attach between calls, an alarm
-      // callback runs on the step path, and the guest cannot write flash — it faults), so
+      // cannot change inside this loop (probes attach between calls, an alarm callback
+      // runs on the step path, and the guest cannot write flash — it faults), so
       // blocks execute back to back until the pc leaves compiled coverage, an entry can't
       // start a block, or a block could cross the instruction limit or the watchdog cycle
       // limit. That block then runs on the step interpreter, which keeps the
@@ -844,10 +770,10 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
   }
 }
 
-// Executes one compiled block with a single dispatch: no per-step counter updates, trace
-// or probe checks (block mode is inactive when those are attached), and no per-step
-// decode-cache lookups. Cycle, instruction, histogram and fetch accounting are applied
-// once at block exit; a GuestFault mid-block patches them to the exact interpreter state
+// Executes one compiled block with a single dispatch: no per-step counter updates or
+// probe checks (block mode is inactive when a probe is attached), and no per-step
+// decode-cache lookups. Cycle, instruction and fetch accounting are applied once at
+// block exit; a GuestFault mid-block patches them to the exact interpreter state
 // for the faulting instruction before rethrowing. The ops run the bodies of
 // thumb_ops.inc, each ending in its own indirect jump through the label table (token
 // threading), which gives the host branch predictor one dispatch site per preceding op
@@ -929,9 +855,7 @@ void Cpu::ExecuteBlock(const Block& b) {
     cycles_ += f.cycles_before + fetch_ws + dyn;
     instructions_ += i + 1;
     for (size_t k = 0; k <= i; ++k) {
-      const BlockOp& o = b.ops[k];
-      ++op_histogram_[static_cast<size_t>(o.op)];
-      mem_->CountFlashFetches(o.addr, o.fetch_reads);
+      mem_->CountFlashFetches(b.ops[k].addr, b.ops[k].fetch_reads);
     }
     if constexpr (kProfiled) {
       // The aborted run never reaches prof_execs, so fold its per-PC attribution as
@@ -959,13 +883,12 @@ void Cpu::ExecuteBlock(const Block& b) {
 block_exit:
   cycles_ += b.static_cycles + dyn;
   instructions_ += n;
-  ++b.execs;  // histogram applied lazily: FlushBlockHistograms folds histogram * execs
   if constexpr (kProfiled) {
     ++b.prof_execs;
   }
   if (mem_->observing()) {
     // Heatmap/stack-watch attached: replay per-halfword fetch observations in order so
-    // the histograms match the interpreter exactly.
+    // the heatmaps match the interpreter exactly.
     for (const BlockOp& o : b.ops) {
       mem_->CountFlashFetches(o.addr, o.fetch_reads);
     }
@@ -1009,7 +932,6 @@ void Cpu::Step() {
   try {
     const bool fetch_from_flash = mem_->InFlash(addr);
     uint16_t hw1 = 0;
-    uint16_t hw2 = 0;
     Instr in;
     size_t slot = 0;
     bool cached = false;
@@ -1023,7 +945,6 @@ void Cpu::Step() {
     if (cached) {
       const Predecoded& pd = icache_[slot];
       hw1 = pd.hw1;
-      hw2 = pd.hw2;
       in = pd.instr;
       // Fetch accounting identical to the interpreter path: one counted flash read per
       // halfword fetched (the per-slot count already encodes the wide/mapped rule).
@@ -1032,16 +953,12 @@ void Cpu::Step() {
       hw1 = mem_->Read16(addr);
       // Peek the second halfword only for 32-bit encodings (BL prefix). A wide prefix on
       // the last mapped halfword is an undefined instruction (hw2 reads as 0), not a
-      // memory fault mid-fetch — the trace dump below must still show it.
+      // memory fault mid-fetch.
       const bool wide = (hw1 & 0xF800) == 0xF000;
-      hw2 = (wide && mem_->RegionOf(addr + 2) != MemRegion::kNone) ? mem_->Read16(addr + 2)
-                                                                   : 0;
+      const uint16_t hw2 = (wide && mem_->RegionOf(addr + 2) != MemRegion::kNone)
+                               ? mem_->Read16(addr + 2)
+                               : 0;
       in = DecodeInstr(hw1, hw2);
-    }
-    if (!trace_.empty()) {
-      trace_[trace_pos_] = {addr, hw1, hw2};
-      trace_pos_ = (trace_pos_ + 1) % trace_.size();
-      ++trace_count_;
     }
     if (in.op == Op::kInvalid || in.op == Op::kUdf) {
       char msg[48];
@@ -1050,7 +967,6 @@ void Cpu::Step() {
                        /*instruction=*/hw1};
     }
     ++instructions_;
-    ++op_histogram_[static_cast<size_t>(in.op)];
     const uint32_t fetch_ws = static_cast<uint32_t>(model_.flash_wait_states);
     if (fetch_from_flash) {
       cycles_ += fetch_ws;
@@ -1244,10 +1160,6 @@ bool Cpu::BeginLanes(size_t lanes) {
   ls.instructions = 0;
   ls.fetch_reads = 0;
   ls.data = MemAccessStats{};
-  // Lane blocks add to the deferred histogram as any block does; fold what is pending so
-  // a failed batch can put back exactly the pre-batch histogram.
-  FlushBlockHistograms();
-  ls.histogram_before = op_histogram_;
   ls.open = true;
   return true;
 }
@@ -1372,15 +1284,13 @@ bool Cpu::CommitLanes() {
   MemAccessStats delta = ls.data;
   delta.flash_reads += lanes * ls.fetch_reads;
   mem_->AddStats(delta);
-  ls.open = false;  // the lane blocks' execs already carry lanes x their retirements
+  ls.open = false;
   return true;
 }
 
 void Cpu::AbortLanes() {
   Lanes& ls = *lanes_;
   NEUROC_CHECK(ls.open);
-  FlushBlockHistograms();
-  op_histogram_ = ls.histogram_before;
   ls.open = false;
 }
 
@@ -1524,7 +1434,6 @@ lanes_exit:
   lanes_begin->dyn = 0;
   ls.instructions += b->ops.size();
   ls.fetch_reads += b->fetch_reads;
-  b->execs += ls.count;
   b = NextLaneBlock();
   if (b == nullptr) {
     return ls.pc == (kStopAddress & ~1u);

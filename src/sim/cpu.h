@@ -15,8 +15,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/isa/isa.h"
@@ -46,10 +44,8 @@ class CpuProbe {
   virtual void OnRetire(uint32_t addr, Op op, uint32_t cycles) = 0;
 };
 
-// Snapshot of the CPU's architectural state (see Cpu::SaveState). Deferred block-exit
-// accounting is folded in before capture, so `op_histogram` and the counters always read
-// as the step interpreter would have left them. Derived state (decode cache, compiled
-// blocks, trace ring, probe and alarm attachments) is deliberately absent — caches
+// Snapshot of the CPU's architectural state (see Cpu::SaveState). Derived state (decode
+// cache, compiled blocks, probe and alarm attachments) is deliberately absent — caches
 // rebuild deterministically and observers are host-side attachments, not machine state.
 struct CpuArchState {
   std::array<uint32_t, 16> regs{};
@@ -57,7 +53,6 @@ struct CpuArchState {
   CpuFlags flags;
   uint64_t cycles = 0;
   uint64_t instructions = 0;
-  std::array<uint64_t, kNumOps> op_histogram{};
 };
 
 class Cpu {
@@ -113,30 +108,13 @@ class Cpu {
   void ClearInstructionAlarm() { alarm_ = nullptr; }
   bool instruction_alarm_armed() const { return static_cast<bool>(alarm_); }
 
-  // Architectural state capture/restore, the substrate for Machine::Snapshot. Save folds
-  // the deferred block-exit histograms first (so the capture matches the interpreter);
-  // Restore folds any counters accrued since, then overwrites — pending block accounting
-  // can never leak into the restored histogram.
+  // Architectural state capture/restore, the substrate for Machine::Snapshot.
   CpuArchState SaveState() const;
   void RestoreState(const CpuArchState& state);
 
   uint64_t cycles() const { return cycles_; }
   uint64_t instructions() const { return instructions_; }
   void ResetCounters();
-  // Per-opcode retired-instruction histogram (indexed by Op). Block-compiled execution
-  // defers histogram updates (one exec counter per block instead of one add per unique op
-  // per block exit); reading through this accessor folds the deferred counts in first.
-  const std::array<uint64_t, kNumOps>& op_histogram() const {
-    FlushBlockHistograms();
-    return op_histogram_;
-  }
-
-  // Execution tracing: keeps the last `depth` retired instructions in a ring buffer
-  // (addresses + raw halfwords; disassembled lazily on dump). The trace is printed
-  // automatically when execution hits an undefined instruction. depth == 0 disables.
-  void EnableTrace(size_t depth);
-  // Most-recent-last disassembled listing of the buffered instructions.
-  std::string DumpTrace() const;
 
   // Attaches (or with nullptr detaches) the per-instruction probe. The probe must outlive
   // the attachment.
@@ -146,8 +124,8 @@ class Cpu {
   // Predecoded-instruction cache: each halfword-aligned flash slot is decoded once, and
   // re-decoded only when a host write or restore changes its bytes (or the second
   // halfword of its BL pair), so the fetch path becomes a table lookup.
-  // Cycle/instruction counters, memory-access stats, heatmaps, traces and probe callbacks
-  // are bit-identical with the cache on or off; the toggle exists so benchmarks can
+  // Cycle/instruction counters, memory-access stats, heatmaps and probe callbacks are
+  // bit-identical with the cache on or off; the toggle exists so benchmarks can
   // measure the legacy decode-every-step path. Disabling the decode cache also disables
   // block-compiled execution (compiled blocks are built from the predecoded slots).
   void EnableDecodeCache(bool enabled);
@@ -155,16 +133,16 @@ class Cpu {
 
   // Block-compiled execution: straight-line Thumb basic blocks (runs of predecoded flash
   // instructions ending at a branch/call/PC-writing instruction) are fused into compact
-  // op-chains executed with one dispatch per block, with cycle/instruction/histogram/fetch
+  // op-chains executed with one dispatch per block, with cycle/instruction/fetch
   // accounting batched at block exit and dead APSR flag writes elided (an op's flags are
   // only materialized when a later consumer — conditional branch, ADC/SBC — or a possible
   // guest-fault site can observe them). Execution falls back to the step interpreter at
-  // block boundaries, for SRAM or uncovered flash, when a CpuProbe or trace ring is
-  // attached, and for blocks that could cross the instruction budget, an instruction
-  // alarm or the watchdog deadline, so every observable quantity (counters, stats,
-  // heatmaps, probe streams, traces, fault reports) stays bit-identical to the
-  // interpreter. A flash change retires only the blocks whose slots it overlaps. On by
-  // default; benchmarks toggle it off to measure the predecode-cache-only path.
+  // block boundaries, for SRAM or uncovered flash, when a CpuProbe is attached, and for
+  // blocks that could cross the instruction budget, an instruction alarm or the watchdog
+  // deadline, so every observable quantity (counters, stats, heatmaps, probe streams,
+  // fault reports) stays bit-identical to the interpreter. A flash change retires only
+  // the blocks whose slots it overlaps. On by default; benchmarks toggle it off to
+  // measure the predecode-cache-only path.
   void EnableBlockCompile(bool enabled);
   bool block_compile_enabled() const { return block_enabled_; }
   // Entries in the compiled-block table, live or awaiting reuse. Flash changes retire
@@ -203,8 +181,8 @@ class Cpu {
   // TryRunLockstep drives these steps; calls outside an open batch are host bugs.
   static constexpr size_t kMaxLanes = 8;
   // Opens a batch of `lanes` (1..kMaxLanes). Declines, opening nothing, unless block
-  // dispatch is active with no probe, trace, block profile, instruction alarm, heatmap
-  // or stack watch attached.
+  // dispatch is active with no probe, block profile, instruction alarm, heatmap or stack
+  // watch attached.
   bool BeginLanes(size_t lanes);
   // Host write of each lane's own bytes at `addr` (its input; one span per lane, all of
   // one size) before the first call. False, with the batch abandoned, when the bytes are
@@ -227,8 +205,8 @@ class Cpu {
   // Closes the batch. Commits when no lane read a register, flag or SRAM byte before
   // writing it whose value the previous lane would have left different (the one state
   // a lane sees differently from a sequential run), and otherwise abandons it. A commit
-  // leaves the last lane's registers, flags and SRAM, and advances cycles,
-  // instructions, the op histogram and the memory stats by lanes × one lane's delta.
+  // leaves the last lane's registers, flags and SRAM, and advances cycles, instructions
+  // and the memory stats by lanes × one lane's delta.
   bool CommitLanes();
   // Abandons an open batch: the CPU and memory read exactly as before BeginLanes.
   void AbortLanes();
@@ -237,20 +215,13 @@ class Cpu {
   MemoryMap& memory() { return *mem_; }
 
  private:
-  struct TraceEntry {
-    uint32_t addr = 0;
-    uint16_t hw1 = 0;
-    uint16_t hw2 = 0;
-  };
-
-  // One decoded flash slot, keyed by (addr - flash_base) >> 1. The raw halfwords ride
-  // along so trace entries and fault reports match the interpreter byte for byte;
+  // One decoded flash slot, keyed by (addr - flash_base) >> 1. The first halfword rides
+  // along so undefined-instruction fault reports match the interpreter byte for byte;
   // flash_reads is the number of counted halfword fetches (2 for a wide encoding whose
   // second halfword is mapped, else 1), precomputed so the fetch path is branch-free.
   struct Predecoded {
     Instr instr;
     uint16_t hw1 = 0;
-    uint16_t hw2 = 0;
     uint8_t flash_reads = 1;
   };
   // Brings the decode cache up to date with flash: re-decodes the slots host writes and
@@ -299,7 +270,6 @@ class Cpu {
     // deadline fires at exactly the same instruction as the legacy path.
     uint32_t dyn_bound = 0;
     uint64_t fetch_reads = 0;
-    std::vector<std::pair<uint8_t, uint32_t>> histogram;  // (Op, retire count)
     bool terminated = false;  // ends in a control-flow op (else falls through)
     // The registers (bit r for r0..r14) and APSR flags (CompileBlock's flag bits) one
     // execution reads before writing them, and those it certainly writes: lockstep lanes
@@ -308,15 +278,12 @@ class Cpu {
     uint16_t regs_written = 0;
     uint8_t flags_read_first = 0;
     uint8_t flags_written = 0;
-    // Completed executions whose per-op histogram has not been folded into op_histogram_
-    // yet; FlushBlockHistograms() applies histogram * execs and zeroes it. Mutable so the
-    // flush can run from the const op_histogram() accessor.
-    mutable uint64_t execs = 0;
     // Block-profile counters, maintained only by ExecuteBlock<true>: completed profiled
     // executions, taken outcomes of a kBcond terminator, and per-op counts of data
     // accesses that hit flash (the per-access wait-state charge). Everything else a
     // profile needs is reconstructed from the static cycles_before prefix sums.
-    // FlushBlockProfiles() expands and zeroes these; mutable for the same reason as execs.
+    // FlushBlockProfiles() expands and zeroes these; mutable so the flush can run from the
+    // const CollectBlockProfile().
     mutable uint64_t prof_execs = 0;
     mutable uint64_t prof_bcond_taken = 0;
     // One flash-wait hit counter per op, sized at compile time (CompileBlock). The
@@ -328,7 +295,7 @@ class Cpu {
   };
   static constexpr int32_t kBlockNotCompiled = -1;
   // The entry slot cannot start a block (invalid/UDF decode): always use the interpreter,
-  // which raises the fault with the exact message/trace the seed produced.
+  // which raises the fault with the exact message the seed produced.
   static constexpr int32_t kBlockStepOnly = -2;
 
   // The Instr -> BlockOp lowering CompileBlock and Step share: copies the operands and
@@ -337,7 +304,7 @@ class Cpu {
   static BlockOp Lower(const Instr& in, uint32_t addr);
 
   bool BlockModeActive() const {
-    return block_enabled_ && icache_enabled_ && probe_ == nullptr && trace_.empty();
+    return block_enabled_ && icache_enabled_ && probe_ == nullptr;
   }
   int32_t CompileBlock(size_t entry_slot);
   // Lane state of an open lockstep batch (defined in cpu.cc); allocated on first use and
@@ -351,26 +318,20 @@ class Cpu {
   // or they left compiled code or a limit.
   bool ExecuteLanes(const Block* b, LaneMemory& memory);
   // Runs one compiled block: the op bodies Step runs, token-threaded, with the block's
-  // static cycles, instructions, histogram and fetches accounted once at exit (or patched
+  // static cycles, instructions and fetches accounted once at exit (or patched
   // to the faulting instruction's step-interpreter state on a mid-block fault).
   template <bool kProfiled>
   void ExecuteBlock(const Block& b);
   // Retires every block whose [entry_slot, end_slot) overlaps slots [lo, hi): folds its
-  // deferred counters first, unmaps its entry and frees its index for the next compile,
+  // profile counters first, unmaps its entry and frees its index for the next compile,
   // so blocks_ stays bounded by the live code however many invalidations a run sees.
   void RetireBlocks(size_t lo, size_t hi);
-  // Folds one block's deferred (histogram * execs) contribution into op_histogram_ and
-  // zeroes its exec counter.
-  void FoldBlockHistogram(const Block& blk) const;
   // Expands one block's profile counters into block_profile_ per-PC entries and zeroes
   // them.
   void FoldBlockProfile(const Block& blk) const;
-  // FoldBlockHistogram over every block. Must run before blocks_ is cleared or the
-  // counts are lost.
-  void FlushBlockHistograms() const;
   // FoldBlockProfile over every block while block profiling is on. Off, every counter is
-  // already zero (disabling folds them), so the flush is skipped. Like
-  // FlushBlockHistograms, must run before blocks_ is cleared.
+  // already zero (disabling folds them), so the flush is skipped. Must run before blocks_
+  // is cleared or the counts are lost.
   void FlushBlockProfiles() const;
   // Run's retired-instruction limit: `budget_end`, or the instruction before an armed
   // alarm when that comes first.
@@ -398,10 +359,6 @@ class Cpu {
   CpuFlags flags_;
   uint64_t cycles_ = 0;
   uint64_t instructions_ = 0;
-  mutable std::array<uint64_t, kNumOps> op_histogram_{};
-  std::vector<TraceEntry> trace_;  // ring buffer; empty when tracing is disabled
-  size_t trace_pos_ = 0;
-  uint64_t trace_count_ = 0;
   CpuProbe* probe_ = nullptr;
   std::vector<Predecoded> icache_;  // covers flash up to the load high-water mark
   bool icache_enabled_ = true;
@@ -421,8 +378,7 @@ class Cpu {
   bool block_profile_enabled_ = false;
   // Accumulated per-PC profile: expanded block counters, mid-block fault residue, and
   // interpreter-fallback step residue. Address-ordered so reads are deterministic.
-  // Mutable so CollectBlockProfile / FlushBlockProfiles can run through const paths
-  // (mirroring the op_histogram flush).
+  // Mutable so CollectBlockProfile / FlushBlockProfiles can run through const paths.
   mutable std::map<uint32_t, ProfiledPc> block_profile_;
   std::unique_ptr<Lanes> lanes_;
 };

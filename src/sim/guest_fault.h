@@ -4,7 +4,7 @@
 // GuestFault when the *simulated* program does something illegal (unmapped access,
 // unaligned access, store into flash, undefined instruction, instruction-budget overrun).
 // Machine::TryCallFunction is the single catch site: it enriches the fault with the CPU
-// context (pc, counters, trace tail) and converts it into a Status/FaultReport, so no
+// context (pc, counters) and converts it into a Status/FaultReport, so no
 // exception ever crosses the library boundary. The clean execution path pays nothing —
 // table-based unwinding costs only on throw.
 //

@@ -47,7 +47,6 @@ StatusOr<uint64_t> Machine::TryCallFunction(uint32_t addr,
     report.instruction = gf.instruction;
     report.cycles = cpu_.cycles();
     report.instructions = cpu_.instructions();
-    report.trace_tail = cpu_.DumpTrace();
     last_fault_ = report;
     return Status::FromFault(std::move(report));
   }

@@ -29,11 +29,10 @@ struct MachineConfig {
 
 // Full architectural snapshot of a machine: CPU registers/flags/counters plus memory
 // contents and observation state. What is NOT captured (all host-side attachments or
-// deterministically rebuilt derived state): probe/trace attachment and ring contents, an
-// armed instruction alarm, the decode cache, compiled blocks, and block-profile windows.
-// Restoring is therefore
-// bit-identical for every architecturally observable quantity — cycles, instructions,
-// registers, memory, stats, heatmaps — across all decode modes.
+// deterministically rebuilt derived state): a probe attachment, an armed instruction
+// alarm, the decode cache, compiled blocks, and block-profile windows. Restoring is
+// therefore bit-identical for every architecturally observable quantity — cycles,
+// instructions, registers, memory, stats, heatmaps — across all decode modes.
 struct MachineSnapshot {
   CpuArchState cpu;
   MemoryState memory;
@@ -89,9 +88,9 @@ class Machine {
   // is set to the top of SRAM; the function returns through the stop sentinel in LR.
   // Returns the cycle count consumed by the call, or — when the *guest* faults (undefined
   // instruction, unmapped/unaligned access, store to flash, instruction-budget overrun) —
-  // a Status carrying a FaultReport with the faulting PC, address, cycle counters and the
-  // trace-ring tail (when tracing is enabled). This is the single exception→Status
-  // conversion boundary: no GuestFault propagates past it.
+  // a Status carrying a FaultReport with the faulting PC, address and cycle counters.
+  // This is the single exception→Status conversion boundary: no GuestFault propagates
+  // past it.
   StatusOr<uint64_t> TryCallFunction(uint32_t addr, std::initializer_list<uint32_t> args);
 
   // Watchdog-supervised variant: additionally stops the guest with a structured

@@ -7,7 +7,6 @@
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
-#include "src/obs/metrics.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/train/loss.h"
@@ -103,6 +102,7 @@ TrainResult Train(Network& net, const Dataset& train, const Dataset& test,
   Tensor batch_x, grad;
   std::vector<int> batch_y;
   float lr = cfg.learning_rate;
+  MetricsRegistry& reg = MetricsRegistry::Global();
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
     const auto epoch_start = std::chrono::steady_clock::now();
     rng.Shuffle(order);
@@ -146,18 +146,13 @@ TrainResult Train(Network& net, const Dataset& train, const Dataset& test,
                       cfg.epochs, stats.train_loss, stats.train_accuracy,
                       stats.test_accuracy);
     }
-    if (cfg.metrics != nullptr) {
-      cfg.metrics->Log({
-          {"epoch", epoch + 1},
-          {"train_loss", static_cast<double>(stats.train_loss)},
-          {"train_accuracy", static_cast<double>(stats.train_accuracy)},
-          {"test_accuracy", static_cast<double>(stats.test_accuracy)},
-          {"examples_per_sec", stats.examples_per_sec},
-          {"epoch_ms", stats.epoch_seconds * 1000.0},
-          {"ternary_density", static_cast<double>(stats.ternary_density)},
-          {"learning_rate", static_cast<double>(lr)},
-      });
-    }
+    reg.GetHistogram("train.epoch_ms").Observe(stats.epoch_seconds * 1000.0);
+    reg.GetHistogram("train.examples_per_sec").Observe(stats.examples_per_sec);
+    reg.GetGauge("train.train_loss").Set(stats.train_loss);
+    reg.GetGauge("train.train_accuracy").Set(stats.train_accuracy);
+    reg.GetGauge("train.test_accuracy").Set(stats.test_accuracy);
+    reg.GetGauge("train.ternary_density").Set(stats.ternary_density);
+    reg.GetGauge("train.learning_rate").Set(lr);
     TraceRecorder::Global().Counter("train_loss", static_cast<double>(stats.train_loss));
     TraceRecorder::Global().Counter("test_accuracy",
                                     static_cast<double>(stats.test_accuracy));
@@ -166,7 +161,6 @@ TrainResult Train(Network& net, const Dataset& train, const Dataset& test,
   }
   result.final_test_accuracy =
       result.history.empty() ? 0.0f : result.history.back().test_accuracy;
-  MetricsRegistry& reg = MetricsRegistry::Global();
   reg.GetCounter("train.epochs").Add(result.history.size());
   reg.GetCounter("train.runs").Add(1);
   reg.GetGauge("train.final_test_accuracy").Set(result.final_test_accuracy);

@@ -549,12 +549,6 @@ TEST(LockstepFallback, ProbeAttached) {
       }));
 }
 
-TEST(LockstepFallback, TraceAttached) {
-  EXPECT_FALSE(BatchMatchesSequential(
-      kObserved, Inputs({1, 2, 3}), [](Machine& m) { m.cpu().EnableTrace(8); },
-      [](Machine& a, Machine& b) { EXPECT_EQ(a.cpu().DumpTrace(), b.cpu().DumpTrace()); }));
-}
-
 TEST(LockstepFallback, HeatmapAttached) {
   EXPECT_FALSE(BatchMatchesSequential(kObserved, Inputs({1, 2, 3}),
                                       [](Machine& m) { m.memory().EnableHeatmap(64); }));

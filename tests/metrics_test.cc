@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/adjacency_stats.h"
-#include "src/isa/assembler.h"
-#include "src/sim/machine.h"
 #include "src/train/metrics.h"
 
 namespace neuroc {
@@ -120,71 +118,6 @@ TEST(AdjacencyStatsTest, StatsMatchRandomMatrixProperties) {
   EXPECT_NEAR(s.density, m.Density(), 1e-12);
   const std::string text = FormatAdjacencyStats(s);
   EXPECT_NE(text.find("fan-in"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Execution trace.
-// ---------------------------------------------------------------------------
-
-TEST(TraceTest, DumpListsRetiredInstructionsInOrder) {
-  Machine m;
-  m.cpu().EnableTrace(8);
-  const AssembledProgram p = Assemble(R"(
-    movs r0, #1
-    adds r0, r0, #2
-    movs r1, #3
-    bx lr
-  )", 0x08000000);
-  m.LoadBytes(0x08000000, p.bytes);
-  m.CallFunction(0x08000000, {});
-  const std::string trace = m.cpu().DumpTrace();
-  const size_t movs_pos = trace.find("movs r0, #1");
-  const size_t adds_pos = trace.find("adds r0, r0, #2");
-  const size_t bx_pos = trace.find("bx lr");
-  EXPECT_NE(movs_pos, std::string::npos) << trace;
-  EXPECT_NE(adds_pos, std::string::npos) << trace;
-  EXPECT_NE(bx_pos, std::string::npos) << trace;
-  EXPECT_LT(movs_pos, adds_pos);
-  EXPECT_LT(adds_pos, bx_pos);
-}
-
-TEST(TraceTest, RingBufferKeepsOnlyLastN) {
-  Machine m;
-  m.cpu().EnableTrace(4);
-  const AssembledProgram p = Assemble(R"(
-    movs r0, #0
-    movs r1, #10
-loop:
-    adds r0, r0, #1
-    cmp r0, r1
-    blt loop
-    bx lr
-  )", 0x08000000);
-  m.LoadBytes(0x08000000, p.bytes);
-  m.CallFunction(0x08000000, {});
-  const std::string trace = m.cpu().DumpTrace();
-  // Only the last 4 instructions: the loop tail and bx — the prologue movs #0 is long gone.
-  EXPECT_EQ(trace.find("movs r0, #0"), std::string::npos) << trace;
-  EXPECT_NE(trace.find("bx lr"), std::string::npos);
-  // Exactly 4 lines.
-  EXPECT_EQ(std::count(trace.begin(), trace.end(), '\n'), 4);
-}
-
-TEST(TraceTest, DisabledTraceIsEmpty) {
-  Machine m;
-  const AssembledProgram p = Assemble("movs r0, #1\nbx lr\n", 0x08000000);
-  m.LoadBytes(0x08000000, p.bytes);
-  m.CallFunction(0x08000000, {});
-  EXPECT_TRUE(m.cpu().DumpTrace().empty());
-}
-
-TEST(TraceTest, FaultDumpIncludesRecentInstructions) {
-  Machine m;
-  m.cpu().EnableTrace(4);
-  const AssembledProgram p = Assemble("movs r0, #7\nudf #0\n", 0x08000000);
-  m.LoadBytes(0x08000000, p.bytes);
-  // The fault dump must include the faulting context (checked via the traced instruction).
-  EXPECT_DEATH(m.CallFunction(0x08000000, {}), "movs r0, #7");
 }
 
 }  // namespace

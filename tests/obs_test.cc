@@ -21,7 +21,6 @@
 #include "src/obs/energy.h"
 #include "src/obs/json_reader.h"
 #include "src/obs/json_writer.h"
-#include "src/obs/metrics.h"
 #include "src/obs/registry.h"
 #include "src/obs/sim_profiler.h"
 #include "tests/test_util.h"
@@ -456,37 +455,6 @@ TEST(TraceTest, DisabledRecorderRecordsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics logger
-// ---------------------------------------------------------------------------
-
-TEST(MetricsLoggerTest, WritesOneWellFormedJsonObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "/neuroc_metrics_test.jsonl";
-  std::remove(path.c_str());
-  {
-    MetricsLogger logger(path);
-    ASSERT_TRUE(logger.ok());
-    logger.Log({{"epoch", 1}, {"loss", 0.75}, {"note", std::string_view("first")}});
-    logger.Log({{"epoch", 2}, {"loss", 0.5}});
-  }
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_TRUE(JsonChecker(line).Valid()) << line;
-    EXPECT_EQ(line.front(), '{');
-  }
-  EXPECT_EQ(lines, 2);
-  std::remove(path.c_str());
-}
-
-TEST(MetricsLoggerTest, EmptyPathIsNoOp) {
-  MetricsLogger logger("");
-  EXPECT_FALSE(logger.ok());
-  logger.Log({{"epoch", 1}});  // must not crash
-}
-
-// ---------------------------------------------------------------------------
 // Block-granular profiler: the fast-path attribution must be bit-identical to the
 // step-interpreter probe (the tentpole invariant of the observability PR).
 // ---------------------------------------------------------------------------
@@ -508,8 +476,7 @@ void ExpectProfilesBitIdentical(const PcProfile& block, const PcProfile& step) {
 }
 
 TEST(BlockProfilerTest, AttributionMatchesStepProbeAcrossEncodings) {
-  for (const EncodingKind encoding : {EncodingKind::kCsc, EncodingKind::kDelta,
-                                      EncodingKind::kMixed, EncodingKind::kBlock}) {
+  for (const EncodingKind encoding : kAllEncodingKinds) {
     SCOPED_TRACE(static_cast<int>(encoding));
     testutil::TestModelSpec spec;
     spec.encoding = encoding;
@@ -538,8 +505,6 @@ TEST(BlockProfilerTest, AttributionMatchesStepProbeAcrossEncodings) {
       block_profile = profiler.Collect();
     }
 
-    EXPECT_EQ(block_profile.source, kProfileSourceBlockCounters);
-    EXPECT_EQ(step_profiler.profile().source, kProfileSourceStepProbe);
     // Expanded counters must account for every simulated cycle of the window...
     EXPECT_EQ(block_profile.total_cycles, cpu.cycles());
     EXPECT_EQ(block_profile.total_instructions, cpu.instructions());
@@ -548,26 +513,24 @@ TEST(BlockProfilerTest, AttributionMatchesStepProbeAcrossEncodings) {
   }
 }
 
-TEST(BlockProfilerTest, ProfileModesAgreeExceptProvenance) {
+TEST(BlockProfilerTest, DetailedProfileMatchesStepProbeOnTwinDeployment) {
   NeuroCModel model = MakeSmallModel(22);
   DeployedModel deployed = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
-  const InferenceProfile legacy = ProfileInferenceDetailed(deployed, 64, ProfileMode::kLegacy);
-  const InferenceProfile cached = ProfileInferenceDetailed(deployed, 64, ProfileMode::kCached);
-  const InferenceProfile block = ProfileInferenceDetailed(deployed, 64, ProfileMode::kBlock);
+  const InferenceProfile profile = ProfileInferenceDetailed(deployed);
 
-  EXPECT_EQ(legacy.mode, ProfileMode::kLegacy);
-  EXPECT_EQ(cached.mode, ProfileMode::kCached);
-  EXPECT_EQ(block.mode, ProfileMode::kBlock);
-  EXPECT_EQ(legacy.attribution.source, kProfileSourceStepProbe);
-  EXPECT_EQ(cached.attribution.source, kProfileSourceStepProbe);
-  EXPECT_EQ(block.attribution.source, kProfileSourceBlockCounters);
-
-  // The decode path changes how fast the host simulates, never what is simulated.
-  EXPECT_EQ(legacy.summary.cycles, block.summary.cycles);
-  EXPECT_EQ(legacy.summary.instructions, block.summary.instructions);
-  ExpectProfilesBitIdentical(block.attribution, legacy.attribution);
-  ExpectProfilesBitIdentical(block.attribution, cached.attribution);
-  EXPECT_DOUBLE_EQ(block.energy.total_pj, legacy.energy.total_pj);
+  // The same zero-input inference on a twin deployment, attributed per retire by the
+  // step-interpreter probe.
+  DeployedModel twin = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
+  Cpu& cpu = twin.machine().cpu();
+  cpu.ResetCounters();
+  SimProfiler step_profiler;
+  {
+    ScopedCpuProbe attach(cpu, &step_profiler);
+    twin.Predict(std::vector<int8_t>(twin.input_dim(), 0));
+  }
+  EXPECT_EQ(profile.summary.cycles, cpu.cycles());
+  EXPECT_EQ(profile.summary.instructions, cpu.instructions());
+  ExpectProfilesBitIdentical(profile.attribution, step_profiler.profile());
 }
 
 TEST(BlockProfilerTest, TotalsStayExactWhenInferenceAbortsMidRun) {
@@ -599,46 +562,39 @@ TEST(BlockProfilerTest, TotalsStayExactWhenInferenceAbortsMidRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Profile modes and the SRAM headroom knob
+// Profile JSON and the SRAM headroom knob
 // ---------------------------------------------------------------------------
 
-TEST(ProfileModeTest, ParseAcceptsExactlyTheDocumentedNames) {
-  ProfileMode mode = ProfileMode::kBlock;
-  EXPECT_TRUE(ParseProfileMode("legacy", &mode));
-  EXPECT_EQ(mode, ProfileMode::kLegacy);
-  EXPECT_TRUE(ParseProfileMode("cached", &mode));
-  EXPECT_EQ(mode, ProfileMode::kCached);
-  EXPECT_TRUE(ParseProfileMode("block", &mode));
-  EXPECT_EQ(mode, ProfileMode::kBlock);
-  EXPECT_FALSE(ParseProfileMode("turbo", &mode));
-  EXPECT_FALSE(ParseProfileMode("", &mode));
-  EXPECT_EQ(mode, ProfileMode::kBlock);  // untouched on failure
-
-  EXPECT_STREQ(ProfileModeName(ProfileMode::kLegacy), "legacy");
-  EXPECT_STREQ(ProfileModeName(ProfileMode::kCached), "cached");
-  EXPECT_STREQ(ProfileModeName(ProfileMode::kBlock), "block");
-}
-
-TEST(ProfileModeTest, StackHeadroomWarnDefaultsTo256Bytes) {
+TEST(ProfileTest, StackHeadroomWarnDefaultsTo256Bytes) {
   // NEUROC_SRAM_HEADROOM is not set in the test environment, so the documented default
   // applies (the parse is cached process-wide, so overriding it here would be racy).
   EXPECT_EQ(StackHeadroomWarnBytes(), 256u);
 }
 
-TEST(ProfileModeTest, ProfileJsonRecordsModeAndProfilerProvenance) {
+TEST(ProfileTest, ProfileJsonIsSchemaV3WithPerPcCyclesSummingToTotal) {
   NeuroCModel model = MakeSmallModel(24);
   DeployedModel deployed = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
-  const InferenceProfile profile =
-      ProfileInferenceDetailed(deployed, 64, ProfileMode::kBlock);
+  const InferenceProfile profile = ProfileInferenceDetailed(deployed);
   JsonWriter w;
   WriteInferenceProfileJson(w, profile, deployed);
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(ParseJson(w.str(), &doc, &error)) << error;
-  ASSERT_NE(doc.Find("mode"), nullptr);
-  EXPECT_EQ(doc.Find("mode")->text, "block");
-  ASSERT_NE(doc.Find("profiler"), nullptr);
-  EXPECT_EQ(doc.Find("profiler")->text, kProfileSourceBlockCounters);
+  ASSERT_NE(doc.Find("schema"), nullptr);
+  EXPECT_EQ(doc.Find("schema")->text, "neuroc.profile.v3");
+  EXPECT_EQ(doc.Find("mode"), nullptr);
+  EXPECT_EQ(doc.Find("profiler"), nullptr);
+  const JsonValue* pcs = doc.Find("pc_stats");
+  ASSERT_NE(pcs, nullptr);
+  ASSERT_FALSE(pcs->elements.empty());
+  double pc_cycles = 0.0;
+  for (const JsonValue& pc : pcs->elements) {
+    pc_cycles += pc.Find("cycles")->AsDouble();
+  }
+  ASSERT_NE(doc.FindPath("summary.cycles"), nullptr);
+  EXPECT_EQ(pc_cycles, doc.FindPath("summary.cycles")->AsDouble());
+  EXPECT_EQ(doc.FindPath("summary.cycles")->AsDouble(),
+            static_cast<double>(profile.summary.cycles));
   ASSERT_NE(doc.FindPath("energy.total_pj"), nullptr);
   ASSERT_NE(doc.FindPath("stack.headroom_warn_bytes"), nullptr);
   EXPECT_EQ(doc.FindPath("stack.headroom_warn_bytes")->AsDouble(), 256.0);
@@ -749,6 +705,15 @@ TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsRegistration) {
   EXPECT_NE(w.str().find("\"h\""), std::string::npos);
 }
 
+TEST(MetricsRegistryDeathTest, OneNameRegisteredAsTwoKindsIsChecked) {
+  MetricsRegistry reg;
+  reg.GetCounter("shared.name");
+  EXPECT_DEATH(reg.GetGauge("shared.name"), "two kinds");
+  EXPECT_DEATH(reg.GetHistogram("shared.name"), "two kinds");
+  reg.GetGauge("other.name");
+  EXPECT_DEATH(reg.GetCounter("other.name"), "two kinds");
+}
+
 TEST(MetricsRegistryTest, RunRecordsRoundTripThroughJsonReader) {
   const std::string path = ::testing::TempDir() + "/neuroc_registry_test.jsonl";
   std::remove(path.c_str());
@@ -810,7 +775,7 @@ TEST(JsonReaderTest, RoundTripsJsonWriterOutput) {
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(ParseJson(json, &doc, &error)) << error;
-  EXPECT_EQ(doc.Find("schema")->text, "neuroc.profile.v2");
+  EXPECT_EQ(doc.Find("schema")->text, "neuroc.profile.v3");
   ASSERT_NE(doc.FindPath("summary.cycles"), nullptr);
   EXPECT_GT(doc.FindPath("summary.cycles")->AsDouble(), 0.0);
 }

@@ -139,22 +139,6 @@ TEST(FaultInjectionTest, ExecutingDataAsCodeIsDetected) {
   EXPECT_EQ(cycles.status().fault()->pc, kFlash);
 }
 
-TEST(FaultInjectionTest, FaultReportCarriesTraceTailWhenTracingEnabled) {
-  // With the trace ring on, the report's tail names the instructions leading up to the
-  // fault — the raw material for post-mortem debugging.
-  Machine m;
-  m.cpu().EnableTrace(16);
-  const AssembledProgram p = Assemble(R"(
-    movs r0, #7
-    udf #0
-  )", kFlash);
-  m.LoadBytes(kFlash, p.bytes);
-  StatusOr<uint64_t> cycles = m.TryCallFunction(kFlash, {});
-  ASSERT_FALSE(cycles.ok());
-  ASSERT_NE(cycles.status().fault(), nullptr);
-  EXPECT_NE(cycles.status().fault()->trace_tail.find("movs r0, #7"), std::string::npos);
-}
-
 TEST(HostInvariantDeathTest, TooManyCallArgumentsStillAborts) {
   // Guest faults are recoverable Status values, but host API misuse stays a hard
   // NEUROC_CHECK abort: passing more register arguments than AAPCS r0..r3 allows is a bug

@@ -92,10 +92,8 @@ TEST_P(BlockParityTest, FullInferenceBitIdenticalAcrossAllThreePaths) {
   const Cpu& lc = legacy.machine().cpu();
   EXPECT_EQ(bc.cycles(), lc.cycles());
   EXPECT_EQ(bc.instructions(), lc.instructions());
-  EXPECT_EQ(bc.op_histogram(), lc.op_histogram());
   EXPECT_EQ(cc.cycles(), lc.cycles());
   EXPECT_EQ(cc.instructions(), lc.instructions());
-  EXPECT_EQ(cc.op_histogram(), lc.op_histogram());
 
   const MemAccessStats& bs = block.machine().memory().stats();
   const MemAccessStats& ls = legacy.machine().memory().stats();
@@ -151,7 +149,6 @@ TEST_P(BlockParityTest, ProbeAttachMidRunFallsBackWithExactAttribution) {
   EXPECT_EQ(probed.Predict(in2), plain.Predict(in2));
   EXPECT_EQ(cpu.cycles(), plain.machine().cpu().cycles());
   EXPECT_EQ(cpu.instructions(), plain.machine().cpu().instructions());
-  EXPECT_EQ(cpu.op_histogram(), plain.machine().cpu().op_histogram());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEncodings, BlockParityTest, ::testing::ValuesIn(kAllEncodingKinds));

@@ -342,14 +342,6 @@ TEST(MachineTest, InstructionBudgetGuardAborts) {
   EXPECT_DEATH(m.CallFunction(kFlash, {}), "instruction budget");
 }
 
-TEST(MachineTest, OpHistogramCountsRetiredInstructions) {
-  Machine m;
-  RunProgram("movs r0, #0\nmovs r1, #0\nadds r0, r0, r1\nbx lr\n", {}, &m);
-  EXPECT_EQ(m.cpu().op_histogram()[static_cast<size_t>(Op::kMovImm)], 2u);
-  EXPECT_EQ(m.cpu().op_histogram()[static_cast<size_t>(Op::kAddReg)], 1u);
-  EXPECT_EQ(m.cpu().instructions(), 4u);
-}
-
 TEST(MachineTest, MemcpyRoutineMovesBytes) {
   // A classic byte-wise memcpy(dst, src, n) kernel.
   const std::string src = R"(

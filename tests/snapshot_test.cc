@@ -1,6 +1,6 @@
 // Machine snapshot/restore: capturing the full architectural state (CPU registers,
-// flags, counters, op histogram, flash, SRAM, memory stats, heatmaps) must be bit-exact
-// on resume across all three decode paths and all five weight encodings, and the
+// flags, counters, flash, SRAM, memory stats, heatmaps) must be bit-exact on resume
+// across all three decode paths and all five weight encodings, and the
 // snapshot-based DeployedModel::Scrub must leave a fault-stricken machine byte-identical
 // to its fresh deployment — registers and counters included.
 

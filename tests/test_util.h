@@ -65,7 +65,6 @@ inline void ExpectSnapshotsEqual(const MachineSnapshot& a, const MachineSnapshot
   EXPECT_EQ(a.cpu.flags.v, b.cpu.flags.v);
   EXPECT_EQ(a.cpu.cycles, b.cpu.cycles);
   EXPECT_EQ(a.cpu.instructions, b.cpu.instructions);
-  EXPECT_EQ(a.cpu.op_histogram, b.cpu.op_histogram);
   EXPECT_EQ(a.memory.flash, b.memory.flash);
   EXPECT_EQ(a.memory.flash_high_water, b.memory.flash_high_water);
   EXPECT_EQ(a.memory.ram, b.memory.ram);
@@ -81,9 +80,8 @@ inline void ExpectSnapshotsEqual(const MachineSnapshot& a, const MachineSnapshot
 // Loads `program` at the flash base of `block` and of two twins built from its config —
 // one on the predecode cache alone, one on legacy decode-every-step — calls it with
 // `args` on all three, and expects each twin's snapshot (registers, pc, flags, cycles,
-// instructions, op histogram, memory and its statistics) to equal the block-compiled
-// machine's. `block` must be on its default path. Returns the block machine's call
-// cycles.
+// instructions, memory and its statistics) to equal the block-compiled machine's.
+// `block` must be on its default path. Returns the block machine's call cycles.
 inline uint64_t CallOnAllDecodePaths(Machine& block, std::span<const uint8_t> program,
                                      std::initializer_list<uint32_t> args) {
   Machine cached(block.config());

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/data/synth.h"
+#include "src/obs/registry.h"
 #include "src/tensor/matrix_ops.h"
 #include "src/train/layers.h"
 #include "src/train/loss.h"
@@ -474,6 +475,41 @@ TEST(TrainerTest, LossDecreasesDuringTraining) {
   cfg.batch_size = 32;
   TrainResult result = Train(net, train, test, cfg);
   EXPECT_LT(result.history.back().train_loss, result.history.front().train_loss);
+}
+
+TEST(TrainerTest, EveryEpochIsRecordedInTheMetricsRegistry) {
+  Dataset all = MakeDigits8x8(300, 47);
+  Rng rng(10);
+  auto [train, test] = all.Split(0.2, rng);
+  NeuroCSpec spec;
+  spec.hidden = {16};
+  Network net = BuildNeuroC(64, 10, spec, rng);
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch_size = 32;
+  cfg.learning_rate = 4e-3f;
+  cfg.lr_decay = 0.5f;
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  const MetricsRegistry::Histogram::Snapshot epoch_ms =
+      reg.GetHistogram("train.epoch_ms").snapshot();
+  const uint64_t rates = reg.GetHistogram("train.examples_per_sec").snapshot().count;
+
+  const TrainResult r = Train(net, train, test, cfg);
+  ASSERT_EQ(r.history.size(), 2u);
+  const MetricsRegistry::Histogram::Snapshot after =
+      reg.GetHistogram("train.epoch_ms").snapshot();
+  EXPECT_EQ(after.count, epoch_ms.count + 2);
+  EXPECT_DOUBLE_EQ(after.sum, epoch_ms.sum + r.history[0].epoch_seconds * 1000.0 +
+                                  r.history[1].epoch_seconds * 1000.0);
+  EXPECT_EQ(reg.GetHistogram("train.examples_per_sec").snapshot().count, rates + 2);
+  // The gauges hold the last epoch, as TrainResult::history does.
+  const EpochStats& last = r.history.back();
+  EXPECT_EQ(reg.GetGauge("train.train_loss").value(), last.train_loss);
+  EXPECT_EQ(reg.GetGauge("train.train_accuracy").value(), last.train_accuracy);
+  EXPECT_EQ(reg.GetGauge("train.test_accuracy").value(), last.test_accuracy);
+  EXPECT_EQ(reg.GetGauge("train.ternary_density").value(), last.ternary_density);
+  EXPECT_GT(last.ternary_density, 0.0f);
+  EXPECT_EQ(reg.GetGauge("train.learning_rate").value(), 4e-3f * 0.5f);
 }
 
 TEST(NetworkTest, SummaryAndParamCollection) {

@@ -1,12 +1,12 @@
 // `neuroc` — command-line front end for the library. Subcommands:
 //
 //   neuroc train   --dataset <name> [--hidden 128,64] [--density 0.12] [--epochs 8]
-//                  [--tnn] [--seed N] [--metrics out.jsonl] --out model.ncm
+//                  [--tnn] [--seed N] --out model.ncm
 //   neuroc eval    --model model.ncm --dataset <name> [--seed N]
 //   neuroc inspect --model model.ncm
 //   neuroc bench   --model model.ncm [--platform STM32F072RB]
 //   neuroc profile --model model.ncm [--platform STM32F072RB] [--json out.json]
-//                  [--trace out.trace] [--asm] [--mode legacy|cached|block]
+//                  [--trace out.trace] [--asm]
 //   neuroc deploy  --model model.ncm --format c|hex --out <path> [--prefix name]
 //   neuroc faultcampaign [--trials N] [--seed N] [--fault bitflip|multibit|stuck0|stuck1]
 //                  [--bits N] [--trigger pre|mid] [--regions a,b,..] [--encodings a,b,..]
@@ -19,8 +19,9 @@
 //   neuroc report  --in runs.jsonl [--json out.json]
 //
 // Every subcommand also accepts --metrics-out <runs.jsonl>: on exit it appends one
-// metrics-registry run record (counters/gauges/histograms from this invocation) that
-// `neuroc report` aggregates. Options may be spelled `--key value` or `--key=value`.
+// metrics-registry run record (counters/gauges/histograms from this invocation, e.g.
+// train's per-epoch train.* metrics) that `neuroc report` aggregates. Options may be
+// spelled `--key value` or `--key=value`.
 //
 // Datasets: digits, mnist, fashion, cifar5, events (procedural; see src/data/synth.h).
 
@@ -40,7 +41,6 @@
 #include "src/data/synth.h"
 #include "src/obs/json_reader.h"
 #include "src/obs/json_writer.h"
-#include "src/obs/metrics.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/runtime/c_emitter.h"
@@ -75,12 +75,11 @@ int Usage() {
                " [options]\n"
                "  train   --dataset <digits|mnist|fashion|cifar5|events> --out model.ncm\n"
                "          [--hidden 128,64] [--density 0.12] [--epochs 8] [--tnn] [--seed N]\n"
-               "          [--metrics out.jsonl]\n"
                "  eval    --model model.ncm --dataset <name> [--seed N]\n"
                "  inspect --model model.ncm\n"
                "  bench   --model model.ncm [--platform STM32F072RB]\n"
                "  profile --model model.ncm [--platform STM32F072RB] [--json out.json]\n"
-               "          [--trace out.trace] [--asm] [--mode <legacy|cached|block>]\n"
+               "          [--trace out.trace] [--asm]\n"
                "          [--encoding <csc|delta|mixed|block|unrolled>]\n"
                "  deploy  --model model.ncm --format <c|hex> --out <path> [--prefix name]\n"
                "          [--encoding <csc|delta|mixed|block|unrolled>]\n"
@@ -157,11 +156,6 @@ int CmdTrain(const Args& args) {
   cfg.learning_rate = 2e-3f;
   cfg.lr_decay = 0.9f;
   cfg.verbose = true;
-  MetricsLogger metrics(args.Get("metrics", ""));
-  if (metrics.ok()) {
-    cfg.metrics = &metrics;
-    std::printf("streaming per-epoch metrics to %s\n", metrics.path().c_str());
-  }
   if (args.Has("trace")) {
     TraceRecorder::Global().set_enabled(true);
     TraceRecorder::Global().Start();
@@ -297,12 +291,6 @@ int CmdProfile(const Args& args) {
   const size_t bytes = DeployedModel::EstimateProgramBytes(*model);
   std::printf("platform: %s (%s @ %.0f MHz, %u KB flash)\n", platform.name.c_str(),
               platform.core.c_str(), platform.clock_hz / 1e6, platform.flash_bytes / 1024);
-  ProfileMode mode = ProfileMode::kBlock;
-  if (args.Has("mode") && !ParseProfileMode(args.Get("mode"), &mode)) {
-    std::fprintf(stderr, "unknown profile mode: %s (legacy|cached|block)\n",
-                 args.Get("mode"));
-    return 2;
-  }
   // Oversized models fall back to the fastest encoding that fits (unrolled kernels are
   // the usual reason: they trade flash for cycles).
   DeployFallbackReport fallback;
@@ -319,7 +307,7 @@ int CmdProfile(const Args& args) {
                 EncodingKindName(fallback.selected), fallback.selected_bytes);
   }
   DeployedModel deployed = std::move(*deployed_or);
-  const InferenceProfile profile = ProfileInferenceDetailed(deployed, 64, mode);
+  const InferenceProfile profile = ProfileInferenceDetailed(deployed);
   std::printf("latency: %.3f ms (%llu cycles)\n", deployed.report().latency_ms,
               static_cast<unsigned long long>(deployed.report().cycles_per_inference));
   std::printf("%s", FormatInferenceProfile(profile, deployed, args.Has("asm")).c_str());
