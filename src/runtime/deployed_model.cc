@@ -188,6 +188,21 @@ DeployedModel DeployedModel::Deploy(const MlpModel& model, const MachineConfig& 
   return std::move(*dm);
 }
 
+DeployedModel DeployedModel::Fork() const {
+  DeployedModel dm;
+  dm.machine_ = std::make_unique<Machine>(machine_->config());
+  dm.machine_->Restore(pristine_);
+  dm.image_ = image_;
+  dm.kernels_ = kernels_;
+  dm.layer_entries_ = layer_entries_;
+  dm.report_ = report_;
+  dm.image_base_ = image_base_;
+  dm.kernel_crc_ = kernel_crc_;
+  dm.pristine_ = pristine_;
+  dm.watchdog_budget_ = watchdog_budget_;
+  return dm;
+}
+
 uint32_t DeployedModel::activation_top_addr() const {
   return machine_->config().ram_base + static_cast<uint32_t>(image_.ram_bytes_used);
 }

@@ -81,6 +81,15 @@ class DeployedModel {
   static DeployedModel Deploy(const NeuroCModel& model, const MachineConfig& config = {});
   static DeployedModel Deploy(const MlpModel& model, const MachineConfig& config = {});
 
+  // A second deployment of the same image on a fresh machine of the same configuration,
+  // restored to the pristine snapshot: no packing, code generation, assembly or
+  // inference. Everything the deployment knows is copied — image, kernels, layer entry
+  // points, report, CRC digests and the calibrated watchdog budget — so the fork is
+  // indistinguishable from a fresh TryDeploy (+ ArmWatchdog) of the same model apart from
+  // host-side caches, which start cold. Forks share no state with each other or with
+  // their source.
+  DeployedModel Fork() const;
+
   // Runs one inference on the simulator and returns the arg-max class, or the FaultReport
   // Status when the guest faults mid-inference (corrupted kernel/descriptor/weights, budget
   // overrun). Updates the report's cycle/latency fields on success.
@@ -114,8 +123,9 @@ class DeployedModel {
   void Scrub();
 
   // Deploy-time machine snapshot (taken before any guest instruction ran). Exposed so
-  // recovery ladders and search-trial forking can restore or clone pristine state
-  // directly; RestoreScope::kRamAndRegisters restores from it without the flash rewrite.
+  // the recovery ladder can restore pristine state directly (RestoreScope::
+  // kRamAndRegisters restores from it without the flash rewrite); Fork() starts each new
+  // machine from it.
   const MachineSnapshot& pristine_snapshot() const { return pristine_; }
 
   // Watchdog supervision. ArmWatchdog calibrates a per-inference cycle budget from one

@@ -1,6 +1,8 @@
 #include "src/runtime/fault_campaign.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -107,6 +109,33 @@ Golden MeasureGolden(const NeuroCModel& model) {
   g.cycles = dm.report().cycles_per_inference;
   g.program_bytes = dm.report().program_bytes;
   return g;
+}
+
+// What the golden pass builds per encoding: the fault-free counters, and the guarded
+// deployment every trial chunk of that encoding forks. The prototype's machine carries
+// the per-trial instruction budget (golden instructions × margin), so runaway trials
+// classify as budget_exceeded instead of burning the 400M-instruction default guard.
+struct EncodingSetup {
+  Golden golden;
+  std::unique_ptr<GuardedModel> prototype;  // null when the campaign has no trials
+};
+
+EncodingSetup SetUpEncoding(const FaultCampaignConfig& cfg, EncodingKind kind) {
+  NeuroCModel model = BuildCampaignModel(cfg, kind);
+  EncodingSetup setup;
+  setup.golden = MeasureGolden(model);
+  if (cfg.trials_per_encoding == 0) {
+    return setup;  // nothing will fork a prototype
+  }
+  MachineConfig mc;
+  mc.max_instructions = std::max<uint64_t>(
+      static_cast<uint64_t>(cfg.budget_margin *
+                            static_cast<double>(setup.golden.instructions)),
+      setup.golden.instructions + 1024);
+  StatusOr<GuardedModel> guarded = GuardedModel::Create(std::move(model), mc, cfg.policy);
+  NEUROC_CHECK_MSG(guarded.ok(), "campaign deployment failed");
+  setup.prototype = std::make_unique<GuardedModel>(std::move(*guarded));
+  return setup;
 }
 
 TrialRecord RunTrial(GuardedModel& gm, const FaultCampaignConfig& cfg,
@@ -278,41 +307,35 @@ FaultCampaignResult RunFaultCampaign(const FaultCampaignConfig& config) {
   FaultCampaignResult result;
   result.config = config;
 
-  // Golden pass, sequential: per-encoding fault-free counters sized to the shared model.
-  std::vector<Golden> golden(config.encodings.size());
-  for (size_t e = 0; e < config.encodings.size(); ++e) {
-    golden[e] = MeasureGolden(BuildCampaignModel(config, config.encodings[e]));
-  }
+  // Golden pass, one encoding per chunk: each deployment is independent, so they build
+  // in parallel, and the results land in per-encoding slots.
+  std::vector<EncodingSetup> setups(config.encodings.size());
+  ParallelFor(0, setups.size(), 1, [&](size_t e0, size_t e1) {
+    for (size_t e = e0; e < e1; ++e) {
+      setups[e] = SetUpEncoding(config, config.encodings[e]);
+    }
+  });
 
   const size_t per_enc = static_cast<size_t>(config.trials_per_encoding);
   const size_t total = per_enc * config.encodings.size();
   std::vector<TrialRecord> records(total);
 
-  // Each chunk rebuilds the (deterministic) model + guarded deployment it needs; every
-  // trial owns the slot records[t], scrubs the device first, and resets to the primary
-  // encoding after (a kRedeploy rung must not leak into the next trial), so outcomes are
-  // independent of chunk boundaries and thread count. Grain 32: a trial is one small
-  // inference (plus scrubs), so chunks amortize the per-chunk deployment without starving
-  // the pool.
+  // Each chunk forks the prototype of the encoding it is on — a fresh machine restored to
+  // the pristine deployment, no rebuild. Every trial owns the slot records[t] and scrubs
+  // the device first, and a trial whose kRedeploy rung left a fallback encoding active
+  // hands the next trial a new fork, so outcomes are independent of chunk boundaries and
+  // thread count. Grain 32: a trial is one small inference (plus scrubs), so chunks
+  // amortize their forks without starving the pool.
   ParallelFor(0, total, 32, [&](size_t t0, size_t t1) {
     size_t current_enc = static_cast<size_t>(-1);
     std::unique_ptr<GuardedModel> gm;
     for (size_t t = t0; t < t1; ++t) {
       const size_t e = t / per_enc;
-      if (e != current_enc) {
+      if (e != current_enc || gm->active_encoding() != gm->primary_encoding()) {
         current_enc = e;
-        MachineConfig mc;
-        mc.max_instructions = std::max<uint64_t>(
-            static_cast<uint64_t>(config.budget_margin *
-                                  static_cast<double>(golden[e].instructions)),
-            golden[e].instructions + 1024);
-        StatusOr<GuardedModel> guarded = GuardedModel::Create(
-            BuildCampaignModel(config, config.encodings[e]), mc, config.policy);
-        NEUROC_CHECK_MSG(guarded.ok(), "campaign deployment failed");
-        gm = std::make_unique<GuardedModel>(std::move(*guarded));
+        gm = std::make_unique<GuardedModel>(setups[e].prototype->Fork());
       }
-      records[t] = RunTrial(*gm, config, golden[e], TrialSeed(config.seed, t));
-      NEUROC_CHECK(gm->ResetToPrimary().ok());
+      records[t] = RunTrial(*gm, config, setups[e].golden, TrialSeed(config.seed, t));
     }
   });
 
@@ -320,9 +343,10 @@ FaultCampaignResult RunFaultCampaign(const FaultCampaignConfig& config) {
   for (size_t e = 0; e < config.encodings.size(); ++e) {
     EncodingCampaignResult enc;
     enc.encoding = config.encodings[e];
-    enc.golden_instructions = golden[e].instructions;
-    enc.golden_cycles = golden[e].cycles;
-    enc.program_bytes = golden[e].program_bytes;
+    const Golden& golden = setups[e].golden;
+    enc.golden_instructions = golden.instructions;
+    enc.golden_cycles = golden.cycles;
+    enc.program_bytes = golden.program_bytes;
     enc.regions.assign(config.regions.size(), RegionStats{});
     for (size_t t = e * per_enc; t < (e + 1) * per_enc; ++t) {
       Accumulate(enc.regions[records[t].region_index], records[t]);

@@ -24,24 +24,28 @@ StatusOr<GuardedModel> GuardedModel::Create(NeuroCModel model,
                                             const RecoveryPolicy& policy) {
   NEUROC_CHECK(policy.watchdog_headroom == 0.0 || policy.watchdog_headroom >= 1.0);
   GuardedModel gm;
-  gm.model_ = std::move(model);
+  gm.model_ = std::make_shared<const NeuroCModel>(std::move(model));
   gm.config_ = config;
   gm.policy_ = policy;
-  gm.primary_encoding_ = gm.model_.layers().front().encoding->kind();
-  Status deployed = gm.Deploy(gm.model_, gm.primary_encoding_);
+  gm.primary_encoding_ = gm.model_->layers().front().encoding->kind();
+  Status deployed = gm.Deploy(*gm.model_, gm.primary_encoding_);
   if (!deployed.ok()) {
     return deployed;
   }
   return gm;
 }
 
-Status GuardedModel::ResetToPrimary() {
-  if (active_encoding_ == primary_encoding_) {
-    return Status::Ok();
-  }
-  // Rebuild exactly what Create built, so post-reset behaviour is indistinguishable from
-  // a fresh GuardedModel — the determinism contract campaign trials rely on.
-  return Deploy(model_, primary_encoding_);
+GuardedModel GuardedModel::Fork() const {
+  NEUROC_CHECK_MSG(active_encoding_ == primary_encoding_,
+                   "cannot fork a guarded model running a fallback encoding");
+  GuardedModel gm;
+  gm.model_ = model_;
+  gm.config_ = config_;
+  gm.policy_ = policy_;
+  gm.dm_ = std::make_unique<DeployedModel>(dm_->Fork());
+  gm.primary_encoding_ = primary_encoding_;
+  gm.active_encoding_ = active_encoding_;
+  return gm;
 }
 
 Status GuardedModel::Deploy(const NeuroCModel& model, EncodingKind kind) {
@@ -131,7 +135,9 @@ GuardedResult GuardedModel::Predict(std::span<const int8_t> input) {
   const auto intact = [&] { return dm_->CorruptedSections().empty(); };
 
   // The ladder, cheapest rung first. Each rung repairs, retries, and returns on success.
-  if (policy_.snapshot_retry) {
+  // The RAM-only rung leaves flash as it is, so once the CRCs have blamed flash its retry
+  // can never pass intact(): skip it.
+  if (policy_.snapshot_retry && gr.corrupted_sections.empty()) {
     reg.GetCounter("recovery.snapshot_retry").Add(1);
     dm_->machine().Restore(dm_->pristine_snapshot(), RestoreScope::kRamAndRegisters);
     ++gr.retries;
@@ -161,7 +167,7 @@ GuardedResult GuardedModel::Predict(std::span<const int8_t> input) {
       if (kind == active_encoding_) {
         continue;
       }
-      if (!Deploy(ReencodeModel(model_, kind), kind).ok()) {
+      if (!Deploy(ReencodeModel(*model_, kind), kind).ok()) {
         continue;
       }
       reg.GetCounter("recovery.redeploy").Add(1);

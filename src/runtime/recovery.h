@@ -17,7 +17,9 @@
 //     that agrees on the same wrong output. Rungs:
 //       1. kSnapshotRetry — restore SRAM + registers from the pristine deploy snapshot
 //          (no flash rewrite, no decode-cache invalidation) and retry. Fixes transient
-//          and SRAM-resident faults.
+//          and SRAM-resident faults. Skipped when the CRCs taken at first detection
+//          already name a corrupted flash section: a restore that never touches flash
+//          cannot pass the integrity check, so the retry could only burn cycles.
 //       2. kScrubRetry   — attribute flash damage via the per-section CRCs, restore the
 //          full pristine snapshot (flash included) and retry. Fixes flash corruption.
 //       3. kRedeploy     — re-encode the model with the next encoding of
@@ -86,6 +88,14 @@ class GuardedModel {
                                        const MachineConfig& config = {},
                                        const RecoveryPolicy& policy = {});
 
+  // A second guarded deployment, indistinguishable from a fresh Create of the same
+  // model, config and policy: the deployment is forked (DeployedModel::Fork — no
+  // packing, code generation, assembly or calibration inference) and the host model is
+  // shared, never re-encoded. Forks are independent machines, so each can run on its own
+  // thread. Checked error while a kRedeploy rung has left a fallback encoding active:
+  // only a model on its primary encoding forks.
+  GuardedModel Fork() const;
+
   // One guarded inference: watchdog-supervised (and dual-run, when enabled) execution
   // with the recovery ladder walked on any detected fault. Never aborts.
   GuardedResult Predict(std::span<const int8_t> input);
@@ -103,14 +113,9 @@ class GuardedModel {
       const std::vector<std::vector<int8_t>>& inputs,
       std::vector<uint64_t>* cycles = nullptr);
 
-  // Re-deploys the original model/encoding if a previous Predict's kRedeploy rung left a
-  // fallback encoding active. Campaign trials call this so every trial starts from an
-  // identical deployment regardless of what earlier trials in the chunk hit.
-  Status ResetToPrimary();
-
   DeployedModel& deployed() { return *dm_; }
   // Host copy of the (primary-encoding) model, e.g. for golden-prediction comparison.
-  const NeuroCModel& model() const { return model_; }
+  const NeuroCModel& model() const { return *model_; }
   const RecoveryPolicy& policy() const { return policy_; }
   EncodingKind active_encoding() const { return active_encoding_; }
   EncodingKind primary_encoding() const { return primary_encoding_; }
@@ -126,7 +131,9 @@ class GuardedModel {
   // swaps the deployment in as encoding `kind`. On failure the current deployment stays.
   Status Deploy(const NeuroCModel& model, EncodingKind kind);
 
-  NeuroCModel model_;      // host copy, re-encoded on the kRedeploy rung
+  // Host copy, re-encoded on the kRedeploy rung. Immutable and shared by forks: a
+  // re-encoded copy would lose non-default EncodingOptions such as the block size.
+  std::shared_ptr<const NeuroCModel> model_;
   MachineConfig config_;
   RecoveryPolicy policy_;
   std::unique_ptr<DeployedModel> dm_;

@@ -69,8 +69,8 @@ struct LockstepResult {
 // How much of a snapshot Restore rewinds. kFull also rewinds flash, rewriting only the
 // bytes that differ from the snapshot, so only the decoded slots and compiled blocks over
 // them are invalidated (restoring an intact image invalidates nothing); kRamAndRegisters
-// leaves flash and its derived caches untouched — the cheap per-trial fork/retry path
-// when flash is known (or assumed) pristine.
+// leaves flash and its derived caches untouched — the cheap retry path when flash is
+// known (or assumed) pristine.
 enum class RestoreScope : uint8_t { kFull = 0, kRamAndRegisters = 1 };
 
 class Machine {
@@ -110,8 +110,9 @@ class Machine {
   std::optional<LockstepResult> TryRunLockstep(const LockstepBatch& batch);
 
   // Captures the full architectural state (CPU + memory + last fault). Snapshots are
-  // plain values: fork as many machines from one warmed-up state as needed (search
-  // trials), or park one as the pristine image for scrub/retry recovery.
+  // plain values: park one as the pristine image for scrub/retry recovery, or fork new
+  // machines from it with a kFull restore on a fresh Machine of the same config
+  // (DeployedModel::Fork, which fault-campaign trial chunks use).
   MachineSnapshot Snapshot() const;
   // Restores a snapshot taken on a machine with the same configuration. kFull rewinds
   // everything including flash (a byte compare of the image, plus a rewrite and targeted

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <string_view>
+#include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/fixed_point.h"
 #include "src/common/rng.h"
 
@@ -159,6 +164,60 @@ TEST(FixedPointTest, QuantizeDequantizeRoundTrip) {
 TEST(FixedPointTest, QuantizeSaturates) {
   EXPECT_EQ(QuantizeFixed(10.0f, 7, 8), 127);
   EXPECT_EQ(QuantizeFixed(-10.0f, 7, 8), -128);
+}
+
+// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition Crc32's table-driven
+// slicing must agree with.
+uint32_t ReferenceCrc32(std::span<const uint8_t> bytes, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValue) {
+  constexpr std::string_view kCheck = "123456789";
+  const std::span<const uint8_t> bytes(reinterpret_cast<const uint8_t*>(kCheck.data()),
+                                       kCheck.size());
+  EXPECT_EQ(Crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(ReferenceCrc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(Crc32({}), 0u);
+}
+
+TEST(Crc32Test, SplitAtEveryOffsetMatchesOneShot) {
+  const std::vector<uint8_t> bytes = RandomBytes(77, 3);
+  const std::span<const uint8_t> all(bytes);
+  const uint32_t whole = ReferenceCrc32(all);
+  ASSERT_EQ(Crc32(all), whole);
+  for (size_t k = 0; k <= bytes.size(); ++k) {
+    EXPECT_EQ(Crc32(all.subspan(k), Crc32(all.first(k))), whole) << "split at " << k;
+  }
+}
+
+TEST(Crc32Test, UnalignedAndShortSpansMatchReference) {
+  const std::vector<uint8_t> bytes = RandomBytes(96, 4);
+  const std::span<const uint8_t> all(bytes);
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; start + len <= bytes.size(); ++len) {
+      const std::span<const uint8_t> s = all.subspan(start, len);
+      EXPECT_EQ(Crc32(s), ReferenceCrc32(s)) << "start " << start << " len " << len;
+      EXPECT_EQ(Crc32(s, 0x12345678u), ReferenceCrc32(s, 0x12345678u))
+          << "seeded, start " << start << " len " << len;
+    }
+  }
 }
 
 }  // namespace

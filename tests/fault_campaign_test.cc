@@ -243,6 +243,28 @@ TEST(FaultCampaignTest, FullLadderJsonIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(json1.find("mean_detect_latency_cycles"), std::string::npos);
 }
 
+TEST(FaultCampaignTest, RedeployRungNeverLeaksIntoTheNextTrial) {
+  // Redeploy as the only rung: every detected trial swaps in a fallback encoding, and
+  // the next trial must start from a fresh fork of the primary deployment. One thread
+  // runs all trials in one chunk, four threads in chunks of 32, so a fallback that
+  // leaked into the next trial would move bytes between the two reports.
+  GlobalThreadsGuard guard;
+  FaultCampaignConfig cfg = SmallCampaign();
+  cfg.trials_per_encoding = 200;
+  cfg.regions = {CampaignRegion::kKernelCode};
+  cfg.encodings = {EncodingKind::kBlock};
+  cfg.policy.snapshot_retry = false;
+  cfg.policy.scrub_retry = false;
+  ThreadPool::SetGlobalThreads(1);
+  const FaultCampaignResult r1 = RunFaultCampaign(cfg);
+  ThreadPool::SetGlobalThreads(4);
+  const FaultCampaignResult r4 = RunFaultCampaign(cfg);
+  EXPECT_GT(r1.totals.recovered_redeploy, 10u);
+  EXPECT_EQ(r1.totals.recovered_redeploy, r1.totals.recovered);
+  EXPECT_EQ(r1.totals.unrecovered, 0u);
+  EXPECT_EQ(FaultCampaignJson(r1), FaultCampaignJson(r4));
+}
+
 TEST(FaultCampaignTest, JsonDigestsArePinned) {
   // Reports of the default campaign (seed 11, 20 trials x 5 encodings) pinned by CRC-32.
   // The digests were taken when mid-inference strikes still came from a step-interpreter

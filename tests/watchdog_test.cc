@@ -2,7 +2,8 @@
 // kDeadlineExceeded fault — distinguishable from guest faults, with PC provenance — at
 // exactly the same retired instruction on every decode path, including when the cycle
 // budget lands inside or exactly on a compiled-block boundary. The recovery ladder must
-// then bring a watchdog-stricken deployment back to correct predictions.
+// then bring a watchdog-stricken deployment back to correct predictions, skipping the
+// RAM-only snapshot rung exactly when the CRCs already blame flash.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,10 @@
 
 #include "src/core/synthetic.h"
 #include "src/isa/assembler.h"
+#include "src/obs/registry.h"
 #include "src/runtime/deployed_model.h"
 #include "src/runtime/recovery.h"
+#include "src/sim/fault_injector.h"
 #include "src/sim/machine.h"
 #include "tests/test_util.h"
 
@@ -39,6 +42,10 @@ NeuroCModel SmallModel(uint64_t seed, EncodingKind kind = EncodingKind::kBlock) 
   spec.density = 0.2;
   spec.encoding = kind;
   return testutil::MakeTestModel(seed, spec);
+}
+
+uint64_t RecoveryCount(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name).value();
 }
 
 // CpuProbe that remembers the first retired instruction address — a guaranteed-hot
@@ -125,15 +132,67 @@ TEST(WatchdogTest, RecoveryLadderResolvesWatchdogFaultViaScrubRung) {
   const uint8_t spin[2] = {0xFE, 0xE7};
   gm.deployed().machine().memory().HostWrite(probe.first, spin);
 
+  const uint64_t snapshot_retries = RecoveryCount("recovery.snapshot_retry");
+  const uint64_t scrub_retries = RecoveryCount("recovery.scrub_retry");
   const GuardedResult gr = gm.Predict(input);
   EXPECT_TRUE(gr.ok);
   EXPECT_EQ(gr.prediction, clean.prediction);
   EXPECT_TRUE(gr.faulted);
   EXPECT_EQ(gr.first_fault.code, ErrorCode::kDeadlineExceeded);
-  // Flash damage: the RAM-only snapshot rung cannot fix it, the scrub rung must.
+  EXPECT_EQ(gr.corrupted_sections, std::vector<std::string>{"kernel_code"});
+  // Flash damage: the RAM-only snapshot rung cannot fix it, so with the CRCs already
+  // naming kernel_code it is skipped and the scrub rung's retry is the only one.
   EXPECT_EQ(gr.resolved_by, RecoveryRung::kScrubRetry);
   EXPECT_GT(gr.detection_cycles, 0u);
-  EXPECT_EQ(gr.retries, 2);
+  EXPECT_EQ(gr.retries, 1);
+  EXPECT_EQ(RecoveryCount("recovery.snapshot_retry"), snapshot_retries);
+  EXPECT_EQ(RecoveryCount("recovery.scrub_retry"), scrub_retries + 1);
+}
+
+// The other half of the rule: an SRAM-only upset leaves the CRCs clean, so the RAM-only
+// rung still runs and is the one that resolves it. Dual-run turns the strikes that change
+// the output into detections; every detected one must resolve at kSnapshotRetry.
+TEST(WatchdogTest, SramOnlyCorruptionResolvesAtSnapshotRung) {
+  RecoveryPolicy policy;
+  policy.dual_run = true;
+  StatusOr<GuardedModel> guarded =
+      GuardedModel::Create(SmallModel(34), MachineConfig{}, policy);
+  ASSERT_TRUE(guarded.ok());
+  GuardedModel& gm = *guarded;
+  DeployedModel& dm = gm.deployed();
+
+  Rng rng(5);
+  const std::vector<int8_t> input = MakeRandomInput(dm.input_dim(), rng);
+  const uint64_t before = dm.machine().cpu().instructions();
+  const int golden = dm.Predict(input);
+  const uint64_t instructions = dm.machine().cpu().instructions() - before;
+
+  int detected = 0;
+  for (uint64_t k = 0; k < 32; ++k) {
+    dm.Scrub();
+    TriggeredInjector injector(1 + k * instructions / 32, dm.machine().config().ram_base,
+                               dm.image().ram_bytes_used, FaultModel::kMultiBitFlip, 4,
+                               Rng(100 + k));
+    injector.Arm(dm.machine().cpu());
+    const uint64_t snapshot_retries = RecoveryCount("recovery.snapshot_retry");
+    const uint64_t scrub_retries = RecoveryCount("recovery.scrub_retry");
+    const GuardedResult gr = gm.Predict(input);
+    dm.machine().cpu().ClearInstructionAlarm();
+    ASSERT_TRUE(injector.fired());
+    if (!gr.faulted && !gr.sdc_detected) {
+      continue;
+    }
+    ++detected;
+    SCOPED_TRACE("strike " + std::to_string(k));
+    EXPECT_TRUE(gr.corrupted_sections.empty());
+    EXPECT_TRUE(gr.ok);
+    EXPECT_EQ(gr.prediction, golden);
+    EXPECT_EQ(gr.resolved_by, RecoveryRung::kSnapshotRetry);
+    EXPECT_EQ(gr.retries, 1);
+    EXPECT_EQ(RecoveryCount("recovery.snapshot_retry"), snapshot_retries + 1);
+    EXPECT_EQ(RecoveryCount("recovery.scrub_retry"), scrub_retries);
+  }
+  EXPECT_GT(detected, 0);
 }
 
 // The budget boundary sweep: a compiled spin block whose cost would cross the deadline

@@ -429,7 +429,8 @@ int CmdFaultCampaign(const Args& args) {
     cfg.trials_per_encoding = 24;  // tier-1 CI mode: small but covers every cell
     cfg.policy.dual_run = true;    // exercise the full ladder including SDC detection
   }
-  if (!ParseFaultModel(args.Get("fault", "bitflip"), &cfg.fault_model) ||
+  if (cfg.trials_per_encoding < 0 ||
+      !ParseFaultModel(args.Get("fault", "bitflip"), &cfg.fault_model) ||
       !ParseFaultTrigger(args.Get("trigger", "pre"), &cfg.trigger)) {
     return Usage();
   }
