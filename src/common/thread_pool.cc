@@ -12,9 +12,15 @@ namespace {
 // inside a body degrade to in-line execution instead of deadlocking on the pool.
 thread_local bool t_inside_chunk = false;
 
-std::unique_ptr<ThreadPool>& GlobalSlot() {
-  static std::unique_ptr<ThreadPool> pool;
+std::shared_ptr<ThreadPool>& GlobalSlot() {
+  static std::shared_ptr<ThreadPool> pool;
   return pool;
+}
+
+void RunInline(size_t begin, size_t end, const std::function<void(size_t, size_t)>& fn) {
+  t_inside_chunk = true;
+  fn(begin, end);
+  t_inside_chunk = false;
 }
 
 }  // namespace
@@ -56,9 +62,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   grain = std::max<size_t>(1, grain);
   const size_t n = end - begin;
   if (workers_.empty() || n <= grain || t_inside_chunk) {
-    t_inside_chunk = true;
-    fn(begin, end);
-    t_inside_chunk = false;
+    RunInline(begin, end, fn);
     return;
   }
   // Chunk size: at least `grain`, and no more chunks than ~4 per worker so scheduling stays
@@ -67,6 +71,13 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   const size_t chunk = std::max(grain, (n + max_chunks - 1) / max_chunks);
 
   std::unique_lock<std::mutex> lock(mutex_);
+  if (has_task_) {
+    // Another caller's task holds the pool; replacing task_ under its running chunks
+    // would strand both callers.
+    lock.unlock();
+    RunInline(begin, end, fn);
+    return;
+  }
   ++task_.generation;
   task_.fn = &fn;
   task_.begin = begin;
@@ -120,17 +131,22 @@ void ThreadPool::WorkerLoop() {
 }
 
 ThreadPool& ThreadPool::Global() {
-  std::unique_ptr<ThreadPool>& slot = GlobalSlot();
+  std::shared_ptr<ThreadPool>& slot = GlobalSlot();
   if (!slot) {
-    slot = std::make_unique<ThreadPool>(DefaultThreadCount());
+    slot = std::make_shared<ThreadPool>(DefaultThreadCount());
   }
   return *slot;
+}
+
+std::shared_ptr<ThreadPool> ThreadPool::GlobalShared() {
+  Global();
+  return GlobalSlot();
 }
 
 bool ThreadPool::InsideChunk() { return t_inside_chunk; }
 
 void ThreadPool::SetGlobalThreads(unsigned num_threads) {
-  GlobalSlot() = std::make_unique<ThreadPool>(
+  GlobalSlot() = std::make_shared<ThreadPool>(
       num_threads == 0 ? DefaultThreadCount() : num_threads);
 }
 

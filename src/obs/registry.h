@@ -22,6 +22,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/obs/json_writer.h"
@@ -91,17 +93,6 @@ class MetricsRegistry {
   // Process-wide registry used by the subsystems' default instrumentation.
   static MetricsRegistry& Global();
 
-  // Deterministic metric-name prefixing is defined once here (used by MetricsScope and
-  // anything else composing scoped names by hand).
-  static std::string ScopedName(std::string_view prefix, std::string_view name) {
-    std::string full;
-    full.reserve(prefix.size() + 1 + name.size());
-    full.append(prefix);
-    full.push_back('.');
-    full.append(name);
-    return full;
-  }
-
  private:
   struct Named {
     std::string name;
@@ -119,33 +110,39 @@ class MetricsRegistry {
   std::deque<Histogram> histograms_;
 };
 
-// A registry view with a fixed name prefix: GetCounter("requests") on a scope with
-// prefix "serve.tenant.alice" resolves to the registry metric
-// "serve.tenant.alice.requests". Scopes are how multi-tenant subsystems keep one flat,
-// deterministic registry while attributing traffic per tenant — handles come from the
-// underlying registry, so the determinism and thread-safety contracts above apply
-// unchanged.
-class MetricsScope {
+// A handle that registers its metric on first use and afterwards costs one atomic load:
+// for hot paths that must not scan every registered name under the registry mutex per
+// event. Registering at first use, not at construction, gives the metric the same place
+// in registration order (and so in the JSON) that a Get* call at that spot would.
+template <typename Metric>
+class LazyMetric {
  public:
-  MetricsScope(MetricsRegistry* registry, std::string prefix)
-      : registry_(registry), prefix_(std::move(prefix)) {}
+  LazyMetric(MetricsRegistry& registry, std::string name)
+      : registry_(&registry), name_(std::move(name)) {}
+  LazyMetric(const LazyMetric&) = delete;
+  LazyMetric& operator=(const LazyMetric&) = delete;
 
-  MetricsRegistry::Counter& GetCounter(std::string_view name) {
-    return registry_->GetCounter(MetricsRegistry::ScopedName(prefix_, name));
+  Metric* operator->() {
+    Metric* m = metric_.load(std::memory_order_acquire);
+    if (m == nullptr) {
+      // Racing first uses resolve the same metric; the registry orders them.
+      if constexpr (std::is_same_v<Metric, MetricsRegistry::Counter>) {
+        m = &registry_->GetCounter(name_);
+      } else {
+        m = &registry_->GetHistogram(name_);
+      }
+      metric_.store(m, std::memory_order_release);
+    }
+    return m;
   }
-  MetricsRegistry::Gauge& GetGauge(std::string_view name) {
-    return registry_->GetGauge(MetricsRegistry::ScopedName(prefix_, name));
-  }
-  MetricsRegistry::Histogram& GetHistogram(std::string_view name) {
-    return registry_->GetHistogram(MetricsRegistry::ScopedName(prefix_, name));
-  }
-
-  const std::string& prefix() const { return prefix_; }
 
  private:
   MetricsRegistry* registry_;
-  std::string prefix_;
+  std::string name_;
+  std::atomic<Metric*> metric_{nullptr};
 };
+using LazyCounter = LazyMetric<MetricsRegistry::Counter>;
+using LazyHistogram = LazyMetric<MetricsRegistry::Histogram>;
 
 }  // namespace neuroc
 

@@ -17,36 +17,42 @@ ModelLoader DirectoryModelLoader(const std::string& dir) {
 }
 
 ModelCache::ModelCache(const ModelCacheConfig& config, ModelLoader loader)
-    : config_(config), loader_(std::move(loader)) {
+    : config_(config),
+      loader_(std::move(loader)),
+      hits_(MetricsRegistry::Global(), "serve.cache.hits"),
+      misses_(MetricsRegistry::Global(), "serve.cache.misses"),
+      evictions_(MetricsRegistry::Global(), "serve.cache.evictions"),
+      load_failures_(MetricsRegistry::Global(), "serve.cache.load_failures") {
   NEUROC_CHECK(config_.capacity >= 1);
   NEUROC_CHECK(loader_ != nullptr);
 }
 
-StatusOr<ModelCache::Entry*> ModelCache::Acquire(const std::string& name) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  std::unique_lock<std::mutex> lock(mutex_);
+ModelCache::Entry* ModelCache::Pin(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->name == name) {
       entries_.splice(entries_.begin(), entries_, it);  // move to MRU
       ++entries_.front().pins;
-      reg.GetCounter("serve.cache.hits").Add(1);
+      hits_->Add(1);
       return &entries_.front();
     }
   }
-  reg.GetCounter("serve.cache.misses").Add(1);
+  return nullptr;
+}
 
+StatusOr<ModelCache::Entry*> ModelCache::Load(const std::string& name) {
+  misses_->Add(1);
   // Load outside the lock: deploy + watchdog calibration + the energy profile run are
   // milliseconds of simulation, and other models' batches must keep flowing meanwhile.
-  lock.unlock();
   StatusOr<NeuroCModel> model = loader_(name);
   if (!model.ok()) {
-    reg.GetCounter("serve.cache.load_failures").Add(1);
+    load_failures_->Add(1);
     return model.status();
   }
   StatusOr<GuardedModel> guarded =
       GuardedModel::Create(std::move(*model), config_.machine, config_.policy);
   if (!guarded.ok()) {
-    reg.GetCounter("serve.cache.load_failures").Add(1);
+    load_failures_->Add(1);
     return guarded.status();
   }
   // One profiled inference pins the per-request energy proxy. Cycles (and with them the
@@ -55,19 +61,13 @@ StatusOr<ModelCache::Entry*> ModelCache::Acquire(const std::string& name) {
   const EnergyEstimate energy =
       EstimateEnergy(EnergyModel::CortexM0Proxy(), ProfileInference(guarded->deployed()));
 
-  lock.lock();
-  // A concurrent Acquire may have loaded the same name while we were unlocked; prefer
-  // the resident entry and drop ours so a model never has two live machines.
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->name == name) {
-      entries_.splice(entries_.begin(), entries_, it);
-      ++entries_.front().pins;
-      return &entries_.front();
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const Entry& e : entries_) {
+    NEUROC_CHECK_MSG(e.name != name, "model cache: a resident model was loaded again");
   }
   entries_.push_front(Entry{name, std::move(*guarded),
                             static_cast<uint64_t>(std::llround(energy.total_pj)),
-                            /*pins=*/1});
+                            /*pins=*/1, {}});
   EvictOverflowLocked();
   return &entries_.front();
 }
@@ -79,6 +79,19 @@ void ModelCache::Release(Entry* entry) {
   if (entries_.size() > config_.capacity) {
     EvictOverflowLocked();  // an over-capacity entry was waiting on this pin
   }
+}
+
+GuardedModel& ModelCache::Machine(Entry* entry, size_t k) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  NEUROC_CHECK(entry->pins > 0 && k <= entry->replicas.size());
+  return k == 0 ? entry->model : *entry->replicas[k - 1];
+}
+
+size_t ModelCache::AddReplica(Entry* entry, GuardedModel replica) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  NEUROC_CHECK(entry->pins > 0);
+  entry->replicas.push_back(std::make_unique<GuardedModel>(std::move(replica)));
+  return entry->replicas.size();
 }
 
 void ModelCache::EvictOverflowLocked() {
@@ -94,7 +107,7 @@ void ModelCache::EvictOverflowLocked() {
     if (victim == entries_.end()) {
       return;
     }
-    MetricsRegistry::Global().GetCounter("serve.cache.evictions").Add(1);
+    evictions_->Add(1);
     entries_.erase(victim);
   }
 }

@@ -10,9 +10,15 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -237,13 +243,12 @@ TEST(ServeBatchingTest, RoundRobinSharesBatchesAcrossTenants) {
 
 TEST(ServeBatchingTest, OneBatchPerModelPerRound) {
   InferenceService service(ManualConfig(4), TestLoader({{"m1", 13}, {"m2", 14}}));
-  // Atomic: the two models' batches complete concurrently on the pool.
   std::atomic<size_t> done{0};
   for (uint64_t i = 0; i < 4; ++i) {
     service.Submit(MakeRequest(i, "a", i % 2 ? "m1" : "m2", 300 + i),
                    [&](const ServeResponse&) { ++done; });
   }
-  // One round serves both models (their batches run concurrently on the pool).
+  // One pass serves both models, one batch each.
   EXPECT_EQ(service.RunOnce(), 4u);
   EXPECT_EQ(done, 4u);
   const std::vector<BatchRecord> batches = service.TakeBatchRecords();
@@ -566,6 +571,315 @@ TEST(ServeMetricsTest, PerTenantScopesCountTraffic) {
   EXPECT_EQ(done, 4u);
   EXPECT_EQ(CounterValue("serve.tenant.alice.requests") - alice_before, 3u);
   EXPECT_EQ(CounterValue("serve.tenant.bob.requests") - bob_before, 1u);
+}
+
+// --- live dispatch: workers, replicas, shutdown -------------------------------------
+
+// Holds completions (and with them the workers running them) until opened.
+class Gate {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// The completions of a live service, recorded from whichever thread fires them.
+class Completions {
+ public:
+  // Records request `id`'s response after running `hold` on the completing thread.
+  InferenceService::Completion For(uint64_t id, std::function<void()> hold = nullptr) {
+    return [this, id, hold = std::move(hold)](const ServeResponse& r) {
+      if (hold) {
+        hold();
+      }
+      std::lock_guard<std::mutex> lock(mu_);
+      responses_[id] = r;
+      ++counts_[id];
+      ++total_;
+      cv_.notify_all();
+    };
+  }
+  void WaitForTotal(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return total_ >= n; });
+  }
+  // Encoded response payloads by request id.
+  std::map<uint64_t, std::vector<uint8_t>> payloads() const {
+    std::map<uint64_t, std::vector<uint8_t>> out;
+    for (const auto& [id, r] : responses()) {
+      AppendResponsePayload(r, &out[id]);
+    }
+    return out;
+  }
+  std::map<uint64_t, ServeResponse> responses() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return responses_;
+  }
+  std::map<uint64_t, int> counts() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return counts_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<uint64_t, ServeResponse> responses_;
+  std::map<uint64_t, int> counts_;
+  size_t total_ = 0;
+};
+
+// Long enough per completion that a worker woken for a new replica claims it while the
+// batch on machine 0 still runs, even on a loaded host.
+void SlowCompletion() { std::this_thread::sleep_for(std::chrono::microseconds(300)); }
+
+// Submits requests [first, first + n) for `model` as one backlog: request `first`'s
+// completion holds its machine until the rest are queued. Returns when all completed.
+void SubmitBacklog(InferenceService& service, Completions& done, const std::string& model,
+                   uint64_t first, size_t n, uint64_t input_seed) {
+  Gate queued;
+  service.Submit(MakeRequest(first, "a", model, input_seed),
+                 done.For(first, [&queued] { queued.Wait(); }));
+  for (uint64_t i = first + 1; i < first + n; ++i) {
+    service.Submit(MakeRequest(i, i % 2 ? "a" : "b", model, input_seed + i - first),
+                   done.For(i, SlowCompletion));
+  }
+  queued.Open();
+  done.WaitForTotal(first + n);
+}
+
+std::set<size_t> MachinesUsed(const std::vector<BatchRecord>& batches,
+                              const std::string& model) {
+  std::set<size_t> machines;
+  for (const BatchRecord& b : batches) {
+    if (b.model == model) {
+      machines.insert(b.machine);
+    }
+  }
+  return machines;
+}
+
+struct BacklogRun {
+  std::map<uint64_t, std::vector<uint8_t>> payloads;
+  std::vector<BatchRecord> batches;
+};
+
+BacklogRun ServeBacklog(unsigned threads) {
+  ThreadPool::SetGlobalThreads(threads);
+  ServeConfig cfg;
+  cfg.record_batches = true;
+  Completions done;  // outlives the service, whose Stop may still complete requests
+  InferenceService service(cfg, TestLoader({{"m", 24}}));
+  service.Start();
+  SubmitBacklog(service, done, "m", 0, 32, 1200);
+  service.Stop();
+  return {done.payloads(), service.TakeBatchRecords()};
+}
+
+TEST(ServeWorkersTest, BacklogOnOneModelSpreadsAcrossReplicaMachines) {
+  GlobalThreadsGuard guard;
+  const BacklogRun one = ServeBacklog(1);
+  const BacklogRun four = ServeBacklog(4);
+
+  // One worker never forks: every batch runs on the loaded machine.
+  EXPECT_EQ(MachinesUsed(one.batches, "m"), std::set<size_t>{0});
+  // Four workers: machine 0's holder forks while the backlog waits, and the replicas
+  // serve part of it.
+  EXPECT_GE(MachinesUsed(four.batches, "m").size(), 2u);
+  size_t served = 0;
+  for (const BatchRecord& b : four.batches) {
+    EXPECT_LT(b.machine, 4u);  // at most one machine per worker
+    served += b.size;
+  }
+  EXPECT_EQ(served, 32u);
+  ASSERT_EQ(one.payloads.size(), 32u);
+  EXPECT_EQ(one.payloads, four.payloads);
+}
+
+// ServeAll's requests through live workers; request 0 holds its machine until the rest
+// are queued, so the run forms backlogs (and forks replicas at 4 threads).
+std::map<uint64_t, std::vector<uint8_t>> ServeAllLive(unsigned threads, size_t max_batch,
+                                                      size_t n) {
+  ThreadPool::SetGlobalThreads(threads);
+  ServeConfig cfg;
+  cfg.max_batch = max_batch;
+  Completions done;
+  Gate queued;
+  InferenceService service(cfg, TestLoader({{"m1", 21}, {"m2", 22}}));
+  service.Start();
+  for (uint64_t i = 0; i < n; ++i) {
+    const std::string tenant = i % 3 == 0 ? "a" : "b";
+    const std::string model = i % 2 == 0 ? "m1" : "m2";
+    service.Submit(MakeRequest(i, tenant, model, 400 + i),
+                   i == 0 ? done.For(i, [&queued] { queued.Wait(); }) : done.For(i));
+  }
+  queued.Open();
+  done.WaitForTotal(n);
+  service.Stop();
+  return done.payloads();
+}
+
+TEST(ServeDeterminismTest, LivePayloadsByteIdenticalAcrossThreadCounts) {
+  GlobalThreadsGuard guard;
+  const auto t1 = ServeAllLive(/*threads=*/1, /*max_batch=*/8, /*n=*/48);
+  const auto t4 = ServeAllLive(/*threads=*/4, /*max_batch=*/8, /*n=*/48);
+  const auto t4b2 = ServeAllLive(/*threads=*/4, /*max_batch=*/2, /*n=*/48);
+  ASSERT_EQ(t1.size(), 48u);
+  EXPECT_EQ(t1, t4);
+  EXPECT_EQ(t1, t4b2);
+  // And the same bytes as manual dispatch.
+  const auto manual = ServeAll(/*threads=*/1, /*max_batch=*/4, /*n=*/48);
+  EXPECT_EQ(t1, manual);
+}
+
+TEST(ServeWorkersTest, NoReplicaWhileMachineZeroRunsAFallbackEncoding) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  ServeConfig cfg;
+  cfg.record_batches = true;
+  // A detected fault goes straight to the kRedeploy rung.
+  cfg.policy.snapshot_retry = false;
+  cfg.policy.scrub_retry = false;
+  Completions done;
+  InferenceService service(cfg, TestLoader({{"m", 71}}));
+  service.Start();
+  service.Submit(MakeRequest(0, "a", "m", 1000), done.For(0));
+  done.WaitForTotal(1);
+
+  // ServeFaultTest's corruption, which the next inference detects.
+  ModelCache::Entry* entry = service.cache().PeekForTest("m");
+  ASSERT_NE(entry, nullptr);
+  DeployedModel& dm = entry->model.deployed();
+  Rng inject_rng(7);
+  for (int i = 0; i < 32; ++i) {
+    InjectFault(dm.machine().memory(), dm.image_base(),
+                static_cast<uint32_t>(dm.image().flash.size()), FaultModel::kSingleBitFlip,
+                1, inject_rng);
+  }
+  const uint64_t redeploys_before = CounterValue("recovery.redeploy");
+  service.Submit(MakeRequest(1, "a", "m", 1001), done.For(1));
+  done.WaitForTotal(2);
+  ASSERT_GT(CounterValue("recovery.redeploy"), redeploys_before);
+  ASSERT_NE(entry->model.active_encoding(), entry->model.primary_encoding());
+
+  SubmitBacklog(service, done, "m", 2, 32, 1300);
+  EXPECT_EQ(MachinesUsed(service.TakeBatchRecords(), "m"), std::set<size_t>{0});
+  EXPECT_TRUE(service.cache().PeekForTest("m")->replicas.empty());
+  for (const auto& [id, r] : done.responses()) {
+    EXPECT_TRUE(r.ok()) << "request " << id << ": " << r.message;
+  }
+  service.Stop();
+}
+
+TEST(ServeWorkersTest, EvictedModelStartsAgainFromOneMachine) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  ServeConfig cfg;
+  cfg.cache_capacity = 1;
+  cfg.record_batches = true;
+  Completions done;
+  InferenceService service(cfg, TestLoader({{"m1", 41}, {"m2", 42}}));
+  service.Start();
+  uint64_t next_id = 0;
+
+  SubmitBacklog(service, done, "m1", next_id, 32, 1400);
+  next_id += 32;
+  EXPECT_GE(MachinesUsed(service.TakeBatchRecords(), "m1").size(), 2u);
+
+  // Single requests for `model` until the one-slot cache holds it and not `other`. A
+  // worker may still be releasing `other` after its last completion; while `other` is
+  // pinned, the cache evicts `model` again instead.
+  const auto serve_until_resident = [&](const std::string& model, const std::string& other) {
+    for (int tries = 0; tries < 100; ++tries) {
+      if (service.cache().PeekForTest(other) == nullptr &&
+          service.cache().PeekForTest(model) != nullptr) {
+        return true;
+      }
+      service.Submit(MakeRequest(next_id, "a", model, 1450 + tries), done.For(next_id));
+      done.WaitForTotal(++next_id);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+  // m2 takes the only cache slot, and m1 goes with every machine of it.
+  ASSERT_TRUE(serve_until_resident("m2", "m1"));
+
+  // Reloaded on one machine...
+  ASSERT_TRUE(serve_until_resident("m1", "m2"));
+  EXPECT_EQ(MachinesUsed(service.TakeBatchRecords(), "m1"), std::set<size_t>{0});
+  EXPECT_TRUE(service.cache().PeekForTest("m1")->replicas.empty());
+  // ...and a new backlog forks replicas of the new machine 0 again.
+  SubmitBacklog(service, done, "m1", next_id, 32, 1500);
+  next_id += 32;
+  EXPECT_GE(MachinesUsed(service.TakeBatchRecords(), "m1").size(), 2u);
+  for (const auto& [id, r] : done.responses()) {
+    EXPECT_TRUE(r.ok()) << "request " << id << ": " << r.message;
+  }
+  service.Stop();
+}
+
+TEST(ServeWorkersTest, StopWhileWorkersAreMidBatchCompletesEveryRequestOnce) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  Completions done;
+  // Every completion waits here, so no worker gets past its first batch before Stop.
+  Gate stopped;
+  std::atomic<int> held{0};
+  InferenceService service(ServeConfig{}, TestLoader({{"m1", 51}, {"m2", 52}}));
+  service.Start();
+  const auto hold = [&] {
+    ++held;
+    stopped.Wait();
+  };
+  constexpr uint64_t kRequests = 64;  // > 4 workers x 8 per batch: some stay queued
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    service.Submit(MakeRequest(i, i % 3 ? "a" : "b", i % 2 ? "m1" : "m2", 1600 + i),
+                   done.For(i, hold));
+  }
+  while (held.load() == 0) {
+    std::this_thread::yield();
+  }
+  std::thread stopper([&service] { service.Stop(); });
+  // Probe admission until it refuses: then Stop has taken the queue.
+  uint64_t id = kRequests;
+  for (;; ++id) {
+    service.Submit(MakeRequest(id, "probe", "m1", 1700), done.For(id));
+    const auto responses = done.responses();
+    const auto it = responses.find(id);
+    if (it != responses.end() && it->second.message == "serve: shutting down") {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  stopped.Open();
+  stopper.join();
+
+  const std::map<uint64_t, int> counts = done.counts();
+  ASSERT_EQ(counts.size(), id + 1);
+  for (const auto& [request, n] : counts) {
+    EXPECT_EQ(n, 1) << "request " << request;
+  }
+  size_t ok = 0;
+  size_t shut_down = 0;
+  for (const auto& [request, r] : done.responses()) {
+    if (request < kRequests) {
+      ok += r.ok() ? 1 : 0;
+      shut_down += r.message == "serve: shutting down" ? 1 : 0;
+    }
+  }
+  EXPECT_GT(ok, 0u);         // the batches in flight finished
+  EXPECT_GT(shut_down, 0u);  // the queued requests were failed, not dropped
+  EXPECT_EQ(ok + shut_down, kRequests);
 }
 
 // --- load generator ------------------------------------------------------------------

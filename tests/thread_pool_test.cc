@@ -1,12 +1,14 @@
 // ThreadPool / ParallelFor semantics: chunk coverage and disjointness, grain behaviour,
-// in-line degradation (single-threaded pool, tiny ranges, nested calls) and global-pool
-// resizing. The determinism story of every kernel in the repo rests on these properties.
+// in-line degradation (single-threaded pool, tiny ranges, nested calls, a second caller)
+// and global-pool resizing. The determinism story of every kernel in the repo rests on
+// these properties.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -128,6 +130,74 @@ TEST(ThreadPoolTest, NestedParallelForDegradesToInline) {
   });
   EXPECT_FALSE(ThreadPool::InsideChunk());
   EXPECT_EQ(inner_total.load(), outer_chunks.load() * 1000);
+}
+
+// The pool runs one task at a time. A caller that finds another caller's task in flight
+// runs in-line instead of replacing that task under its running chunks (which left both
+// callers waiting forever).
+TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirRangeOnce) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  ThreadPool& pool = ThreadPool::Global();
+  constexpr size_t kN = 64;
+  constexpr int kCalls = 50;
+  const auto caller = [&pool](int* bad_calls) {
+    for (int call = 0; call < kCalls; ++call) {
+      std::vector<std::atomic<int>> hits(kN);
+      for (auto& h : hits) {
+        h.store(0);
+      }
+      pool.ParallelFor(0, kN, 1, [&](size_t b, size_t e) {
+        for (size_t i = b; i < e; ++i) {
+          hits[i].fetch_add(1);
+        }
+        std::this_thread::yield();  // widen the window in which both calls are in flight
+      });
+      for (const auto& h : hits) {
+        if (h.load() != 1) {
+          ++*bad_calls;
+          break;
+        }
+      }
+    }
+  };
+  int bad[2] = {0, 0};
+  std::thread a(caller, &bad[0]);
+  std::thread b(caller, &bad[1]);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad[0], 0);
+  EXPECT_EQ(bad[1], 0);
+}
+
+// A caller holding GlobalShared() keeps its pool, running chunks and all, across a
+// SetGlobalThreads that replaces the global pool.
+TEST(ThreadPoolTest, SharedHandleOutlivesGlobalResize) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  std::shared_ptr<ThreadPool> held = ThreadPool::GlobalShared();
+  std::atomic<int> started{0};
+  std::atomic<bool> release{false};
+  std::atomic<int> finished{0};
+  std::thread runner([&] {
+    held->ParallelFor(0, 4, 1, [&](size_t b, size_t e) {
+      started.fetch_add(static_cast<int>(e - b));
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+      finished.fetch_add(static_cast<int>(e - b));
+    });
+  });
+  while (started.load() < 4) {
+    std::this_thread::yield();
+  }
+  ThreadPool::SetGlobalThreads(2);
+  EXPECT_EQ(ThreadPool::Global().num_threads(), 2u);
+  EXPECT_NE(&ThreadPool::Global(), held.get());
+  release.store(true);
+  runner.join();
+  EXPECT_EQ(finished.load(), 4);
+  held.reset();  // the last handle: joins the replaced pool's idle workers
 }
 
 TEST(ThreadPoolTest, SetGlobalThreadsResizesAndZeroRestoresDefault) {
