@@ -12,8 +12,8 @@ namespace {
 // inside a body degrade to in-line execution instead of deadlocking on the pool.
 thread_local bool t_inside_chunk = false;
 
-std::shared_ptr<ThreadPool>& GlobalSlot() {
-  static std::shared_ptr<ThreadPool> pool;
+std::unique_ptr<ThreadPool>& GlobalSlot() {
+  static std::unique_ptr<ThreadPool> pool;
   return pool;
 }
 
@@ -131,22 +131,17 @@ void ThreadPool::WorkerLoop() {
 }
 
 ThreadPool& ThreadPool::Global() {
-  std::shared_ptr<ThreadPool>& slot = GlobalSlot();
+  std::unique_ptr<ThreadPool>& slot = GlobalSlot();
   if (!slot) {
-    slot = std::make_shared<ThreadPool>(DefaultThreadCount());
+    slot = std::make_unique<ThreadPool>(DefaultThreadCount());
   }
   return *slot;
-}
-
-std::shared_ptr<ThreadPool> ThreadPool::GlobalShared() {
-  Global();
-  return GlobalSlot();
 }
 
 bool ThreadPool::InsideChunk() { return t_inside_chunk; }
 
 void ThreadPool::SetGlobalThreads(unsigned num_threads) {
-  GlobalSlot() = std::make_shared<ThreadPool>(
+  GlobalSlot() = std::make_unique<ThreadPool>(
       num_threads == 0 ? DefaultThreadCount() : num_threads);
 }
 

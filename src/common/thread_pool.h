@@ -18,7 +18,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -41,24 +40,19 @@ class ThreadPool {
   // holds at least `grain` indices (except possibly the last), so tiny loops stay in-line.
   // The caller participates in the work and the call returns only when every chunk is done.
   // The pool runs one task at a time: a call from inside a ParallelFor body, or one that
-  // finds another caller's task in flight (say, the serving workers, which hold the pool
-  // for the life of the service), runs in-line as one chunk.
+  // finds another caller's task in flight, runs in-line as one chunk.
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
 
   // The process-wide pool used by the free ParallelFor below. Sized on first use from
   // NEUROC_NUM_THREADS / hardware_concurrency.
   static ThreadPool& Global();
-  // The same pool as a shared handle, for a caller whose ParallelFor may still be running
-  // when SetGlobalThreads replaces the global pool: the replaced pool lives until its
-  // last handle is dropped.
-  static std::shared_ptr<ThreadPool> GlobalShared();
 
   // True while the calling thread is executing a ParallelFor chunk body.
   static bool InsideChunk();
 
   // Resizes the global pool (benchmarks compare 1-vs-N in one process). Not safe while a
-  // ParallelFor on the global pool is in flight, unless its caller holds GlobalShared().
+  // ParallelFor on the global pool is in flight.
   static void SetGlobalThreads(unsigned num_threads);
 
  private:

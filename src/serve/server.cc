@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include "src/obs/registry.h"
 #include "src/serve/frame.h"
@@ -17,7 +18,9 @@ namespace {
 bool WriteAll(int fd, const uint8_t* data, size_t n) {
   size_t off = 0;
   while (off < n) {
-    const ssize_t w = ::write(fd, data + off, n - off);
+    // MSG_NOSIGNAL: a peer that hung up fails the send with EPIPE instead of raising
+    // SIGPIPE, which would end the process.
+    const ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) {
         continue;
@@ -31,22 +34,37 @@ bool WriteAll(int fd, const uint8_t* data, size_t n) {
 
 }  // namespace
 
+FrameServer::Connection::~Connection() { ::close(fd); }
+
 FrameServer::FrameServer(InferenceService* service) : service_(service) {}
 
 FrameServer::~FrameServer() { Stop(); }
 
 void FrameServer::AddConnection(int fd) {
-  auto conn = std::make_shared<Connection>();
-  conn->fd = fd;
+  auto conn = std::make_shared<Connection>(fd);
+  std::list<Reader> finished;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_.load()) {
-      ::close(fd);
       return;
     }
-    connections_.push_back(conn);
+    for (auto it = readers_.begin(); it != readers_.end();) {
+      const auto next = std::next(it);
+      if (it->finished.load()) {
+        finished.splice(finished.end(), readers_, it);
+      }
+      it = next;
+    }
+    Reader& reader = readers_.emplace_back();
+    reader.conn = conn;
+    reader.thread = std::thread([this, conn = std::move(conn), &reader]() mutable {
+      ReaderLoop(std::move(conn));
+      reader.finished.store(true);
+    });
   }
-  conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
+  for (Reader& reader : finished) {
+    reader.thread.join();
+  }
 }
 
 Status FrameServer::ListenAndServe(uint16_t port) {
@@ -87,7 +105,7 @@ Status FrameServer::ListenAndServe(uint16_t port) {
   return Status::Ok();
 }
 
-void FrameServer::ReaderLoop(const std::shared_ptr<Connection>& conn_ref) {
+void FrameServer::ReaderLoop(std::shared_ptr<Connection> conn_ref) {
   // Completions capture a shared_ptr copy so the connection outlives both Stop() and any
   // response still queued inside the service when the socket goes away.
   Connection* conn = conn_ref.get();
@@ -137,7 +155,6 @@ void FrameServer::ReaderLoop(const std::shared_ptr<Connection>& conn_ref) {
       });
     }
   }
-  ::shutdown(conn->fd, SHUT_RD);
 }
 
 void FrameServer::SendResponse(Connection* conn, const ServeResponse& response) {
@@ -160,24 +177,19 @@ void FrameServer::Stop() {
     ::shutdown(lfd, SHUT_RDWR);
     ::close(lfd);
   }
-  std::list<std::shared_ptr<Connection>> conns;
+  std::list<Reader> readers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    conns.swap(connections_);
+    readers.swap(readers_);
   }
-  for (auto& conn : conns) {
-    conn->closing.store(true);
-    ::shutdown(conn->fd, SHUT_RDWR);  // unblocks the reader's ::read
-  }
-  for (auto& conn : conns) {
-    if (conn->reader.joinable()) {
-      conn->reader.join();
+  for (Reader& reader : readers) {
+    if (const std::shared_ptr<Connection> conn = reader.conn.lock()) {
+      conn->closing.store(true);
+      ::shutdown(conn->fd, SHUT_RDWR);  // unblocks the reader's ::read
     }
   }
-  for (auto& conn : conns) {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);  // let in-flight sends finish
-    ::close(conn->fd);
-    conn->fd = -1;
+  for (Reader& reader : readers) {
+    reader.thread.join();
   }
 }
 

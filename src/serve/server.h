@@ -3,9 +3,12 @@
 // InferenceService; this layer only pumps bytes.
 //
 // Each connection gets one reader thread that feeds a FrameReader and Submits decoded
-// requests; completions (which may fire on pool workers) serialize response frames back
-// through a per-connection write mutex. Responses are matched to requests by request_id,
-// not by stream order — pipelined requests may complete out of order.
+// requests; completions (which fire on the service's workers) serialize response frames
+// back through a per-connection write mutex. Responses are matched to requests by
+// request_id, not by stream order — pipelined requests may complete out of order. A
+// connection's descriptor closes once its reader has exited (the peer hung up, or sent
+// an unrecoverable frame) and no completion still holds it; finished readers are joined
+// at the next AddConnection and at Stop.
 //
 // Connections can be real TCP accepts (ListenAndServe) or pre-connected fds such as one
 // end of a socketpair (AddConnection) — the deterministic in-process test harness uses
@@ -33,8 +36,8 @@ class FrameServer {
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  // Adopts a connected stream fd (takes ownership; closed on teardown) and spawns its
-  // reader thread. Used directly by tests with socketpair fds.
+  // Adopts a connected stream socket (takes ownership) and spawns its reader thread.
+  // Used directly by tests with socketpair fds.
   void AddConnection(int fd);
 
   // Binds 127.0.0.1:port (port 0 picks a free one; see bound_port()), then accepts
@@ -49,21 +52,29 @@ class FrameServer {
   void Stop();
 
  private:
+  // Held by its reader thread and by the completions of its requests; the last of them
+  // closes the descriptor.
   struct Connection {
-    int fd = -1;
+    explicit Connection(int socket) : fd(socket) {}
+    ~Connection();
+    const int fd;
     std::mutex write_mutex;     // completions serialize response frames
     std::atomic<bool> closing{false};
-    std::thread reader;
+  };
+  struct Reader {
+    std::weak_ptr<Connection> conn;  // for Stop to shut down
+    std::thread thread;
+    std::atomic<bool> finished{false};
   };
 
-  void ReaderLoop(const std::shared_ptr<Connection>& conn);
+  void ReaderLoop(std::shared_ptr<Connection> conn);
   // Encodes and writes one response under the connection's write mutex. Write failures
   // mark the connection closing (the reader notices on its next read).
   static void SendResponse(Connection* conn, const ServeResponse& response);
 
   InferenceService* service_;
   std::mutex mutex_;
-  std::list<std::shared_ptr<Connection>> connections_;  // shared: completions may outlive Stop
+  std::list<Reader> readers_;  // guarded by mutex_; a list, so each Reader stays put
   std::atomic<bool> stopping_{false};
   std::atomic<int> listen_fd_{-1};
   std::atomic<uint16_t> bound_port_{0};

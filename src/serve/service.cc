@@ -1,8 +1,13 @@
 #include "src/serve/service.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
+#include "src/core/model_serde.h"
+#include "src/runtime/profile.h"
 
 namespace neuroc {
 
@@ -23,6 +28,12 @@ ServeResponse ErrorResponse(const ServeRequest& request, const Status& status) {
 
 }  // namespace
 
+ModelLoader DirectoryModelLoader(const std::string& dir) {
+  return [dir](const std::string& name) -> StatusOr<NeuroCModel> {
+    return LoadNeuroCModel(dir + "/" + name + ".ncm");
+  };
+}
+
 InferenceService::TenantMetrics::TenantMetrics(const std::string& tenant)
     : requests(MetricsRegistry::Global(), "serve.tenant." + tenant + ".requests"),
       failures(MetricsRegistry::Global(), "serve.tenant." + tenant + ".failures"),
@@ -31,33 +42,35 @@ InferenceService::TenantMetrics::TenantMetrics(const std::string& tenant)
 
 InferenceService::InferenceService(const ServeConfig& config, ModelLoader loader)
     : config_(config),
-      cache_(ModelCacheConfig{config.cache_capacity, config.machine, config.policy},
-             std::move(loader)),
+      loader_(std::move(loader)),
       accepted_(MetricsRegistry::Global(), "serve.accepted"),
       rejected_(MetricsRegistry::Global(), "serve.rejected"),
       completed_(MetricsRegistry::Global(), "serve.completed"),
       failed_(MetricsRegistry::Global(), "serve.failed"),
       batches_(MetricsRegistry::Global(), "serve.batches"),
       batch_size_(MetricsRegistry::Global(), "serve.batch_size"),
-      latency_ms_(MetricsRegistry::Global(), "serve.latency_ms") {
+      latency_ms_(MetricsRegistry::Global(), "serve.latency_ms"),
+      hits_(MetricsRegistry::Global(), "serve.cache.hits"),
+      misses_(MetricsRegistry::Global(), "serve.cache.misses"),
+      evictions_(MetricsRegistry::Global(), "serve.cache.evictions"),
+      load_failures_(MetricsRegistry::Global(), "serve.cache.load_failures") {
   NEUROC_CHECK(config_.max_batch >= 1);
   NEUROC_CHECK(config_.max_queue_depth >= 1);
+  NEUROC_CHECK(config_.cache_capacity >= 1);
+  NEUROC_CHECK(loader_ != nullptr);
 }
 
 InferenceService::~InferenceService() { Stop(); }
 
 void InferenceService::Start() {
-  if (config_.manual_dispatch || host_.joinable()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopping_ || !workers_.empty()) {
     return;
   }
-  pool_ = ThreadPool::GlobalShared();
-  const size_t workers = pool_->num_threads();
-  machine_cap_ = workers;
-  // One chunk per worker, each running until Stop. When the pool is already running
-  // another caller's task, the call runs in-line: one worker on the host thread.
-  host_ = std::thread([this, workers] {
-    pool_->ParallelFor(0, workers, 1, [this](size_t b, size_t e) { WorkerLoop(e - b); });
-  });
+  machine_cap_ = ThreadPool::Global().num_threads();
+  for (size_t i = 0; i < machine_cap_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 void InferenceService::Stop() {
@@ -70,22 +83,21 @@ void InferenceService::Stop() {
     stopping_ = true;
     // Fail queued-but-undispatched work now; leaving the completions unfired would hang
     // any client blocked on a response.
-    for (auto& [model, mq] : queues_) {
-      for (auto& [tenant, q] : mq.by_tenant) {
+    for (auto& [name, model] : models_) {
+      for (auto& [tenant, q] : model.by_tenant) {
         for (Pending& p : q) {
           orphans.push_back(std::move(p));
         }
         q.clear();
       }
-      mq.depth = 0;
+      model.depth = 0;
     }
     total_depth_ = 0;
   }
   work_available_.notify_all();
-  if (host_.joinable()) {
-    host_.join();  // every worker has finished its batch and left the pool
+  for (std::thread& worker : workers_) {
+    worker.join();  // after finishing its batch
   }
-  pool_.reset();
   const Status shutdown(ErrorCode::kResourceExhausted, "serve: shutting down");
   for (Pending& p : orphans) {
     p.done(ErrorResponse(p.request, shutdown));
@@ -113,140 +125,133 @@ void InferenceService::Submit(ServeRequest request, Completion done) {
     accepted_->Add(1);
     TenantMetrics& tenant = tenants_.try_emplace(request.tenant, request.tenant).first->second;
     tenant.requests->Add(1);
-    ModelQueue& mq = queues_[request.model];
-    auto [it, inserted] = mq.by_tenant.try_emplace(request.tenant);
+    Model& model = models_[request.model];
+    auto [it, inserted] = model.by_tenant.try_emplace(request.tenant);
     if (inserted) {
-      mq.tenant_order.push_back(request.tenant);
+      model.tenant_order.push_back(request.tenant);
     }
     pending.request = std::move(request);
     pending.done = std::move(done);
     pending.tenant = &tenant;
     it->second.push_back(std::move(pending));
-    ++mq.depth;
+    ++model.depth;
     ++total_depth_;
     // Wake a worker only when this request makes the model claimable. Had the model
     // queued requests already, a worker is on its way to them or every machine of the
     // model is busy and its holders claim again when they finish.
-    claimable = mq.depth == 1 && mq.idle > 0;
+    claimable = model.depth == 1 && model.idle > 0;
   }
   if (claimable) {
     work_available_.notify_one();
   }
 }
 
-void InferenceService::WorkerLoop(size_t slots) {
+void InferenceService::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
-  machine_cap_ -= slots - 1;  // one worker standing in for `slots` of them
   for (;;) {
-    auto next = queues_.end();
+    auto next = models_.end();
     work_available_.wait(lock, [&] {
-      return stopping_ || (next = FindClaimableLocked()) != queues_.end();
+      return stopping_ || (next = FindClaimableLocked()) != models_.end();
     });
     if (stopping_) {
       return;
     }
     last_claimed_ = next->first;
-    ModelQueue& mq = next->second;
-    Claim claim = ClaimLocked(next->first, mq);
+    Model& model = next->second;
+    Claim claim = ClaimLocked(next);
     // The holder of machine 0 forks when the backlog would otherwise wait for a busy
     // machine; forks made at load would only slow set-up, so a load claim never forks.
-    const bool fork = claim.machine == 0 && claim.entry != nullptr && mq.depth > 0 &&
-                      mq.idle == 0 && mq.busy.size() < machine_cap_;
+    const bool fork = claim.machine == 0 && claim.gm != nullptr && model.depth > 0 &&
+                      model.idle == 0 && model.busy.size() < machine_cap_;
     // Pass the wake-up on: a worker that stays asleep while another model is claimable
     // would leave a core idle.
-    const bool more = FindClaimableLocked() != queues_.end();
+    const bool more = FindClaimableLocked() != models_.end();
     lock.unlock();
     if (more) {
       work_available_.notify_one();
     }
-    if (fork) {
-      GuardedModel& primary = cache_.Machine(claim.entry, 0);
-      // A fallback deployment is not forked: a replica must be indistinguishable from a
-      // fresh load (GuardedModel::Fork checks it too).
-      if (primary.active_encoding() == primary.primary_encoding()) {
-        GuardedModel replica = primary.Fork();
-        lock.lock();
-        const size_t k = cache_.AddReplica(claim.entry, std::move(replica));
-        NEUROC_CHECK(k == mq.busy.size());
-        mq.busy.push_back(false);
-        ++mq.idle;
-        lock.unlock();
-        work_available_.notify_one();
-      }
+    // A fallback deployment is not forked: a replica must be indistinguishable from a
+    // fresh load (GuardedModel::Fork checks it too).
+    if (fork && claim.gm->active_encoding() == claim.gm->primary_encoding()) {
+      auto replica = std::make_unique<GuardedModel>(claim.gm->Fork());
+      lock.lock();
+      model.machines.push_back(std::move(replica));
+      model.busy.push_back(false);
+      ++model.idle;
+      lock.unlock();
+      work_available_.notify_one();
     }
     ExecuteClaim(claim);
     lock.lock();
-    ReleaseLocked(claim);
+    Machines evicted = ReleaseLocked(claim);
+    lock.unlock();
+    evicted.clear();  // outside the lock, so Submit never waits on a machine's teardown
     // The batch's completions have just woken the connection threads that carry its
     // responses and bring the next requests. Where workers fill every core, those
     // threads would wait for the scheduler to preempt one, and that wait was the
     // closed loop's tail latency: give up the core before claiming again.
-    lock.unlock();
     std::this_thread::yield();
     lock.lock();
   }
 }
 
-std::map<std::string, InferenceService::ModelQueue>::iterator
-InferenceService::FindClaimableLocked() {
-  const auto start = queues_.upper_bound(last_claimed_);
-  for (auto it = start; it != queues_.end(); ++it) {
+InferenceService::ModelMap::iterator InferenceService::FindClaimableLocked() {
+  const auto start = models_.upper_bound(last_claimed_);
+  for (auto it = start; it != models_.end(); ++it) {
     if (it->second.claimable()) {
       return it;
     }
   }
-  for (auto it = queues_.begin(); it != start; ++it) {
+  for (auto it = models_.begin(); it != start; ++it) {
     if (it->second.claimable()) {
       return it;
     }
   }
-  return queues_.end();
+  return models_.end();
 }
 
-InferenceService::Claim InferenceService::ClaimLocked(const std::string& model,
-                                                      ModelQueue& mq) {
+InferenceService::Claim InferenceService::ClaimLocked(ModelMap::iterator it) {
+  Model& model = it->second;
   Claim claim;
-  claim.queue = &mq;
-  claim.entry = cache_.Pin(model);
-  if (claim.entry == nullptr && mq.busy.size() > 1) {
-    // Evicted since its last claim, and its replicas with it. Every claim pins the
-    // entry, so no batch can still hold one of those machines.
-    NEUROC_CHECK(mq.idle == mq.busy.size());
-    mq.busy.assign(1, false);
-    mq.idle = 1;
-  }
+  claim.model = it;
   // The lowest free machine: machine 0 whenever it is free, so its holder can fork.
-  while (mq.busy[claim.machine]) {
+  while (model.busy[claim.machine]) {
     ++claim.machine;
   }
-  mq.busy[claim.machine] = true;
-  --mq.idle;
-  claim.batch = FormBatchLocked(model, mq, claim.machine);
+  model.busy[claim.machine] = true;
+  --model.idle;
+  model.last_use = ++use_clock_;
+  if (!model.machines.empty()) {
+    hits_->Add(1);
+    claim.gm = model.machines[claim.machine].get();
+    claim.energy_pj = model.energy_pj;
+  }
+  claim.requests = FormBatchLocked(it, claim.machine);
   return claim;
 }
 
-InferenceService::Batch InferenceService::FormBatchLocked(const std::string& model,
-                                                          ModelQueue& mq, size_t machine) {
-  Batch batch;
-  batch.model = model;
+std::vector<InferenceService::Pending> InferenceService::FormBatchLocked(
+    ModelMap::iterator it, size_t machine) {
+  Model& model = it->second;
+  std::vector<Pending> batch;
   BatchRecord record;
-  record.model = model;
+  record.model = it->first;
   record.machine = machine;
   // Round-robin across tenant FIFOs starting at the cursor: one request per non-empty
   // tenant per lap, so a flooding tenant shares every batch it rides in.
-  const size_t n = mq.tenant_order.size();
+  const size_t n = model.tenant_order.size();
   size_t scanned_empty = 0;
-  size_t i = mq.rr_cursor % std::max<size_t>(1, n);
-  while (batch.requests.size() < config_.max_batch && scanned_empty < n && mq.depth > 0) {
-    const std::string& tenant = mq.tenant_order[i];
-    std::deque<Pending>& q = mq.by_tenant[tenant];
+  size_t i = model.rr_cursor % std::max<size_t>(1, n);
+  while (batch.size() < config_.max_batch && scanned_empty < n && model.depth > 0) {
+    const std::string& tenant = model.tenant_order[i];
+    std::deque<Pending>& q = model.by_tenant[tenant];
     if (q.empty()) {
       ++scanned_empty;
     } else {
       scanned_empty = 0;
-      batch.requests.push_back(std::move(q.front()));
+      batch.push_back(std::move(q.front()));
       q.pop_front();
-      --mq.depth;
+      --model.depth;
       --total_depth_;
       if (!record.per_tenant.empty() && record.per_tenant.back().first == tenant) {
         ++record.per_tenant.back().second;
@@ -256,66 +261,100 @@ InferenceService::Batch InferenceService::FormBatchLocked(const std::string& mod
     }
     i = (i + 1) % n;
   }
-  mq.rr_cursor = i;
+  model.rr_cursor = i;
   if (config_.record_batches) {
-    record.size = batch.requests.size();
+    record.size = batch.size();
     batch_records_.push_back(std::move(record));
   }
   return batch;
 }
 
-void InferenceService::ReleaseLocked(Claim& claim) {
-  ModelQueue& mq = *claim.queue;
-  mq.busy[claim.machine] = false;
-  ++mq.idle;
-  if (claim.entry != nullptr) {
-    cache_.Release(claim.entry);
-  }
+InferenceService::Machines InferenceService::ReleaseLocked(Claim& claim) {
+  Model& model = claim.model->second;
+  model.busy[claim.machine] = false;
+  ++model.idle;
+  return EvictOverflowLocked();  // the least-recently-used model may have waited on it
 }
 
-size_t InferenceService::RunOnce() {
-  std::vector<Claim> claims;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // queues_ is an ordered map, so the pass always visits models in name order —
-    // batch formation is a deterministic function of queue contents.
-    for (auto& [model, mq] : queues_) {
-      if (!mq.empty() && !mq.busy[0]) {
-        claims.push_back(ClaimLocked(model, mq));
+InferenceService::Machines InferenceService::EvictOverflowLocked() {
+  Machines evicted;
+  while (resident_ > config_.cache_capacity) {
+    auto victim = models_.end();
+    for (auto it = models_.begin(); it != models_.end(); ++it) {
+      if (!it->second.machines.empty() &&
+          (victim == models_.end() || it->second.last_use < victim->second.last_use)) {
+        victim = it;
       }
     }
+    Model& model = victim->second;
+    if (model.idle < model.busy.size()) {
+      break;  // still running a batch, whose release evicts it
+    }
+    evictions_->Add(1);
+    std::move(model.machines.begin(), model.machines.end(), std::back_inserter(evicted));
+    model.machines.clear();
+    model.busy.assign(1, false);
+    model.idle = 1;
+    --resident_;
   }
-  size_t served = 0;
-  for (Claim& claim : claims) {
-    served += claim.batch.requests.size();
-    ExecuteClaim(claim);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ReleaseLocked(claim);
+  return evicted;
+}
+
+Status InferenceService::LoadClaim(Claim& claim) {
+  misses_->Add(1);
+  // Load outside the lock: deploy + watchdog calibration + the energy profile run are
+  // milliseconds of simulation, and other models' batches must keep flowing meanwhile.
+  StatusOr<NeuroCModel> host = loader_(claim.model->first);
+  if (!host.ok()) {
+    load_failures_->Add(1);
+    return host.status();
   }
-  return served;
+  StatusOr<GuardedModel> guarded =
+      GuardedModel::Create(std::move(*host), config_.machine, config_.policy);
+  if (!guarded.ok()) {
+    load_failures_->Add(1);
+    return guarded.status();
+  }
+  // One profiled inference pins the per-request energy proxy. Cycles (and with them the
+  // opcode mix) are input-independent by construction, so this zero-input estimate holds
+  // for every request served by the model.
+  const EnergyEstimate energy =
+      EstimateEnergy(EnergyModel::CortexM0Proxy(), ProfileInference(guarded->deployed()));
+  auto machine = std::make_unique<GuardedModel>(std::move(*guarded));
+  claim.gm = machine.get();
+  claim.energy_pj = static_cast<uint64_t>(std::llround(energy.total_pj));
+
+  Machines evicted;  // destroyed after `lock` is dropped
+  std::lock_guard<std::mutex> lock(mutex_);
+  Model& model = claim.model->second;
+  NEUROC_CHECK_MSG(model.machines.empty(), "serve: a resident model was loaded again");
+  model.machines.push_back(std::move(machine));
+  model.energy_pj = claim.energy_pj;
+  model.last_use = ++use_clock_;
+  ++resident_;
+  evicted = EvictOverflowLocked();
+  return Status::Ok();
 }
 
 void InferenceService::ExecuteClaim(Claim& claim) {
-  Batch& batch = claim.batch;
   batches_->Add(1);
-  batch_size_->Observe(static_cast<double>(batch.requests.size()));
-  if (claim.entry == nullptr) {
-    StatusOr<ModelCache::Entry*> loaded = cache_.Load(batch.model);
+  batch_size_->Observe(static_cast<double>(claim.requests.size()));
+  if (claim.gm == nullptr) {
+    const Status loaded = LoadClaim(claim);
     if (!loaded.ok()) {
-      for (Pending& p : batch.requests) {
-        CompleteRequest(p, ErrorResponse(p.request, loaded.status()));
+      for (Pending& p : claim.requests) {
+        CompleteRequest(p, ErrorResponse(p.request, loaded));
       }
       return;
     }
-    claim.entry = *loaded;
   }
-  GuardedModel& gm = cache_.Machine(claim.entry, claim.machine);
+  GuardedModel& gm = *claim.gm;
   const size_t in_dim = gm.deployed().input_dim();
 
   // Length-checked inputs run batched on the one machine; misfits answer immediately.
   std::vector<std::vector<int8_t>> inputs;
   std::vector<Pending*> batched;
-  for (Pending& p : batch.requests) {
+  for (Pending& p : claim.requests) {
     if (p.request.input.size() != in_dim) {
       CompleteRequest(
           p, ErrorResponse(p.request,
@@ -337,7 +376,7 @@ void InferenceService::ExecuteClaim(Claim& claim) {
     if (gr.ok) {
       resp.prediction = gr.prediction;
       resp.cycles = cycles[i];
-      resp.energy_pj = claim.entry->energy_pj;
+      resp.energy_pj = claim.energy_pj;
     } else {
       resp.code = gr.first_fault.code == ErrorCode::kOk ? ErrorCode::kInternal
                                                         : gr.first_fault.code;
@@ -371,6 +410,15 @@ std::vector<BatchRecord> InferenceService::TakeBatchRecords() {
   std::vector<BatchRecord> out;
   out.swap(batch_records_);
   return out;
+}
+
+GuardedModel* InferenceService::MachineForTest(const std::string& model, size_t k) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = models_.find(model);
+  if (it == models_.end() || k >= it->second.machines.size()) {
+    return nullptr;
+  }
+  return it->second.machines[k].get();
 }
 
 }  // namespace neuroc

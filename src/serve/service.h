@@ -2,19 +2,27 @@
 //
 // Request lifecycle:
 //
-//   Submit() ──admission──▶ per-model queues (per-tenant sub-queues) ──▶ W workers, one
-//     ParallelFor over the global pool for the service's lifetime (W = the pool's thread
-//     count). Each worker claims a model with queued requests and a free machine, forms
-//     one batch (round-robin across tenants, so no tenant can starve another inside a
-//     shared model), runs it on that machine via GuardedModel::PredictBatch (a simulated
-//     MCU is single-core, so requests *within* a batch run back-to-back), completes the
-//     requests and claims again ──▶ completions fire with the response.
+//   Submit() ──admission──▶ per-model queues (per-tenant sub-queues) ──▶ W worker
+//     threads the service owns (W = the global pool's thread count at Start). Each worker
+//     claims a model with queued requests and a free machine, forms one batch
+//     (round-robin across tenants, so no tenant can starve another inside a shared
+//     model), runs it on that machine via GuardedModel::PredictBatch (a simulated MCU is
+//     single-core, so requests *within* a batch run back-to-back), completes the requests
+//     and claims again ──▶ completions fire with the response.
 //
-// A model starts with one machine, the loaded GuardedModel (machine 0). While a model has
-// a backlog and every machine of it is busy, the worker holding machine 0 forks a replica
-// (GuardedModel::Fork) before running its batch, up to W machines per model, so one hot
-// model's backlog spreads across workers. Forks happen only there: never at load, and
-// never while machine 0 runs a fallback encoding (its deployment is what Fork copies).
+// Every served model has one record under the service mutex: its tenant queues, its
+// machines (machine 0 is the loaded GuardedModel, the rest are forks of it; none while
+// the model is not resident), which of them are busy, the energy proxy and a last-use
+// stamp. A model that is not resident is loaded, outside the lock, by the worker that
+// claims its machine 0; requests arriving meanwhile wait for that one load. While a model
+// has a backlog and every machine of it is busy, the worker holding machine 0 forks a
+// replica (GuardedModel::Fork) before running its batch, up to W machines per model, so
+// one hot model's backlog spreads across workers. Forks happen only there: never at
+// load, and never while machine 0 runs a fallback encoding (its deployment is what Fork
+// copies). Beyond cache_capacity resident models, the least-recently-used one is
+// evicted with all its machines; if a batch still holds one of them, eviction waits for
+// that batch's release. Any flash corruption a machine picks up mid-service is healed by
+// GuardedModel's scrub-and-retry rungs on the next request.
 //
 // Determinism contract: a response payload is a pure function of (request, model) —
 // inference is input-deterministic, per-inference cycles are input-independent, every
@@ -23,10 +31,11 @@
 // batching/arrival interleaving (asserted in tests/serve_test.cc). Scheduling order, by
 // contrast, is load-dependent by design; only the payloads are pinned.
 //
-// Observability: global serve.* counters/histograms plus per-tenant serve.tenant.<name>.*
-// metrics in the process MetricsRegistry — the `neuroc.serve.v1` metrics schema
-// documented in docs/SERVING.md. Handles are resolved once (LazyMetric), never looked up
-// per request.
+// Observability: global serve.* counters/histograms (model residency under
+// serve.cache.{hits,misses,evictions,load_failures}) plus per-tenant
+// serve.tenant.<name>.* metrics in the process MetricsRegistry — the `neuroc.serve.v1`
+// metrics schema documented in docs/SERVING.md. Handles are resolved once (LazyMetric),
+// never looked up per request.
 
 #ifndef NEUROC_SRC_SERVE_SERVICE_H_
 #define NEUROC_SRC_SERVE_SERVICE_H_
@@ -44,12 +53,20 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "src/common/status.h"
 #include "src/obs/registry.h"
+#include "src/runtime/recovery.h"
 #include "src/serve/frame.h"
-#include "src/serve/model_cache.h"
+#include "src/sim/machine.h"
 
 namespace neuroc {
+
+// Resolves a model name to a freshly loaded host model (e.g. <dir>/<name>.ncm, or an
+// in-memory registry in tests/benches). Must be pure: same name -> same model bytes.
+using ModelLoader = std::function<StatusOr<NeuroCModel>(const std::string& name)>;
+
+// Loader over a directory of v2 CRC model images: name -> <dir>/<name>.ncm.
+ModelLoader DirectoryModelLoader(const std::string& dir);
 
 struct ServeConfig {
   size_t max_batch = 8;          // requests per batch
@@ -57,9 +74,6 @@ struct ServeConfig {
   size_t cache_capacity = 4;     // resident deployed models (LRU beyond this)
   MachineConfig machine;
   RecoveryPolicy policy;
-  // Tests: no workers; the test drives RunOnce() itself, making batch formation a
-  // deterministic function of the queued requests.
-  bool manual_dispatch = false;
   // Tests: keep a journal of formed batches (model, machine, per-tenant composition).
   bool record_batches = false;
 };
@@ -75,9 +89,9 @@ struct BatchRecord {
 
 class InferenceService {
  public:
-  // Runs when the request completes (on a worker, the RunOnce caller, or the Submit/Stop
-  // caller for refusals; never twice for the same request). Must not block for long — it
-  // sits on the serving hot path.
+  // Runs when the request completes (on a worker, or the Submit/Stop caller for
+  // refusals; never twice for the same request). Must not block for long — it sits on
+  // the serving hot path.
   using Completion = std::function<void(const ServeResponse&)>;
 
   InferenceService(const ServeConfig& config, ModelLoader loader);
@@ -86,7 +100,9 @@ class InferenceService {
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  // Starts the workers on the global pool as it is now (no-op under manual_dispatch).
+  // Starts W worker threads, W being the global pool's thread count now. Requests
+  // submitted before Start wait in their queues; a 1-worker service then forms its
+  // batches from them in a deterministic order. No-op once started or stopped.
   void Start();
   // Stops the workers — each finishes the batch it runs, completing its requests — and
   // fails any still-queued request with kResourceExhausted ("shutting down") so no
@@ -97,18 +113,16 @@ class InferenceService {
   // error completion) when the total queue depth is at max_queue_depth.
   void Submit(ServeRequest request, Completion done);
 
-  // The manual-dispatch pass: forms at most one batch per model with pending work whose
-  // machine 0 is free, in model-name order, and runs them one after another on machine 0
-  // on the calling thread. Returns the number of requests completed. Built from the same
-  // claim, form, execute and release steps as the workers.
-  size_t RunOnce();
-
   // Requests queued but not yet dispatched.
   size_t QueueDepth() const;
   // Drains the batch journal (record_batches mode).
   std::vector<BatchRecord> TakeBatchRecords();
 
-  ModelCache& cache() { return cache_; }
+  // Test hook: machine `k` of `model` (0: as loaded, k >= 1: a fork), or null when the
+  // model is not resident or has no machine k. The pointer stays valid until the model
+  // is evicted; touch the machine only while no batch runs on it.
+  GuardedModel* MachineForTest(const std::string& model, size_t k = 0);
+
   const ServeConfig& config() const { return config_; }
 
  private:
@@ -126,55 +140,63 @@ class InferenceService {
     TenantMetrics* tenant = nullptr;
     std::chrono::steady_clock::time_point submitted;
   };
-  // Per-model admission queue: per-tenant FIFOs plus the round-robin state that keeps
-  // batch formation fair across tenants, and which of the model's machines are busy.
-  struct ModelQueue {
+  using Machines = std::vector<std::unique_ptr<GuardedModel>>;
+  // One served model, guarded by mutex_.
+  struct Model {
+    // Admission queue: per-tenant FIFOs plus the round-robin state that keeps batch
+    // formation fair across tenants.
     std::vector<std::string> tenant_order;  // first-arrival order, stable
     std::map<std::string, std::deque<Pending>> by_tenant;
     size_t rr_cursor = 0;  // index into tenant_order to start the next batch from
     size_t depth = 0;
-    // busy[k]: a batch holds machine k. One slot per machine the model has: 1 until
-    // machine 0's holder forks a replica, and 1 again once the cache has evicted it.
+    // machines[0] is the loaded GuardedModel, machines[k >= 1] its forks; empty while
+    // the model is not resident. Each sits behind a pointer, so a batch keeps running on
+    // its machine while the holder of machine 0 appends a fork.
+    Machines machines;
+    // busy[k]: a batch holds machine k. One slot per machine, and one while the model
+    // is not resident: the claim that takes it loads the model as machine 0.
     std::vector<bool> busy = std::vector<bool>(1, false);
-    size_t idle = 1;  // machines not busy
+    size_t idle = 1;         // slots not busy
+    uint64_t energy_pj = 0;  // per-inference energy proxy, profiled once at load
+    uint64_t last_use = 0;   // the service's use clock at the last claim or load
 
-    bool empty() const { return depth == 0; }
     bool claimable() const { return depth > 0 && idle > 0; }
   };
-  struct Batch {
-    std::string model;
-    std::vector<Pending> requests;
-  };
+  using ModelMap = std::map<std::string, Model>;
   // A batch's hold on one machine of its model, from claim to release.
   struct Claim {
-    ModelQueue* queue = nullptr;
+    ModelMap::iterator model;
     size_t machine = 0;
-    // Pinned at claim. Null when the model was not resident: the holder of machine 0
-    // loads it.
-    ModelCache::Entry* entry = nullptr;
-    Batch batch;
+    // The claimed machine, and its model's energy proxy. Null when the model was not
+    // resident: the claim holds slot 0 and loads the model into it.
+    GuardedModel* gm = nullptr;
+    uint64_t energy_pj = 0;
+    std::vector<Pending> requests;
   };
 
-  // A worker: claim, form, (fork,) execute, release, until Stop. `slots` is how many
-  // of the W workers it stands for: 1, or W when the pool ran the ParallelFor in-line.
-  void WorkerLoop(size_t slots);
+  // A worker: claim, form, (fork,) execute, release, until Stop.
+  void WorkerLoop();
   // The next model after the last claimed one (name order, wrapping) that is claimable.
-  std::map<std::string, ModelQueue>::iterator FindClaimableLocked();
-  // Claims the lowest free machine of a claimable `model`, pins its cache entry and forms
-  // the batch. A model the cache has evicted since its last claim restarts from one
-  // machine here.
-  Claim ClaimLocked(const std::string& model, ModelQueue& mq);
-  // Pops up to max_batch requests from `mq` round-robin across tenants (mutex held).
-  Batch FormBatchLocked(const std::string& model, ModelQueue& mq, size_t machine);
+  ModelMap::iterator FindClaimableLocked();
+  // Claims the lowest free machine of a claimable model and forms the batch.
+  Claim ClaimLocked(ModelMap::iterator model);
+  // Pops up to max_batch requests from `model` round-robin across tenants.
+  std::vector<Pending> FormBatchLocked(ModelMap::iterator model, size_t machine);
   // Loads the model when needed and runs the batch on the claimed machine, completing
   // every request.
   void ExecuteClaim(Claim& claim);
-  // Frees the claimed machine and unpins its entry (mutex held).
-  void ReleaseLocked(Claim& claim);
+  // Loads `name` as a new machine 0, outside the lock, and installs it (a miss).
+  Status LoadClaim(Claim& claim);
+  // Frees the claimed machine. Returns the machines of any model this evicts, for the
+  // caller to destroy once it has dropped the lock.
+  Machines ReleaseLocked(Claim& claim);
+  // Evicts least-recently-used models while more than cache_capacity are resident,
+  // stopping at one a batch still holds. Returns the evicted machines.
+  Machines EvictOverflowLocked();
   void CompleteRequest(Pending& pending, const ServeResponse& response);
 
   ServeConfig config_;
-  ModelCache cache_;
+  ModelLoader loader_;
 
   LazyCounter accepted_;
   LazyCounter rejected_;
@@ -183,21 +205,24 @@ class InferenceService {
   LazyCounter batches_;
   LazyHistogram batch_size_;
   LazyHistogram latency_ms_;
+  LazyCounter hits_;
+  LazyCounter misses_;
+  LazyCounter evictions_;
+  LazyCounter load_failures_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
-  std::map<std::string, ModelQueue> queues_;  // keyed by model name
-  std::string last_claimed_;                  // the workers' round-robin cursor over models
+  ModelMap models_;           // keyed by model name; records are never erased
+  std::string last_claimed_;  // the workers' round-robin cursor over models
   size_t total_depth_ = 0;
+  size_t resident_ = 0;       // models with machines
+  uint64_t use_clock_ = 0;    // stamps Model::last_use
   std::map<std::string, TenantMetrics> tenants_;
   std::vector<BatchRecord> batch_records_;
   size_t machine_cap_ = 1;  // machines per model: the number of workers
   bool stopping_ = false;
 
-  // Hosts the workers' ParallelFor, as one of them. The pool is held so that a
-  // SetGlobalThreads while the service runs cannot destroy it under the workers.
-  std::shared_ptr<ThreadPool> pool_;
-  std::thread host_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace neuroc

@@ -1,7 +1,7 @@
 // Concurrency soak for the serving layer: N tenants x M in-flight requests per tenant
 // over real socketpair connections with seeded arrival jitter, against the live workers
 // and a cache smaller than the model set (so eviction/reload churns under load, dropping
-// replica machines with their entries). Run under TSan in CI (the dedicated tsan job) —
+// replica machines with their models). Run under TSan in CI (the dedicated tsan job) —
 // the assertions here are deliberately coarse (everything answered, every answer
 // correct); the interesting property is that no data race, deadlock or lost completion
 // shows up while the scheduler, cache and connections all contend.

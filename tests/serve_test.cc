@@ -3,9 +3,9 @@
 // socketpair end-to-end path, LRU cache eviction/reload, admission control, shutdown
 // semantics, and the fault path (mid-service corruption healed by the recovery ladder).
 //
-// Scheduling-sensitive checks run the service in manual_dispatch mode so batch formation
-// is a pure function of the queued requests; the concurrency-heavy cases live in
-// serve_soak_test.cc.
+// Scheduling-sensitive checks queue their requests before starting a one-worker service,
+// so batch formation is a pure function of the queued requests; the concurrency-heavy
+// cases live in serve_soak_test.cc.
 
 #include <sys/socket.h>
 
@@ -13,7 +13,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <set>
@@ -169,36 +171,160 @@ TEST(FrameTest, ReaderReassemblesSplitFramesAndPoisonsOnOversizedLength) {
   EXPECT_FALSE(poisoned.Next(&out).ok());
 }
 
+// --- harness ------------------------------------------------------------------------
+
+// Holds the threads that wait on it (a completion, and with it the worker running it, or
+// a load) until opened, counting them as they arrive.
+class Gate {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++arrived_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  // Blocks until `n` threads have reached Wait.
+  void WaitForArrivals(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return arrived_ >= n; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  size_t arrived_ = 0;
+};
+
+// The completions of a live service, recorded from whichever thread fires them.
+class Completions {
+ public:
+  // Records request `id`'s response after running `hold` on the completing thread.
+  InferenceService::Completion For(uint64_t id, std::function<void()> hold = nullptr) {
+    return [this, id, hold = std::move(hold)](const ServeResponse& r) {
+      if (hold) {
+        hold();
+      }
+      std::lock_guard<std::mutex> lock(mu_);
+      responses_[id] = r;
+      ++counts_[id];
+      ++total_;
+      cv_.notify_all();
+    };
+  }
+  void WaitForTotal(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return total_ >= n; });
+  }
+  // Encoded response payloads by request id.
+  std::map<uint64_t, std::vector<uint8_t>> payloads() const {
+    std::map<uint64_t, std::vector<uint8_t>> out;
+    for (const auto& [id, r] : responses()) {
+      AppendResponsePayload(r, &out[id]);
+    }
+    return out;
+  }
+  std::map<uint64_t, ServeResponse> responses() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return responses_;
+  }
+  std::map<uint64_t, int> counts() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return counts_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<uint64_t, ServeResponse> responses_;
+  std::map<uint64_t, int> counts_;
+  size_t total_ = 0;
+};
+
+void ExpectAllOk(const Completions& done) {
+  for (const auto& [id, r] : done.responses()) {
+    EXPECT_TRUE(r.ok()) << "request " << id << ": " << r.message;
+  }
+}
+
+// Submits probes from request `id` on until one is refused as shutting down, which
+// means Stop has taken the queue. Returns that probe's id.
+uint64_t ProbeUntilStopped(InferenceService& service, Completions& done, uint64_t id,
+                           const std::string& model) {
+  for (;; ++id) {
+    service.Submit(MakeRequest(id, "probe", model, 1700), done.For(id));
+    const std::map<uint64_t, ServeResponse> responses = done.responses();
+    const auto it = responses.find(id);
+    if (it != responses.end() && it->second.message == "serve: shutting down") {
+      return id;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
+
+// Polls `done` every millisecond for up to ten seconds.
+bool Eventually(const std::function<bool()>& done) {
+  for (int tries = 0; tries < 10000; ++tries) {
+    if (done()) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
 // --- batching & fairness -------------------------------------------------------------
 
-ServeConfig ManualConfig(size_t max_batch = 4) {
+// The scheduling checks queue their requests before Start() on a one-worker service,
+// which then forms its batches from those queues in a deterministic order.
+ServeConfig BatchConfig(size_t max_batch = 4) {
   ServeConfig cfg;
   cfg.max_batch = max_batch;
-  cfg.manual_dispatch = true;
   cfg.record_batches = true;
   return cfg;
 }
 
+// Tenant -> requests in one recorded batch.
+std::map<std::string, size_t> TenantCounts(const BatchRecord& batch) {
+  std::map<std::string, size_t> counts;
+  for (const auto& [tenant, n] : batch.per_tenant) {
+    counts[tenant] += n;
+  }
+  return counts;
+}
+
 TEST(ServeBatchingTest, FillsBatchesUpToMaxBatch) {
-  InferenceService service(ManualConfig(4), TestLoader({{"m", 11}}));
-  std::vector<ServeResponse> responses;
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  Completions done;
+  Gate first;
+  InferenceService service(BatchConfig(4), TestLoader({{"m", 11}}));
   for (uint64_t i = 0; i < 5; ++i) {
     service.Submit(MakeRequest(i, "a", "m", 100 + i),
-                   [&](const ServeResponse& r) { responses.push_back(r); });
+                   i == 0 ? done.For(i, [&first] { first.Wait(); }) : done.For(i));
   }
   EXPECT_EQ(service.QueueDepth(), 5u);
 
-  EXPECT_EQ(service.RunOnce(), 4u);
+  service.Start();
+  // The first batch took four requests; its first completion holds the only worker.
+  first.WaitForArrivals(1);
   EXPECT_EQ(service.QueueDepth(), 1u);
-  EXPECT_EQ(service.RunOnce(), 1u);
-  EXPECT_EQ(service.RunOnce(), 0u);
+  first.Open();
+  done.WaitForTotal(5);
+  service.Stop();
 
   const std::vector<BatchRecord> batches = service.TakeBatchRecords();
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].size, 4u);
   EXPECT_EQ(batches[1].size, 1u);
+  const std::map<uint64_t, ServeResponse> responses = done.responses();
   ASSERT_EQ(responses.size(), 5u);
-  for (const ServeResponse& r : responses) {
+  for (const auto& [id, r] : responses) {
     EXPECT_TRUE(r.ok()) << r.message;
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.energy_pj, 0u);
@@ -206,117 +332,64 @@ TEST(ServeBatchingTest, FillsBatchesUpToMaxBatch) {
 }
 
 TEST(ServeBatchingTest, RoundRobinSharesBatchesAcrossTenants) {
-  InferenceService service(ManualConfig(4), TestLoader({{"m", 12}}));
-  size_t done = 0;
-  const auto count = [&](const ServeResponse&) { ++done; };
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  Completions done;
+  InferenceService service(BatchConfig(4), TestLoader({{"m", 12}}));
   // Tenant a floods 6 requests, tenant b sends 2: the first batch must carry both.
   for (uint64_t i = 0; i < 6; ++i) {
-    service.Submit(MakeRequest(i, "a", "m", 200 + i), count);
+    service.Submit(MakeRequest(i, "a", "m", 200 + i), done.For(i));
   }
   for (uint64_t i = 6; i < 8; ++i) {
-    service.Submit(MakeRequest(i, "b", "m", 200 + i), count);
+    service.Submit(MakeRequest(i, "b", "m", 200 + i), done.For(i));
   }
-
-  EXPECT_EQ(service.RunOnce(), 4u);
-  EXPECT_EQ(service.RunOnce(), 4u);
-  EXPECT_EQ(done, 8u);
+  service.Start();
+  done.WaitForTotal(8);
+  service.Stop();
 
   const std::vector<BatchRecord> batches = service.TakeBatchRecords();
   ASSERT_EQ(batches.size(), 2u);
-  // Round-robin pop order: a,b,a,b — recorded as runs [a:1,b:1,a:1,b:1] or merged runs.
-  size_t a0 = 0;
-  size_t b0 = 0;
-  for (const auto& [tenant, n] : batches[0].per_tenant) {
-    (tenant == "a" ? a0 : b0) += n;
-  }
-  EXPECT_EQ(a0, 2u);
-  EXPECT_EQ(b0, 2u);
+  // Round-robin pop order: a,b,a,b.
+  EXPECT_EQ(TenantCounts(batches[0]),
+            (std::map<std::string, size_t>{{"a", 2}, {"b", 2}}));
   // Second batch: b is drained, a gets the full batch.
-  size_t a1 = 0;
-  size_t b1 = 0;
-  for (const auto& [tenant, n] : batches[1].per_tenant) {
-    (tenant == "a" ? a1 : b1) += n;
-  }
-  EXPECT_EQ(a1, 4u);
-  EXPECT_EQ(b1, 0u);
+  EXPECT_EQ(TenantCounts(batches[1]), (std::map<std::string, size_t>{{"a", 4}}));
 }
 
-TEST(ServeBatchingTest, OneBatchPerModelPerRound) {
-  InferenceService service(ManualConfig(4), TestLoader({{"m1", 13}, {"m2", 14}}));
-  std::atomic<size_t> done{0};
+TEST(ServeBatchingTest, ModelsTakeTurnsInNameOrder) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  Completions done;
+  InferenceService service(BatchConfig(4), TestLoader({{"m1", 13}, {"m2", 14}}));
   for (uint64_t i = 0; i < 4; ++i) {
-    service.Submit(MakeRequest(i, "a", i % 2 ? "m1" : "m2", 300 + i),
-                   [&](const ServeResponse&) { ++done; });
+    service.Submit(MakeRequest(i, "a", i % 2 ? "m1" : "m2", 300 + i), done.For(i));
   }
-  // One pass serves both models, one batch each.
-  EXPECT_EQ(service.RunOnce(), 4u);
-  EXPECT_EQ(done, 4u);
+  service.Start();
+  done.WaitForTotal(4);
+  service.Stop();
+  // One batch per model, m1 first although m2's request arrived first.
   const std::vector<BatchRecord> batches = service.TakeBatchRecords();
   ASSERT_EQ(batches.size(), 2u);
-  // Sorted model order: m1 before m2.
   EXPECT_EQ(batches[0].model, "m1");
   EXPECT_EQ(batches[1].model, "m2");
 }
 
 // --- determinism contract ------------------------------------------------------------
 
-// Runs `n` requests through a fresh service and returns request_id -> encoded response
-// payload bytes.
-std::map<uint64_t, std::vector<uint8_t>> ServeAll(size_t threads, size_t max_batch,
-                                                  size_t n) {
-  ThreadPool::SetGlobalThreads(threads);
-  InferenceService service(ManualConfig(max_batch),
-                           TestLoader({{"m1", 21}, {"m2", 22}}));
-  std::map<uint64_t, std::vector<uint8_t>> payloads;
-  std::mutex mu;
-  for (uint64_t i = 0; i < n; ++i) {
-    const std::string tenant = i % 3 == 0 ? "a" : "b";
-    const std::string model = i % 2 == 0 ? "m1" : "m2";
-    service.Submit(MakeRequest(i, tenant, model, 400 + i), [&, i](const ServeResponse& r) {
-      std::vector<uint8_t> bytes;
-      AppendResponsePayload(r, &bytes);
-      std::lock_guard<std::mutex> lock(mu);
-      payloads[i] = std::move(bytes);
-    });
-  }
-  while (service.RunOnce() > 0) {
-  }
-  return payloads;
-}
-
-TEST(ServeDeterminismTest, PayloadsByteIdenticalAcrossThreadCountsAndBatching) {
-  GlobalThreadsGuard guard;
-  const auto t1 = ServeAll(/*threads=*/1, /*max_batch=*/4, /*n=*/12);
-  const auto t4 = ServeAll(/*threads=*/4, /*max_batch=*/4, /*n=*/12);
-  // Different batch geometry must not leak into payloads either.
-  const auto t4b2 = ServeAll(/*threads=*/4, /*max_batch=*/2, /*n=*/12);
-
-  ASSERT_EQ(t1.size(), 12u);
-  EXPECT_EQ(t1, t4);
-  EXPECT_EQ(t1, t4b2);
-  for (const auto& [id, bytes] : t1) {
-    const StatusOr<ServeResponse> r = DecodeResponsePayload(bytes);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->ok()) << "request " << id << ": " << r->message;
-  }
-}
-
 TEST(ServeDeterminismTest, PredictionsMatchHostModel) {
-  InferenceService service(ManualConfig(), TestLoader({{"m", 23}}));
+  Completions done;
+  InferenceService service(ServeConfig{}, TestLoader({{"m", 23}}));
+  service.Start();
   const NeuroCModel host = MakeTestModel(23, SmallSpec());
-  std::vector<std::pair<uint64_t, int32_t>> got;
   for (uint64_t i = 0; i < 6; ++i) {
-    service.Submit(MakeRequest(i, "a", "m", 500 + i), [&, i](const ServeResponse& r) {
-      ASSERT_TRUE(r.ok()) << r.message;
-      got.emplace_back(i, r.prediction);
-    });
+    service.Submit(MakeRequest(i, "a", "m", 500 + i), done.For(i));
   }
-  while (service.RunOnce() > 0) {
-  }
-  ASSERT_EQ(got.size(), 6u);
-  for (const auto& [i, prediction] : got) {
-    const ServeRequest req = MakeRequest(i, "a", "m", 500 + i);
-    EXPECT_EQ(prediction, host.Predict(req.input)) << "request " << i;
+  done.WaitForTotal(6);
+  service.Stop();
+  for (const auto& [i, r] : done.responses()) {
+    ASSERT_TRUE(r.ok()) << r.message;
+    EXPECT_EQ(r.prediction, host.Predict(MakeRequest(i, "a", "m", 500 + i).input))
+        << "request " << i;
   }
 }
 
@@ -408,88 +481,225 @@ TEST(ServeEndToEndTest, UnknownModelAndBadInputGetStructuredErrors) {
   service.Stop();
 }
 
-// --- model cache ---------------------------------------------------------------------
+// The process's open file descriptors.
+size_t OpenFds() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator()));
+}
+
+// A connection whose peer hangs up gives its descriptor back once its reader exits and
+// its last response is written, not at Stop: a long-running server would otherwise run
+// out of descriptors and stop accepting.
+TEST(ServeEndToEndTest, HungUpConnectionsReleaseTheirDescriptors) {
+  InferenceService service(ServeConfig{}, TestLoader({{"m", 33}}));
+  service.Start();
+  FrameServer server(&service);
+  const size_t before = OpenFds();
+  for (uint64_t i = 0; i < 200; ++i) {
+    int fds[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    server.AddConnection(fds[0]);
+    if (i % 4 == 0) {
+      // Hang up with a request in flight: its response finds the peer gone.
+      FakeClient client(fds[1]);
+      ASSERT_TRUE(client.SendRequest(MakeRequest(i, "a", "m", 650 + i)));
+    } else {
+      ::close(fds[1]);
+    }
+  }
+  EXPECT_TRUE(Eventually([&] { return OpenFds() <= before + 4; }))
+      << OpenFds() << " descriptors open, " << before << " before";
+  server.Stop();
+  service.Stop();
+}
+
+// --- model residency -----------------------------------------------------------------
 
 TEST(ServeCacheTest, LruEvictsAndReloadsBeyondCapacity) {
-  ServeConfig cfg = ManualConfig();
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  ServeConfig cfg;
   cfg.cache_capacity = 1;
+  Completions done;
   InferenceService service(cfg, TestLoader({{"m1", 41}, {"m2", 42}}));
+  service.Start();
 
   const uint64_t evictions_before = CounterValue("serve.cache.evictions");
   const uint64_t misses_before = CounterValue("serve.cache.misses");
 
-  size_t ok = 0;
-  const auto expect_ok = [&](const ServeResponse& r) {
-    ASSERT_TRUE(r.ok()) << r.message;
-    ++ok;
-  };
-  // Alternate models so each round evicts the other: m1, m2, m1.
-  service.Submit(MakeRequest(1, "a", "m1", 700), expect_ok);
-  EXPECT_EQ(service.RunOnce(), 1u);
-  service.Submit(MakeRequest(2, "a", "m2", 701), expect_ok);
-  EXPECT_EQ(service.RunOnce(), 1u);
-  service.Submit(MakeRequest(3, "a", "m1", 700), expect_ok);
-  EXPECT_EQ(service.RunOnce(), 1u);
+  // Alternate models so each load evicts the other: m1, m2, m1.
+  const char* models[] = {"m1", "m2", "m1"};
+  for (uint64_t i = 0; i < 3; ++i) {
+    service.Submit(MakeRequest(i, "a", models[i], 700 + i % 2), done.For(i));
+    done.WaitForTotal(i + 1);
+  }
+  EXPECT_NE(service.MachineForTest("m1"), nullptr);
+  EXPECT_EQ(service.MachineForTest("m2"), nullptr);
+  service.Stop();
 
-  EXPECT_EQ(ok, 3u);
-  EXPECT_EQ(service.cache().resident(), 1u);
+  ExpectAllOk(done);
   EXPECT_EQ(CounterValue("serve.cache.misses") - misses_before, 3u);
-  EXPECT_GE(CounterValue("serve.cache.evictions") - evictions_before, 2u);
-
-  // The reload is a fresh deploy: identical responses before and after eviction.
-  const NeuroCModel host = MakeTestModel(41, SmallSpec());
-  const ServeRequest req = MakeRequest(3, "a", "m1", 700);
-  EXPECT_EQ(host.Predict(req.input), host.Predict(MakeRequest(1, "a", "m1", 700).input));
+  EXPECT_EQ(CounterValue("serve.cache.evictions") - evictions_before, 2u);
+  // The reload is a fresh deploy: the same answer before and after eviction.
+  const std::map<uint64_t, ServeResponse> responses = done.responses();
+  EXPECT_EQ(responses.at(0).prediction, responses.at(2).prediction);
+  EXPECT_EQ(responses.at(0).cycles, responses.at(2).cycles);
+  EXPECT_EQ(responses.at(0).energy_pj, responses.at(2).energy_pj);
 }
 
 TEST(ServeCacheTest, CacheHitSkipsLoader) {
-  size_t loads = 0;
+  std::atomic<int> loads{0};
   ModelLoader counting = [&loads](const std::string&) -> StatusOr<NeuroCModel> {
     ++loads;
     return MakeTestModel(51, SmallSpec());
   };
-  InferenceService service(ManualConfig(), std::move(counting));
-  size_t done = 0;
+  Completions done;
+  InferenceService service(ServeConfig{}, std::move(counting));
+  service.Start();
   for (uint64_t i = 0; i < 4; ++i) {
-    service.Submit(MakeRequest(i, "a", "m", 800 + i),
-                   [&](const ServeResponse& r) {
-                     ASSERT_TRUE(r.ok()) << r.message;
-                     ++done;
-                   });
-    service.RunOnce();
+    service.Submit(MakeRequest(i, "a", "m", 800 + i), done.For(i));
+    done.WaitForTotal(i + 1);
   }
-  EXPECT_EQ(done, 4u);
-  EXPECT_EQ(loads, 1u);
+  service.Stop();
+  ExpectAllOk(done);
+  EXPECT_EQ(loads.load(), 1);
+}
+
+// With one slot, a model loaded while the least-recently-used one still runs a batch
+// stays resident: the older model goes when its batch releases it.
+TEST(ServeCacheTest, BusyLeastRecentlyUsedModelIsEvictedAtItsRelease) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  ServeConfig cfg;
+  cfg.cache_capacity = 1;
+  Completions done;
+  Gate m1_batch;
+  InferenceService service(cfg, TestLoader({{"m1", 43}, {"m2", 44}}));
+  service.Start();
+  const uint64_t misses_before = CounterValue("serve.cache.misses");
+  const uint64_t evictions_before = CounterValue("serve.cache.evictions");
+
+  service.Submit(MakeRequest(0, "a", "m1", 1800),
+                 done.For(0, [&m1_batch] { m1_batch.Wait(); }));
+  m1_batch.WaitForArrivals(1);  // m1 is resident, and its batch holds its machine
+  service.Submit(MakeRequest(1, "a", "m2", 1801), done.For(1));
+  done.WaitForTotal(1);
+  m1_batch.Open();
+  done.WaitForTotal(2);
+
+  EXPECT_TRUE(Eventually([&] { return service.MachineForTest("m1") == nullptr; }));
+  EXPECT_NE(service.MachineForTest("m2"), nullptr);
+  EXPECT_EQ(CounterValue("serve.cache.evictions") - evictions_before, 1u);
+  // The next m2 request finds it resident.
+  const uint64_t misses_after_loads = CounterValue("serve.cache.misses");
+  EXPECT_EQ(misses_after_loads - misses_before, 2u);
+  service.Submit(MakeRequest(2, "a", "m2", 1802), done.For(2));
+  done.WaitForTotal(3);
+  EXPECT_EQ(CounterValue("serve.cache.misses"), misses_after_loads);
+  service.Stop();
+  ExpectAllOk(done);
+}
+
+// A loader that parks every load on `gate`, counting the loads.
+ModelLoader GatedLoader(Gate& gate, std::atomic<int>& loads, ModelLoader inner) {
+  return [&gate, &loads, inner = std::move(inner)](const std::string& name) {
+    ++loads;
+    gate.Wait();
+    return inner(name);
+  };
+}
+
+TEST(ServeCacheTest, RequestsArrivingDuringALoadAreServedByThatLoad) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  Gate load;
+  std::atomic<int> loads{0};
+  Completions done;
+  InferenceService service(ServeConfig{},
+                           GatedLoader(load, loads, TestLoader({{"m", 45}})));
+  service.Start();
+  const uint64_t misses_before = CounterValue("serve.cache.misses");
+
+  constexpr uint64_t kRequests = 24;
+  service.Submit(MakeRequest(0, "a", "m", 1900), done.For(0));
+  load.WaitForArrivals(1);
+  for (uint64_t i = 1; i < kRequests; ++i) {
+    service.Submit(MakeRequest(i, i % 2 ? "a" : "b", "m", 1900 + i), done.For(i));
+  }
+  load.Open();
+  done.WaitForTotal(kRequests);
+  service.Stop();
+
+  EXPECT_EQ(loads.load(), 1);
+  EXPECT_EQ(CounterValue("serve.cache.misses") - misses_before, 1u);
+  const NeuroCModel host = MakeTestModel(45, SmallSpec());
+  for (const auto& [id, r] : done.responses()) {
+    ASSERT_TRUE(r.ok()) << "request " << id << ": " << r.message;
+    EXPECT_EQ(r.prediction, host.Predict(MakeRequest(id, "", "m", 1900 + id).input));
+  }
+}
+
+TEST(ServeCacheTest, StopDuringALoadCompletesEveryRequestOnce) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  Gate load;
+  std::atomic<int> loads{0};
+  Completions done;
+  InferenceService service(ServeConfig{},
+                           GatedLoader(load, loads, TestLoader({{"m", 46}})));
+  service.Start();
+
+  constexpr uint64_t kRequests = 16;
+  service.Submit(MakeRequest(0, "a", "m", 2000), done.For(0));
+  load.WaitForArrivals(1);  // request 0's batch is loading the model
+  for (uint64_t i = 1; i < kRequests; ++i) {
+    service.Submit(MakeRequest(i, "a", "m", 2000 + i), done.For(i));
+  }
+  std::thread stopper([&service] { service.Stop(); });
+  const uint64_t id = ProbeUntilStopped(service, done, kRequests, "m");
+  load.Open();
+  stopper.join();
+
+  const std::map<uint64_t, int> counts = done.counts();
+  ASSERT_EQ(counts.size(), id + 1);
+  for (const auto& [request, n] : counts) {
+    EXPECT_EQ(n, 1) << "request " << request;
+  }
+  const std::map<uint64_t, ServeResponse> responses = done.responses();
+  EXPECT_TRUE(responses.at(0).ok()) << responses.at(0).message;  // the loading batch
+  for (uint64_t i = 1; i < kRequests; ++i) {
+    EXPECT_EQ(responses.at(i).message, "serve: shutting down") << "request " << i;
+  }
+  EXPECT_EQ(loads.load(), 1);
 }
 
 // --- admission control & shutdown ----------------------------------------------------
 
 TEST(ServeAdmissionTest, RejectsBeyondQueueDepth) {
-  ServeConfig cfg = ManualConfig();
+  ServeConfig cfg;
   cfg.max_queue_depth = 2;
+  Completions done;
   InferenceService service(cfg, TestLoader({{"m", 61}}));
-  std::vector<ServeResponse> rejected;
-  size_t accepted = 0;
+  // Queued before Start: the first two fill the queue, the rest are refused at once.
   for (uint64_t i = 0; i < 5; ++i) {
-    service.Submit(MakeRequest(i, "a", "m", 900 + i), [&](const ServeResponse& r) {
-      if (r.ok()) {
-        ++accepted;
-      } else {
-        rejected.push_back(r);
-      }
-    });
+    service.Submit(MakeRequest(i, "a", "m", 900 + i), done.For(i));
   }
-  ASSERT_EQ(rejected.size(), 3u);
-  for (const ServeResponse& r : rejected) {
+  const std::map<uint64_t, ServeResponse> refused = done.responses();
+  ASSERT_EQ(refused.size(), 3u);
+  for (const auto& [id, r] : refused) {
+    EXPECT_GE(id, 2u);
     EXPECT_EQ(r.code, ErrorCode::kResourceExhausted);
   }
-  while (service.RunOnce() > 0) {
-  }
-  EXPECT_EQ(accepted, 2u);
+  service.Start();
+  done.WaitForTotal(5);
+  service.Stop();
+  EXPECT_TRUE(done.responses().at(0).ok());
+  EXPECT_TRUE(done.responses().at(1).ok());
 }
 
 TEST(ServeAdmissionTest, StopFailsQueuedRequests) {
-  InferenceService service(ManualConfig(), TestLoader({{"m", 62}}));
+  InferenceService service(ServeConfig{}, TestLoader({{"m", 62}}));
   std::vector<ServeResponse> responses;
   for (uint64_t i = 0; i < 3; ++i) {
     service.Submit(MakeRequest(i, "a", "m", 950 + i),
@@ -505,53 +715,51 @@ TEST(ServeAdmissionTest, StopFailsQueuedRequests) {
 
 // --- fault path ----------------------------------------------------------------------
 
-// Corrupt the cached model's flash mid-service: the next request must be answered OK
-// after the recovery ladder scrubs the machine, and the recovery counters must say so.
-TEST(ServeFaultTest, MidServiceCorruptionHealedByRecoveryLadder) {
-  InferenceService service(ManualConfig(), TestLoader({{"m", 71}}));
-  size_t ok = 0;
-  const auto expect_ok = [&](const ServeResponse& r) {
-    ASSERT_TRUE(r.ok()) << r.message;
-    ++ok;
-  };
-
-  // Warm the cache.
-  service.Submit(MakeRequest(1, "a", "m", 1000), expect_ok);
-  EXPECT_EQ(service.RunOnce(), 1u);
-  ASSERT_EQ(ok, 1u);
-
-  ModelCache::Entry* entry = service.cache().PeekForTest("m");
-  ASSERT_NE(entry, nullptr);
-  DeployedModel& dm = entry->model.deployed();
-
-  // Batter the packed image with seeded bit flips — enough that the corruption cannot
-  // be behaviorally masked (the CRC check reports it regardless).
+// Flips 32 seeded bits in `dm`'s packed image — enough that the corruption cannot be
+// behaviorally masked (the CRC check reports it regardless).
+void CorruptImage(DeployedModel& dm) {
   Rng inject_rng(7);
   for (int i = 0; i < 32; ++i) {
     InjectFault(dm.machine().memory(), dm.image_base(),
-                static_cast<uint32_t>(dm.image().flash.size()),
-                FaultModel::kSingleBitFlip, 1, inject_rng);
+                static_cast<uint32_t>(dm.image().flash.size()), FaultModel::kSingleBitFlip,
+                1, inject_rng);
   }
+}
+
+// Corrupt the resident model's flash mid-service: the next request must be answered OK
+// after the recovery ladder scrubs the machine, and the recovery counters must say so.
+TEST(ServeFaultTest, MidServiceCorruptionHealedByRecoveryLadder) {
+  Completions done;
+  InferenceService service(ServeConfig{}, TestLoader({{"m", 71}}));
+  service.Start();
+
+  // Load the model.
+  service.Submit(MakeRequest(1, "a", "m", 1000), done.For(1));
+  done.WaitForTotal(1);
+
+  GuardedModel* gm = service.MachineForTest("m");
+  ASSERT_NE(gm, nullptr);
+  DeployedModel& dm = gm->deployed();
+  CorruptImage(dm);
   ASSERT_FALSE(dm.CorruptedSections().empty());
 
   const uint64_t scrubs_before = CounterValue("recovery.scrub_retry");
-  service.Submit(MakeRequest(2, "a", "m", 1001), expect_ok);
-  EXPECT_EQ(service.RunOnce(), 1u);
-  EXPECT_EQ(ok, 2u);
+  service.Submit(MakeRequest(2, "a", "m", 1001), done.For(2));
+  done.WaitForTotal(2);
 
   // The ladder ran its scrub rung and the machine is clean again.
   EXPECT_GT(CounterValue("recovery.scrub_retry"), scrubs_before);
   EXPECT_TRUE(dm.CorruptedSections().empty());
 
   // And the recovered answer matches the host model.
+  service.Submit(MakeRequest(3, "a", "m", 1002), done.For(3));
+  done.WaitForTotal(3);
+  service.Stop();
   const NeuroCModel host = MakeTestModel(71, SmallSpec());
-  service.Submit(MakeRequest(3, "a", "m", 1002),
-                 [&](const ServeResponse& r) {
-                   ASSERT_TRUE(r.ok());
-                   EXPECT_EQ(r.prediction,
-                             host.Predict(MakeRequest(3, "a", "m", 1002).input));
-                 });
-  EXPECT_EQ(service.RunOnce(), 1u);
+  for (const auto& [id, r] : done.responses()) {
+    ASSERT_TRUE(r.ok()) << "request " << id << ": " << r.message;
+    EXPECT_EQ(r.prediction, host.Predict(MakeRequest(id, "a", "m", 999 + id).input));
+  }
 }
 
 // --- per-tenant metrics --------------------------------------------------------------
@@ -559,85 +767,20 @@ TEST(ServeFaultTest, MidServiceCorruptionHealedByRecoveryLadder) {
 TEST(ServeMetricsTest, PerTenantScopesCountTraffic) {
   const uint64_t alice_before = CounterValue("serve.tenant.alice.requests");
   const uint64_t bob_before = CounterValue("serve.tenant.bob.requests");
-  InferenceService service(ManualConfig(), TestLoader({{"m", 81}}));
-  size_t done = 0;
+  Completions done;
+  InferenceService service(ServeConfig{}, TestLoader({{"m", 81}}));
+  service.Start();
   for (uint64_t i = 0; i < 3; ++i) {
-    service.Submit(MakeRequest(i, "alice", "m", 1100 + i),
-                   [&](const ServeResponse&) { ++done; });
+    service.Submit(MakeRequest(i, "alice", "m", 1100 + i), done.For(i));
   }
-  service.Submit(MakeRequest(3, "bob", "m", 1103), [&](const ServeResponse&) { ++done; });
-  while (service.RunOnce() > 0) {
-  }
-  EXPECT_EQ(done, 4u);
+  service.Submit(MakeRequest(3, "bob", "m", 1103), done.For(3));
+  done.WaitForTotal(4);
+  service.Stop();
   EXPECT_EQ(CounterValue("serve.tenant.alice.requests") - alice_before, 3u);
   EXPECT_EQ(CounterValue("serve.tenant.bob.requests") - bob_before, 1u);
 }
 
-// --- live dispatch: workers, replicas, shutdown -------------------------------------
-
-// Holds completions (and with them the workers running them) until opened.
-class Gate {
- public:
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return open_; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
-
-// The completions of a live service, recorded from whichever thread fires them.
-class Completions {
- public:
-  // Records request `id`'s response after running `hold` on the completing thread.
-  InferenceService::Completion For(uint64_t id, std::function<void()> hold = nullptr) {
-    return [this, id, hold = std::move(hold)](const ServeResponse& r) {
-      if (hold) {
-        hold();
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      responses_[id] = r;
-      ++counts_[id];
-      ++total_;
-      cv_.notify_all();
-    };
-  }
-  void WaitForTotal(size_t n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return total_ >= n; });
-  }
-  // Encoded response payloads by request id.
-  std::map<uint64_t, std::vector<uint8_t>> payloads() const {
-    std::map<uint64_t, std::vector<uint8_t>> out;
-    for (const auto& [id, r] : responses()) {
-      AppendResponsePayload(r, &out[id]);
-    }
-    return out;
-  }
-  std::map<uint64_t, ServeResponse> responses() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return responses_;
-  }
-  std::map<uint64_t, int> counts() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counts_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<uint64_t, ServeResponse> responses_;
-  std::map<uint64_t, int> counts_;
-  size_t total_ = 0;
-};
+// --- workers, replicas, shutdown -----------------------------------------------------
 
 // Long enough per completion that a worker woken for a new replica claims it while the
 // batch on machine 0 still runs, even on a loaded host.
@@ -706,8 +849,9 @@ TEST(ServeWorkersTest, BacklogOnOneModelSpreadsAcrossReplicaMachines) {
   EXPECT_EQ(one.payloads, four.payloads);
 }
 
-// ServeAll's requests through live workers; request 0 holds its machine until the rest
-// are queued, so the run forms backlogs (and forks replicas at 4 threads).
+// Requests from two tenants over two models through live workers; request 0 holds its
+// machine until the rest are queued, so the run forms backlogs (and forks replicas at 4
+// threads). Returns request_id -> encoded response payload bytes.
 std::map<uint64_t, std::vector<uint8_t>> ServeAllLive(unsigned threads, size_t max_batch,
                                                       size_t n) {
   ThreadPool::SetGlobalThreads(threads);
@@ -733,13 +877,16 @@ TEST(ServeDeterminismTest, LivePayloadsByteIdenticalAcrossThreadCounts) {
   GlobalThreadsGuard guard;
   const auto t1 = ServeAllLive(/*threads=*/1, /*max_batch=*/8, /*n=*/48);
   const auto t4 = ServeAllLive(/*threads=*/4, /*max_batch=*/8, /*n=*/48);
+  // Different batch geometry must not leak into payloads either.
   const auto t4b2 = ServeAllLive(/*threads=*/4, /*max_batch=*/2, /*n=*/48);
   ASSERT_EQ(t1.size(), 48u);
   EXPECT_EQ(t1, t4);
   EXPECT_EQ(t1, t4b2);
-  // And the same bytes as manual dispatch.
-  const auto manual = ServeAll(/*threads=*/1, /*max_batch=*/4, /*n=*/48);
-  EXPECT_EQ(t1, manual);
+  for (const auto& [id, bytes] : t1) {
+    const StatusOr<ServeResponse> r = DecodeResponsePayload(bytes);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->ok()) << "request " << id << ": " << r->message;
+  }
 }
 
 TEST(ServeWorkersTest, NoReplicaWhileMachineZeroRunsAFallbackEncoding) {
@@ -757,27 +904,19 @@ TEST(ServeWorkersTest, NoReplicaWhileMachineZeroRunsAFallbackEncoding) {
   done.WaitForTotal(1);
 
   // ServeFaultTest's corruption, which the next inference detects.
-  ModelCache::Entry* entry = service.cache().PeekForTest("m");
-  ASSERT_NE(entry, nullptr);
-  DeployedModel& dm = entry->model.deployed();
-  Rng inject_rng(7);
-  for (int i = 0; i < 32; ++i) {
-    InjectFault(dm.machine().memory(), dm.image_base(),
-                static_cast<uint32_t>(dm.image().flash.size()), FaultModel::kSingleBitFlip,
-                1, inject_rng);
-  }
+  GuardedModel* gm = service.MachineForTest("m");
+  ASSERT_NE(gm, nullptr);
+  CorruptImage(gm->deployed());
   const uint64_t redeploys_before = CounterValue("recovery.redeploy");
   service.Submit(MakeRequest(1, "a", "m", 1001), done.For(1));
   done.WaitForTotal(2);
   ASSERT_GT(CounterValue("recovery.redeploy"), redeploys_before);
-  ASSERT_NE(entry->model.active_encoding(), entry->model.primary_encoding());
+  ASSERT_NE(gm->active_encoding(), gm->primary_encoding());
 
   SubmitBacklog(service, done, "m", 2, 32, 1300);
   EXPECT_EQ(MachinesUsed(service.TakeBatchRecords(), "m"), std::set<size_t>{0});
-  EXPECT_TRUE(service.cache().PeekForTest("m")->replicas.empty());
-  for (const auto& [id, r] : done.responses()) {
-    EXPECT_TRUE(r.ok()) << "request " << id << ": " << r.message;
-  }
+  EXPECT_EQ(service.MachineForTest("m", 1), nullptr);
+  ExpectAllOk(done);
   service.Stop();
 }
 
@@ -796,20 +935,15 @@ TEST(ServeWorkersTest, EvictedModelStartsAgainFromOneMachine) {
   next_id += 32;
   EXPECT_GE(MachinesUsed(service.TakeBatchRecords(), "m1").size(), 2u);
 
-  // Single requests for `model` until the one-slot cache holds it and not `other`. A
-  // worker may still be releasing `other` after its last completion; while `other` is
-  // pinned, the cache evicts `model` again instead.
+  // One request for `model` takes the only slot. `other` goes at the load, or, when a
+  // worker is still releasing it after its last completion, at that release.
   const auto serve_until_resident = [&](const std::string& model, const std::string& other) {
-    for (int tries = 0; tries < 100; ++tries) {
-      if (service.cache().PeekForTest(other) == nullptr &&
-          service.cache().PeekForTest(model) != nullptr) {
-        return true;
-      }
-      service.Submit(MakeRequest(next_id, "a", model, 1450 + tries), done.For(next_id));
-      done.WaitForTotal(++next_id);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return false;
+    service.Submit(MakeRequest(next_id, "a", model, 1450 + next_id), done.For(next_id));
+    done.WaitForTotal(++next_id);
+    return Eventually([&] {
+      return service.MachineForTest(other) == nullptr &&
+             service.MachineForTest(model) != nullptr;
+    });
   };
   // m2 takes the only cache slot, and m1 goes with every machine of it.
   ASSERT_TRUE(serve_until_resident("m2", "m1"));
@@ -817,14 +951,12 @@ TEST(ServeWorkersTest, EvictedModelStartsAgainFromOneMachine) {
   // Reloaded on one machine...
   ASSERT_TRUE(serve_until_resident("m1", "m2"));
   EXPECT_EQ(MachinesUsed(service.TakeBatchRecords(), "m1"), std::set<size_t>{0});
-  EXPECT_TRUE(service.cache().PeekForTest("m1")->replicas.empty());
+  EXPECT_EQ(service.MachineForTest("m1", 1), nullptr);
   // ...and a new backlog forks replicas of the new machine 0 again.
   SubmitBacklog(service, done, "m1", next_id, 32, 1500);
   next_id += 32;
   EXPECT_GE(MachinesUsed(service.TakeBatchRecords(), "m1").size(), 2u);
-  for (const auto& [id, r] : done.responses()) {
-    EXPECT_TRUE(r.ok()) << "request " << id << ": " << r.message;
-  }
+  ExpectAllOk(done);
   service.Stop();
 }
 
@@ -834,33 +966,16 @@ TEST(ServeWorkersTest, StopWhileWorkersAreMidBatchCompletesEveryRequestOnce) {
   Completions done;
   // Every completion waits here, so no worker gets past its first batch before Stop.
   Gate stopped;
-  std::atomic<int> held{0};
   InferenceService service(ServeConfig{}, TestLoader({{"m1", 51}, {"m2", 52}}));
   service.Start();
-  const auto hold = [&] {
-    ++held;
-    stopped.Wait();
-  };
   constexpr uint64_t kRequests = 64;  // > 4 workers x 8 per batch: some stay queued
   for (uint64_t i = 0; i < kRequests; ++i) {
     service.Submit(MakeRequest(i, i % 3 ? "a" : "b", i % 2 ? "m1" : "m2", 1600 + i),
-                   done.For(i, hold));
+                   done.For(i, [&stopped] { stopped.Wait(); }));
   }
-  while (held.load() == 0) {
-    std::this_thread::yield();
-  }
+  stopped.WaitForArrivals(1);
   std::thread stopper([&service] { service.Stop(); });
-  // Probe admission until it refuses: then Stop has taken the queue.
-  uint64_t id = kRequests;
-  for (;; ++id) {
-    service.Submit(MakeRequest(id, "probe", "m1", 1700), done.For(id));
-    const auto responses = done.responses();
-    const auto it = responses.find(id);
-    if (it != responses.end() && it->second.message == "serve: shutting down") {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
+  const uint64_t id = ProbeUntilStopped(service, done, kRequests, "m1");
   stopped.Open();
   stopper.join();
 

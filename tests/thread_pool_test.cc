@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -168,36 +167,6 @@ TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirRangeOnce) {
   b.join();
   EXPECT_EQ(bad[0], 0);
   EXPECT_EQ(bad[1], 0);
-}
-
-// A caller holding GlobalShared() keeps its pool, running chunks and all, across a
-// SetGlobalThreads that replaces the global pool.
-TEST(ThreadPoolTest, SharedHandleOutlivesGlobalResize) {
-  GlobalThreadsGuard guard;
-  ThreadPool::SetGlobalThreads(4);
-  std::shared_ptr<ThreadPool> held = ThreadPool::GlobalShared();
-  std::atomic<int> started{0};
-  std::atomic<bool> release{false};
-  std::atomic<int> finished{0};
-  std::thread runner([&] {
-    held->ParallelFor(0, 4, 1, [&](size_t b, size_t e) {
-      started.fetch_add(static_cast<int>(e - b));
-      while (!release.load()) {
-        std::this_thread::yield();
-      }
-      finished.fetch_add(static_cast<int>(e - b));
-    });
-  });
-  while (started.load() < 4) {
-    std::this_thread::yield();
-  }
-  ThreadPool::SetGlobalThreads(2);
-  EXPECT_EQ(ThreadPool::Global().num_threads(), 2u);
-  EXPECT_NE(&ThreadPool::Global(), held.get());
-  release.store(true);
-  runner.join();
-  EXPECT_EQ(finished.load(), 4);
-  held.reset();  // the last handle: joins the replaced pool's idle workers
 }
 
 TEST(ThreadPoolTest, SetGlobalThreadsResizesAndZeroRestoresDefault) {

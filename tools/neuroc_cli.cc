@@ -26,11 +26,14 @@
 // Datasets: digits, mnist, fashion, cifar5, events (procedural; see src/data/synth.h).
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -592,18 +595,40 @@ int CmdFuzz(const Args& args) {
   return failed == 0 ? 0 : 1;
 }
 
+// Parses `text` as a whole decimal number in [min, max]. Signs, blanks, trailing
+// characters and out-of-range values fail.
+bool ParseBounded(const char* text, uint64_t min, uint64_t max, uint64_t* out) {
+  if (*text < '0' || *text > '9') {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 // Multi-tenant batched inference over TCP (see docs/SERVING.md). Blocks until killed.
 int CmdServe(const Args& args) {
-  if (!args.Has("models")) {
+  constexpr uint64_t kMaxCount = std::numeric_limits<size_t>::max();
+  uint64_t max_batch = 0;
+  uint64_t cache = 0;
+  uint64_t queue = 0;
+  uint64_t port = 0;
+  if (!args.Has("models") ||
+      !ParseBounded(args.Get("max-batch", "8"), 1, kMaxCount, &max_batch) ||
+      !ParseBounded(args.Get("cache", "4"), 1, kMaxCount, &cache) ||
+      !ParseBounded(args.Get("queue", "1024"), 1, kMaxCount, &queue) ||
+      !ParseBounded(args.Get("port", "7433"), 0, 65535, &port)) {
     return Usage();
   }
   ServeConfig cfg;
-  cfg.max_batch = static_cast<size_t>(std::strtoul(args.Get("max-batch", "8"), nullptr, 10));
-  cfg.cache_capacity = static_cast<size_t>(std::strtoul(args.Get("cache", "4"), nullptr, 10));
-  cfg.max_queue_depth =
-      static_cast<size_t>(std::strtoul(args.Get("queue", "1024"), nullptr, 10));
-  const uint16_t port =
-      static_cast<uint16_t>(std::strtoul(args.Get("port", "7433"), nullptr, 10));
+  cfg.max_batch = static_cast<size_t>(max_batch);
+  cfg.cache_capacity = static_cast<size_t>(cache);
+  cfg.max_queue_depth = static_cast<size_t>(queue);
 
   InferenceService service(cfg, DirectoryModelLoader(args.Get("models")));
   service.Start();
@@ -611,7 +636,7 @@ int CmdServe(const Args& args) {
   std::printf("neuroc serve: models=%s port=%u max_batch=%zu cache=%zu queue=%zu\n",
               args.Get("models"), static_cast<unsigned>(port), cfg.max_batch,
               cfg.cache_capacity, cfg.max_queue_depth);
-  const Status st = server.ListenAndServe(port);
+  const Status st = server.ListenAndServe(static_cast<uint16_t>(port));
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
