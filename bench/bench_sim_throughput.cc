@@ -1,7 +1,7 @@
 // Host-side simulator throughput: three decode/execute paths (legacy decode-every-step,
-// predecoded-instruction cache, block-compiled), lockstep batches of 8 on the block path,
-// and the profiled paths × the adjacency encodings, plus RandomSearch wall-clock at 1 vs
-// N threads.
+// predecoded-instruction cache, block-compiled), lockstep batches of 2, 4 and 8 on the
+// block path, and the profiled paths × the adjacency encodings, plus RandomSearch
+// wall-clock at 1 vs N threads.
 //
 // Every reported paper metric (cycles, latency) flows through the CPU's execute loop, so
 // simulation speed bounds how many candidate architectures a search can afford. This bench
@@ -46,11 +46,12 @@ constexpr int kRepeats = 5;
 // block-granular counters (block_profiled) and the step-interpreter CpuProbe profiler
 // over both step paths (step_profiled = predecode cache + probe, legacy_profiled =
 // decode-every-step + probe, the pre-block-profiler default). The profiled rows bound
-// what turning attribution on costs on each path. block_lockstep8 runs the inferences as
-// lockstep batches of kLanes (DeployedModel::TryPredictLockstep) on the block path.
-constexpr int kModes = 7;
-constexpr int kLockstepMode = 6;
-constexpr size_t kLanes = 8;
+// what turning attribution on costs on each path. block_lockstep2/4/8 run the inferences
+// as lockstep batches (DeployedModel::TryPredictLockstep) on the block path, one per
+// vector width of the lane executor.
+constexpr int kModes = 9;
+constexpr int kFirstLockstepMode = 6;
+constexpr size_t kLockstepLanes[] = {2, 4, 8};
 
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
@@ -116,9 +117,10 @@ double TimeBlock(DeployedModel& deployed, const std::vector<std::vector<int8_t>>
   return Seconds(t0, t1) / inferences;
 }
 
-// Measures the seven execute/profile paths for one encoding, alternating timed blocks
+// Measures the nine execute/profile paths for one encoding, alternating timed blocks
 // kRepeats times and keeping the best block of each. Returns {legacy, cached, block,
-// block_profiled, step_profiled, legacy_profiled, block_lockstep8}.
+// block_profiled, step_profiled, legacy_profiled, block_lockstep2, block_lockstep4,
+// block_lockstep8}.
 std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int reps) {
   DeployedModel legacy = DeployedModel::Deploy(MakeBenchModel(kind));
   DeployedModel cached = DeployedModel::Deploy(MakeBenchModel(kind));
@@ -126,7 +128,9 @@ std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int rep
   DeployedModel block_prof = DeployedModel::Deploy(MakeBenchModel(kind));
   DeployedModel step_prof = DeployedModel::Deploy(MakeBenchModel(kind));
   DeployedModel legacy_prof = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel lockstep = DeployedModel::Deploy(MakeBenchModel(kind));
+  DeployedModel lockstep2 = DeployedModel::Deploy(MakeBenchModel(kind));
+  DeployedModel lockstep4 = DeployedModel::Deploy(MakeBenchModel(kind));
+  DeployedModel lockstep8 = DeployedModel::Deploy(MakeBenchModel(kind));
   legacy.machine().cpu().EnableDecodeCache(false);
   cached.machine().cpu().EnableBlockCompile(false);  // predecode cache only
   legacy_prof.machine().cpu().EnableDecodeCache(false);
@@ -137,9 +141,14 @@ std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int rep
   ScopedCpuProbe attach_legacy(legacy_prof.machine().cpu(), &legacy_profiler);
   Rng rng(17);
   const std::vector<int8_t> input = MakeRandomInput(legacy.input_dim(), rng);
-  std::vector<std::vector<int8_t>> batch = {input};
-  while (batch.size() < kLanes) {
-    batch.push_back(MakeRandomInput(legacy.input_dim(), rng));
+  // Each lockstep mode's batch: the first 2, 4 or 8 of these inputs.
+  std::vector<std::vector<int8_t>> inputs = {input};
+  while (inputs.size() < kLockstepLanes[std::size(kLockstepLanes) - 1]) {
+    inputs.push_back(MakeRandomInput(legacy.input_dim(), rng));
+  }
+  std::array<std::vector<std::vector<int8_t>>, std::size(kLockstepLanes)> batches;
+  for (size_t k = 0; k < batches.size(); ++k) {
+    batches[k].assign(inputs.begin(), inputs.begin() + kLockstepLanes[k]);
   }
   std::array<InferenceResult, kModes> out;
   out[0].decode = "legacy";
@@ -148,9 +157,12 @@ std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int rep
   out[3].decode = "block_profiled";
   out[4].decode = "step_profiled";
   out[5].decode = "legacy_profiled";
-  out[kLockstepMode].decode = "block_lockstep8";
-  std::array<DeployedModel*, kModes> models = {&legacy,    &cached,      &block,   &block_prof,
-                                               &step_prof, &legacy_prof, &lockstep};
+  for (size_t k = 0; k < batches.size(); ++k) {
+    out[kFirstLockstepMode + k].decode = "block_lockstep" + std::to_string(kLockstepLanes[k]);
+  }
+  std::array<DeployedModel*, kModes> models = {
+      &legacy,      &cached,    &block,     &block_prof, &step_prof,
+      &legacy_prof, &lockstep2, &lockstep4, &lockstep8};
   std::array<double, kModes> best = {};
   for (int which = 0; which < kModes; ++which) {
     out[which].encoding = EncodingKindName(kind);
@@ -159,9 +171,11 @@ std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int rep
   }
   for (int rep = 0; rep < kRepeats; ++rep) {
     for (int which = 0; which < kModes; ++which) {
-      const double seconds = TimeBlock(*models[which],
-                                       which == kLockstepMode ? &batch : nullptr, input,
-                                       reps, out[which]);
+      const double seconds =
+          TimeBlock(*models[which],
+                    which >= kFirstLockstepMode ? &batches[which - kFirstLockstepMode]
+                                                : nullptr,
+                    input, reps, out[which]);
       if (best[which] == 0.0 || seconds < best[which]) {
         best[which] = seconds;
       }
@@ -303,9 +317,12 @@ int main(int argc, char** argv) {
     w.Key(key).ValueFixed(cached.wall_ms_per_inference / block.wall_ms_per_inference, 3);
     std::snprintf(key, sizeof(key), "block_vs_legacy_%s", legacy.encoding.c_str());
     w.Key(key).ValueFixed(legacy.wall_ms_per_inference / block.wall_ms_per_inference, 3);
-    const InferenceResult& lockstep = inference[i + kLockstepMode];
-    std::snprintf(key, sizeof(key), "block_lockstep8_vs_block_%s", legacy.encoding.c_str());
-    w.Key(key).ValueFixed(block.wall_ms_per_inference / lockstep.wall_ms_per_inference, 3);
+    for (size_t m = kFirstLockstepMode; m < kModes; ++m) {
+      const InferenceResult& lockstep = inference[i + m];
+      std::snprintf(key, sizeof(key), "%s_vs_block_%s", lockstep.decode.c_str(),
+                    legacy.encoding.c_str());
+      w.Key(key).ValueFixed(block.wall_ms_per_inference / lockstep.wall_ms_per_inference, 3);
+    }
   }
   w.Key("search_4t_vs_1t").ValueFixed(s1.wall_ms / s4.wall_ms, 3);
   w.EndObject();
@@ -358,8 +375,8 @@ int main(int argc, char** argv) {
       "block fuses straight-line basic blocks into one dispatch with batched "
       "accounting and lazy APSR flags, breaking the per-step Amdahl cap");
   w.Value(
-      "block_lockstep8 runs batches of 8 inferences through the compiled blocks once, "
-      "each op dispatched once and applied to every lane");
+      "block_lockstep2/4/8 run batches of 2, 4 and 8 inferences through the compiled "
+      "blocks once, each op run once as host vector operations over every lane");
   w.Value("search_4t_vs_1t cannot exceed 1x when host_threads_available is 1");
   w.EndArray();
   w.Key("search").BeginObject();

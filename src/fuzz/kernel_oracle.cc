@@ -70,12 +70,40 @@ CaseResult CompareBatch(DeployedModel& batch, const DeployedModel& sequential,
   return {};
 }
 
+// The full-width batch leg: the case's inputs cycled to Cpu::kMaxLanes, the lane
+// executor's widest vector, as one batch on a fresh deployment, against the same
+// sequence run one by one on another.
+template <typename Model>
+CaseResult CompareFullWidthBatch(const Model& model,
+                                 const std::vector<std::vector<int8_t>>& inputs) {
+  auto batch_or = DeployedModel::TryDeploy(model);
+  auto sequential_or = DeployedModel::TryDeploy(model);
+  if (!batch_or.ok() || !sequential_or.ok()) {
+    return {FuzzVerdict::kFail, "deploy failed, full-width batch leg"};
+  }
+  std::vector<std::vector<int8_t>> cycled;
+  std::vector<int> predictions;
+  std::vector<uint64_t> cycles;
+  for (size_t i = 0; i < Cpu::kMaxLanes; ++i) {
+    cycled.push_back(inputs[i % inputs.size()]);
+    const StatusOr<int> pred = sequential_or->TryPredict(cycled.back());
+    if (!pred.ok()) {
+      return {FuzzVerdict::kFail,
+              "guest fault, full-width sequential leg: " + pred.status().ToString()};
+    }
+    predictions.push_back(*pred);
+    cycles.push_back(sequential_or->report().cycles_per_inference);
+  }
+  return CompareBatch(*batch_or, *sequential_or, cycled, predictions, cycles);
+}
+
 // One reference/device comparison across all three simulator decode paths. `block` runs
 // block-compiled execution (the deploy default), `cached` the predecoded-instruction path
 // with block fusion off, `legacy` the decode-every-step interpreter — all must agree with
 // the host byte-for-byte, and with each other on cycle counts (both the predecode cache
 // and block compilation are pure performance transforms). A fourth deployment then runs
-// the inputs as one batch (CompareBatch), which must end where `block` ended.
+// the inputs as one batch (CompareBatch), which must end where `block` ended, and two
+// more the full-width batch leg (CompareFullWidthBatch).
 template <typename Model>
 CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
   auto block_or = DeployedModel::TryDeploy(model);
@@ -135,7 +163,12 @@ CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
     predictions.push_back(host_pred);
     cycles.push_back(block_cycles);
   }
-  return CompareBatch(*batch_or, modes[0].deployed, inputs, predictions, cycles);
+  const CaseResult batch = CompareBatch(*batch_or, modes[0].deployed, inputs, predictions,
+                                       cycles);
+  if (batch.verdict != FuzzVerdict::kPass) {
+    return batch;
+  }
+  return CompareFullWidthBatch(model, inputs);
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ void FrameServer::AddConnection(int fd) {
   }
 }
 
-Status FrameServer::ListenAndServe(uint16_t port) {
+Status FrameServer::ListenAndServe(uint16_t port, const std::function<void()>& on_bound) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status(ErrorCode::kIoError,
@@ -91,6 +91,9 @@ Status FrameServer::ListenAndServe(uint16_t port) {
     bound_port_.store(ntohs(addr.sin_port));
   }
   listen_fd_.store(fd);
+  if (on_bound) {
+    on_bound();
+  }
   for (;;) {
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) {

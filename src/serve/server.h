@@ -18,6 +18,7 @@
 #define NEUROC_SRC_SERVE_SERVER_H_
 
 #include <atomic>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -40,9 +41,10 @@ class FrameServer {
   // Used directly by tests with socketpair fds.
   void AddConnection(int fd);
 
-  // Binds 127.0.0.1:port (port 0 picks a free one; see bound_port()), then accepts
-  // connections until Stop. Blocks; call from a dedicated thread.
-  Status ListenAndServe(uint16_t port);
+  // Binds 127.0.0.1:port (port 0 picks a free one; see bound_port()), runs `on_bound`
+  // (when given) once the listener is bound, then accepts connections until Stop.
+  // Blocks; call from a dedicated thread.
+  Status ListenAndServe(uint16_t port, const std::function<void()>& on_bound = nullptr);
 
   // After ListenAndServe has bound: the actual port (for port 0).
   uint16_t bound_port() const { return bound_port_.load(); }

@@ -34,11 +34,11 @@ ModelLoader DirectoryModelLoader(const std::string& dir) {
   };
 }
 
-InferenceService::TenantMetrics::TenantMetrics(const std::string& tenant)
-    : requests(MetricsRegistry::Global(), "serve.tenant." + tenant + ".requests"),
-      failures(MetricsRegistry::Global(), "serve.tenant." + tenant + ".failures"),
-      latency_ms(MetricsRegistry::Global(), "serve.tenant." + tenant + ".latency_ms"),
-      cycles(MetricsRegistry::Global(), "serve.tenant." + tenant + ".cycles") {}
+InferenceService::TenantMetrics::TenantMetrics(const std::string& scope)
+    : requests(MetricsRegistry::Global(), scope + ".requests"),
+      failures(MetricsRegistry::Global(), scope + ".failures"),
+      latency_ms(MetricsRegistry::Global(), scope + ".latency_ms"),
+      cycles(MetricsRegistry::Global(), scope + ".cycles") {}
 
 InferenceService::InferenceService(const ServeConfig& config, ModelLoader loader)
     : config_(config),
@@ -123,7 +123,11 @@ void InferenceService::Submit(ServeRequest request, Completion done) {
       return;
     }
     accepted_->Add(1);
-    TenantMetrics& tenant = tenants_.try_emplace(request.tenant, request.tenant).first->second;
+    auto scope = tenants_.find(request.tenant);
+    if (scope == tenants_.end() && tenants_.size() < kMaxTenantScopes) {
+      scope = tenants_.try_emplace(request.tenant, "serve.tenant." + request.tenant).first;
+    }
+    TenantMetrics& tenant = scope == tenants_.end() ? overflow_tenants_ : scope->second;
     tenant.requests->Add(1);
     Model& model = models_[request.model];
     auto [it, inserted] = model.by_tenant.try_emplace(request.tenant);
@@ -237,29 +241,31 @@ std::vector<InferenceService::Pending> InferenceService::FormBatchLocked(
   BatchRecord record;
   record.model = it->first;
   record.machine = machine;
-  // Round-robin across tenant FIFOs starting at the cursor: one request per non-empty
-  // tenant per lap, so a flooding tenant shares every batch it rides in.
-  const size_t n = model.tenant_order.size();
-  size_t scanned_empty = 0;
-  size_t i = model.rr_cursor % std::max<size_t>(1, n);
-  while (batch.size() < config_.max_batch && scanned_empty < n && model.depth > 0) {
-    const std::string& tenant = model.tenant_order[i];
-    std::deque<Pending>& q = model.by_tenant[tenant];
-    if (q.empty()) {
-      ++scanned_empty;
-    } else {
-      scanned_empty = 0;
-      batch.push_back(std::move(q.front()));
-      q.pop_front();
-      --model.depth;
-      --total_depth_;
-      if (!record.per_tenant.empty() && record.per_tenant.back().first == tenant) {
-        ++record.per_tenant.back().second;
-      } else {
-        record.per_tenant.emplace_back(tenant, 1);
-      }
+  // Round-robin across tenant FIFOs starting at the cursor: one request per queued
+  // tenant per lap, so a flooding tenant shares every batch it rides in. Every tenant in
+  // tenant_order has requests, and one whose FIFO empties leaves it.
+  size_t i = model.rr_cursor;
+  while (batch.size() < config_.max_batch && model.depth > 0) {
+    if (i >= model.tenant_order.size()) {
+      i = 0;
     }
-    i = (i + 1) % n;
+    const auto q = model.by_tenant.find(model.tenant_order[i]);
+    const std::string& tenant = q->first;
+    batch.push_back(std::move(q->second.front()));
+    q->second.pop_front();
+    --model.depth;
+    --total_depth_;
+    if (!record.per_tenant.empty() && record.per_tenant.back().first == tenant) {
+      ++record.per_tenant.back().second;
+    } else {
+      record.per_tenant.emplace_back(tenant, 1);
+    }
+    if (q->second.empty()) {
+      model.tenant_order.erase(model.tenant_order.begin() + static_cast<ptrdiff_t>(i));
+      model.by_tenant.erase(q);
+    } else {
+      ++i;
+    }
   }
   model.rr_cursor = i;
   if (config_.record_batches) {
@@ -270,9 +276,11 @@ std::vector<InferenceService::Pending> InferenceService::FormBatchLocked(
 }
 
 InferenceService::Machines InferenceService::ReleaseLocked(Claim& claim) {
-  Model& model = claim.model->second;
-  model.busy[claim.machine] = false;
-  ++model.idle;
+  if (claim.model != models_.end()) {
+    Model& model = claim.model->second;
+    model.busy[claim.machine] = false;
+    ++model.idle;
+  }
   return EvictOverflowLocked();  // the least-recently-used model may have waited on it
 }
 
@@ -305,14 +313,28 @@ Status InferenceService::LoadClaim(Claim& claim) {
   // Load outside the lock: deploy + watchdog calibration + the energy profile run are
   // milliseconds of simulation, and other models' batches must keep flowing meanwhile.
   StatusOr<NeuroCModel> host = loader_(claim.model->first);
-  if (!host.ok()) {
-    load_failures_->Add(1);
-    return host.status();
-  }
   StatusOr<GuardedModel> guarded =
-      GuardedModel::Create(std::move(*host), config_.machine, config_.policy);
+      host.ok() ? GuardedModel::Create(std::move(*host), config_.machine, config_.policy)
+                : StatusOr<GuardedModel>(host.status());
   if (!guarded.ok()) {
     load_failures_->Add(1);
+    // The claim holds the model's only slot, so no other claim refers to its record:
+    // erase it, and fail what queued behind the load with the load's status. The next
+    // request for the name makes a new record and tries the load again.
+    std::vector<Pending> behind;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      Model& model = claim.model->second;
+      for (auto& [tenant, q] : model.by_tenant) {
+        std::move(q.begin(), q.end(), std::back_inserter(behind));
+      }
+      total_depth_ -= model.depth;
+      models_.erase(claim.model);
+      claim.model = models_.end();
+    }
+    for (Pending& p : behind) {
+      CompleteRequest(p, ErrorResponse(p.request, guarded.status()));
+    }
     return guarded.status();
   }
   // One profiled inference pins the per-request energy proxy. Cycles (and with them the
@@ -398,6 +420,11 @@ void InferenceService::CompleteRequest(Pending& pending, const ServeResponse& re
     tenant.failures->Add(1);
   }
   pending.done(response);
+}
+
+size_t InferenceService::ModelRecordsForTest() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return models_.size();
 }
 
 size_t InferenceService::QueueDepth() const {

@@ -36,6 +36,12 @@
 // serve.tenant.<name>.* metrics in the process MetricsRegistry — the `neuroc.serve.v1`
 // metrics schema documented in docs/SERVING.md. Handles are resolved once (LazyMetric),
 // never looked up per request.
+//
+// What client-chosen names can grow is bounded: a failed load erases its model's record
+// (failing the requests queued behind that load with the load's status), so records
+// outlive their requests only for names the loader resolves; a tenant's FIFO lives only
+// while it holds requests; and only the first kMaxTenantScopes tenants get their own
+// metric scope.
 
 #ifndef NEUROC_SRC_SERVE_SERVICE_H_
 #define NEUROC_SRC_SERVE_SERVICE_H_
@@ -113,6 +119,11 @@ class InferenceService {
   // error completion) when the total queue depth is at max_queue_depth.
   void Submit(ServeRequest request, Completion done);
 
+  // Tenants with their own serve.tenant.<name>.* scope; every later tenant is counted
+  // under serve.tenant_overflow.*, so client-chosen names cannot grow the registry
+  // without bound.
+  static constexpr size_t kMaxTenantScopes = 64;
+
   // Requests queued but not yet dispatched.
   size_t QueueDepth() const;
   // Drains the batch journal (record_batches mode).
@@ -122,13 +133,16 @@ class InferenceService {
   // model is not resident or has no machine k. The pointer stays valid until the model
   // is evicted; touch the machine only while no batch runs on it.
   GuardedModel* MachineForTest(const std::string& model, size_t k = 0);
+  // Test hook: the model records the service holds.
+  size_t ModelRecordsForTest() const;
 
   const ServeConfig& config() const { return config_; }
 
  private:
-  // Handles of one tenant's serve.tenant.<name>.* metrics, made at its first request.
+  // Handles of one metric scope's <scope>.* metrics: serve.tenant.<name> for a tenant,
+  // made at its first request, or serve.tenant_overflow.
   struct TenantMetrics {
-    explicit TenantMetrics(const std::string& tenant);
+    explicit TenantMetrics(const std::string& scope);
     LazyCounter requests;
     LazyCounter failures;
     LazyHistogram latency_ms;
@@ -144,8 +158,10 @@ class InferenceService {
   // One served model, guarded by mutex_.
   struct Model {
     // Admission queue: per-tenant FIFOs plus the round-robin state that keeps batch
-    // formation fair across tenants.
-    std::vector<std::string> tenant_order;  // first-arrival order, stable
+    // formation fair across tenants. A tenant is here only while its FIFO holds
+    // requests: batch formation drops it when it empties, and its next request appends
+    // it again.
+    std::vector<std::string> tenant_order;  // arrival order of the queued tenants
     std::map<std::string, std::deque<Pending>> by_tenant;
     size_t rr_cursor = 0;  // index into tenant_order to start the next batch from
     size_t depth = 0;
@@ -185,10 +201,12 @@ class InferenceService {
   // Loads the model when needed and runs the batch on the claimed machine, completing
   // every request.
   void ExecuteClaim(Claim& claim);
-  // Loads `name` as a new machine 0, outside the lock, and installs it (a miss).
+  // Loads `name` as a new machine 0, outside the lock, and installs it (a miss). On a
+  // failure it erases the model's record, leaving claim.model at models_.end(), and
+  // completes the requests queued behind the load with the load's status.
   Status LoadClaim(Claim& claim);
-  // Frees the claimed machine. Returns the machines of any model this evicts, for the
-  // caller to destroy once it has dropped the lock.
+  // Frees the claimed machine, if its model still has a record. Returns the machines of
+  // any model this evicts, for the caller to destroy once it has dropped the lock.
   Machines ReleaseLocked(Claim& claim);
   // Evicts least-recently-used models while more than cache_capacity are resident,
   // stopping at one a batch still holds. Returns the evicted machines.
@@ -212,12 +230,13 @@ class InferenceService {
 
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
-  ModelMap models_;           // keyed by model name; records are never erased
+  ModelMap models_;           // keyed by model name; a failed load erases its record
   std::string last_claimed_;  // the workers' round-robin cursor over models
   size_t total_depth_ = 0;
   size_t resident_ = 0;       // models with machines
   uint64_t use_clock_ = 0;    // stamps Model::last_use
-  std::map<std::string, TenantMetrics> tenants_;
+  std::map<std::string, TenantMetrics> tenants_;  // at most kMaxTenantScopes
+  TenantMetrics overflow_tenants_{"serve.tenant_overflow"};
   std::vector<BatchRecord> batch_records_;
   size_t machine_cap_ = 1;  // machines per model: the number of workers
   bool stopping_ = false;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <span>
+#include <type_traits>
 
 #include "src/common/check.h"
 #include "src/isa/decoder.h"
@@ -35,24 +36,24 @@ size_t NextTouchedWord(const std::vector<uint8_t>& state, size_t w) {
 
 }  // namespace
 
-// An open lockstep batch. Every lane starts from the CPU's registers and flags and the
-// memory's SRAM as BeginLanes found them (the base). A lane's SRAM buffer holds only the
-// bytes that lane wrote; which bytes those are is the same for every lane, since the
-// lanes access the same addresses, so one `word_state` byte per SRAM word records it
-// for all of them, plus which bytes were read before being written. Reads of bytes not
-// written yet come from the base.
+// An open lockstep batch of `count` inferences, run as `width` lanes (2, 4 or 8, the
+// narrowest that holds them; lanes past `count` mirror lane 0, input included, so they
+// never disagree with it). Every lane starts from the CPU's registers and flags and the
+// memory's SRAM as BeginLanes found them (the base). Lane j's registers and flags are
+// element j of the `regs` and `flags` rows, the form ExecuteLanes loads into vectors.
+// The lanes' SRAM is one interleaved buffer: byte `off` of lane j sits at
+// ram[off * width + j], so one guest byte of every lane is one contiguous row. It holds
+// only the bytes the lanes wrote; which bytes those are is the same for every lane,
+// since the lanes access the same addresses, so one `word_state` byte per SRAM word
+// records it for all of them, plus which bytes were read before being written. Reads of
+// bytes not written yet come from the base.
 struct Cpu::Lanes {
-  struct Lane {
-    std::array<uint32_t, 16> regs{};
-    CpuFlags flags;
-    uint32_t pc = 0;         // written by control-flow bodies, compared across lanes
-    uint64_t dyn = 0;        // dynamic cycles; only the first lane's are read
-    uint8_t* ram = nullptr;  // this lane's SRAM buffer
-  };
-  std::array<Lane, kMaxLanes> lane;
+  std::array<std::array<uint32_t, kMaxLanes>, 16> regs{};
+  std::array<std::array<uint32_t, kMaxLanes>, 4> flags{};  // n, z, c, v as 0 or 1
   size_t count = 0;
+  size_t width = 0;
   bool open = false;
-  // The lanes' SRAM buffers, kept for the next batch. From calloc rather than a zeroing
+  // The interleaved SRAM, kept for the next batch. From calloc rather than a zeroing
   // vector: a batch reads only bytes its lanes wrote, and a large calloc block comes as
   // untouched zero pages, so SRAM no lane writes costs no resident memory.
   struct FreeDeleter {
@@ -61,6 +62,7 @@ struct Cpu::Lanes {
   std::unique_ptr<uint8_t, FreeDeleter> ram;
   size_t ram_bytes = 0;
   std::vector<uint8_t> word_state;
+  std::vector<uint8_t> commit_bytes;  // the last lane's bytes of one run, for HostWrite
   std::array<uint32_t, 16> base_regs{};
   CpuFlags base_flags;
   // Registers and flags the inference reads before writing them, and those it has
@@ -76,7 +78,8 @@ struct Cpu::Lanes {
   uint64_t call_start_cycles = 0;
   uint64_t call_budget_end = 0;
   uint64_t call_cycle_budget = 0;
-  // One lane's cycles, instructions and instruction fetches; every lane's data accesses.
+  // One lane's cycles, instructions, instruction fetches and data accesses: every lane
+  // retires the same instructions and accesses the same addresses.
   uint64_t cycles = 0;
   uint64_t instructions = 0;
   uint64_t fetch_reads = 0;
@@ -434,6 +437,96 @@ uint32_t StaticExecCycles(const Instr& in, const CycleModel& m) {
   }
 }
 
+// The value operations the op bodies (thumb_ops.inc) need beyond C++'s operators,
+// generic over their value type `Word`: uint32_t in the machine's executors, one
+// uint32_t per lane (LaneTypes<W>::Word) in the lane executor. Each leaves its result in
+// a member rather than returning it, since GCC's -Wpsabi warns on every function that
+// returns a 32-byte vector when AVX is off.
+
+// `x` in every lane.
+template <class Word>
+struct Splat {
+  Word v{};
+  explicit Splat(uint32_t x) {
+    if constexpr (std::is_same_v<Word, uint32_t>) {
+      v = x;
+    } else {
+      for (size_t i = 0; i < sizeof(Word) / sizeof(uint32_t); ++i) {
+        v[i] = x;
+      }
+    }
+  }
+};
+
+// `x` shifted right arithmetically by `n` (0..31).
+template <class Word>
+struct Sar {
+  using Signed =
+      std::conditional_t<std::is_same_v<Word, uint32_t>, int32_t, decltype(Word{} < Word{})>;
+  Word v;
+  Sar(const Word& x, int n) : v(Word(Signed(x) >> n)) {}
+};
+
+// x + y + carry_in (0 or 1), with the carry out of bit 31 and the signed overflow as
+// 0 or 1.
+template <class Word>
+struct AddWithCarry {
+  Word value;
+  Word carry;
+  Word overflow;
+  AddWithCarry(const Word& x, const Word& y, const Word& carry_in)
+      : value(x + y + carry_in),
+        carry(((x & y) | ((x | y) & ~value)) >> 31),
+        overflow(((x ^ value) & (y ^ value)) >> 31) {}
+};
+
+template <class Flags, class Word>
+void SetNZ(Flags& flags, const Word& value) {
+  flags.n = value >> 31;
+  flags.z = Word(value == Word{}) & Splat<Word>(1).v;
+}
+
+// The flags of every lane, 0 or 1 each: NEUROC_FLAGS in the lane executor.
+template <class Word>
+struct LaneFlags {
+  Word n;
+  Word z;
+  Word c;
+  Word v;
+};
+
+// Whether `cond` holds on `flags` (CpuFlags or LaneFlags), as 0 or 1.
+template <class Word>
+struct CondHolds {
+  Word v;
+  template <class Flags>
+  CondHolds(const Flags& flags, Cond cond) {
+    const Word one = Splat<Word>(1).v;
+    const Word n = Word(flags.n);
+    const Word z = Word(flags.z);
+    const Word c = Word(flags.c);
+    const Word ov = Word(flags.v);
+    switch (cond) {
+      case Cond::kEq: v = z; return;
+      case Cond::kNe: v = z ^ one; return;
+      case Cond::kCs: v = c; return;
+      case Cond::kCc: v = c ^ one; return;
+      case Cond::kMi: v = n; return;
+      case Cond::kPl: v = n ^ one; return;
+      case Cond::kVs: v = ov; return;
+      case Cond::kVc: v = ov ^ one; return;
+      case Cond::kHi: v = c & (z ^ one); return;
+      case Cond::kLs: v = (c ^ one) | z; return;
+      case Cond::kGe: v = n ^ ov ^ one; return;
+      case Cond::kLt: v = n ^ ov; return;
+      case Cond::kGt: v = (z | (n ^ ov)) ^ one; return;
+      case Cond::kLe: v = z | (n ^ ov); return;
+      case Cond::kAl: v = one; return;
+    }
+    v = Word{};
+  }
+};
+
 }  // namespace
 
 inline Cpu::BlockOp Cpu::Lower(const Instr& in, uint32_t addr) {
@@ -637,47 +730,6 @@ void Cpu::FlushBlockProfiles() const {
   }
 }
 
-Cpu::AddResult Cpu::AddWithCarry(uint32_t x, uint32_t y, bool carry_in) {
-  const uint64_t unsigned_sum =
-      static_cast<uint64_t>(x) + static_cast<uint64_t>(y) + (carry_in ? 1 : 0);
-  const int64_t signed_sum = static_cast<int64_t>(static_cast<int32_t>(x)) +
-                             static_cast<int64_t>(static_cast<int32_t>(y)) +
-                             (carry_in ? 1 : 0);
-  AddResult r;
-  r.value = static_cast<uint32_t>(unsigned_sum);
-  r.carry = unsigned_sum != static_cast<uint64_t>(r.value);
-  r.overflow = signed_sum != static_cast<int64_t>(static_cast<int32_t>(r.value));
-  return r;
-}
-
-// Inlined into both callers, so the machine executors call an EvalCond whose body is
-// the whole switch, and the lane executor tests each lane's flags in place.
-#if defined(__GNUC__)
-__attribute__((always_inline))
-#endif
-inline bool Cpu::CondHolds(const CpuFlags& flags, Cond cond) {
-  switch (cond) {
-    case Cond::kEq: return flags.z;
-    case Cond::kNe: return !flags.z;
-    case Cond::kCs: return flags.c;
-    case Cond::kCc: return !flags.c;
-    case Cond::kMi: return flags.n;
-    case Cond::kPl: return !flags.n;
-    case Cond::kVs: return flags.v;
-    case Cond::kVc: return !flags.v;
-    case Cond::kHi: return flags.c && !flags.z;
-    case Cond::kLs: return !flags.c || flags.z;
-    case Cond::kGe: return flags.n == flags.v;
-    case Cond::kLt: return flags.n != flags.v;
-    case Cond::kGt: return !flags.z && flags.n == flags.v;
-    case Cond::kLe: return flags.z || flags.n != flags.v;
-    case Cond::kAl: return true;
-  }
-  return false;
-}
-
-bool Cpu::EvalCond(Cond cond) const { return CondHolds(flags_, cond); }
-
 void Cpu::SetInstructionAlarm(uint64_t at_instructions, std::function<void()> on_alarm) {
   alarm_ = std::move(on_alarm);
   alarm_at_ = at_instructions;
@@ -781,14 +833,20 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
 // cursor in lockstep with the op pointer (discarded in the unprofiled instantiation), so
 // charge_mem records a flash-wait hit with a plain `++*prof_slot` — no per-access
 // op-index math on the hot path.
-// The machine's own state, as both ExecuteBlock and Step present it to the op bodies.
+// The machine's own state, as both ExecuteBlock and Step present it to the op bodies
+// (with Word = uint32_t, so NEUROC_SCALAR has nothing to extract).
 #define NEUROC_REG(r) regs_[r]
 #define NEUROC_FLAGS flags_
-#define NEUROC_COND(cond) EvalCond(cond)
-#define NEUROC_MEM (*mem_)
+#define NEUROC_COND(cond) (CondHolds<Word>(flags_, cond).v)
+#define NEUROC_LOAD8(a) mem_->Read8(a)
+#define NEUROC_LOAD16(a) mem_->Read16(a)
+#define NEUROC_LOAD32(a) mem_->Read32(a)
+#define NEUROC_STORE8(a, v) mem_->Write8(a, static_cast<uint8_t>(v))
+#define NEUROC_STORE16(a, v) mem_->Write16(a, static_cast<uint16_t>(v))
+#define NEUROC_STORE32(a, v) mem_->Write32(a, v)
+#define NEUROC_SCALAR(x) (x)
 #define NEUROC_PC pc_
 #define NEUROC_DYN dyn
-#define NEUROC_ADDR(a)
 #define NEUROC_OP(name) lbl_##name:
 #define NEUROC_NEXT                                   \
   do {                                                \
@@ -807,6 +865,7 @@ template <bool kProfiled>
 __attribute__((optimize("no-gcse")))
 #endif
 void Cpu::ExecuteBlock(const Block& b) {
+  using Word = uint32_t;
   const uint32_t fetch_ws = static_cast<uint32_t>(model_.flash_wait_states);
   const uint32_t flash_base = mem_->flash_base();
   const uint32_t flash_size = mem_->flash_size();
@@ -976,6 +1035,7 @@ void Cpu::Step() {
     // the same on every decode path (the bodies read r15 through NEUROC_RVAL).
     regs_[kRegPc] = addr + 4;
     lowered = Lower(in, addr);
+    using Word = uint32_t;
     const BlockOp* const op = &lowered;
     uint64_t dyn = 0;
     const auto charge_mem = [&](uint32_t a) {
@@ -1009,13 +1069,19 @@ void Cpu::Step() {
 #undef NEUROC_REG
 #undef NEUROC_FLAGS
 #undef NEUROC_COND
-#undef NEUROC_MEM
+#undef NEUROC_LOAD8
+#undef NEUROC_LOAD16
+#undef NEUROC_LOAD32
+#undef NEUROC_STORE8
+#undef NEUROC_STORE16
+#undef NEUROC_STORE32
+#undef NEUROC_SCALAR
 #undef NEUROC_PC
 #undef NEUROC_DYN
-#undef NEUROC_ADDR
 
-// Where the lanes' data accesses go: the shared flash, the base SRAM image, and the
-// per-word written/read-first record (Cpu::Lanes). `failed` is set instead of faulting.
+// Where the lanes' data accesses go: the shared flash, the base SRAM image, the lanes'
+// interleaved SRAM and the per-word written/read-first record (Cpu::Lanes). `failed` is
+// set instead of faulting.
 struct LaneMemory {
   const uint8_t* flash;
   uint32_t flash_base;
@@ -1023,102 +1089,116 @@ struct LaneMemory {
   const uint8_t* base_ram;
   uint32_t ram_base;
   uint32_t ram_size;
+  uint8_t* rows;
   uint8_t* word_state;
-  MemAccessStats stats;  // every lane's accesses
+  MemAccessStats stats;  // one lane's accesses, the same in every lane
   bool failed = false;
 };
 
 namespace {
 
-// NEUROC_MEM in the lane executor: MemoryMap's CPU-side accessors and access counts over
-// one lane's SRAM buffer. An access the machine would fault on marks the batch failed
-// and reads 0 or writes nothing, which keeps every lane in bounds until the block ends
-// and the batch is abandoned (a sequential rerun then raises the fault).
-class LaneAccess {
- public:
-  LaneAccess(LaneMemory& m, uint8_t* ram) : m_(m), ram_(ram) {}
+// The lane executor's value types for W lanes: a Word holds one uint32_t per lane and a
+// Row one byte per lane (one guest byte of the interleaved lane SRAM).
+template <size_t W>
+struct LaneTypes;
+template <>
+struct LaneTypes<2> {
+  typedef uint32_t Word __attribute__((vector_size(8)));
+  typedef uint8_t Row __attribute__((vector_size(2)));
+};
+template <>
+struct LaneTypes<4> {
+  typedef uint32_t Word __attribute__((vector_size(16)));
+  typedef uint8_t Row __attribute__((vector_size(4)));
+};
+template <>
+struct LaneTypes<8> {
+  typedef uint32_t Word __attribute__((vector_size(32)));
+  typedef uint8_t Row __attribute__((vector_size(8)));
+};
 
-  uint8_t Read8(uint32_t a) { return static_cast<uint8_t>(Read<1>(a)); }
-  uint16_t Read16(uint32_t a) { return static_cast<uint16_t>(Read<2>(a)); }
-  uint32_t Read32(uint32_t a) { return Read<4>(a); }
-  void Write8(uint32_t a, uint8_t v) { Write<1>(a, v); }
-  void Write16(uint32_t a, uint16_t v) { Write<2>(a, v); }
-  void Write32(uint32_t a, uint32_t v) { Write<4>(a, v); }
+// The bytes of its word an aligned access of kSize at SRAM offset `off` covers.
+template <uint32_t kSize>
+uint8_t WordBytes(uint32_t off) {
+  return static_cast<uint8_t>(((1u << kSize) - 1) << (off & 3));
+}
 
- private:
-  static uint32_t Load(const uint8_t* p, uint32_t size) {
-    uint32_t v = 0;
-    for (uint32_t i = 0; i < size; ++i) {
-      v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    }
-    return v;
-  }
-  // The bytes of its word an aligned access of kSize at SRAM offset `off` covers.
-  template <uint32_t kSize>
-  static uint8_t Bytes(uint32_t off) {
-    return static_cast<uint8_t>(((1u << kSize) - 1) << (off & 3));
-  }
-
-  template <uint32_t kSize>
-  uint32_t Read(uint32_t a) {
+// NEUROC_LOADn in the lane executor. MemoryMap's alignment, region and bounds checks and
+// its access count run once, on the lanes' common address; then a flash load broadcasts
+// one value to every lane, and an SRAM load gathers one row per byte. An access the
+// machine would fault on marks the batch failed and reads 0, which keeps every lane in
+// bounds until the block ends and the batch is abandoned (a sequential rerun then raises
+// the fault).
+template <size_t W, uint32_t kSize>
+struct LaneLoad {
+  using Word = typename LaneTypes<W>::Word;
+  using Row = typename LaneTypes<W>::Row;
+  Word v{};
+  LaneLoad(LaneMemory& m, uint32_t a) {
     if (a % kSize != 0) {
-      return Fail();
-    }
-    if (a - m_.flash_base < m_.flash_size) {
-      if (a - m_.flash_base > m_.flash_size - kSize) {
-        return Fail();
-      }
-      ++m_.stats.flash_reads;
-      return Load(m_.flash + (a - m_.flash_base), kSize);
-    }
-    const uint32_t off = a - m_.ram_base;
-    if (off > m_.ram_size - kSize) {
-      return Fail();
-    }
-    ++m_.stats.sram_reads;
-    uint8_t& state = m_.word_state[off >> 2];
-    const uint8_t bytes = Bytes<kSize>(off);
-    if ((state & bytes) == bytes) {
-      return Load(ram_ + off, kSize);
-    }
-    return ReadFirst(off, kSize, state, bytes);
-  }
-
-  // A read touching bytes this inference has not written: those come from the base and
-  // are recorded as read before written.
-  uint32_t ReadFirst(uint32_t off, uint32_t size, uint8_t& state, uint8_t bytes) {
-    uint32_t v = 0;
-    for (uint32_t i = 0; i < size; ++i) {
-      const bool written = (state >> ((off + i) & 3)) & 1;
-      const uint8_t byte = written ? ram_[off + i] : m_.base_ram[off + i];
-      v |= static_cast<uint32_t>(byte) << (8 * i);
-    }
-    state |= static_cast<uint8_t>((bytes & ~state) << kReadFirstShift);
-    return v;
-  }
-
-  template <uint32_t kSize>
-  void Write(uint32_t a, uint32_t v) {
-    const uint32_t off = a - m_.ram_base;
-    if (a % kSize != 0 || off > m_.ram_size - kSize) {
-      Fail();  // unaligned, flash (read-only to the guest) or unmapped
+      m.failed = true;
       return;
     }
-    ++m_.stats.sram_writes;
-    for (uint32_t i = 0; i < kSize; ++i) {
-      ram_[off + i] = static_cast<uint8_t>(v >> (8 * i));
+    if (a - m.flash_base < m.flash_size) {
+      const uint32_t off = a - m.flash_base;
+      if (off > m.flash_size - kSize) {
+        m.failed = true;
+        return;
+      }
+      ++m.stats.flash_reads;
+      uint32_t x = 0;
+      for (uint32_t i = 0; i < kSize; ++i) {
+        x |= static_cast<uint32_t>(m.flash[off + i]) << (8 * i);
+      }
+      v = Splat<Word>(x).v;
+      return;
     }
-    m_.word_state[off >> 2] |= Bytes<kSize>(off);
+    const uint32_t off = a - m.ram_base;
+    if (off > m.ram_size - kSize) {
+      m.failed = true;
+      return;
+    }
+    ++m.stats.sram_reads;
+    // Bytes this inference has not written yet come from the base, and are recorded as
+    // read before written.
+    uint8_t& state = m.word_state[off >> 2];
+    const uint8_t unwritten = WordBytes<kSize>(off) & ~state;
+    const uint8_t* row = m.rows + static_cast<size_t>(off) * W;
+    for (uint32_t i = 0; i < kSize; ++i, row += W) {
+      Word byte;
+      if (((unwritten >> ((off + i) & 3)) & 1) == 0) {
+        Row r;
+        std::memcpy(&r, row, W);
+        byte = __builtin_convertvector(r, Word);
+      } else {
+        byte = Splat<Word>(m.base_ram[off + i]).v;
+      }
+      v |= byte << (8 * i);
+    }
+    if (unwritten != 0) {
+      state |= static_cast<uint8_t>(unwritten << kReadFirstShift);
+    }
   }
-
-  uint32_t Fail() {
-    m_.failed = true;
-    return 0;
-  }
-
-  LaneMemory& m_;
-  uint8_t* ram_;
 };
+
+// NEUROC_STOREn in the lane executor: the checks and the count once, then one row per
+// byte.
+template <size_t W, uint32_t kSize>
+void LaneStore(LaneMemory& m, uint32_t a, const typename LaneTypes<W>::Word& v) {
+  using Row = typename LaneTypes<W>::Row;
+  const uint32_t off = a - m.ram_base;
+  if (a % kSize != 0 || off > m.ram_size - kSize) {
+    m.failed = true;  // unaligned, flash (read-only to the guest) or unmapped
+    return;
+  }
+  ++m.stats.sram_writes;
+  uint8_t* row = m.rows + static_cast<size_t>(off) * W;
+  for (uint32_t i = 0; i < kSize; ++i, row += W) {
+    const Row r = __builtin_convertvector(v >> (8 * i), Row);
+    std::memcpy(row, &r, W);
+  }
+  m.word_state[off >> 2] |= WordBytes<kSize>(off);
+}
 
 }  // namespace
 
@@ -1132,22 +1212,22 @@ bool Cpu::BeginLanes(size_t lanes) {
     lanes_ = std::make_unique<Lanes>();
   }
   Lanes& ls = *lanes_;
+  ls.count = lanes;
+  ls.width = lanes <= 2 ? 2 : lanes <= 4 ? 4 : kMaxLanes;
   const size_t ram_size = mem_->ram_size();
-  if (ls.ram_bytes < lanes * ram_size) {
-    ls.ram_bytes = lanes * ram_size;
+  if (ls.ram_bytes < ls.width * ram_size) {
+    ls.ram_bytes = ls.width * ram_size;
     ls.ram.reset(static_cast<uint8_t*>(std::calloc(ls.ram_bytes, 1)));
     NEUROC_CHECK(ls.ram != nullptr);
   }
   ls.word_state.assign((ram_size + 3) / 4, 0);
-  for (size_t j = 0; j < lanes; ++j) {
-    Lanes::Lane& lane = ls.lane[j];
-    lane.regs = regs_;
-    lane.flags = flags_;
-    lane.pc = pc_;
-    lane.dyn = 0;
-    lane.ram = ls.ram.get() + j * ram_size;
+  for (size_t r = 0; r < ls.regs.size(); ++r) {
+    ls.regs[r].fill(regs_[r]);
   }
-  ls.count = lanes;
+  ls.flags[0].fill(flags_.n);
+  ls.flags[1].fill(flags_.z);
+  ls.flags[2].fill(flags_.c);
+  ls.flags[3].fill(flags_.v);
   ls.base_regs = regs_;
   ls.base_flags = flags_;
   ls.regs_read_first = 0;
@@ -1173,9 +1253,13 @@ bool Cpu::WriteLanes(uint32_t addr, std::span<const std::span<const uint8_t>> by
     AbortLanes();
     return false;
   }
-  for (size_t j = 0; j < ls.count; ++j) {
-    NEUROC_CHECK(bytes[j].size() == size);
-    std::copy(bytes[j].begin(), bytes[j].end(), ls.lane[j].ram + off);
+  for (size_t j = 0; j < ls.width; ++j) {
+    const std::span<const uint8_t> in = bytes[j < ls.count ? j : 0];
+    NEUROC_CHECK(in.size() == size);
+    uint8_t* row = ls.ram.get() + off * ls.width + j;
+    for (size_t i = 0; i < size; ++i, row += ls.width) {
+      *row = in[i];
+    }
   }
   for (size_t i = off; i < off + size; ++i) {
     ls.word_state[i >> 2] |= static_cast<uint8_t>(1u << (i & 3));
@@ -1195,7 +1279,7 @@ bool Cpu::ReadLane(size_t lane, uint32_t addr, std::span<uint8_t> out) {
   for (size_t i = 0; i < out.size(); ++i) {
     const size_t b = off + i;
     const bool written = (ls.word_state[b >> 2] >> (b & 3)) & 1;
-    out[i] = written ? ls.lane[lane].ram[b] : base[b];
+    out[i] = written ? ls.ram.get()[b * ls.width + lane] : base[b];
   }
   return true;
 }
@@ -1203,31 +1287,33 @@ bool Cpu::ReadLane(size_t lane, uint32_t addr, std::span<uint8_t> out) {
 void Cpu::SetLaneReg(int index, uint32_t value) {
   Lanes& ls = *lanes_;
   NEUROC_CHECK(ls.open && index >= 0 && index < kRegPc);
-  for (size_t j = 0; j < ls.count; ++j) {
-    ls.lane[j].regs[static_cast<size_t>(index)] = value;
-  }
+  ls.regs[static_cast<size_t>(index)].fill(value);
   ls.regs_written |= static_cast<uint16_t>(1u << index);
 }
 
 bool Cpu::CommitLanes() {
   Lanes& ls = *lanes_;
   NEUROC_CHECK(ls.open);
+  const auto lane_flags = [&ls](size_t j) {
+    return CpuFlags{ls.flags[0][j] != 0, ls.flags[1][j] != 0, ls.flags[2][j] != 0,
+                    ls.flags[3][j] != 0};
+  };
   // Lane j + 1 ran from the base where a sequential run starts from lane j's end state.
   // The two differ only in what lane j changed, and lane j + 1 can only have seen that
   // through state it read before writing: those registers, flags and SRAM bytes must
   // hold in lane j's end state what they hold in the base.
   const uint8_t base_flags = FlagBits(ls.base_flags);
   const uint8_t* base_ram = mem_->sram_bytes().data();
+  const uint8_t* rows = ls.ram.get();
+  const size_t width = ls.width;
   for (size_t j = 0; j + 1 < ls.count; ++j) {
-    const Lanes::Lane& lane = ls.lane[j];
-    for (int r = 0; r < kRegPc; ++r) {
-      if (((ls.regs_read_first >> r) & 1) && lane.regs[static_cast<size_t>(r)] !=
-                                                 ls.base_regs[static_cast<size_t>(r)]) {
+    for (size_t r = 0; r < kRegPc; ++r) {
+      if (((ls.regs_read_first >> r) & 1) && ls.regs[r][j] != ls.base_regs[r]) {
         AbortLanes();
         return false;
       }
     }
-    if (((FlagBits(lane.flags) ^ base_flags) & ls.flags_read_first) != 0) {
+    if (((FlagBits(lane_flags(j)) ^ base_flags) & ls.flags_read_first) != 0) {
       AbortLanes();
       return false;
     }
@@ -1241,7 +1327,7 @@ bool Cpu::CommitLanes() {
       if ((dependent >> i) & 1) {
         const size_t off = 4 * w + i;
         for (size_t j = 0; j + 1 < ls.count; ++j) {
-          if (ls.lane[j].ram[off] != base_ram[off]) {
+          if (rows[off * width + j] != base_ram[off]) {
             AbortLanes();
             return false;
           }
@@ -1250,8 +1336,8 @@ bool Cpu::CommitLanes() {
     }
   }
   // Commit the last lane's state: its registers and flags, and the SRAM bytes the lanes
-  // wrote (the rest still holds the base, as sequentially).
-  const Lanes::Lane& last = ls.lane[ls.count - 1];
+  // wrote (the rest still holds the base, as sequentially), gathered from their rows.
+  const size_t last = ls.count - 1;
   const uint32_t ram_base = mem_->ram_base();
   for (size_t w = NextTouchedWord(ls.word_state, 0); w < words;) {
     const uint8_t written = ls.word_state[w] & 0xF;
@@ -1260,7 +1346,7 @@ bool Cpu::CommitLanes() {
         if ((written >> i) & 1) {
           const size_t off = 4 * w + i;
           mem_->HostWrite(ram_base + static_cast<uint32_t>(off),
-                          std::span<const uint8_t>(last.ram + off, 1));
+                          std::span<const uint8_t>(rows + off * width + last, 1));
         }
       }
       w = NextTouchedWord(ls.word_state, w + 1);
@@ -1270,20 +1356,24 @@ bool Cpu::CommitLanes() {
     while (end < words && (ls.word_state[end] & 0xF) == 0xF) {
       ++end;
     }
-    mem_->HostWrite(ram_base + static_cast<uint32_t>(4 * w),
-                    std::span<const uint8_t>(last.ram + 4 * w, 4 * (end - w)));
+    ls.commit_bytes.resize(4 * (end - w));
+    for (size_t k = 0; k < ls.commit_bytes.size(); ++k) {
+      ls.commit_bytes[k] = rows[(4 * w + k) * width + last];
+    }
+    mem_->HostWrite(ram_base + static_cast<uint32_t>(4 * w), ls.commit_bytes);
     w = NextTouchedWord(ls.word_state, end);
   }
-  regs_ = last.regs;
+  for (size_t r = 0; r < regs_.size(); ++r) {
+    regs_[r] = ls.regs[r][last];
+  }
   regs_[kRegPc] = ls.r15;
-  flags_ = last.flags;
+  flags_ = lane_flags(last);
   pc_ = ls.pc;
   const uint64_t lanes = ls.count;
   cycles_ += lanes * ls.cycles;
   instructions_ += lanes * ls.instructions;
-  MemAccessStats delta = ls.data;
-  delta.flash_reads += lanes * ls.fetch_reads;
-  mem_->AddStats(delta);
+  mem_->AddStats({lanes * (ls.data.flash_reads + ls.fetch_reads), lanes * ls.data.sram_reads,
+                  lanes * ls.data.sram_writes});
   ls.open = false;
   return true;
 }
@@ -1311,10 +1401,19 @@ std::optional<uint64_t> Cpu::RunLanes(uint32_t entry, uint64_t max_instructions,
   // beside the lanes' register files.
   LaneMemory memory{mem_->flash_bytes().data(), mem_->flash_base(), mem_->flash_size(),
                     mem_->sram_bytes().data(),  mem_->ram_base(),   mem_->ram_size(),
-                    ls.word_state.data(),       MemAccessStats{}};
+                    ls.ram.get(),               ls.word_state.data(), MemAccessStats{}};
   const Block* first = NextLaneBlock();
-  if (first != nullptr ? !ExecuteLanes(first, memory)
-                       : ls.pc != (kStopAddress & ~1u)) {
+  bool ok = false;
+  if (first == nullptr) {
+    ok = ls.pc == (kStopAddress & ~1u);
+  } else if (ls.width == 2) {
+    ok = ExecuteLanes<2>(first, memory);
+  } else if (ls.width == 4) {
+    ok = ExecuteLanes<4>(first, memory);
+  } else {
+    ok = ExecuteLanes<kMaxLanes>(first, memory);
+  }
+  if (!ok) {
     AbortLanes();
     return std::nullopt;
   }
@@ -1355,54 +1454,66 @@ inline const Cpu::Block* Cpu::NextLaneBlock() {
 }
 
 // Runs the lanes through compiled blocks from `b` on, chained as in Run, until they
-// return. Each op is dispatched once, and its body from thumb_ops.inc then runs once per
-// lane over that lane's registers, flags and SRAM. Addresses are checked as they are
-// formed — each lane's must equal the previous lane's — and branch targets at block
-// exit, so the batch fails at the first block the lanes would leave in different ways.
-// Accounting happens once per block for one lane; the commit multiplies it.
-#define NEUROC_REG(r) lane->regs[r]
-#define NEUROC_FLAGS lane->flags
-#define NEUROC_COND(cond) CondHolds(lane->flags, cond)
-#define NEUROC_MEM LaneAccess(memory, lane->ram)
-#define NEUROC_PC lane->pc
-#define NEUROC_DYN lane->dyn
-#define NEUROC_ADDR(a)           \
-  if (lane == lanes_begin) {       \
-    addr_first = (a);              \
-  } else {                         \
-    addr_diff |= (a) ^ addr_first; \
-  }
-// NEUROC_OP opens a loop over the lanes around the op's body; NEUROC_NEXT continues it
-// with the next lane, or after the last lane dispatches the next op. (Not wrapped in a
-// do-while, whose `continue` would bind to itself; the chain is one statement.)
-#define NEUROC_OP(name) lbl_##name: for (;;)
+// return. Each op is dispatched once and its body from thumb_ops.inc runs once, over
+// W-lane vectors: the registers and flags live as vectors in this frame, loaded from
+// Lanes on entry and stored back on exit. Where a body needs a scalar (an address, a
+// shift amount, a branch condition, a PC write) it takes lane 0's, and every lane's
+// difference from it accumulates in `diverged`; that and the memory's failure flag are
+// checked at each block exit, so the batch fails at the first block the lanes would
+// leave in different ways. Accounting happens once per block for one lane; the commit
+// multiplies it.
+#define NEUROC_REG(r) regs[r]
+#define NEUROC_FLAGS flags
+#define NEUROC_COND(cond) (CondHolds<Word>(flags, cond).v)
+#define NEUROC_LOAD8(a) (LaneLoad<W, 1>(memory, a).v)
+#define NEUROC_LOAD16(a) (LaneLoad<W, 2>(memory, a).v)
+#define NEUROC_LOAD32(a) (LaneLoad<W, 4>(memory, a).v)
+#define NEUROC_STORE8(a, v) LaneStore<W, 1>(memory, a, v)
+#define NEUROC_STORE16(a, v) LaneStore<W, 2>(memory, a, v)
+#define NEUROC_STORE32(a, v) LaneStore<W, 4>(memory, a, v)
+#define NEUROC_SCALAR(x) scalar(x)
+#define NEUROC_PC pc
+#define NEUROC_DYN dyn
+#define NEUROC_OP(name) lbl_##name:
 #define NEUROC_NEXT                                   \
-  if (++lane != lanes_end) {                          \
-    continue;                                         \
-  } else if (lane = lanes_begin, ++op == op_end) {    \
-    goto lanes_exit;                                  \
-  } else                                              \
-    goto* kDispatch[static_cast<size_t>(op->op)]
+  do {                                                \
+    if (++op == op_end) goto lanes_exit;              \
+    goto* kDispatch[static_cast<size_t>(op->op)];     \
+  } while (0)
 #define NEUROC_TAKEN
+template <size_t W>
 #if defined(__GNUC__) && !defined(__clang__)
 // As for ExecuteBlock: keep each body's dispatch jump its own, for the branch predictor.
 __attribute__((optimize("no-gcse")))
 #endif
 bool Cpu::ExecuteLanes(const Block* b, LaneMemory& memory) {
+  using Word = typename LaneTypes<W>::Word;
   Lanes& ls = *lanes_;
-  Lanes::Lane* const lanes_begin = ls.lane.data();
-  Lanes::Lane* const lanes_end = lanes_begin + ls.count;
+  Word regs[16];
+  LaneFlags<Word> flags;
+  for (size_t r = 0; r < 16; ++r) {
+    std::memcpy(&regs[r], ls.regs[r].data(), sizeof(Word));
+  }
+  std::memcpy(&flags.n, ls.flags[0].data(), sizeof(Word));
+  std::memcpy(&flags.z, ls.flags[1].data(), sizeof(Word));
+  std::memcpy(&flags.c, ls.flags[2].data(), sizeof(Word));
+  std::memcpy(&flags.v, ls.flags[3].data(), sizeof(Word));
   const uint32_t fetch_ws = static_cast<uint32_t>(model_.flash_wait_states);
   const uint32_t flash_base = memory.flash_base;
   const uint32_t flash_size = memory.flash_size;
-  uint32_t addr_first = 0;  // the first lane's address at the current op
-  uint32_t addr_diff = 0;
-  Lanes::Lane* lane = lanes_begin;
+  uint32_t pc = 0;
+  uint64_t dyn = 0;
+  Word diverged{};
+  bool ok = false;
   const BlockOp* op = b->ops.data();
   const BlockOp* op_end = op + b->ops.size();
+  const auto scalar = [&diverged](const Word& x) -> uint32_t {
+    diverged |= x ^ Splat<Word>(x[0]).v;
+    return x[0];
+  };
   const auto charge_mem = [&](uint32_t a) {
     if (fetch_ws != 0 && a - flash_base < flash_size) {
-      lane->dyn += fetch_ws;
+      dyn += fetch_ws;
     }
   };
   static const void* const kDispatch[] = {
@@ -1412,44 +1523,53 @@ bool Cpu::ExecuteLanes(const Block* b, LaneMemory& memory) {
   };
   goto* kDispatch[static_cast<size_t>(op->op)];
 #include "src/sim/thumb_ops.inc"
-lanes_exit:
-  if (addr_diff != 0 || memory.failed) {
-    return false;
+lanes_exit : {
+  uint32_t any = 0;
+  for (size_t j = 0; j < W; ++j) {
+    any |= diverged[j];
   }
-  {
-    const BlockOp& last = b->ops.back();
-    if (b->terminated) {
-      for (const Lanes::Lane* l = lanes_begin + 1; l != lanes_end; ++l) {
-        if (l->pc != lanes_begin->pc) {
-          return false;
-        }
-      }
-      ls.pc = lanes_begin->pc;
-    } else {
-      ls.pc = last.addr + 2u * last.fetch_reads;
-    }
-    ls.r15 = last.addr + 4;
+  if (any != 0 || memory.failed) {
+    goto done;
   }
-  ls.cycles += b->static_cycles + lanes_begin->dyn;
-  lanes_begin->dyn = 0;
+  const BlockOp& last = b->ops.back();
+  ls.pc = b->terminated ? pc : last.addr + 2u * last.fetch_reads;
+  ls.r15 = last.addr + 4;
+}
+  ls.cycles += b->static_cycles + dyn;
+  dyn = 0;
   ls.instructions += b->ops.size();
   ls.fetch_reads += b->fetch_reads;
   b = NextLaneBlock();
   if (b == nullptr) {
-    return ls.pc == (kStopAddress & ~1u);
+    ok = ls.pc == (kStopAddress & ~1u);
+    goto done;
   }
   op = b->ops.data();
   op_end = op + b->ops.size();
   goto* kDispatch[static_cast<size_t>(op->op)];
+done:
+  for (size_t r = 0; r < 16; ++r) {
+    std::memcpy(ls.regs[r].data(), &regs[r], sizeof(Word));
+  }
+  std::memcpy(ls.flags[0].data(), &flags.n, sizeof(Word));
+  std::memcpy(ls.flags[1].data(), &flags.z, sizeof(Word));
+  std::memcpy(ls.flags[2].data(), &flags.c, sizeof(Word));
+  std::memcpy(ls.flags[3].data(), &flags.v, sizeof(Word));
+  return ok;
 }
 
 #undef NEUROC_REG
 #undef NEUROC_FLAGS
 #undef NEUROC_COND
-#undef NEUROC_MEM
+#undef NEUROC_LOAD8
+#undef NEUROC_LOAD16
+#undef NEUROC_LOAD32
+#undef NEUROC_STORE8
+#undef NEUROC_STORE16
+#undef NEUROC_STORE32
+#undef NEUROC_SCALAR
 #undef NEUROC_PC
 #undef NEUROC_DYN
-#undef NEUROC_ADDR
 #undef NEUROC_OP
 #undef NEUROC_NEXT
 #undef NEUROC_TAKEN

@@ -174,11 +174,12 @@ class Cpu {
 
   // Lockstep lanes: one batch of up to kMaxLanes inferences of the same code, run
   // together through the compiled blocks. Each lane has its own registers, flags and
-  // SRAM over the shared flash and starts from the CPU's current state; each op is
-  // dispatched once and its body applied to every lane. The batch commits exactly the
-  // state running the lanes one after another would leave, or fails and leaves the CPU
-  // and memory as they were (docs/SIMULATOR.md, "Lockstep lanes"). Machine::
-  // TryRunLockstep drives these steps; calls outside an open batch are host bugs.
+  // SRAM over the shared flash and starts from the CPU's current state; each op runs
+  // once for all lanes, its body computing on host vectors that hold one value per
+  // lane. The batch commits exactly the state running the lanes one after another would
+  // leave, or fails and leaves the CPU and memory as they were (docs/SIMULATOR.md,
+  // "Lockstep lanes"). Machine::TryRunLockstep drives these steps; calls outside an open
+  // batch are host bugs.
   static constexpr size_t kMaxLanes = 8;
   // Opens a batch of `lanes` (1..kMaxLanes). Declines, opening nothing, unless block
   // dispatch is active with no probe, block profile, instruction alarm, heatmap or stack
@@ -308,14 +309,15 @@ class Cpu {
   }
   int32_t CompileBlock(size_t entry_slot);
   // Lane state of an open lockstep batch (defined in cpu.cc); allocated on first use and
-  // kept, lane SRAM buffers included, for the next batch.
+  // kept, its interleaved lane SRAM included, for the next batch.
   struct Lanes;
   // The next block for the open batch's lanes (RunLanes); nullptr when they have
   // returned, and when they cannot go on in lockstep.
   const Block* NextLaneBlock();
-  // Runs every lane of the open batch from block `b` until the lanes return, their data
-  // accesses going through `memory`; false when they diverged, one would have faulted,
-  // or they left compiled code or a limit.
+  // Runs the open batch's lanes, as W-wide vectors (W = 2, 4 or 8, the batch's width),
+  // from block `b` until they return, their data accesses going through `memory`; false
+  // when they diverged, one would have faulted, or they left compiled code or a limit.
+  template <size_t W>
   bool ExecuteLanes(const Block* b, LaneMemory& memory);
   // Runs one compiled block: the op bodies Step runs, token-threaded, with the block's
   // static cycles, instructions and fetches accounted once at exit (or patched
@@ -336,21 +338,6 @@ class Cpu {
   // Run's retired-instruction limit: `budget_end`, or the instruction before an armed
   // alarm when that comes first.
   uint64_t InstructionLimit(uint64_t budget_end) const;
-
-  struct AddResult {
-    uint32_t value;
-    bool carry;
-    bool overflow;
-  };
-  static AddResult AddWithCarry(uint32_t x, uint32_t y, bool carry_in);
-
-  static void SetNZ(CpuFlags& flags, uint32_t value) {
-    flags.n = (value >> 31) & 1;
-    flags.z = value == 0;
-  }
-  // Whether `cond` holds on `flags`; EvalCond asks it of the CPU's own flags.
-  static bool CondHolds(const CpuFlags& flags, Cond cond);
-  bool EvalCond(Cond cond) const;
 
   MemoryMap* mem_;
   CycleModel model_;

@@ -134,7 +134,9 @@ void ExpectBatchMatchesSequential(const Shape& shape, EncodingKind kind, size_t 
   }
 }
 
-constexpr size_t kBatchSizes[] = {1, 2, 3, 8};
+// Every batch size up to Cpu::kMaxLanes: full and partly filled lane widths of 2, 4
+// and 8.
+constexpr size_t kBatchSizes[] = {1, 2, 3, 4, 5, 6, 7, 8};
 
 // The serve_mt models; 64-32-10 is also the fault campaign's shape.
 TEST(LockstepBatch, ServeShapesMatchSequential) {
@@ -349,6 +351,39 @@ f:
 TEST(LockstepFallback, DataDependentAddress) {
   EXPECT_FALSE(BatchMatchesSequential(kAddressFromData, Inputs({0, 0, 1})));
   EXPECT_TRUE(BatchMatchesSequential(kAddressFromData, Inputs({2, 2, 2})));
+}
+
+// Loads from 16 MB past the input when the input's first byte is 1: that lane faults on
+// an unmapped address.
+const Fragment kFaultOnData{R"(
+f:
+    ldrb r1, [r0, #0]
+    lsls r1, r1, #24
+    adds r1, r0, r1
+    ldrb r2, [r1, #0]
+    strb r2, [r0, #1]
+    bx lr
+)", {}};
+
+// `n` inputs whose first byte is `same`, but for the last one's, which is `odd`.
+std::vector<std::vector<uint8_t>> LastDiffers(size_t n, uint8_t same, uint8_t odd) {
+  std::vector<std::vector<uint8_t>> inputs(n, std::vector<uint8_t>{same, 0, 0, 0});
+  inputs.back()[0] = odd;
+  return inputs;
+}
+
+// The last active lane of a partly filled width (3 lanes of 4, 5 to 7 of 8) diverges
+// beside the lanes that mirror lane 0: by branch, by address, and by faulting.
+TEST(LockstepFallback, DivergenceInLastActiveLane) {
+  for (size_t n : {3, 5, 6, 7}) {
+    SCOPED_TRACE("lanes " + std::to_string(n));
+    EXPECT_FALSE(BatchMatchesSequential(kBranchOnData, LastDiffers(n, 1, 0)));
+    EXPECT_TRUE(BatchMatchesSequential(kBranchOnData, LastDiffers(n, 1, 2)));
+    EXPECT_FALSE(BatchMatchesSequential(kAddressFromData, LastDiffers(n, 2, 0)));
+    EXPECT_TRUE(BatchMatchesSequential(kAddressFromData, LastDiffers(n, 2, 2)));
+    EXPECT_FALSE(BatchMatchesSequential(kFaultOnData, LastDiffers(n, 0, 1)));
+    EXPECT_TRUE(BatchMatchesSequential(kFaultOnData, LastDiffers(n, 0, 0)));
+  }
 }
 
 // Stores into flash: every lane faults, at the same instruction.

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/obs/json_writer.h"
 #include "src/obs/registry.h"
 #include "src/serve/frame.h"
 #include "src/serve/load_gen.h"
@@ -640,6 +641,38 @@ TEST(ServeCacheTest, RequestsArrivingDuringALoadAreServedByThatLoad) {
   }
 }
 
+// A failed load answers the requests queued behind it with its own status and leaves
+// no record of the model behind.
+TEST(ServeCacheTest, RequestsQueuedBehindAFailedLoadGetItsStatus) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(4);
+  Gate load;
+  std::atomic<int> loads{0};
+  Completions done;
+  InferenceService service(ServeConfig{}, GatedLoader(load, loads, TestLoader({})));
+  service.Start();
+
+  constexpr uint64_t kRequests = 8;
+  service.Submit(MakeRequest(0, "a", "gone", 2100), done.For(0));
+  load.WaitForArrivals(1);  // request 0's batch is loading the model
+  for (uint64_t i = 1; i < kRequests; ++i) {
+    service.Submit(MakeRequest(i, i % 2 ? "a" : "b", "gone", 2100 + i), done.For(i));
+  }
+  load.Open();
+  done.WaitForTotal(kRequests);
+
+  EXPECT_EQ(loads.load(), 1);
+  const std::map<uint64_t, ServeResponse> responses = done.responses();
+  ASSERT_EQ(responses.size(), kRequests);
+  for (const auto& [id, r] : responses) {
+    EXPECT_EQ(r.code, ErrorCode::kIoError) << "request " << id;
+    EXPECT_EQ(r.message, "no such model: gone") << "request " << id;
+  }
+  EXPECT_EQ(service.QueueDepth(), 0u);
+  EXPECT_EQ(service.ModelRecordsForTest(), 0u);
+  service.Stop();
+}
+
 TEST(ServeCacheTest, StopDuringALoadCompletesEveryRequestOnce) {
   GlobalThreadsGuard guard;
   ThreadPool::SetGlobalThreads(4);
@@ -778,6 +811,45 @@ TEST(ServeMetricsTest, PerTenantScopesCountTraffic) {
   service.Stop();
   EXPECT_EQ(CounterValue("serve.tenant.alice.requests") - alice_before, 3u);
   EXPECT_EQ(CounterValue("serve.tenant.bob.requests") - bob_before, 1u);
+}
+
+// 20,000 requests, each with its own tenant and (unknown) model name, leave no model
+// record and grow the registry by the capped tenant scopes alone: every later tenant
+// counts under the overflow scope. Without the cap, 20,000 such names grew the registry
+// JSON to 232 KB.
+TEST(ServeMetricsTest, DistinctNamesLeaveRegistryAndModelRecordsBounded) {
+  GlobalThreadsGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  const auto registry_bytes = [] {
+    JsonWriter w;
+    MetricsRegistry::Global().WriteJson(w);
+    return w.str().size();
+  };
+  const size_t bytes_before = registry_bytes();
+  const uint64_t overflow_before = CounterValue("serve.tenant_overflow.requests");
+  constexpr uint64_t kNames = 20000;
+  Completions done;
+  InferenceService service(ServeConfig{}, TestLoader({}));
+  service.Start();
+  for (uint64_t i = 0; i < kNames; ++i) {
+    const std::string name = "name" + std::to_string(i);
+    service.Submit(MakeRequest(i, name, name, i), done.For(i));
+    if ((i + 1) % 512 == 0) {
+      done.WaitForTotal(i + 1);  // stay under the admission cap
+    }
+  }
+  done.WaitForTotal(kNames);
+  service.Stop();
+
+  for (const auto& [id, r] : done.responses()) {
+    ASSERT_EQ(r.code, ErrorCode::kIoError) << "request " << id << ": " << r.message;
+  }
+  EXPECT_EQ(service.ModelRecordsForTest(), 0u);
+  EXPECT_EQ(CounterValue("serve.tenant_overflow.requests") - overflow_before,
+            kNames - InferenceService::kMaxTenantScopes);
+  // At most four metrics per scope, each well under 128 bytes of JSON.
+  EXPECT_LT(registry_bytes() - bytes_before,
+            (InferenceService::kMaxTenantScopes + 1) * 4 * 128);
 }
 
 // --- workers, replicas, shutdown -----------------------------------------------------

@@ -633,10 +633,15 @@ int CmdServe(const Args& args) {
   InferenceService service(cfg, DirectoryModelLoader(args.Get("models")));
   service.Start();
   FrameServer server(&service);
-  std::printf("neuroc serve: models=%s port=%u max_batch=%zu cache=%zu queue=%zu\n",
-              args.Get("models"), static_cast<unsigned>(port), cfg.max_batch,
-              cfg.cache_capacity, cfg.max_queue_depth);
-  const Status st = server.ListenAndServe(static_cast<uint16_t>(port));
+  // The banner reports the bound port (not the requested one, which may be 0) and is
+  // flushed, so a client reading this process's stdout through a pipe sees it before
+  // the first accept.
+  const Status st = server.ListenAndServe(static_cast<uint16_t>(port), [&] {
+    std::printf("neuroc serve: models=%s port=%u max_batch=%zu cache=%zu queue=%zu\n",
+                args.Get("models"), static_cast<unsigned>(server.bound_port()),
+                cfg.max_batch, cfg.cache_capacity, cfg.max_queue_depth);
+    std::fflush(stdout);
+  });
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
