@@ -21,6 +21,11 @@ inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
+uint64_t SubSeed(uint64_t seed, uint64_t index) {
+  uint64_t x = seed + index * 0x9e3779b97f4a7c15ULL;
+  return SplitMix64(x);
+}
+
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) {

@@ -65,6 +65,13 @@ class Rng {
   double cached_gaussian_ = 0.0;
 };
 
+// The seed of stream `index` derived from `seed`: the SplitMix64 finalizer over
+// seed + (index + 1) * golden ratio. Each index gets a statistically independent stream
+// that does not depend on which other indices ran or in what order, so work split across
+// threads by index (search trials, fault-campaign trials, fuzz cases) gives results
+// byte-identical to running it sequentially.
+uint64_t SubSeed(uint64_t seed, uint64_t index);
+
 // Returns a shuffled identity permutation [0, n).
 std::vector<size_t> RandomPermutation(size_t n, Rng& rng);
 

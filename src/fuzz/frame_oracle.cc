@@ -110,7 +110,7 @@ FuzzCase GenerateFrameCase(uint64_t case_seed) {
   FuzzCase c;
   c.oracle = FuzzOracle::kFrame;
   c.case_seed = case_seed;
-  Rng rng(FuzzSubSeed(case_seed, 0));
+  Rng rng(SubSeed(case_seed, 0));
   c.frame_kind = static_cast<int>(rng.NextBounded(2));
   c.frame_mutation = static_cast<int>(
       rng.NextBounded(static_cast<uint64_t>(FrameMutation::kGarbage) + 1));
@@ -120,8 +120,8 @@ FuzzCase GenerateFrameCase(uint64_t case_seed) {
 CaseResult RunFrameCase(const FuzzCase& c) {
   // Sub-stream 1 builds content, sub-stream 2 drives the mutation and chunk sizes, so
   // frame_kind/frame_mutation edits (the minimizer's moves) keep the content stable.
-  Rng content_rng(FuzzSubSeed(c.case_seed, 1));
-  Rng mutate_rng(FuzzSubSeed(c.case_seed, 2));
+  Rng content_rng(SubSeed(c.case_seed, 1));
+  Rng mutate_rng(SubSeed(c.case_seed, 2));
 
   std::vector<uint8_t> payload;
   std::vector<uint8_t> frame;

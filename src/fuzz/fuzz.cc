@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/registry.h"
@@ -44,7 +45,7 @@ FuzzCampaignResult RunFuzzCampaign(const FuzzConfig& config) {
   // randomness from (seed, t), so chunk boundaries and thread count cannot leak in.
   ParallelFor(0, total, GrainFor(config.oracle), [&](size_t t0, size_t t1) {
     for (size_t t = t0; t < t1; ++t) {
-      records[t] = RunFuzzCase(GenerateFuzzCase(config.oracle, FuzzSubSeed(config.seed, t)));
+      records[t] = RunFuzzCase(GenerateFuzzCase(config.oracle, SubSeed(config.seed, t)));
     }
   });
 
@@ -58,7 +59,7 @@ FuzzCampaignResult RunFuzzCampaign(const FuzzConfig& config) {
     ++result.failed;
     FuzzFailure f;
     f.index = t;
-    f.case_seed = FuzzSubSeed(config.seed, t);
+    f.case_seed = SubSeed(config.seed, t);
     f.detail = records[t].detail;
     f.original = GenerateFuzzCase(config.oracle, f.case_seed);
     f.minimized = f.original;

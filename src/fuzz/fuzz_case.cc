@@ -118,13 +118,6 @@ bool ParseFrameMutation(std::string_view text, int* out) {
   return false;
 }
 
-uint64_t FuzzSubSeed(uint64_t seed, uint64_t index) {
-  uint64_t z = seed + (index + 1) * 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 std::string FuzzCase::ToText() const {
   std::ostringstream os;
   os << "# neuroc fuzzcase v1\n";

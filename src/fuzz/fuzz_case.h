@@ -94,10 +94,6 @@ struct FuzzCase {
 StatusOr<FuzzCase> ParseFuzzCase(std::string_view text);
 StatusOr<FuzzCase> LoadFuzzCase(const std::string& path);
 
-// SplitMix64 finalizer shared by campaign scheduling and per-case sub-streams: the same
-// (seed, index) pattern PR 3/4 use for thread-count-invariant parallel results.
-uint64_t FuzzSubSeed(uint64_t seed, uint64_t index);
-
 }  // namespace neuroc
 
 #endif  // NEUROC_SRC_FUZZ_FUZZ_CASE_H_

@@ -3,9 +3,7 @@
 #include "src/common/rng.h"
 #include "src/fuzz/oracles.h"
 #include "src/isa/assembler.h"
-#include "src/isa/decoder.h"
-#include "src/isa/disassembler.h"
-#include "src/isa/encoder.h"
+#include "src/isa/isa.h"
 #include "src/sim/machine.h"
 
 namespace neuroc {
@@ -81,7 +79,7 @@ FuzzCase GenerateIsaCase(uint64_t case_seed) {
   FuzzCase c;
   c.oracle = FuzzOracle::kIsa;
   c.case_seed = case_seed;
-  Rng g(FuzzSubSeed(case_seed, 0));
+  Rng g(SubSeed(case_seed, 0));
   c.hw1 = static_cast<uint16_t>(g.NextU64() & 0xFFFF);
   c.hw2 = static_cast<uint16_t>(g.NextU64() & 0xFFFF);
   // Uniform halfwords land in the 32-bit BL prefix space only ~1/32 of the time; bias a
@@ -110,7 +108,7 @@ CaseResult RunIsaCase(const FuzzCase& c) {
   Machine m(mc);
   Machine legacy(mc);
   legacy.cpu().EnableDecodeCache(false);
-  Rng regs(FuzzSubSeed(c.case_seed, 1));
+  Rng regs(SubSeed(c.case_seed, 1));
   for (int r = 0; r <= 12; ++r) {
     const uint32_t word = regs.NextU32();
     uint32_t value = word;

@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/synthetic.h"
 #include "src/fuzz/oracles.h"
 #include "src/runtime/deployed_model.h"
@@ -177,7 +178,7 @@ FuzzCase GenerateKernelCase(uint64_t case_seed) {
   FuzzCase c;
   c.oracle = FuzzOracle::kKernel;
   c.case_seed = case_seed;
-  Rng g(FuzzSubSeed(case_seed, 0));
+  Rng g(SubSeed(case_seed, 0));
 
   c.encoding = static_cast<int>(g.NextBounded(6));  // five sparse encodings + dense q7
   // Bucketed widths: the small buckets hit degenerate shapes (empty columns, single
@@ -208,7 +209,7 @@ std::vector<std::vector<int8_t>> KernelCaseInputs(const FuzzCase& c) {
   if (!c.explicit_input.empty()) {
     return {c.explicit_input};
   }
-  Rng rng(FuzzSubSeed(c.case_seed, 2));
+  Rng rng(SubSeed(c.case_seed, 2));
   std::vector<std::vector<int8_t>> inputs;
   for (int i = 0; i < 3; ++i) {
     inputs.push_back(MakeRandomInput(c.in_dim, c.input_dist, rng));
@@ -223,7 +224,7 @@ CaseResult RunKernelCase(const FuzzCase& c) {
   if (!c.explicit_input.empty() && c.explicit_input.size() != c.in_dim) {
     return {FuzzVerdict::kFail, "invalid kernel case: input length != in_dim"};
   }
-  Rng mrng(FuzzSubSeed(c.case_seed, 1));
+  Rng mrng(SubSeed(c.case_seed, 1));
   if (c.encoding == kDenseBaselineEncoding) {
     std::vector<QuantDenseLayer> layers;
     layers.push_back(

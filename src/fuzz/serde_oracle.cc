@@ -2,6 +2,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/model_serde.h"
 #include "src/core/synthetic.h"
 #include "src/fuzz/oracles.h"
@@ -74,10 +75,10 @@ StatusOr<NeuroCModel> DeserializeAs<NeuroCModel>(std::span<const uint8_t> bytes)
 
 template <typename Model>
 CaseResult RunSerdeCaseT(const FuzzCase& c) {
-  Rng mrng(FuzzSubSeed(c.case_seed, 1));
+  Rng mrng(SubSeed(c.case_seed, 1));
   const Model model = BuildSerdeModel<Model>(c, mrng);
   const std::vector<uint8_t> v2 = SerializeModel(model);
-  Rng srng(FuzzSubSeed(c.case_seed, 3));  // mutation positions + parity inputs
+  Rng srng(SubSeed(c.case_seed, 3));  // mutation positions + parity inputs
 
   if (c.mutate) {
     std::vector<uint8_t> mutated = c.legacy_v1 ? ToLegacyV1(v2) : v2;
@@ -170,7 +171,7 @@ FuzzCase GenerateSerdeCase(uint64_t case_seed) {
   FuzzCase c;
   c.oracle = FuzzOracle::kSerde;
   c.case_seed = case_seed;
-  Rng g(FuzzSubSeed(case_seed, 0));
+  Rng g(SubSeed(case_seed, 0));
 
   const bool dense = g.NextBool(0.2);
   const size_t n_layers = 1 + g.NextBounded(3);

@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "src/common/check.h"
-#include "src/isa/encoder.h"
 #include "src/isa/isa.h"
 
 namespace neuroc {

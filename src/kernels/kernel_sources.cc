@@ -66,7 +66,11 @@ class AsmWriter {
   int counter_ = 0;
 };
 
-std::string Imm(int v) { return "#" + std::to_string(v); }
+std::string Imm(int v) {
+  std::string s = "#";
+  s += std::to_string(v);
+  return s;
+}
 
 // Emits `ldrb/ldrh rd, [rn, #0]` according to the element width.
 void LoadElem(AsmWriter& w, const char* rd, const char* rn, int width) {

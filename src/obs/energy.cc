@@ -8,12 +8,12 @@ EnergyModel EnergyModel::CortexM0Proxy() {
   // class weights split that baseline: datapath-only cycles sit slightly below it,
   // multiplier and load/store cycles above (the M0's single-cycle multiplier is a wide
   // combinational block; memory cycles toggle the bus matrix).
-  m.core_pj_per_cycle[static_cast<size_t>(EnergyClass::kAlu)] = 750.0;
-  m.core_pj_per_cycle[static_cast<size_t>(EnergyClass::kMul)] = 900.0;
-  m.core_pj_per_cycle[static_cast<size_t>(EnergyClass::kLoad)] = 850.0;
-  m.core_pj_per_cycle[static_cast<size_t>(EnergyClass::kStore)] = 850.0;
-  m.core_pj_per_cycle[static_cast<size_t>(EnergyClass::kBranch)] = 700.0;
-  m.core_pj_per_cycle[static_cast<size_t>(EnergyClass::kStack)] = 850.0;
+  m.core_pj_per_cycle[static_cast<size_t>(OpClass::kAlu)] = 750.0;
+  m.core_pj_per_cycle[static_cast<size_t>(OpClass::kMul)] = 900.0;
+  m.core_pj_per_cycle[static_cast<size_t>(OpClass::kLoad)] = 850.0;
+  m.core_pj_per_cycle[static_cast<size_t>(OpClass::kStore)] = 850.0;
+  m.core_pj_per_cycle[static_cast<size_t>(OpClass::kBranch)] = 700.0;
+  m.core_pj_per_cycle[static_cast<size_t>(OpClass::kStack)] = 850.0;
   // Per-access adders: flash reads (sense amps + charge pumps) cost several times an
   // SRAM access on these parts.
   m.flash_read_pj = 120.0;
@@ -23,11 +23,11 @@ EnergyModel EnergyModel::CortexM0Proxy() {
 }
 
 EnergyEstimate EstimateEnergy(const EnergyModel& model,
-                              const std::array<uint64_t, kEnergyClassCount>& cycles_by_class,
+                              const std::array<uint64_t, kNumOpClasses>& cycles_by_class,
                               uint64_t flash_reads, uint64_t sram_reads,
                               uint64_t sram_writes) {
   EnergyEstimate e;
-  for (size_t k = 0; k < kEnergyClassCount; ++k) {
+  for (size_t k = 0; k < kNumOpClasses; ++k) {
     e.core_pj[k] = static_cast<double>(cycles_by_class[k]) * model.core_pj_per_cycle[k];
     e.core_total_pj += e.core_pj[k];
   }
@@ -42,8 +42,8 @@ void WriteEnergyJson(JsonWriter& w, const EnergyModel& model, const EnergyEstima
   w.BeginObject();
   w.Key("weights").BeginObject();
   w.Key("core_pj_per_cycle").BeginObject();
-  for (size_t k = 0; k < kEnergyClassCount; ++k) {
-    w.Key(kEnergyClassNames[k]).Value(model.core_pj_per_cycle[k]);
+  for (size_t k = 0; k < kNumOpClasses; ++k) {
+    w.Key(kOpClassKeys[k]).Value(model.core_pj_per_cycle[k]);
   }
   w.EndObject();
   w.Key("flash_read_pj").Value(model.flash_read_pj);
@@ -51,8 +51,8 @@ void WriteEnergyJson(JsonWriter& w, const EnergyModel& model, const EnergyEstima
   w.Key("sram_write_pj").Value(model.sram_write_pj);
   w.EndObject();
   w.Key("core_pj").BeginObject();
-  for (size_t k = 0; k < kEnergyClassCount; ++k) {
-    w.Key(kEnergyClassNames[k]).ValueFixed(e.core_pj[k], 1);
+  for (size_t k = 0; k < kNumOpClasses; ++k) {
+    w.Key(kOpClassKeys[k]).ValueFixed(e.core_pj[k], 1);
   }
   w.EndObject();
   w.Key("core_total_pj").ValueFixed(e.core_total_pj, 1);

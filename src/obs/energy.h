@@ -21,20 +21,19 @@
 #include <array>
 #include <cstdint>
 
+#include "src/isa/isa.h"
 #include "src/obs/json_writer.h"
 
 namespace neuroc {
 
-// Canonical opcode-class order for the energy interface (matches the runtime profile's
-// category split).
-enum class EnergyClass : size_t { kAlu = 0, kMul, kLoad, kStore, kBranch, kStack };
-inline constexpr size_t kEnergyClassCount = 6;
-inline constexpr const char* kEnergyClassNames[kEnergyClassCount] = {
+// The JSON key of each op class (src/isa/isa.h), in OpClass order: the runtime profile's
+// category names.
+inline constexpr const char* kOpClassKeys[kNumOpClasses] = {
     "alu", "multiplies", "loads", "stores", "branches", "stack_ops"};
 
 struct EnergyModel {
   // Core active-power weights, pJ per attributed cycle, by opcode class.
-  std::array<double, kEnergyClassCount> core_pj_per_cycle{};
+  std::array<double, kNumOpClasses> core_pj_per_cycle{};
   // Memory-access adders, pJ per counted access.
   double flash_read_pj = 0.0;
   double sram_read_pj = 0.0;
@@ -45,7 +44,7 @@ struct EnergyModel {
 };
 
 struct EnergyEstimate {
-  std::array<double, kEnergyClassCount> core_pj{};  // per-class core energy
+  std::array<double, kNumOpClasses> core_pj{};  // per-class core energy
   double core_total_pj = 0.0;
   double flash_pj = 0.0;
   double sram_pj = 0.0;
@@ -61,9 +60,9 @@ struct EnergyEstimate {
   }
 };
 
-// cycles_by_class in EnergyClass order; access counts from the memory system's counters.
+// cycles_by_class in OpClass order; access counts from the memory system's counters.
 EnergyEstimate EstimateEnergy(const EnergyModel& model,
-                              const std::array<uint64_t, kEnergyClassCount>& cycles_by_class,
+                              const std::array<uint64_t, kNumOpClasses>& cycles_by_class,
                               uint64_t flash_reads, uint64_t sram_reads,
                               uint64_t sram_writes);
 

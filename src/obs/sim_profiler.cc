@@ -5,8 +5,7 @@
 #include <cstdio>
 
 #include "src/common/check.h"
-#include "src/isa/decoder.h"
-#include "src/isa/disassembler.h"
+#include "src/isa/isa.h"
 
 namespace neuroc {
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/model_image.h"
 #include "src/core/synthetic.h"
@@ -17,21 +18,12 @@ namespace neuroc {
 
 namespace {
 
-// Same SplitMix64 finalizer as the architecture search: per-trial streams independent of
-// execution order, the prerequisite for thread-count-invariant results.
-uint64_t TrialSeed(uint64_t seed, uint64_t t) {
-  uint64_t z = seed + (t + 1) * 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 // Deterministic synthetic campaign model. The adjacency/scale/bias draws depend only on
 // the shape and density — not the encoding — so every encoding packs the *same* ternary
 // matrix and per-cell rates are directly comparable.
 NeuroCModel BuildCampaignModel(const FaultCampaignConfig& cfg, EncodingKind kind) {
   std::vector<QuantNeuroCLayer> layers;
-  Rng rng(TrialSeed(cfg.seed, 0x6D6F64656Cull));  // "model" stream, disjoint from trials
+  Rng rng(SubSeed(cfg.seed, 0x6D6F64656Cull));  // "model" stream, disjoint from trials
   SyntheticNeuroCLayerSpec l1;
   l1.in_dim = cfg.in_dim;
   l1.out_dim = cfg.hidden_dim;
@@ -335,7 +327,7 @@ FaultCampaignResult RunFaultCampaign(const FaultCampaignConfig& config) {
         current_enc = e;
         gm = std::make_unique<GuardedModel>(setups[e].prototype->Fork());
       }
-      records[t] = RunTrial(*gm, config, setups[e].golden, TrialSeed(config.seed, t));
+      records[t] = RunTrial(*gm, config, setups[e].golden, SubSeed(config.seed, t));
     }
   });
 

@@ -17,47 +17,6 @@ namespace {
 // inference silently.
 constexpr uint32_t kDefaultStackHeadroomWarnBytes = 256;
 
-enum class OpCategory { kLoad, kStore, kAlu, kMul, kBranch, kStack };
-
-OpCategory Categorize(Op op) {
-  switch (op) {
-    case Op::kLdrLit:
-    case Op::kLdrReg:
-    case Op::kLdrhReg:
-    case Op::kLdrbReg:
-    case Op::kLdrsbReg:
-    case Op::kLdrshReg:
-    case Op::kLdrImm:
-    case Op::kLdrbImm:
-    case Op::kLdrhImm:
-    case Op::kLdrSp:
-    case Op::kLdm:
-      return OpCategory::kLoad;
-    case Op::kStrReg:
-    case Op::kStrhReg:
-    case Op::kStrbReg:
-    case Op::kStrImm:
-    case Op::kStrbImm:
-    case Op::kStrhImm:
-    case Op::kStrSp:
-    case Op::kStm:
-      return OpCategory::kStore;
-    case Op::kMul:
-      return OpCategory::kMul;
-    case Op::kB:
-    case Op::kBcond:
-    case Op::kBl:
-    case Op::kBx:
-    case Op::kBlx:
-      return OpCategory::kBranch;
-    case Op::kPush:
-    case Op::kPop:
-      return OpCategory::kStack;
-    default:
-      return OpCategory::kAlu;
-  }
-}
-
 // Rebases the aggregate profile on the attribution's per-opcode data: counts and cycles
 // per category both derive from the same exact per-opcode attribution, so category
 // cycles sum to the total cycle count exactly.
@@ -71,28 +30,28 @@ ExecutionProfile SummarizeAttribution(const PcProfile& prof, const MemAccessStat
     if (count == 0 && cycles == 0) {
       continue;
     }
-    switch (Categorize(static_cast<Op>(i))) {
-      case OpCategory::kLoad:
+    switch (InfoOf(static_cast<Op>(i)).op_class) {
+      case OpClass::kLoad:
         p.loads += count;
         p.load_cycles += cycles;
         break;
-      case OpCategory::kStore:
+      case OpClass::kStore:
         p.stores += count;
         p.store_cycles += cycles;
         break;
-      case OpCategory::kMul:
+      case OpClass::kMul:
         p.multiplies += count;
         p.multiply_cycles += cycles;
         break;
-      case OpCategory::kBranch:
+      case OpClass::kBranch:
         p.branches += count;
         p.branch_cycles += cycles;
         break;
-      case OpCategory::kStack:
+      case OpClass::kStack:
         p.stack_ops += count;
         p.stack_cycles += cycles;
         break;
-      case OpCategory::kAlu:
+      case OpClass::kAlu:
         p.alu += count;
         p.alu_cycles += cycles;
         break;
@@ -141,13 +100,13 @@ ExecutionProfile ProfileInference(DeployedModel& model) {
 }
 
 EnergyEstimate EstimateEnergy(const EnergyModel& model, const ExecutionProfile& p) {
-  std::array<uint64_t, kEnergyClassCount> cycles{};
-  cycles[static_cast<size_t>(EnergyClass::kAlu)] = p.alu_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kMul)] = p.multiply_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kLoad)] = p.load_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kStore)] = p.store_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kBranch)] = p.branch_cycles;
-  cycles[static_cast<size_t>(EnergyClass::kStack)] = p.stack_cycles;
+  std::array<uint64_t, kNumOpClasses> cycles{};
+  cycles[static_cast<size_t>(OpClass::kAlu)] = p.alu_cycles;
+  cycles[static_cast<size_t>(OpClass::kMul)] = p.multiply_cycles;
+  cycles[static_cast<size_t>(OpClass::kLoad)] = p.load_cycles;
+  cycles[static_cast<size_t>(OpClass::kStore)] = p.store_cycles;
+  cycles[static_cast<size_t>(OpClass::kBranch)] = p.branch_cycles;
+  cycles[static_cast<size_t>(OpClass::kStack)] = p.stack_cycles;
   return EstimateEnergy(model, cycles, p.flash_reads, p.sram_reads, p.sram_writes);
 }
 

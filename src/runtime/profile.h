@@ -69,7 +69,7 @@ struct InferenceProfile {
 // Runs one inference on `model` (zero input) and returns the profile of exactly that run.
 ExecutionProfile ProfileInference(DeployedModel& model);
 
-// The energy proxy of a profiled run: its category cycles in EnergyClass order plus its
+// The energy proxy of a profiled run: its category cycles in OpClass order plus its
 // counted memory accesses, weighted by `model`.
 EnergyEstimate EstimateEnergy(const EnergyModel& model, const ExecutionProfile& profile);
 

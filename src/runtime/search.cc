@@ -6,6 +6,7 @@
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
+#include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/registry.h"
 #include "src/runtime/deployed_model.h"
@@ -25,17 +26,6 @@ std::string Describe(const NeuroCSpec& spec) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "] d=%.2f", spec.layer.ternary.target_density);
   return s + buf;
-}
-
-// SplitMix64 finalizer over (seed, trial): every trial gets its own statistically
-// independent RNG stream derived from the one user-visible seed, with no dependence on
-// which trials ran before it — the prerequisite for evaluating trials in parallel while
-// returning results byte-identical to the sequential search.
-uint64_t TrialSeed(uint64_t seed, uint64_t t) {
-  uint64_t z = seed + (t + 1) * 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 }  // namespace
@@ -62,7 +52,7 @@ SearchResult RandomSearch(const Dataset& train, const Dataset& validation,
   std::set<std::string> seen;
   for (int t = 0; t < trials; ++t) {
     TrialPlan& p = plan[static_cast<size_t>(t)];
-    Rng rng(TrialSeed(seed, static_cast<uint64_t>(t)));
+    Rng rng(SubSeed(seed, static_cast<uint64_t>(t)));
     // Sample a distinct configuration (bounded retries to stay deterministic and finite).
     for (int attempt = 0; attempt < 50; ++attempt) {
       p.spec.hidden.clear();

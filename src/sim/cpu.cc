@@ -8,7 +8,7 @@
 #include <type_traits>
 
 #include "src/common/check.h"
-#include "src/isa/decoder.h"
+#include "src/isa/isa.h"
 #include "src/sim/guest_fault.h"
 
 namespace neuroc {
@@ -205,181 +205,12 @@ void Cpu::RetireBlocks(size_t lo, size_t hi) {
 
 namespace {
 
-// APSR bit masks for the block compiler's liveness pass.
-constexpr uint8_t kFlagN = 1;
-constexpr uint8_t kFlagZ = 2;
-constexpr uint8_t kFlagC = 4;
-constexpr uint8_t kFlagV = 8;
 constexpr uint8_t kAllFlags = kFlagN | kFlagZ | kFlagC | kFlagV;
-constexpr uint8_t kFlagsNZ = kFlagN | kFlagZ;
-constexpr uint8_t kFlagsNZC = kFlagN | kFlagZ | kFlagC;
-
-struct FlagEffects {
-  uint8_t reads = 0;       // flag bits the instruction consumes
-  uint8_t may_write = 0;   // bits it can write (shift-by-register writes C conditionally)
-  uint8_t must_write = 0;  // bits it always writes (these kill earlier writes)
-};
-
-FlagEffects FlagEffectsOf(Op op, int32_t imm) {
-  switch (op) {
-    case Op::kLslImm:
-      // imm == 0 is the MOVS register form: C unchanged.
-      return imm == 0 ? FlagEffects{0, kFlagsNZ, kFlagsNZ}
-                      : FlagEffects{0, kFlagsNZC, kFlagsNZC};
-    case Op::kLsrImm:
-    case Op::kAsrImm:
-      return {0, kFlagsNZC, kFlagsNZC};
-    case Op::kLslReg:
-    case Op::kLsrReg:
-    case Op::kAsrReg:
-    case Op::kRor:
-      // C is written only when the register-held amount is non-zero.
-      return {0, kFlagsNZC, kFlagsNZ};
-    case Op::kAddReg:
-    case Op::kSubReg:
-    case Op::kAddImm3:
-    case Op::kSubImm3:
-    case Op::kAddImm8:
-    case Op::kSubImm8:
-    case Op::kCmpImm:
-    case Op::kCmpReg:
-    case Op::kCmpHi:
-    case Op::kCmn:
-    case Op::kNeg:
-      return {0, kAllFlags, kAllFlags};
-    case Op::kAdc:
-    case Op::kSbc:
-      return {kFlagC, kAllFlags, kAllFlags};
-    case Op::kMovImm:
-    case Op::kAnd:
-    case Op::kEor:
-    case Op::kOrr:
-    case Op::kBic:
-    case Op::kMvn:
-    case Op::kTst:
-    case Op::kMul:
-      return {0, kFlagsNZ, kFlagsNZ};
-    case Op::kBcond:
-      return {kAllFlags, 0, 0};
-    default:
-      return {};
-  }
-}
 
 // The APSR as FlagEffects bits.
 uint8_t FlagBits(const CpuFlags& f) {
   return static_cast<uint8_t>((f.n ? kFlagN : 0) | (f.z ? kFlagZ : 0) | (f.c ? kFlagC : 0) |
                               (f.v ? kFlagV : 0));
-}
-
-// Registers an instruction reads and writes, as masks over r0..r14: an r15 read is the
-// instruction's address and a PC write is control flow, so bit 15 is never set.
-struct RegEffects {
-  uint16_t reads = 0;
-  uint16_t writes = 0;
-};
-
-RegEffects RegEffectsOf(const Instr& in) {
-  const auto bit = [](int r) { return static_cast<uint16_t>(r == kRegPc ? 0 : 1u << r); };
-  const uint16_t d = bit(in.rd);
-  const uint16_t n = bit(in.rn);
-  const uint16_t m = bit(in.rm);
-  const uint16_t sp = bit(kRegSp);
-  const uint16_t lr = bit(kRegLr);
-  const uint16_t list = in.reglist & 0xFF;
-  switch (in.op) {
-    case Op::kLslImm: case Op::kLsrImm: case Op::kAsrImm:
-    case Op::kMvn: case Op::kNeg: case Op::kMovHi:
-    case Op::kSxth: case Op::kSxtb: case Op::kUxth: case Op::kUxtb:
-    case Op::kRev: case Op::kRev16: case Op::kRevsh:
-      return {m, d};
-    case Op::kAddReg: case Op::kSubReg:
-      return {static_cast<uint16_t>(n | m), d};
-    case Op::kAddImm3: case Op::kSubImm3:
-    case Op::kLdrImm: case Op::kLdrbImm: case Op::kLdrhImm:
-      return {n, d};
-    case Op::kMovImm: case Op::kAdr: case Op::kLdrLit:
-      return {0, d};
-    case Op::kCmpImm:
-      return {n, 0};
-    case Op::kCmpReg: case Op::kCmpHi: case Op::kTst: case Op::kCmn:
-      return {static_cast<uint16_t>(n | m), 0};
-    case Op::kAddImm8: case Op::kSubImm8:
-      return {d, d};
-    case Op::kAnd: case Op::kEor: case Op::kOrr: case Op::kBic:
-    case Op::kLslReg: case Op::kLsrReg: case Op::kAsrReg: case Op::kRor:
-    case Op::kAdc: case Op::kSbc: case Op::kMul: case Op::kAddHi:
-      return {static_cast<uint16_t>(d | m), d};
-    case Op::kBx:
-      return {m, 0};
-    case Op::kBlx:
-      return {m, lr};
-    case Op::kBl:
-      return {0, lr};
-    case Op::kStrReg: case Op::kStrhReg: case Op::kStrbReg:
-      return {static_cast<uint16_t>(d | n | m), 0};
-    case Op::kStrImm: case Op::kStrbImm: case Op::kStrhImm:
-      return {static_cast<uint16_t>(d | n), 0};
-    case Op::kStrSp:
-      return {static_cast<uint16_t>(d | sp), 0};
-    case Op::kLdrReg: case Op::kLdrhReg: case Op::kLdrbReg:
-    case Op::kLdrsbReg: case Op::kLdrshReg:
-      return {static_cast<uint16_t>(n | m), d};
-    case Op::kLdrSp: case Op::kAddSpImm:
-      return {sp, d};
-    case Op::kAddSp7: case Op::kSubSp7:
-      return {sp, sp};
-    case Op::kPush:
-      return {static_cast<uint16_t>(sp | list | ((in.reglist & 0x100) ? lr : 0)), sp};
-    case Op::kPop:
-      return {sp, static_cast<uint16_t>(sp | list)};
-    case Op::kLdm:  // writes the base back unless it is loaded
-      return {n, static_cast<uint16_t>(list | ((list & n) ? 0 : n))};
-    case Op::kStm:
-      return {static_cast<uint16_t>(n | list), n};
-    case Op::kNop: case Op::kBcond: case Op::kB: case Op::kUdf: case Op::kInvalid:
-      return {};
-  }
-  return {};
-}
-
-// Ops whose execution can raise a GuestFault (every memory access; a branch itself cannot
-// fault — a bad target faults on the next fetch, in the interpreter). The architectural
-// flags are observable at a fault, so liveness must be forced across these.
-bool MayFault(Op op) {
-  switch (op) {
-    case Op::kLdrLit:
-    case Op::kStrReg: case Op::kStrImm: case Op::kStrSp:
-    case Op::kLdrReg: case Op::kLdrImm: case Op::kLdrSp:
-    case Op::kStrbReg: case Op::kStrbImm:
-    case Op::kLdrbReg: case Op::kLdrbImm:
-    case Op::kStrhReg: case Op::kStrhImm:
-    case Op::kLdrhReg: case Op::kLdrhImm:
-    case Op::kLdrsbReg: case Op::kLdrshReg:
-    case Op::kPush: case Op::kPop: case Op::kLdm: case Op::kStm:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Control-flow instructions end a basic block (they are included as its terminator).
-bool IsTerminator(const Instr& in) {
-  switch (in.op) {
-    case Op::kB:
-    case Op::kBcond:
-    case Op::kBl:
-    case Op::kBx:
-    case Op::kBlx:
-      return true;
-    case Op::kAddHi:
-    case Op::kMovHi:
-      return in.rd == kRegPc;
-    case Op::kPop:
-      return (in.reglist & 0x100) != 0;
-    default:
-      return false;
-  }
 }
 
 int PopCount8(uint16_t reglist) {
@@ -392,49 +223,72 @@ int PopCount8(uint16_t reglist) {
   return count;
 }
 
+// How StaticExecCycles prices an op, derived from its row at compile time so a step
+// pays one table load and one jump for it.
+enum class Cost : uint8_t { kAlu, kAluToPc, kMul, kLoad, kStore, kList, kB, kBl, kBx, kBcond };
+
+constexpr Cost CostOf(const OpInfo& row) {
+  if (row.form == Form::kRegList9 || row.form == Form::kRnRegList8) {
+    return Cost::kList;
+  }
+  switch (row.op_class) {
+    case OpClass::kAlu:
+      // Only a hi-register destination can name the PC.
+      return row.form == Form::kHiRdRm && (row.writes & kUseRd) ? Cost::kAluToPc : Cost::kAlu;
+    case OpClass::kMul:
+      return Cost::kMul;
+    case OpClass::kLoad:
+      return Cost::kLoad;
+    case OpClass::kStore:
+    case OpClass::kStack:
+      return Cost::kStore;
+    case OpClass::kBranch:
+      return row.form == Form::kCondImm8 ? Cost::kBcond
+             : row.form == Form::kImm11  ? Cost::kB
+             : row.form == Form::kImm24  ? Cost::kBl
+                                         : Cost::kBx;
+  }
+  return Cost::kAlu;
+}
+
+constexpr auto kCosts = [] {
+  std::array<Cost, kNumOps> costs{};
+  for (size_t op = 0; op < kNumOps; ++op) {
+    costs[op] = CostOf(kOpTable[op]);
+  }
+  return costs;
+}();
+
 // Static execution cost of an instruction, the one source of fixed costs for both
 // executors (excluding the per-fetch flash wait states and the dynamic parts: data-access
 // wait states and the taken/not-taken split of kBcond, which the op bodies add to `dyn`).
+// A register-list transfer costs a cycle per register, and a PC write refills the
+// pipeline.
 uint32_t StaticExecCycles(const Instr& in, const CycleModel& m) {
-  switch (in.op) {
-    case Op::kMul:
-      return static_cast<uint32_t>(m.mul);
-    case Op::kLdrLit:
-    case Op::kLdrReg: case Op::kLdrImm: case Op::kLdrSp:
-    case Op::kLdrbReg: case Op::kLdrbImm:
-    case Op::kLdrhReg: case Op::kLdrhImm:
-    case Op::kLdrsbReg: case Op::kLdrshReg:
-      return static_cast<uint32_t>(m.load);
-    case Op::kStrReg: case Op::kStrImm: case Op::kStrSp:
-    case Op::kStrbReg: case Op::kStrbImm:
-    case Op::kStrhReg: case Op::kStrhImm:
-      return static_cast<uint32_t>(m.store);
-    case Op::kPush:
-    case Op::kLdm:
-    case Op::kStm:
-      return static_cast<uint32_t>(m.push_pop_base + PopCount8(in.reglist));
-    case Op::kPop: {
-      uint32_t c = static_cast<uint32_t>(m.push_pop_base + PopCount8(in.reglist));
-      if (in.reglist & 0x100) {
-        c += static_cast<uint32_t>(m.pop_pc_extra);
-      }
-      return c;
-    }
-    case Op::kB:
-      return static_cast<uint32_t>(m.branch_taken);
-    case Op::kBl:
-      return static_cast<uint32_t>(m.bl);
-    case Op::kBx:
-    case Op::kBlx:
-      return static_cast<uint32_t>(m.bx);
-    case Op::kBcond:
-      return 0;  // taken/not-taken resolved by the executor
-    case Op::kAddHi:
-    case Op::kMovHi:
-      return static_cast<uint32_t>(in.rd == kRegPc ? m.pc_alu : m.alu);
-    default:
+  switch (kCosts[static_cast<size_t>(in.op)]) {
+    case Cost::kAlu:
       return static_cast<uint32_t>(m.alu);
+    case Cost::kAluToPc:
+      return static_cast<uint32_t>(WritesPc(in) ? m.pc_alu : m.alu);
+    case Cost::kMul:
+      return static_cast<uint32_t>(m.mul);
+    case Cost::kLoad:
+      return static_cast<uint32_t>(m.load);
+    case Cost::kStore:
+      return static_cast<uint32_t>(m.store);
+    case Cost::kList:
+      return static_cast<uint32_t>(m.push_pop_base + PopCount8(in.reglist) +
+                                   (WritesPc(in) ? m.pop_pc_extra : 0));
+    case Cost::kB:
+      return static_cast<uint32_t>(m.branch_taken);
+    case Cost::kBl:
+      return static_cast<uint32_t>(m.bl);
+    case Cost::kBx:
+      return static_cast<uint32_t>(m.bx);
+    case Cost::kBcond:
+      return 0;  // taken/not-taken resolved by the executor
   }
+  return static_cast<uint32_t>(m.alu);
 }
 
 // The value operations the op bodies (thumb_ops.inc) need beyond C++'s operators,
@@ -540,14 +394,13 @@ inline Cpu::BlockOp Cpu::Lower(const Instr& in, uint32_t addr) {
   o.imm = in.imm;
   o.addr = addr;
   // Pre-resolve PC-relative operands to absolute values.
-  switch (in.op) {
-    case Op::kLdrLit:
-    case Op::kAdr:
+  switch (InfoOf(in.op).form) {
+    case Form::kRdPcImm8:
       o.imm = static_cast<int32_t>(((addr + 4) & ~3u) + static_cast<uint32_t>(in.imm));
       break;
-    case Op::kB:
-    case Op::kBcond:
-    case Op::kBl:
+    case Form::kCondImm8:
+    case Form::kImm11:
+    case Form::kImm24:
       o.imm = static_cast<int32_t>(addr + 4 + static_cast<uint32_t>(in.imm));
       break;
     default:
@@ -896,7 +749,7 @@ void Cpu::ExecuteBlock(const Block& b) {
   };
   try {
     static const void* const kDispatch[] = {
-#define NEUROC_OP_LABEL(name, mnemonic) &&lbl_##name,
+#define NEUROC_OP_LABEL(name, ...) &&lbl_##name,
         NEUROC_THUMB_OPS(NEUROC_OP_LABEL)
 #undef NEUROC_OP_LABEL
     };
@@ -1517,7 +1370,7 @@ bool Cpu::ExecuteLanes(const Block* b, LaneMemory& memory) {
     }
   };
   static const void* const kDispatch[] = {
-#define NEUROC_OP_LABEL(name, mnemonic) &&lbl_##name,
+#define NEUROC_OP_LABEL(name, ...) &&lbl_##name,
       NEUROC_THUMB_OPS(NEUROC_OP_LABEL)
 #undef NEUROC_OP_LABEL
   };

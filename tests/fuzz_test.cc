@@ -25,7 +25,7 @@ using testutil::GlobalThreadsGuard;
 TEST(FuzzCaseTest, TextFormRoundTripsLosslessly) {
   for (FuzzOracle oracle : kAllFuzzOracles) {
     for (uint64_t seed : {1u, 2u, 3u, 17u}) {
-      const FuzzCase c = GenerateFuzzCase(oracle, FuzzSubSeed(seed, 42));
+      const FuzzCase c = GenerateFuzzCase(oracle, SubSeed(seed, 42));
       const std::string text = c.ToText();
       StatusOr<FuzzCase> parsed = ParseFuzzCase(text);
       ASSERT_TRUE(parsed.ok()) << text << "\n" << parsed.status().ToString();
@@ -35,7 +35,7 @@ TEST(FuzzCaseTest, TextFormRoundTripsLosslessly) {
 }
 
 TEST(FuzzCaseTest, ExplicitInputSurvivesTextRoundTrip) {
-  FuzzCase c = GenerateKernelCase(FuzzSubSeed(5, 0));
+  FuzzCase c = GenerateKernelCase(SubSeed(5, 0));
   c.in_dim = 4;
   c.explicit_input = {-128, 0, 63, 127};
   StatusOr<FuzzCase> parsed = ParseFuzzCase(c.ToText());
@@ -53,14 +53,14 @@ TEST(FuzzCaseTest, ParserRejectsMalformedCases) {
 }
 
 TEST(FuzzCaseTest, SubSeedIsDeterministicAndSpreads) {
-  EXPECT_EQ(FuzzSubSeed(1, 0), FuzzSubSeed(1, 0));
+  EXPECT_EQ(SubSeed(1, 0), SubSeed(1, 0));
   std::vector<uint64_t> seeds;
   for (uint64_t i = 0; i < 64; ++i) {
-    seeds.push_back(FuzzSubSeed(1, i));
+    seeds.push_back(SubSeed(1, i));
   }
   std::sort(seeds.begin(), seeds.end());
   EXPECT_EQ(std::unique(seeds.begin(), seeds.end()), seeds.end());
-  EXPECT_NE(FuzzSubSeed(1, 0), FuzzSubSeed(2, 0));
+  EXPECT_NE(SubSeed(1, 0), SubSeed(2, 0));
 }
 
 TEST(FuzzCampaignTest, SmokeCampaignsComeBackClean) {
@@ -109,7 +109,7 @@ TEST(MinimizeTest, GreedyDescentReachesPredicateBoundary) {
   // Mock predicate: a case "fails" iff it still has at least 3 output neurons. The
   // minimizer must walk out_dim down to exactly 3 — the smallest case that still fails —
   // and shrink the rest of the structure (density, scale, relu) to its floors.
-  FuzzCase c = GenerateKernelCase(FuzzSubSeed(11, 0));
+  FuzzCase c = GenerateKernelCase(SubSeed(11, 0));
   c.in_dim = 64;
   c.out_dim = 48;
   ASSERT_GE(c.out_dim, 3u);
@@ -136,7 +136,7 @@ TEST(MinimizeTest, IsaShrinkDropsSecondHalfword) {
 
 TEST(MinimizeTest, CandidatesAreAlwaysValidCases) {
   for (FuzzOracle oracle : kAllFuzzOracles) {
-    const FuzzCase c = GenerateFuzzCase(oracle, FuzzSubSeed(13, 7));
+    const FuzzCase c = GenerateFuzzCase(oracle, SubSeed(13, 7));
     for (const FuzzCase& cand : ShrinkCandidates(c)) {
       StatusOr<FuzzCase> parsed = ParseFuzzCase(cand.ToText());
       EXPECT_TRUE(parsed.ok()) << cand.ToText();

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "src/common/rng.h"
 #include "src/isa/assembler.h"
-#include "src/isa/decoder.h"
-#include "src/isa/disassembler.h"
-#include "src/isa/encoder.h"
+#include "src/isa/isa.h"
 
 namespace neuroc {
 namespace {
@@ -232,6 +233,78 @@ TEST(DecoderTest, KnownEncodings) {
   EXPECT_EQ(DecodeInstr(0x7808, 0).op, Op::kLdrbImm);  // ldrb r0, [r1, #0]
   EXPECT_EQ(DecodeInstr(0x5D10, 0).op, Op::kLdrbReg);  // ldrb r0, [r2, r4]
   EXPECT_EQ(DecodeInstr(0xBF00, 0).op, Op::kNop);
+}
+
+// Every first halfword, each paired with second halfwords that do and do not complete a
+// BL (0xD000 & hw2 == 0xD000 does for all but 0x0000).
+constexpr uint16_t kSecondHalfwords[] = {0x0000, 0xF800, 0xD000, 0xD7FF, 0xFFFF};
+
+TEST(IsaSweepTest, MatchesPinnedDigest) {
+  // FNV-1a 64 over one line per (hw1, hw2) pair: the decoded fields, and for a valid
+  // decode its encoding, static facts, category and disassembly at a fixed address. The
+  // pinned value was computed with the hand-written encoder, decoder and disassembler and
+  // the simulator's and profiler's per-op switches this table replaced.
+  static constexpr const char* kClassNames[kNumOpClasses] = {"alu",  "mul",    "load",
+                                                             "store", "branch", "stack"};
+  uint64_t digest = 1469598103934665603ull;
+  uint64_t valid = 0;
+  char buf[128];
+  for (uint32_t hw1 = 0; hw1 < 0x10000; ++hw1) {
+    for (const uint16_t hw2 : kSecondHalfwords) {
+      const Instr in = DecodeInstr(static_cast<uint16_t>(hw1), hw2);
+      std::snprintf(buf, sizeof(buf), "%04x %04x %u %u %u %u %d %u %u %u", hw1, hw2,
+                    static_cast<unsigned>(in.op), in.rd, in.rn, in.rm, in.imm, in.reglist,
+                    static_cast<unsigned>(in.cond), in.length);
+      std::string line = buf;
+      if (in.op != Op::kInvalid) {
+        ++valid;
+        uint16_t enc[2] = {0, 0};
+        const int n = EncodeInstr(in, enc);
+        const FlagEffects fe = FlagEffectsOf(in.op, in.imm);
+        const RegEffects re = RegEffectsOf(in);
+        std::snprintf(buf, sizeof(buf), "|%d %04x %04x|%u %u %u|%04x %04x|%d %d %s|", n,
+                      enc[0], n == 2 ? enc[1] : 0, fe.reads, fe.may_write, fe.must_write,
+                      re.reads, re.writes, MayFault(in.op) ? 1 : 0, IsTerminator(in) ? 1 : 0,
+                      kClassNames[static_cast<size_t>(InfoOf(in.op).op_class)]);
+        line += buf;
+        line += Disassemble(in, 0x08000100);
+      }
+      line += '\n';
+      for (const char ch : line) {
+        digest = (digest ^ static_cast<uint8_t>(ch)) * 1099511628211ull;
+      }
+    }
+  }
+  EXPECT_EQ(valid, 291947u);
+  EXPECT_EQ(digest, 0x913be7723b8ee767ull);
+}
+
+TEST(IsaSweepTest, EveryValidDecodeReencodesToItsHalfwords) {
+  // The one exception: BX/BLX ignore their should-be-zero bits [2:0] (their rows' mask
+  // leaves them out), so a first halfword with any of them set re-encodes with them
+  // clear. 224 such halfwords × 5 second halfwords.
+  uint64_t exceptions = 0;
+  for (uint32_t hw1 = 0; hw1 < 0x10000; ++hw1) {
+    for (const uint16_t hw2 : kSecondHalfwords) {
+      const Instr in = DecodeInstr(static_cast<uint16_t>(hw1), hw2);
+      if (in.op == Op::kInvalid) {
+        continue;
+      }
+      uint16_t enc[2] = {0, 0};
+      const int n = EncodeInstr(in, enc);
+      ASSERT_EQ(n, in.length);
+      if ((in.op == Op::kBx || in.op == Op::kBlx) && (hw1 & 7) != 0) {
+        EXPECT_EQ(enc[0], hw1 & ~7u);
+        ++exceptions;
+        continue;
+      }
+      EXPECT_EQ(enc[0], hw1) << Disassemble(in);
+      if (n == 2) {
+        EXPECT_EQ(enc[1], hw2) << Disassemble(in);
+      }
+    }
+  }
+  EXPECT_EQ(exceptions, 224u * 5u);
 }
 
 TEST(DisassemblerTest, ProducesReadableText) {

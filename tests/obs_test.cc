@@ -606,11 +606,11 @@ TEST(ProfileTest, ProfileJsonIsSchemaV3WithPerPcCyclesSummingToTotal) {
 
 TEST(EnergyModelTest, EstimateDecomposesExactly) {
   const EnergyModel model = EnergyModel::CortexM0Proxy();
-  const std::array<uint64_t, kEnergyClassCount> cycles = {100, 50, 25, 25, 10, 5};
+  const std::array<uint64_t, kNumOpClasses> cycles = {100, 50, 25, 25, 10, 5};
   const EnergyEstimate e = EstimateEnergy(model, cycles, /*flash_reads=*/40,
                                           /*sram_reads=*/30, /*sram_writes=*/20);
   double core = 0.0;
-  for (size_t i = 0; i < kEnergyClassCount; ++i) {
+  for (size_t i = 0; i < kNumOpClasses; ++i) {
     EXPECT_DOUBLE_EQ(e.core_pj[i],
                      static_cast<double>(cycles[i]) * model.core_pj_per_cycle[i]);
     core += e.core_pj[i];
@@ -628,7 +628,7 @@ TEST(EnergyModelTest, ProfileEnergyIsRecomputableFromAttribution) {
   NeuroCModel model = MakeSmallModel(25);
   DeployedModel deployed = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
   const InferenceProfile p = ProfileInferenceDetailed(deployed);
-  const std::array<uint64_t, kEnergyClassCount> cycles = {
+  const std::array<uint64_t, kNumOpClasses> cycles = {
       p.summary.alu_cycles,    p.summary.multiply_cycles, p.summary.load_cycles,
       p.summary.store_cycles,  p.summary.branch_cycles,   p.summary.stack_cycles};
   const EnergyEstimate recomputed =

@@ -39,13 +39,19 @@ TestModelSpec SmallSpec() {
   return spec;
 }
 
+std::string ModelName(size_t m) {
+  std::string name = "m";
+  name += std::to_string(m);
+  return name;
+}
+
 TEST(ServeSoakTest, ManyTenantsManyInFlightAllAnsweredCorrectly) {
   ServeConfig cfg;
   cfg.max_batch = 4;
   cfg.cache_capacity = kCacheCapacity;
   std::map<std::string, uint64_t> seeds;
   for (size_t m = 0; m < kModels; ++m) {
-    seeds["m" + std::to_string(m)] = 300 + m;
+    seeds[ModelName(m)] = 300 + m;
   }
   InferenceService service(cfg, [seeds](const std::string& name) -> StatusOr<NeuroCModel> {
     const auto it = seeds.find(name);
@@ -79,7 +85,7 @@ TEST(ServeSoakTest, ManyTenantsManyInFlightAllAnsweredCorrectly) {
         ServeRequest req;
         req.request_id = t * 1000 + i;
         req.tenant = "tenant" + std::to_string(t);
-        req.model = "m" + std::to_string(model);
+        req.model = ModelName(model);
         req.input.resize(kInDim);
         for (int8_t& v : req.input) {
           v = static_cast<int8_t>(rng.NextInt(-128, 127));

@@ -22,20 +22,14 @@ namespace {
 
 using testutil::ExpectFaultsEqual;
 
-// The three decode paths, plus the oracle: a block-default machine with a counting probe
-// attached, which runs every instruction on the step interpreter.
-enum class Path { kLegacy, kCached, kBlock, kProbeOracle };
-constexpr Path kAllPaths[] = {Path::kLegacy, Path::kCached, Path::kBlock,
-                              Path::kProbeOracle};
+using testutil::ConfigurePath;
+using testutil::kAllPaths;
+using testutil::Path;
 
-void ConfigurePath(Cpu& cpu, Path path) {
-  switch (path) {
-    case Path::kLegacy: cpu.EnableDecodeCache(false); break;
-    case Path::kCached: cpu.EnableBlockCompile(false); break;
-    case Path::kBlock:
-    case Path::kProbeOracle: break;
-  }
-}
+// How RunStruck stops after the k-th instruction: by the instruction alarm, on any decode
+// path, or by the oracle's counting probe — the oracle is a block-default machine, and the
+// probe runs every instruction on the step interpreter.
+enum class Strike { kAlarm, kProbeOracle };
 
 NeuroCModel SmallModel(EncodingKind kind) {
   testutil::TestModelSpec spec;
@@ -84,7 +78,7 @@ struct Outcome {
 };
 
 // One inference from pristine state with the strike after the k-th retired instruction.
-Outcome RunStruck(DeployedModel& dm, Path path, uint64_t k, Action action,
+Outcome RunStruck(DeployedModel& dm, Strike strike_by, uint64_t k, Action action,
                   const std::vector<int8_t>& input) {
   dm.Scrub();
   dm.machine().memory().EnableHeatmap(64);
@@ -104,7 +98,7 @@ Outcome RunStruck(DeployedModel& dm, Path path, uint64_t k, Action action,
     }
   };
   CountingProbe probe(k, strike);
-  if (path == Path::kProbeOracle) {
+  if (strike_by == Strike::kProbeOracle) {
     cpu.set_probe(&probe);
   } else {
     cpu.SetInstructionAlarm(cpu.instructions() + k, strike);
@@ -166,6 +160,7 @@ TEST_P(AlarmParityTest, FiresAtTheSameInstructionOnEveryPath) {
     machines.push_back(DeployedModel::Deploy(SmallModel(kind)));
     ConfigurePath(machines.back().machine().cpu(), path);
   }
+  machines.push_back(DeployedModel::Deploy(SmallModel(kind)));  // the probe oracle
   Rng rng(23);
   const std::vector<int8_t> input = MakeRandomInput(machines[0].input_dim(), rng);
 
@@ -186,7 +181,7 @@ TEST_P(AlarmParityTest, FiresAtTheSameInstructionOnEveryPath) {
     for (const Action action : {Action::kObserve, Action::kPlantUndefined}) {
       SCOPED_TRACE(::testing::Message() << EncodingKindName(kind) << " k=" << k
                                         << " action=" << static_cast<int>(action));
-      const Outcome want = RunStruck(oracle, Path::kProbeOracle, k, action, input);
+      const Outcome want = RunStruck(oracle, Strike::kProbeOracle, k, action, input);
       ASSERT_TRUE(want.fired);
       EXPECT_EQ(want.at_instructions - oracle.pristine_snapshot().cpu.instructions, k);
       if (action == Action::kObserve) {
@@ -199,7 +194,7 @@ TEST_P(AlarmParityTest, FiresAtTheSameInstructionOnEveryPath) {
         EXPECT_EQ(want.fault.pc, want.at_pc);
       }
       for (size_t p = 0; p < 3; ++p) {
-        const Outcome got = RunStruck(machines[p], kAllPaths[p], k, action, input);
+        const Outcome got = RunStruck(machines[p], Strike::kAlarm, k, action, input);
         ASSERT_TRUE(got.fired);
         EXPECT_EQ(got.at_cycles, want.at_cycles);
         EXPECT_EQ(got.at_instructions, want.at_instructions);

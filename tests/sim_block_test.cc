@@ -18,6 +18,7 @@
 #include "src/obs/sim_profiler.h"
 #include "src/runtime/deployed_model.h"
 #include "src/sim/machine.h"
+#include "tests/test_util.h"
 
 namespace neuroc {
 namespace {
@@ -42,22 +43,8 @@ NeuroCModel MakeModel(uint64_t seed, EncodingKind kind) {
   return NeuroCModel::FromLayers(std::move(layers));
 }
 
-// The three decode paths under comparison. `block` is the deploy default; the other two
-// peel off one optimization layer each.
-enum class Path { kLegacy, kCached, kBlock };
-
-void ConfigurePath(Cpu& cpu, Path path) {
-  switch (path) {
-    case Path::kLegacy:
-      cpu.EnableDecodeCache(false);
-      break;
-    case Path::kCached:
-      cpu.EnableBlockCompile(false);
-      break;
-    case Path::kBlock:
-      break;  // deploy default
-  }
-}
+using testutil::ConfigurePath;
+using testutil::Path;
 
 class BlockParityTest : public ::testing::TestWithParam<EncodingKind> {};
 

@@ -21,16 +21,9 @@ namespace {
 using testutil::ExpectFaultsEqual;
 using testutil::ExpectSnapshotsEqual;
 
-enum class Path { kLegacy, kCached, kBlock };
-constexpr Path kAllPaths[] = {Path::kLegacy, Path::kCached, Path::kBlock};
-
-void ConfigurePath(Cpu& cpu, Path path) {
-  switch (path) {
-    case Path::kLegacy: cpu.EnableDecodeCache(false); break;
-    case Path::kCached: cpu.EnableBlockCompile(false); break;
-    case Path::kBlock: break;
-  }
-}
+using testutil::ConfigurePath;
+using testutil::kAllPaths;
+using testutil::Path;
 
 NeuroCModel Model(EncodingKind kind, std::vector<size_t> dims) {
   testutil::TestModelSpec spec;

@@ -21,17 +21,9 @@
 namespace neuroc {
 namespace {
 
-// The three decode paths; block is the deploy default.
-enum class Path { kLegacy, kCached, kBlock };
-constexpr Path kAllPaths[] = {Path::kLegacy, Path::kCached, Path::kBlock};
-
-void ConfigurePath(Cpu& cpu, Path path) {
-  switch (path) {
-    case Path::kLegacy: cpu.EnableDecodeCache(false); break;
-    case Path::kCached: cpu.EnableBlockCompile(false); break;
-    case Path::kBlock: break;
-  }
-}
+using testutil::ConfigurePath;
+using testutil::kAllPaths;
+using testutil::Path;
 
 NeuroCModel SmallModel(uint64_t seed, EncodingKind kind) {
   testutil::TestModelSpec spec;

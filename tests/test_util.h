@@ -1,6 +1,6 @@
 // Shared helpers for the unit tests: seeded random-model construction (previously
 // duplicated across the firmware, robustness and fault-campaign tests), the global
-// thread-pool guard, machine-snapshot equality, a call run on all three decode paths,
+// thread-pool guard, machine-snapshot equality, the decode paths and a call run on all three,
 // and the FakeClient serve-protocol client (tests that use it must link neuroc_serve).
 // Layers are built sequentially from a single Rng, so a (seed, spec) pair fully
 // determines the model.
@@ -77,6 +77,20 @@ inline void ExpectSnapshotsEqual(const MachineSnapshot& a, const MachineSnapshot
   EXPECT_EQ(a.memory.heatmap.sram_writes, b.memory.heatmap.sram_writes);
 }
 
+// The three decode paths: legacy decode-every-step, the predecode cache alone, and block
+// compilation, the deploy default. ConfigurePath peels the optimization layers off a CPU
+// on its default path.
+enum class Path { kLegacy, kCached, kBlock };
+inline constexpr Path kAllPaths[] = {Path::kLegacy, Path::kCached, Path::kBlock};
+
+inline void ConfigurePath(Cpu& cpu, Path path) {
+  switch (path) {
+    case Path::kLegacy: cpu.EnableDecodeCache(false); break;
+    case Path::kCached: cpu.EnableBlockCompile(false); break;
+    case Path::kBlock: break;
+  }
+}
+
 // Loads `program` at the flash base of `block` and of two twins built from its config —
 // one on the predecode cache alone, one on legacy decode-every-step — calls it with
 // `args` on all three, and expects each twin's snapshot (registers, pc, flags, cycles,
@@ -86,8 +100,8 @@ inline uint64_t CallOnAllDecodePaths(Machine& block, std::span<const uint8_t> pr
                                      std::initializer_list<uint32_t> args) {
   Machine cached(block.config());
   Machine legacy(block.config());
-  cached.cpu().EnableBlockCompile(false);
-  legacy.cpu().EnableDecodeCache(false);
+  ConfigurePath(cached.cpu(), Path::kCached);
+  ConfigurePath(legacy.cpu(), Path::kLegacy);
   const uint32_t entry = block.config().flash_base;
   uint64_t cycles = 0;
   for (Machine* m : {&legacy, &cached, &block}) {

@@ -25,16 +25,9 @@ namespace {
 
 constexpr uint32_t kFlash = 0x08000000;
 
-enum class Path { kLegacy, kCached, kBlock };
-constexpr Path kAllPaths[] = {Path::kLegacy, Path::kCached, Path::kBlock};
-
-void ConfigurePath(Cpu& cpu, Path path) {
-  switch (path) {
-    case Path::kLegacy: cpu.EnableDecodeCache(false); break;
-    case Path::kCached: cpu.EnableBlockCompile(false); break;
-    case Path::kBlock: break;
-  }
-}
+using testutil::ConfigurePath;
+using testutil::kAllPaths;
+using testutil::Path;
 
 NeuroCModel SmallModel(uint64_t seed, EncodingKind kind = EncodingKind::kBlock) {
   testutil::TestModelSpec spec;
