@@ -21,14 +21,6 @@ bool SameInstr(const Instr& a, const Instr& b) {
          a.reglist == b.reglist && a.cond == b.cond && a.length == b.length;
 }
 
-// Ops whose canonical disassembly is not accepted back by the assembler. An exhaustive
-// 64K-halfword sweep (both 16-bit paths and BL-matching second halfwords) leaves exactly
-// one: kAdr disassembles as "adr rd, #imm" but the assembler's adr production only takes
-// a label/address operand. Everything else — including push/pop/ldm/stm register lists,
-// hi-register aliases, pc-relative loads and all branch forms — text-round-trips; kAdr
-// still goes through the binary encode->decode fix-point above.
-bool TextRoundTrips(Op op) { return op != Op::kAdr; }
-
 // The first quantity two machines that ran the same case report differently — status,
 // fault report, registers, pc, flags, counters — or "" when they agree.
 std::string CrossModeDiff(Machine& a, const StatusOr<uint64_t>& a_run, Machine& b,
@@ -169,25 +161,22 @@ CaseResult RunIsaCase(const FuzzCase& c) {
   }
 
   // Text fix-point: disassemble -> assemble -> decode -> disassemble must reproduce the
-  // text for ops within the assembler's vocabulary.
-  if (TextRoundTrips(d.op)) {
-    const uint32_t base = mc.flash_base;
-    const std::string text = Disassemble(d, base);
-    const AssembledProgram p = Assemble(text + "\n", base);
-    if (p.bytes.size() != static_cast<size_t>(2 * d.length)) {
-      return {FuzzVerdict::kFail,
-              "assembler emitted wrong length for '" + text + "' (" + hws + ")"};
-    }
-    const uint16_t ahw1 = static_cast<uint16_t>(p.bytes[0] | (p.bytes[1] << 8));
-    const uint16_t ahw2 = d.length == 2
-                              ? static_cast<uint16_t>(p.bytes[2] | (p.bytes[3] << 8))
-                              : uint16_t{0};
-    const Instr da = DecodeInstr(ahw1, ahw2);
-    const std::string text2 = Disassemble(da, base);
-    if (text2 != text) {
-      return {FuzzVerdict::kFail, "assembler text fix-point mismatch for " + hws + ": '" +
-                                      text + "' -> '" + text2 + "'"};
-    }
+  // text.
+  const uint32_t base = mc.flash_base;
+  const std::string text = Disassemble(d, base);
+  const AssembledProgram p = Assemble(text + "\n", base);
+  if (p.bytes.size() != static_cast<size_t>(2 * d.length)) {
+    return {FuzzVerdict::kFail,
+            "assembler emitted wrong length for '" + text + "' (" + hws + ")"};
+  }
+  const uint16_t ahw1 = static_cast<uint16_t>(p.bytes[0] | (p.bytes[1] << 8));
+  const uint16_t ahw2 =
+      d.length == 2 ? static_cast<uint16_t>(p.bytes[2] | (p.bytes[3] << 8)) : uint16_t{0};
+  const Instr da = DecodeInstr(ahw1, ahw2);
+  const std::string text2 = Disassemble(da, base);
+  if (text2 != text) {
+    return {FuzzVerdict::kFail, "assembler text fix-point mismatch for " + hws + ": '" +
+                                    text + "' -> '" + text2 + "'"};
   }
   return {};
 }

@@ -5,8 +5,10 @@
 //   comments:          `@ ...`, `// ...`, `; ...`
 //   directives:        `.word v[, v...]`, `.half ...`, `.byte ...`, `.align n` (2^n bytes),
 //                      `.pool` (flush pending `ldr rX, =imm` literals)
+//   instructions:      every op in src/isa/isa.h as its row's mnemonic (b<cond> with the
+//                      condition appended) and its form's OperandSyntax, or a kAliases
+//                      spelling; the first spelling whose fields fit the encoding wins
 //   literal loads:     `ldr rX, =imm-or-label` (pooled, PC-relative)
-//   everything in src/isa/isa.h: movs/adds/subs/cmp/muls/ldr/str/push/pop/b<cond>/bl/...
 //
 // Errors abort with file/line diagnostics via NEUROC_CHECK (the assembler is an internal
 // code-generation tool; malformed input is a programming error).

@@ -1,10 +1,9 @@
 // The encoder, decoder, disassembler and static facts, derived from NEUROC_THUMB_OPS: one
-// pack, one unpack and one print per operand form.
+// pack, one unpack and one operand syntax per form.
 
 #include "src/isa/isa.h"
 
 #include <array>
-#include <cstdarg>
 #include <cstdio>
 
 #include "src/common/check.h"
@@ -216,9 +215,8 @@ bool Unpack(const DecodeCandidate& row, uint16_t hw, uint16_t hw2, Instr& in) {
   return true;
 }
 
-// `use` (RegUse roles) over `in`'s operands, as a mask over r0..r15. A register list's
-// bit 8 is LR when the list is read (PUSH) and PC when it is written (POP).
-uint16_t RegMask(uint8_t use, const Instr& in, bool written) {
+// `use` (RegUse roles) over `in`'s operands, as a mask over r0..r15.
+uint16_t RegMask(uint8_t use, const Instr& in) {
   uint32_t mask = 0;
   if (use & kUseRd) {
     mask |= 1u << in.rd;
@@ -238,37 +236,13 @@ uint16_t RegMask(uint8_t use, const Instr& in, bool written) {
   if (use & kUseList) {
     mask |= in.reglist & 0xFFu;
     if (in.reglist & 0x100) {
-      mask |= 1u << (written ? kRegPc : kRegLr);
+      mask |= 1u << ListBit8(in.op);
     }
   }
   if ((use & kUseRnWb) && (in.reglist & (1u << in.rn)) == 0) {
     mask |= 1u << in.rn;
   }
   return static_cast<uint16_t>(mask);
-}
-
-[[gnu::format(printf, 1, 2)]] std::string Format(const char* fmt, ...) {
-  char buf[96];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  return buf;
-}
-
-// "{r0, r4, lr}", naming bit 8 `bit8`.
-std::string RegList(uint16_t mask, const char* bit8) {
-  std::string s = "{";
-  for (int r = 0; r < 9; ++r) {
-    if (mask & (1 << r)) {
-      if (s.size() > 1) {
-        s += ", ";
-      }
-      s += r < 8 ? RegName(static_cast<uint8_t>(r)) : bit8;
-    }
-  }
-  s += '}';
-  return s;
 }
 
 }  // namespace
@@ -305,33 +279,43 @@ const char* RegName(uint8_t reg) {
   return reg < 16 ? kNames[reg] : "?";
 }
 
-int EncodeInstr(const Instr& in, uint16_t hw[2]) {
+int EncodeInstr(const Instr& in, uint16_t hw[2], const char** misfit) {
   NEUROC_CHECK(in.op != Op::kInvalid && static_cast<size_t>(in.op) < kNumOps);
   const OpInfo& info = InfoOf(in.op);
-  const auto lo = [](uint8_t reg, int shift) {
-    NEUROC_CHECK(reg < 8);
-    return static_cast<uint32_t>(reg) << shift;
+  const char* why = nullptr;
+  const auto fits = [&why](bool ok, const char* what) {
+    if (!ok && why == nullptr) {
+      why = what;
+    }
+    return ok;
   };
-  const auto hi_rdn_rm = [](uint8_t rdn, uint8_t rm) {
-    NEUROC_CHECK(rdn < 16 && rm < 16);
+  const auto lo = [&](uint8_t reg, int shift) {
+    return fits(reg < 8, "needs low registers") ? static_cast<uint32_t>(reg) << shift : 0;
+  };
+  const auto hi_rdn_rm = [&](uint8_t rdn, uint8_t rm) {
+    fits(rdn < 16 && rm < 16, "no such register");
     return static_cast<uint32_t>(((rdn & 8) << 4) | (rm << 3) | (rdn & 7));
   };
   const auto imm = [&](int shift, int width) {
-    NEUROC_CHECK(in.imm >= 0 && in.imm % info.scale == 0 &&
-                 in.imm / info.scale < (1 << width));
-    return static_cast<uint32_t>(in.imm / info.scale) << shift;
+    return fits(in.imm >= 0 && in.imm % info.scale == 0 && in.imm / info.scale < (1 << width),
+                "immediate out of range")
+               ? static_cast<uint32_t>(in.imm / info.scale) << shift
+               : 0;
   };
   const auto simm = [&](int width) {
-    NEUROC_CHECK(in.imm % info.scale == 0);
     const int32_t units = in.imm / info.scale;
-    NEUROC_CHECK(units >= -(1 << (width - 1)) && units < (1 << (width - 1)));
+    fits(in.imm % info.scale == 0 && units >= -(1 << (width - 1)) &&
+             units < (1 << (width - 1)),
+         "offset out of range");
     return static_cast<uint32_t>(units) & ((1u << width) - 1);
   };
   const auto list = [&](int width) {
-    NEUROC_CHECK(in.reglist != 0 && (in.reglist >> width) == 0);
+    fits(in.reglist != 0, "empty register list");
+    fits((in.reglist >> width) == 0, "needs low registers");
     return static_cast<uint32_t>(in.reglist);
   };
   uint32_t fields = 0;
+  int length = 1;
   switch (info.form) {
     case Form::kNone:
       break;
@@ -366,8 +350,7 @@ int EncodeInstr(const Instr& in, uint16_t hw[2]) {
       fields = hi_rdn_rm(in.rn, in.rm);
       break;
     case Form::kRm:
-      NEUROC_CHECK(in.rm < 16);
-      fields = static_cast<uint32_t>(in.rm) << 3;
+      fields = fits(in.rm < 16, "no such register") ? static_cast<uint32_t>(in.rm) << 3 : 0;
       break;
     case Form::kImm7:
       fields = imm(0, 7);
@@ -382,7 +365,7 @@ int EncodeInstr(const Instr& in, uint16_t hw[2]) {
       fields = lo(in.rn, 8) | list(8);
       break;
     case Form::kCondImm8:
-      NEUROC_CHECK(in.cond != Cond::kAl);
+      fits(in.cond < Cond::kAl, "no such condition");
       fields = (static_cast<uint32_t>(in.cond) << 8) | simm(8);
       break;
     case Form::kImm11:
@@ -394,13 +377,20 @@ int EncodeInstr(const Instr& in, uint16_t hw[2]) {
       // From the ARM ARM: I1 = NOT(J1 EOR S) => J1 = NOT(I1) EOR S (and likewise for J2).
       const uint32_t j1 = (~(v >> 22) & 1) ^ s;
       const uint32_t j2 = (~(v >> 21) & 1) ^ s;
-      hw[0] = static_cast<uint16_t>(info.bits | (s << 10) | ((v >> 11) & 0x3FF));
+      fields = (s << 10) | ((v >> 11) & 0x3FF);
       hw[1] = static_cast<uint16_t>(0xD000 | (j1 << 13) | (j2 << 11) | (v & 0x7FF));
-      return 2;
+      length = 2;
+      break;
     }
   }
+  if (why != nullptr) {
+    if (misfit != nullptr) {
+      *misfit = why;
+    }
+    return 0;
+  }
   hw[0] = static_cast<uint16_t>(info.bits | fields);
-  return 1;
+  return length;
 }
 
 Instr DecodeInstr(uint16_t hw, uint16_t hw2) {
@@ -419,61 +409,98 @@ std::string Disassemble(const Instr& in, uint32_t addr) {
   if (in.op == Op::kInvalid) {
     return "<invalid>";
   }
-  const OpInfo& info = InfoOf(in.op);
-  const char* name = info.mnemonic;
+  const bool movs = in.op == Op::kLslImm && in.imm == 0;
+  std::string s = movs ? kAliases[0].mnemonic : OpName(in.op);
+  if (InfoOf(in.op).form == Form::kCondImm8) {
+    s += CondName(in.cond);
+  }
+  const char* syntax = movs ? kAliases[0].syntax : OperandSyntax(in.op);
+  if (*syntax != '\0') {
+    s += ' ';
+  }
+  for (const char* c = syntax; *c != '\0'; ++c) {
+    switch (*c) {
+      case 'd':
+        s += RegName(in.rd);
+        break;
+      case 'n':
+        s += RegName(in.rn);
+        break;
+      case 'm':
+        s += RegName(in.rm);
+        break;
+      case 'i':
+        s += std::to_string(in.imm);
+        break;
+      case 'l': {
+        const char* sep = "";
+        for (int r = 0; r < 9; ++r) {
+          if (in.reglist & (1 << r)) {
+            s += sep;
+            s += RegName(r < 8 ? static_cast<uint8_t>(r) : ListBit8(in.op));
+            sep = ", ";
+          }
+        }
+        break;
+      }
+      case 'a': {
+        char hex[12];
+        std::snprintf(hex, sizeof(hex), "0x%x",
+                      PcBase(in.op, addr) + static_cast<uint32_t>(in.imm));
+        s += hex;
+        break;
+      }
+      default:
+        s += *c;
+    }
+  }
+  return s;
+}
+
+const char* OperandSyntax(Op op) {
+  const OpInfo& info = InfoOf(op);
   const bool mem = info.op_class == OpClass::kLoad || info.op_class == OpClass::kStore;
-  const char* d = RegName(in.rd);
-  const char* n = RegName(in.rn);
-  const char* m = RegName(in.rm);
-  const uint32_t target = addr + 4 + static_cast<uint32_t>(in.imm);
   switch (info.form) {
     case Form::kNone:
-      return name;
+      return "";
     case Form::kRdRmImm5:
-      if (in.op == Op::kLslImm && in.imm == 0) {
-        return Format("movs %s, %s", d, m);
-      }
-      return Format("%s %s, %s, #%d", name, d, m, in.imm);
+      return "d, m, #i";
     case Form::kRdRnRm:
-      return Format(mem ? "%s %s, [%s, %s]" : "%s %s, %s, %s", name, d, n, m);
+      return mem ? "d, [n, m]" : "d, n, m";
     case Form::kRdRnImm3:
-      return Format("%s %s, %s, #%d", name, d, n, in.imm);
+      return "d, n, #i";
     case Form::kRdRnImm5:
-      return Format("%s %s, [%s, #%d]", name, d, n, in.imm);
+      return "d, [n, #i]";
     case Form::kRdImm8:
-      return Format("%s %s, #%d", name, d, in.imm);
+      return "d, #i";
     case Form::kRnImm8:
-      return Format("%s %s, #%d", name, n, in.imm);
+      return "n, #i";
     case Form::kRdPcImm8:
-      return Format(mem ? "%s %s, [pc, #%d]" : "%s %s, #%d", name, d, in.imm);
+      return mem ? "d, [pc, #i]" : "d, #i";
     case Form::kRdSpImm8:
-      return Format(mem ? "%s %s, [sp, #%d]" : "%s %s, sp, #%d", name, d, in.imm);
-    case Form::kRdnRm:
-      // A compare writes no register; its first operand is rn.
-      return Format("%s %s, %s", name, (info.writes & kUseRd) ? d : n, m);
+      return mem ? "d, [sp, #i]" : "d, sp, #i";
+    case Form::kRdnRm:  // a compare's first operand is rn, which its decode sets equal to rd
     case Form::kRdRm:
     case Form::kHiRdRm:
-      return Format("%s %s, %s", name, d, m);
+      return "d, m";
     case Form::kHiRnRm:
-      return Format("%s %s, %s", name, n, m);
+      return "n, m";
     case Form::kRm:
-      return Format("%s %s", name, m);
+      return "m";
     case Form::kImm7:
-      return Format("%s sp, #%d", name, in.imm);
+      return "sp, #i";
     case Form::kImm8:
-      return Format("%s #%d", name, in.imm);
+      return "#i";
     case Form::kRegList9:
-      return Format("%s %s", name,
-                    RegList(in.reglist, (info.writes & kUseList) ? "pc" : "lr").c_str());
+      return "{l}";
     case Form::kRnRegList8:
-      return Format("%s %s!, %s", name, n, RegList(in.reglist, "lr").c_str());
+      return "n!, {l}";
     case Form::kCondImm8:
-      return Format("%s%s 0x%x", name, CondName(in.cond), target);
     case Form::kImm11:
     case Form::kImm24:
-      return Format("%s 0x%x", name, target);
+      return "a";
   }
-  return "<invalid>";
+  return "";
 }
 
 FlagEffects FlagEffectsOf(Op op, int32_t imm) {
@@ -504,8 +531,8 @@ FlagEffects FlagEffectsOf(Op op, int32_t imm) {
 RegEffects RegEffectsOf(const Instr& in) {
   constexpr uint16_t kNotPc = static_cast<uint16_t>(~(1u << kRegPc));
   const OpInfo& info = InfoOf(in.op);
-  return {static_cast<uint16_t>(RegMask(info.reads, in, false) & kNotPc),
-          static_cast<uint16_t>(RegMask(info.writes, in, true) & kNotPc)};
+  return {static_cast<uint16_t>(RegMask(info.reads, in) & kNotPc),
+          static_cast<uint16_t>(RegMask(info.writes, in) & kNotPc)};
 }
 
 }  // namespace neuroc

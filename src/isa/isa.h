@@ -13,12 +13,12 @@
 //   class           what it does for the cycle and energy accounting (OpClass);
 //   flags           which APSR flags it reads and writes (FlagUse);
 //   reads, writes   which registers it reads and writes (RegUse roles).
-// Everything else is derived from the rows: the encoder, the decoder and the disassembler
-// are one pack, one unpack and one print per form; the simulator's dispatch tables, its
+// Everything else is derived from the rows: the encoder and the decoder are one pack and
+// one unpack per form, and each form's operand syntax (OperandSyntax) is both what the
+// disassembler prints and what the assembler parses; the simulator's dispatch tables, its
 // static cycle costs, the block compiler's flag liveness, register masks, may-fault and
 // terminator tests, and the profile's categories all read these columns. Adding an op
-// takes one row here, one production in the assembler (assembler.cc) and one body in
-// src/sim/thumb_ops.inc.
+// takes one row here and one body in src/sim/thumb_ops.inc.
 
 #ifndef NEUROC_SRC_ISA_ISA_H_
 #define NEUROC_SRC_ISA_ISA_H_
@@ -244,10 +244,11 @@ const char* OpName(Op op);
 const char* CondName(Cond cond);
 const char* RegName(uint8_t reg);
 
-// Encodes `instr` into `hw[0..1]`. Returns the number of halfwords written (1 or 2).
-// Aborts (NEUROC_CHECK) on operands that do not fit the encoding — the assembler validates
-// ranges before calling.
-int EncodeInstr(const Instr& instr, uint16_t hw[2]);
+// Encodes `instr` into `hw[0..1]` and returns the number of halfwords written (1 or 2), or
+// 0 when an operand does not fit its field: a high register in a low-register field, an
+// immediate out of range or not a multiple of the row's scale, or an empty or too wide
+// register list. `*misfit`, when given, then says which.
+int EncodeInstr(const Instr& instr, uint16_t hw[2], const char** misfit = nullptr);
 
 // Decodes the instruction starting at hw1 (hw2 is the following halfword, used only for
 // 32-bit BL; pass 0 when unavailable). Returns Instr with op == kInvalid for encodings
@@ -255,9 +256,47 @@ int EncodeInstr(const Instr& instr, uint16_t hw[2]);
 // that BX/BLX re-encode with their should-be-zero bits [2:0] clear.
 Instr DecodeInstr(uint16_t hw1, uint16_t hw2);
 
-// Renders `in` as assembly text. `addr` is the instruction address, used to print absolute
-// branch targets.
+// Renders `in` as assembly text: its mnemonic and its OperandSyntax, or for LSLS #0 the
+// MOVS alias. `addr` is the instruction address, used to print absolute branch targets.
 std::string Disassemble(const Instr& in, uint32_t addr = 0);
+
+// The operands of `op`'s form as text, which Disassemble prints and the assembler parses.
+// `d`, `n` and `m` stand for the rd, rn and rm registers, `i` for the immediate, `l` for
+// the register list, `a` for a target address and `v` for a value the assembler places in
+// a literal pool; every other character stands for itself, and the parser takes whitespace
+// between any two. Loads and stores bracket their address operands.
+const char* OperandSyntax(Op op);
+
+// The assembler's other spellings, each of one op; the fields an alias does not name are
+// zero. The first is also how Disassemble prints LSLS #0.
+struct Alias {
+  const char* mnemonic;
+  Op op;
+  const char* syntax;
+};
+inline constexpr Alias kAliases[] = {
+    {"movs", Op::kLslImm, "d, m"},  // MOVS (register)
+    {"negs", Op::kNeg, "d, m"},
+    {"rsbs", Op::kNeg, "d, m, #0"},
+    {"muls", Op::kMul, "d, m, d"},
+    {"ldr", Op::kLdrImm, "d, [n]"},
+    {"str", Op::kStrImm, "d, [n]"},
+    {"ldr", Op::kLdrLit, "d, =v"},
+    {"adr", Op::kAdr, "d, a"},
+};
+
+// The address a PC-relative offset (a branch, LDR literal or ADR) counts from: the
+// instruction's address plus 4, word-aligned for the kRdPcImm8 forms.
+inline uint32_t PcBase(Op op, uint32_t addr) {
+  return InfoOf(op).form == Form::kRdPcImm8 ? (addr + 4) & ~3u : addr + 4;
+}
+
+// The register bit 8 of a register list names: PC in the list POP writes, LR in any other
+// (PUSH's; LDM and STM lists are 8 bits wide, so the encoder refuses LR in theirs).
+inline uint8_t ListBit8(Op op) {
+  const OpInfo& info = InfoOf(op);
+  return info.form == Form::kRegList9 && (info.writes & kUseList) ? kRegPc : kRegLr;
+}
 
 // The APSR flags an instruction reads and writes, as kFlag* masks.
 struct FlagEffects {

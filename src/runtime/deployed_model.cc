@@ -21,6 +21,24 @@ size_t EstimateFromParts(size_t code_bytes, size_t image_bytes) {
   return code_bytes + image_bytes + kRuntimeOverheadBytes;
 }
 
+// A NeuroCModel built for `config`'s flash: its kernels first (at the reset address, like
+// a real linker script), its image after them.
+struct Program {
+  KernelSet kernels;
+  uint32_t image_base = 0;
+  DeviceModelImage image;
+
+  Program(const NeuroCModel& model, const MachineConfig& config)
+      : kernels(KernelSet::Build(
+            PackNeuroCModel(model, kScratchFlashBase, config.ram_base).variants,
+            config.flash_base, /*include_conv=*/false, &model)),
+        image_base(AlignUp4(config.flash_base + static_cast<uint32_t>(kernels.code_bytes()) +
+                            static_cast<uint32_t>(kRuntimeOverheadBytes))),
+        image(PackNeuroCModel(model, image_base, config.ram_base)) {}
+
+  size_t bytes() const { return EstimateFromParts(kernels.code_bytes(), image.flash.size()); }
+};
+
 // Index of the largest final-layer activation (the first on ties): the predicted class.
 int ArgMax(std::span<const int8_t> activations) {
   int best = 0;
@@ -51,10 +69,7 @@ InferenceCounters& GlobalInferenceCounters() {
 }  // namespace
 
 size_t DeployedModel::EstimateProgramBytes(const NeuroCModel& model) {
-  DeviceModelImage image = PackNeuroCModel(model, kScratchFlashBase, 0x20000000);
-  KernelSet kernels =
-      KernelSet::Build(image.variants, kScratchFlashBase, /*include_conv=*/false, &model);
-  return EstimateFromParts(kernels.code_bytes(), image.flash.size());
+  return Program(model, MachineConfig{}).bytes();
 }
 
 size_t DeployedModel::EstimateProgramBytes(const MlpModel& model) {
@@ -103,15 +118,8 @@ StatusOr<DeployedModel> DeployedModel::DeployImage(DeviceModelImage image, Kerne
 
 StatusOr<DeployedModel> DeployedModel::TryDeploy(const NeuroCModel& model,
                                                  const MachineConfig& config) {
-  // Kernels first (at the reset address, like a real linker script), image after.
-  KernelSet probe = KernelSet::Build(
-      PackNeuroCModel(model, kScratchFlashBase, config.ram_base).variants, config.flash_base,
-      /*include_conv=*/false, &model);
-  const uint32_t image_base = AlignUp4(config.flash_base +
-                                       static_cast<uint32_t>(probe.code_bytes()) +
-                                       static_cast<uint32_t>(kRuntimeOverheadBytes));
-  DeviceModelImage image = PackNeuroCModel(model, image_base, config.ram_base);
-  return DeployImage(std::move(image), std::move(probe), config, image_base);
+  Program p(model, config);
+  return DeployImage(std::move(p.image), std::move(p.kernels), config, p.image_base);
 }
 
 StatusOr<DeployedModel> DeployedModel::TryDeployWithFallback(const NeuroCModel& model,
@@ -123,10 +131,13 @@ StatusOr<DeployedModel> DeployedModel::TryDeployWithFallback(const NeuroCModel& 
   r.requested = model.layers().front().encoding->kind();
   r.selected = r.requested;
   r.flash_budget = config.flash_size;
-  r.requested_bytes = EstimateProgramBytes(model);
+  // Each candidate is built once: the build that is sized is the one deployed.
+  Program requested(model, config);
+  r.requested_bytes = requested.bytes();
   r.selected_bytes = r.requested_bytes;
   if (r.requested_bytes <= config.flash_size) {
-    return TryDeploy(model, config);
+    return DeployImage(std::move(requested.image), std::move(requested.kernels), config,
+                       requested.image_base);
   }
   r.fell_back = true;
   r.overflow = Status(
@@ -137,12 +148,12 @@ StatusOr<DeployedModel> DeployedModel::TryDeployWithFallback(const NeuroCModel& 
   // Candidates in descending expected speed: the guard exists because the caller asked for
   // the fastest scheme, so "best fitting" is the fastest one that still fits.
   for (const EncodingKind kind : kFallbackEncodings) {
-    const NeuroCModel candidate = ReencodeModel(model, kind);
-    const size_t bytes = EstimateProgramBytes(candidate);
-    if (bytes <= config.flash_size) {
+    Program candidate(ReencodeModel(model, kind), config);
+    if (candidate.bytes() <= config.flash_size) {
       r.selected = kind;
-      r.selected_bytes = bytes;
-      return TryDeploy(candidate, config);
+      r.selected_bytes = candidate.bytes();
+      return DeployImage(std::move(candidate.image), std::move(candidate.kernels), config,
+                         candidate.image_base);
     }
   }
   return Status(ErrorCode::kResourceExhausted,

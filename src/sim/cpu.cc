@@ -396,12 +396,10 @@ inline Cpu::BlockOp Cpu::Lower(const Instr& in, uint32_t addr) {
   // Pre-resolve PC-relative operands to absolute values.
   switch (InfoOf(in.op).form) {
     case Form::kRdPcImm8:
-      o.imm = static_cast<int32_t>(((addr + 4) & ~3u) + static_cast<uint32_t>(in.imm));
-      break;
     case Form::kCondImm8:
     case Form::kImm11:
     case Form::kImm24:
-      o.imm = static_cast<int32_t>(addr + 4 + static_cast<uint32_t>(in.imm));
+      o.imm = static_cast<int32_t>(PcBase(in.op, addr) + static_cast<uint32_t>(in.imm));
       break;
     default:
       break;

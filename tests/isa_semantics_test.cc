@@ -297,8 +297,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         CondCase{"eq", 5, 5, true}, CondCase{"eq", 5, 6, false},
         CondCase{"ne", 5, 6, true}, CondCase{"ne", 5, 5, false},
-        CondCase{"hs", 5, 5, true}, CondCase{"hs", 4, 5, false},
-        CondCase{"lo", 4, 5, true}, CondCase{"lo", 5, 5, false},
+        CondCase{"cs", 5, 5, true}, CondCase{"cs", 4, 5, false},
+        CondCase{"cc", 4, 5, true}, CondCase{"cc", 5, 5, false},
         CondCase{"mi", 3, 5, true}, CondCase{"mi", 5, 3, false},
         CondCase{"pl", 5, 3, true}, CondCase{"pl", 3, 5, false},
         CondCase{"ge", 5, 5, true}, CondCase{"ge", 0x80000000u, 1, false},

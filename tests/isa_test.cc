@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <string>
 
-#include "src/common/rng.h"
 #include "src/isa/assembler.h"
 #include "src/isa/isa.h"
 
@@ -307,6 +306,48 @@ TEST(IsaSweepTest, EveryValidDecodeReencodesToItsHalfwords) {
   EXPECT_EQ(exceptions, 224u * 5u);
 }
 
+TEST(AssemblerTest, ReproducesEveryDisassembly) {
+  // The assembler reads each form's text through the same syntax the disassembler prints.
+  // Every valid pair reproduces its text, and its halfwords apart from two exceptions:
+  // BX/BLX drop their should-be-zero bits (224 first halfwords × 5 second halfwords), and
+  // a hi-register CMP naming two low registers (64 × 5) assembles to the low-register CMP,
+  // the first row that takes its text.
+  constexpr uint32_t kAddr = 0x08000100;
+  uint64_t valid = 0;
+  uint64_t should_be_zero = 0;
+  uint64_t low_cmp = 0;
+  for (uint32_t hw1 = 0; hw1 < 0x10000; ++hw1) {
+    for (const uint16_t hw2 : kSecondHalfwords) {
+      const Instr in = DecodeInstr(static_cast<uint16_t>(hw1), hw2);
+      if (in.op == Op::kInvalid) {
+        continue;
+      }
+      ++valid;
+      const std::string text = Disassemble(in, kAddr);
+      const AssembledProgram p = Assemble(text, kAddr);
+      ASSERT_EQ(p.bytes.size(), 2u * in.length) << text;
+      const uint16_t a1 = static_cast<uint16_t>(p.bytes[0] | (p.bytes[1] << 8));
+      const uint16_t a2 =
+          in.length == 2 ? static_cast<uint16_t>(p.bytes[2] | (p.bytes[3] << 8)) : 0;
+      const Instr out = DecodeInstr(a1, a2);
+      ASSERT_EQ(Disassemble(out, kAddr), text);
+      if ((in.op == Op::kBx || in.op == Op::kBlx) && (hw1 & 7) != 0) {
+        ASSERT_EQ(a1, hw1 & ~7u) << text;
+        ++should_be_zero;
+      } else if (in.op == Op::kCmpHi && in.rn < 8 && in.rm < 8) {
+        ASSERT_EQ(out.op, Op::kCmpReg) << text;
+        ++low_cmp;
+      } else {
+        ASSERT_EQ(a1, hw1) << text;
+        ASSERT_EQ(a2, in.length == 2 ? hw2 : 0) << text;
+      }
+    }
+  }
+  EXPECT_EQ(valid, 291947u);
+  EXPECT_EQ(should_be_zero, 224u * 5u);
+  EXPECT_EQ(low_cmp, 64u * 5u);
+}
+
 TEST(DisassemblerTest, ProducesReadableText) {
   Instr in;
   in.op = Op::kAddReg;
@@ -484,56 +525,6 @@ TEST(AssemblerTest, AluAliases) {
   EXPECT_EQ(DecodeInstr(i2, 0).rd, 2);
   EXPECT_EQ(DecodeInstr(i2, 0).rm, 4);
 }
-
-TEST(AssemblerTest, RandomInstructionFuzzRoundTrip) {
-  // Property: assembling the disassembly of a random valid instruction reproduces it.
-  Rng rng(31337);
-  const Op kFuzzOps[] = {Op::kLslImm, Op::kLsrImm, Op::kAsrImm, Op::kAddReg, Op::kSubReg,
-                         Op::kAddImm3, Op::kSubImm3, Op::kMovImm, Op::kCmpImm, Op::kAddImm8,
-                         Op::kSubImm8, Op::kAnd, Op::kEor, Op::kOrr, Op::kMul,
-                         Op::kLdrReg, Op::kStrReg, Op::kLdrbImm, Op::kStrbImm};
-  for (int iter = 0; iter < 300; ++iter) {
-    Instr in;
-    in.op = kFuzzOps[rng.NextBounded(std::size(kFuzzOps))];
-    in.rd = static_cast<uint8_t>(rng.NextBounded(8));
-    in.rn = static_cast<uint8_t>(rng.NextBounded(8));
-    in.rm = static_cast<uint8_t>(rng.NextBounded(8));
-    switch (in.op) {
-      case Op::kLslImm:
-      case Op::kLsrImm:
-      case Op::kAsrImm:
-        in.imm = static_cast<int32_t>(rng.NextBounded(31)) + 1;  // avoid the movs alias
-        break;
-      case Op::kAddImm3:
-      case Op::kSubImm3:
-        in.imm = static_cast<int32_t>(rng.NextBounded(8));
-        break;
-      case Op::kMovImm:
-      case Op::kCmpImm:
-      case Op::kAddImm8:
-      case Op::kSubImm8:
-        in.imm = static_cast<int32_t>(rng.NextBounded(256));
-        break;
-      case Op::kLdrbImm:
-      case Op::kStrbImm:
-        in.imm = static_cast<int32_t>(rng.NextBounded(32));
-        break;
-      default:
-        in.imm = 0;
-    }
-    // DP two-operand ops use rn == rd.
-    if (in.op == Op::kAnd || in.op == Op::kEor || in.op == Op::kOrr || in.op == Op::kMul) {
-      in.rn = in.rd;
-    }
-    const AssembledProgram p = Assemble(Disassemble(in) + "\n", 0);
-    ASSERT_EQ(p.bytes.size(), 2u) << Disassemble(in);
-    const uint16_t hw = static_cast<uint16_t>(p.bytes[0] | (p.bytes[1] << 8));
-    const Instr out = DecodeInstr(hw, 0);
-    EXPECT_EQ(out.op, in.op) << Disassemble(in);
-    EXPECT_EQ(Disassemble(out), Disassemble(in));
-  }
-}
-
 
 TEST(EncoderTest, LdmStmRoundTrip) {
   for (Op op : {Op::kLdm, Op::kStm}) {

@@ -160,6 +160,27 @@ TEST(DeployFallbackTest, FittingModelDeploysWithoutFallback) {
   EXPECT_TRUE(report.overflow.ok());
 }
 
+TEST(DeployFallbackTest, SizesEachEncodingByTheBuildItDeploys) {
+  // TryDeployWithFallback sizes a model by the build it then deploys; the estimate and a
+  // plain TryDeploy must report the same program bytes for every encoding.
+  for (const EncodingKind kind : kAllEncodingKinds) {
+    const NeuroCModel model = MakeSmallModel(5, kind);
+    StatusOr<DeployedModel> deployed = DeployedModel::TryDeploy(model);
+    ASSERT_TRUE(deployed.ok()) << EncodingKindName(kind);
+    const size_t bytes = deployed->report().program_bytes;
+    EXPECT_EQ(DeployedModel::EstimateProgramBytes(model), bytes) << EncodingKindName(kind);
+    DeployFallbackReport report;
+    StatusOr<DeployedModel> guarded = DeployedModel::TryDeployWithFallback(model, {}, &report);
+    ASSERT_TRUE(guarded.ok()) << EncodingKindName(kind);
+    EXPECT_EQ(report.requested_bytes, bytes) << EncodingKindName(kind);
+    EXPECT_EQ(report.selected_bytes, bytes) << EncodingKindName(kind);
+    EXPECT_EQ(guarded->report().program_bytes, bytes) << EncodingKindName(kind);
+    EXPECT_EQ(guarded->kernel_program().bytes, deployed->kernel_program().bytes)
+        << EncodingKindName(kind);
+    EXPECT_EQ(guarded->image().flash, deployed->image().flash) << EncodingKindName(kind);
+  }
+}
+
 TEST(DeployFallbackTest, OversizedUnrolledFallsBackToBestFittingEncoding) {
   // 784x256 at density 0.115 is ~139 KB as unrolled code — past the 128 KB budget —
   // but ~25 KB as a delta stream.
@@ -171,7 +192,9 @@ TEST(DeployFallbackTest, OversizedUnrolledFallsBackToBestFittingEncoding) {
   EXPECT_EQ(report.requested, EncodingKind::kUnrolled);
   EXPECT_EQ(report.selected, EncodingKind::kDelta);  // fastest stream format that fits
   EXPECT_GT(report.requested_bytes, report.flash_budget);
+  EXPECT_EQ(report.requested_bytes, DeployedModel::EstimateProgramBytes(model));
   EXPECT_LE(report.selected_bytes, report.flash_budget);
+  EXPECT_EQ(report.selected_bytes, deployed->report().program_bytes);
   // The overflow is reported as a structured status naming the failure, not an abort.
   EXPECT_EQ(report.overflow.code(), ErrorCode::kResourceExhausted);
   EXPECT_NE(report.overflow.ToString().find("flash budget overflow"), std::string::npos);

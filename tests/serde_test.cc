@@ -174,12 +174,12 @@ TEST(SerdeTest, SaveToUnwritablePathFails) {
 // Rewrites a serialized v2 blob ("NCM2"/"MLM2" + CRC trailer) into its legacy v1 shape:
 // same body, v1 magic, no trailer. Exercises the parser's per-section diagnostics, which
 // on v2 blobs are shadowed by the whole-file CRC check.
-std::vector<uint8_t> ToLegacyV1(std::vector<uint8_t> bytes) {
-  EXPECT_GE(bytes.size(), 8u);
-  EXPECT_EQ(bytes[3], '2');
+void ToLegacyV1(std::vector<uint8_t>& bytes) {
+  const size_t size = bytes.size();
+  ASSERT_GE(size, 8u);
+  ASSERT_EQ(bytes[3], '2');
   bytes[3] = '1';
-  bytes.resize(bytes.size() - 4);  // drop the CRC trailer
-  return bytes;
+  bytes.resize(size - 4);  // drop the CRC trailer
 }
 
 TEST(SerdeStructuredErrorTest, WrongMagicIsMalformedImage) {
@@ -235,7 +235,9 @@ TEST(SerdeStructuredErrorTest, TruncationOfV2BlobIsCaught) {
 
 TEST(SerdeStructuredErrorTest, LegacyV1BlobLoadsWithoutTrailer) {
   NeuroCModel model = MakeModel(44, EncodingKind::kBlock);
-  StatusOr<NeuroCModel> loaded = DeserializeNeuroCModel(ToLegacyV1(SerializeModel(model)));
+  std::vector<uint8_t> v1 = SerializeModel(model);
+  ASSERT_NO_FATAL_FAILURE(ToLegacyV1(v1));
+  StatusOr<NeuroCModel> loaded = DeserializeNeuroCModel(v1);
   ASSERT_TRUE(loaded.ok());
   Rng rng(2);
   const std::vector<int8_t> input = MakeRandomInput(model.in_dim(), rng);
@@ -247,7 +249,8 @@ TEST(SerdeStructuredErrorTest, V1TruncationAtEveryOffsetIsMalformed) {
   // kMalformedImage ("truncated scale array", "truncated weight matrix", ...) — the
   // parser bounds-checks every section read.
   NeuroCModel model = MakeModel(45, EncodingKind::kCsc);
-  const std::vector<uint8_t> v1 = ToLegacyV1(SerializeModel(model));
+  std::vector<uint8_t> v1 = SerializeModel(model);
+  ASSERT_NO_FATAL_FAILURE(ToLegacyV1(v1));
   for (size_t cut = 0; cut < v1.size(); ++cut) {
     std::vector<uint8_t> truncated(v1.begin(), v1.begin() + static_cast<long>(cut));
     StatusOr<NeuroCModel> loaded = DeserializeNeuroCModel(truncated);
@@ -258,7 +261,8 @@ TEST(SerdeStructuredErrorTest, V1TruncationAtEveryOffsetIsMalformed) {
 
 TEST(SerdeStructuredErrorTest, V1HeaderFieldCorruptionNamesTheSection) {
   NeuroCModel model = MakeModel(46, EncodingKind::kCsc);
-  const std::vector<uint8_t> v1 = ToLegacyV1(SerializeModel(model));
+  std::vector<uint8_t> v1 = SerializeModel(model);
+  ASSERT_NO_FATAL_FAILURE(ToLegacyV1(v1));
   // Layer count word (offset 4): zero and absurd values are both "bad layer count".
   for (uint32_t count : {0u, 0xFFFFu}) {
     std::vector<uint8_t> mutated = v1;

@@ -291,7 +291,6 @@ int CmdProfile(const Args& args) {
     return 2;
   }
   const PlatformSpec& platform = PlatformByName(args.Get("platform", "STM32F072RB"));
-  const size_t bytes = DeployedModel::EstimateProgramBytes(*model);
   std::printf("platform: %s (%s @ %.0f MHz, %u KB flash)\n", platform.name.c_str(),
               platform.core.c_str(), platform.clock_hz / 1e6, platform.flash_bytes / 1024);
   // Oversized models fall back to the fastest encoding that fits (unrolled kernels are
@@ -300,7 +299,7 @@ int CmdProfile(const Args& args) {
   StatusOr<DeployedModel> deployed_or =
       DeployedModel::TryDeployWithFallback(*model, platform.ToMachineConfig(), &fallback);
   if (!deployed_or.ok()) {
-    std::printf("NOT DEPLOYABLE: needs %zu B of %u B flash (%s)\n", bytes,
+    std::printf("NOT DEPLOYABLE: needs %zu B of %u B flash (%s)\n", fallback.requested_bytes,
                 platform.flash_bytes, deployed_or.status().ToString().c_str());
     return 1;
   }
