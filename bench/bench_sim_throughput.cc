@@ -19,6 +19,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,8 +41,9 @@ namespace neuroc {
 namespace {
 
 // Best of kRepeats timed runs — a shared host can slow any single run arbitrarily but
-// cannot make one faster than the machine allows. The three execute paths are timed in
-// alternating blocks so a noisy window penalizes all of them rather than skewing a ratio.
+// cannot make one faster than the machine allows. The runs of every encoding and path
+// are interleaved, so a noisy window penalizes one run of many of them rather than
+// skewing one encoding's rows or a ratio.
 constexpr int kRepeats = 5;
 // legacy / cached / block, plus three profiled paths: block-compiled execution with the
 // block-granular counters (block_profiled) and the step-interpreter CpuProbe profiler
@@ -117,77 +120,102 @@ double TimeBlock(DeployedModel& deployed, const std::vector<std::vector<int8_t>>
   return Seconds(t0, t1) / inferences;
 }
 
-// Measures the nine execute/profile paths for one encoding, alternating timed blocks
-// kRepeats times and keeping the best block of each. Returns {legacy, cached, block,
-// block_profiled, step_profiled, legacy_profiled, block_lockstep2, block_lockstep4,
-// block_lockstep8}.
-std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int reps) {
-  DeployedModel legacy = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel cached = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel block = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel block_prof = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel step_prof = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel legacy_prof = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel lockstep2 = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel lockstep4 = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel lockstep8 = DeployedModel::Deploy(MakeBenchModel(kind));
-  legacy.machine().cpu().EnableDecodeCache(false);
-  cached.machine().cpu().EnableBlockCompile(false);  // predecode cache only
-  legacy_prof.machine().cpu().EnableDecodeCache(false);
-  BlockProfiler block_profiler(block_prof.machine().cpu());
-  SimProfiler step_profiler;
-  ScopedCpuProbe attach_step(step_prof.machine().cpu(), &step_profiler);
-  SimProfiler legacy_profiler;
-  ScopedCpuProbe attach_legacy(legacy_prof.machine().cpu(), &legacy_profiler);
-  Rng rng(17);
-  const std::vector<int8_t> input = MakeRandomInput(legacy.input_dim(), rng);
-  // Each lockstep mode's batch: the first 2, 4 or 8 of these inputs.
-  std::vector<std::vector<int8_t>> inputs = {input};
-  while (inputs.size() < kLockstepLanes[std::size(kLockstepLanes) - 1]) {
-    inputs.push_back(MakeRandomInput(legacy.input_dim(), rng));
-  }
-  std::array<std::vector<std::vector<int8_t>>, std::size(kLockstepLanes)> batches;
-  for (size_t k = 0; k < batches.size(); ++k) {
-    batches[k].assign(inputs.begin(), inputs.begin() + kLockstepLanes[k]);
-  }
-  std::array<InferenceResult, kModes> out;
-  out[0].decode = "legacy";
-  out[1].decode = "cached";
-  out[2].decode = "block";
-  out[3].decode = "block_profiled";
-  out[4].decode = "step_profiled";
-  out[5].decode = "legacy_profiled";
-  for (size_t k = 0; k < batches.size(); ++k) {
-    out[kFirstLockstepMode + k].decode = "block_lockstep" + std::to_string(kLockstepLanes[k]);
-  }
-  std::array<DeployedModel*, kModes> models = {
-      &legacy,      &cached,    &block,     &block_prof, &step_prof,
-      &legacy_prof, &lockstep2, &lockstep4, &lockstep8};
-  std::array<double, kModes> best = {};
-  for (int which = 0; which < kModes; ++which) {
-    out[which].encoding = EncodingKindName(kind);
-    models[which]->Predict(input);  // warm-up: builds the decode/block caches untimed
-    out[which].cycles_per_inference = models[which]->report().cycles_per_inference;
-  }
-  for (int rep = 0; rep < kRepeats; ++rep) {
+// The nine execute/profile paths of one encoding: a deployment per path, the profilers
+// attached to three of them, the input, and each lockstep path's batch (the first 2, 4
+// or 8 of the inputs). Results are {legacy, cached, block, block_profiled,
+// step_profiled, legacy_profiled, block_lockstep2, block_lockstep4, block_lockstep8}.
+class InferenceSweep {
+ public:
+  explicit InferenceSweep(EncodingKind kind)
+      : legacy_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        cached_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        block_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        block_prof_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        step_prof_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        legacy_prof_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        lockstep2_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        lockstep4_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        lockstep8_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        block_profiler_(block_prof_.machine().cpu()),
+        attach_step_(step_prof_.machine().cpu(), &step_profiler_),
+        attach_legacy_(legacy_prof_.machine().cpu(), &legacy_profiler_) {
+    legacy_.machine().cpu().EnableDecodeCache(false);
+    cached_.machine().cpu().EnableBlockCompile(false);  // predecode cache only
+    legacy_prof_.machine().cpu().EnableDecodeCache(false);
+    Rng rng(17);
+    input_ = MakeRandomInput(legacy_.input_dim(), rng);
+    std::vector<std::vector<int8_t>> inputs = {input_};
+    while (inputs.size() < kLockstepLanes[std::size(kLockstepLanes) - 1]) {
+      inputs.push_back(MakeRandomInput(legacy_.input_dim(), rng));
+    }
+    for (size_t k = 0; k < batches_.size(); ++k) {
+      batches_[k].assign(inputs.begin(), inputs.begin() + kLockstepLanes[k]);
+    }
+    out_[0].decode = "legacy";
+    out_[1].decode = "cached";
+    out_[2].decode = "block";
+    out_[3].decode = "block_profiled";
+    out_[4].decode = "step_profiled";
+    out_[5].decode = "legacy_profiled";
+    for (size_t k = 0; k < batches_.size(); ++k) {
+      out_[kFirstLockstepMode + k].decode =
+          "block_lockstep" + std::to_string(kLockstepLanes[k]);
+    }
     for (int which = 0; which < kModes; ++which) {
-      const double seconds =
-          TimeBlock(*models[which],
-                    which >= kFirstLockstepMode ? &batches[which - kFirstLockstepMode]
-                                                : nullptr,
-                    input, reps, out[which]);
-      if (best[which] == 0.0 || seconds < best[which]) {
-        best[which] = seconds;
-      }
+      out_[which].encoding = EncodingKindName(kind);
+      models_[which]->Predict(input_);  // warm-up: builds the decode/block caches untimed
+      out_[which].cycles_per_inference = models_[which]->report().cycles_per_inference;
     }
   }
-  for (int which = 0; which < kModes; ++which) {
-    out[which].wall_ms_per_inference = best[which] * 1000.0;
-    out[which].sim_mips =
-        static_cast<double>(out[which].instructions_per_inference) / (best[which] * 1e6);
+
+  // Times one block of about `reps` inferences on path `which`, keeping the best.
+  void Time(int which, int reps) {
+    const double seconds =
+        TimeBlock(*models_[which],
+                  which >= kFirstLockstepMode ? &batches_[which - kFirstLockstepMode] : nullptr,
+                  input_, reps, out_[which]);
+    if (best_[which] == 0.0 || seconds < best_[which]) {
+      best_[which] = seconds;
+    }
   }
-  return out;
-}
+
+  // The executor the lockstep paths ran their lanes on.
+  Cpu::LaneExecutor lane_executor() {
+    const std::optional<Cpu::LaneExecutor> e = lockstep2_.machine().cpu().last_lane_executor();
+    NEUROC_CHECK(e.has_value());
+    for (DeployedModel* d : {&lockstep4_, &lockstep8_}) {
+      NEUROC_CHECK(d->machine().cpu().last_lane_executor() == e);
+    }
+    return *e;
+  }
+
+  // The results, from the best block of each path.
+  std::array<InferenceResult, kModes> Results() const {
+    std::array<InferenceResult, kModes> out = out_;
+    for (int which = 0; which < kModes; ++which) {
+      out[which].wall_ms_per_inference = best_[which] * 1000.0;
+      out[which].sim_mips =
+          static_cast<double>(out[which].instructions_per_inference) / (best_[which] * 1e6);
+    }
+    return out;
+  }
+
+ private:
+  DeployedModel legacy_, cached_, block_, block_prof_, step_prof_, legacy_prof_, lockstep2_,
+      lockstep4_, lockstep8_;
+  const std::array<DeployedModel*, kModes> models_ = {
+      &legacy_,      &cached_,    &block_,     &block_prof_, &step_prof_,
+      &legacy_prof_, &lockstep2_, &lockstep4_, &lockstep8_};
+  BlockProfiler block_profiler_;
+  SimProfiler step_profiler_;
+  ScopedCpuProbe attach_step_;
+  SimProfiler legacy_profiler_;
+  ScopedCpuProbe attach_legacy_;
+  std::vector<int8_t> input_;
+  std::array<std::vector<std::vector<int8_t>>, std::size(kLockstepLanes)> batches_;
+  std::array<InferenceResult, kModes> out_;
+  std::array<double, kModes> best_ = {};
+};
 
 struct SearchTiming {
   unsigned threads = 0;
@@ -253,9 +281,25 @@ int main(int argc, char** argv) {
               reps);
   std::printf("%-8s %-16s %14s %14s %12s %10s\n", "encoding", "decode", "cycles/inf",
               "instr/inf", "wall_ms/inf", "sim_MIPS");
-  std::vector<InferenceResult> inference;
+  // Every encoding's paths, timed in kRepeats rounds that each walk all of them: a slow
+  // window of the host lands on one round of many rows rather than on every round of one
+  // encoding's rows.
+  std::vector<std::unique_ptr<InferenceSweep>> sweeps;
   for (EncodingKind kind : kAllEncodingKinds) {
-    for (const InferenceResult& r : RunInferenceSweep(kind, reps)) {
+    sweeps.push_back(std::make_unique<InferenceSweep>(kind));
+  }
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (const std::unique_ptr<InferenceSweep>& sweep : sweeps) {
+      for (int which = 0; which < kModes; ++which) {
+        sweep->Time(which, reps);
+      }
+    }
+  }
+  const Cpu::LaneExecutor lane_executor = sweeps.front()->lane_executor();
+  std::vector<InferenceResult> inference;
+  for (const std::unique_ptr<InferenceSweep>& sweep : sweeps) {
+    NEUROC_CHECK(sweep->lane_executor() == lane_executor);
+    for (const InferenceResult& r : sweep->Results()) {
       std::printf("%-8s %-16s %14llu %14llu %12.4f %10.1f\n", r.encoding.c_str(),
                   r.decode.c_str(), static_cast<unsigned long long>(r.cycles_per_inference),
                   static_cast<unsigned long long>(r.instructions_per_inference),
@@ -263,6 +307,8 @@ int main(int argc, char** argv) {
       inference.push_back(r);
     }
   }
+  std::printf("lockstep rows ran on the %s lane executor\n",
+              Cpu::LaneExecutorName(lane_executor));
   // The execute path (profiled, lockstep-batched or not) must not change a single
   // reported cycle or retired instruction: every row equals the legacy row, and so the
   // block row.
@@ -293,6 +339,7 @@ int main(int argc, char** argv) {
   w.Key("reps_per_timing").Value(static_cast<uint64_t>(reps));
   w.Key("smoke").Value(smoke ? 1 : 0);
   w.Key("host_threads_available").Value(DefaultThreadCount());
+  w.Key("lane_executor").Value(Cpu::LaneExecutorName(lane_executor));
   w.Key("inference").BeginArray();
   for (const InferenceResult& r : inference) {
     w.BeginObject();
@@ -376,7 +423,8 @@ int main(int argc, char** argv) {
       "accounting and lazy APSR flags, breaking the per-step Amdahl cap");
   w.Value(
       "block_lockstep2/4/8 run batches of 2, 4 and 8 inferences through the compiled "
-      "blocks once, each op run once as host vector operations over every lane");
+      "blocks once, each op run once as host vector operations over every lane, on the "
+      "lane executor named by lane_executor (avx2 holds 8 lanes in one host vector)");
   w.Value("search_4t_vs_1t cannot exceed 1x when host_threads_available is 1");
   w.EndArray();
   w.Key("search").BeginObject();

@@ -72,16 +72,18 @@ CaseResult CompareBatch(DeployedModel& batch, const DeployedModel& sequential,
 }
 
 // The full-width batch leg: the case's inputs cycled to Cpu::kMaxLanes, the lane
-// executor's widest vector, as one batch on a fresh deployment, against the same
-// sequence run one by one on another.
+// executor's widest vector, as one batch on a fresh deployment running `executor`,
+// against the same sequence run one by one on another.
 template <typename Model>
 CaseResult CompareFullWidthBatch(const Model& model,
-                                 const std::vector<std::vector<int8_t>>& inputs) {
+                                 const std::vector<std::vector<int8_t>>& inputs,
+                                 Cpu::LaneExecutor executor) {
   auto batch_or = DeployedModel::TryDeploy(model);
   auto sequential_or = DeployedModel::TryDeploy(model);
   if (!batch_or.ok() || !sequential_or.ok()) {
     return {FuzzVerdict::kFail, "deploy failed, full-width batch leg"};
   }
+  batch_or->machine().cpu().SetLaneExecutorForTest(executor);
   std::vector<std::vector<int8_t>> cycled;
   std::vector<int> predictions;
   std::vector<uint64_t> cycles;
@@ -102,16 +104,16 @@ CaseResult CompareFullWidthBatch(const Model& model,
 // block-compiled execution (the deploy default), `cached` the predecoded-instruction path
 // with block fusion off, `legacy` the decode-every-step interpreter — all must agree with
 // the host byte-for-byte, and with each other on cycle counts (both the predecode cache
-// and block compilation are pure performance transforms). A fourth deployment then runs
-// the inputs as one batch (CompareBatch), which must end where `block` ended, and two
-// more the full-width batch leg (CompareFullWidthBatch).
+// and block compilation are pure performance transforms). Then, on each lane executor
+// the host supports, a fresh deployment runs the inputs as one batch (CompareBatch),
+// which must end where `block` ended, and two more the full-width batch leg
+// (CompareFullWidthBatch).
 template <typename Model>
 CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
   auto block_or = DeployedModel::TryDeploy(model);
   auto cached_or = DeployedModel::TryDeploy(model);
   auto legacy_or = DeployedModel::TryDeploy(model);
-  auto batch_or = DeployedModel::TryDeploy(model);
-  for (const auto* d : {&block_or, &cached_or, &legacy_or, &batch_or}) {
+  for (const auto* d : {&block_or, &cached_or, &legacy_or}) {
     if (!d->ok()) {
       if (d->status().code() == ErrorCode::kResourceExhausted) {
         return {FuzzVerdict::kSkip, "resource_exhausted: model does not fit the device"};
@@ -164,12 +166,26 @@ CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
     predictions.push_back(host_pred);
     cycles.push_back(block_cycles);
   }
-  const CaseResult batch = CompareBatch(*batch_or, modes[0].deployed, inputs, predictions,
-                                       cycles);
-  if (batch.verdict != FuzzVerdict::kPass) {
-    return batch;
+  for (const Cpu::LaneExecutor executor :
+       {Cpu::LaneExecutor::kGeneric, Cpu::LaneExecutor::kAvx2}) {
+    if (!Cpu::LaneExecutorSupported(executor)) {
+      continue;
+    }
+    auto batch_or = DeployedModel::TryDeploy(model);
+    if (!batch_or.ok()) {
+      return {FuzzVerdict::kFail, "deploy failed, batch leg"};
+    }
+    batch_or->machine().cpu().SetLaneExecutorForTest(executor);
+    CaseResult leg = CompareBatch(*batch_or, modes[0].deployed, inputs, predictions, cycles);
+    if (leg.verdict == FuzzVerdict::kPass) {
+      leg = CompareFullWidthBatch(model, inputs, executor);
+    }
+    if (leg.verdict != FuzzVerdict::kPass) {
+      leg.detail += std::string(" (") + Cpu::LaneExecutorName(executor) + " lane executor)";
+      return leg;
+    }
   }
-  return CompareFullWidthBatch(model, inputs);
+  return {};
 }
 
 }  // namespace

@@ -340,7 +340,7 @@ ValueRef ParseValueRef(std::string_view s, int line_no) {
 }
 
 bool IsDirective(std::string_view m) {
-  return m == ".word" || m == ".half" || m == ".byte" || m == ".align" || m == ".pool";
+  return m == ".word" || m == ".half" || m == ".byte" || m == ".align";
 }
 
 // ---------------------------------------------------------------------------
@@ -583,7 +583,7 @@ class AssemblerImpl {
   void EmitItem(const Item& item) {
     const int ln = item.line_no;
     const std::string_view m = item.mnemonic;
-    if (m == ".align" || m == ".pool") {
+    if (m == ".align") {
       return;  // padding already zeroed
     }
     if (m == ".word") {

@@ -3,12 +3,12 @@
 // Supported syntax (GNU-as flavored):
 //   labels:            `name:` at line start (may share the line with an instruction)
 //   comments:          `@ ...`, `// ...`, `; ...`
-//   directives:        `.word v[, v...]`, `.half ...`, `.byte ...`, `.align n` (2^n bytes),
-//                      `.pool` (flush pending `ldr rX, =imm` literals)
+//   directives:        `.word v[, v...]`, `.half ...`, `.byte ...`, `.align n` (2^n bytes)
 //   instructions:      every op in src/isa/isa.h as its row's mnemonic (b<cond> with the
 //                      condition appended) and its form's OperandSyntax, or a kAliases
 //                      spelling; the first spelling whose fields fit the encoding wins
-//   literal loads:     `ldr rX, =imm-or-label` (pooled, PC-relative)
+//   literal loads:     `ldr rX, =imm-or-label` (PC-relative, from one literal pool
+//                      after the last statement)
 //
 // Errors abort with file/line diagnostics via NEUROC_CHECK (the assembler is an internal
 // code-generation tool; malformed input is a programming error).

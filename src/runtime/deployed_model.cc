@@ -21,24 +21,6 @@ size_t EstimateFromParts(size_t code_bytes, size_t image_bytes) {
   return code_bytes + image_bytes + kRuntimeOverheadBytes;
 }
 
-// A NeuroCModel built for `config`'s flash: its kernels first (at the reset address, like
-// a real linker script), its image after them.
-struct Program {
-  KernelSet kernels;
-  uint32_t image_base = 0;
-  DeviceModelImage image;
-
-  Program(const NeuroCModel& model, const MachineConfig& config)
-      : kernels(KernelSet::Build(
-            PackNeuroCModel(model, kScratchFlashBase, config.ram_base).variants,
-            config.flash_base, /*include_conv=*/false, &model)),
-        image_base(AlignUp4(config.flash_base + static_cast<uint32_t>(kernels.code_bytes()) +
-                            static_cast<uint32_t>(kRuntimeOverheadBytes))),
-        image(PackNeuroCModel(model, image_base, config.ram_base)) {}
-
-  size_t bytes() const { return EstimateFromParts(kernels.code_bytes(), image.flash.size()); }
-};
-
 // Index of the largest final-layer activation (the first on ties): the predicted class.
 int ArgMax(std::span<const int8_t> activations) {
   int best = 0;
@@ -67,6 +49,18 @@ InferenceCounters& GlobalInferenceCounters() {
 }
 
 }  // namespace
+
+DeployedModel::Program::Program(const NeuroCModel& model, const MachineConfig& cfg)
+    : config(cfg),
+      kernels(KernelSet::Build(PackNeuroCModel(model, kScratchFlashBase, cfg.ram_base).variants,
+                               cfg.flash_base, /*include_conv=*/false, &model)),
+      image_base(AlignUp4(cfg.flash_base + static_cast<uint32_t>(kernels.code_bytes()) +
+                          static_cast<uint32_t>(kRuntimeOverheadBytes))),
+      image(PackNeuroCModel(model, image_base, cfg.ram_base)) {}
+
+size_t DeployedModel::Program::bytes() const {
+  return EstimateFromParts(kernels.code_bytes(), image.flash.size());
+}
 
 size_t DeployedModel::EstimateProgramBytes(const NeuroCModel& model) {
   return Program(model, MachineConfig{}).bytes();
@@ -118,8 +112,12 @@ StatusOr<DeployedModel> DeployedModel::DeployImage(DeviceModelImage image, Kerne
 
 StatusOr<DeployedModel> DeployedModel::TryDeploy(const NeuroCModel& model,
                                                  const MachineConfig& config) {
-  Program p(model, config);
-  return DeployImage(std::move(p.image), std::move(p.kernels), config, p.image_base);
+  return TryDeploy(Program(model, config));
+}
+
+StatusOr<DeployedModel> DeployedModel::TryDeploy(Program program) {
+  return DeployImage(std::move(program.image), std::move(program.kernels), program.config,
+                     program.image_base);
 }
 
 StatusOr<DeployedModel> DeployedModel::TryDeployWithFallback(const NeuroCModel& model,
@@ -136,8 +134,7 @@ StatusOr<DeployedModel> DeployedModel::TryDeployWithFallback(const NeuroCModel& 
   r.requested_bytes = requested.bytes();
   r.selected_bytes = r.requested_bytes;
   if (r.requested_bytes <= config.flash_size) {
-    return DeployImage(std::move(requested.image), std::move(requested.kernels), config,
-                       requested.image_base);
+    return TryDeploy(std::move(requested));
   }
   r.fell_back = true;
   r.overflow = Status(
@@ -152,8 +149,7 @@ StatusOr<DeployedModel> DeployedModel::TryDeployWithFallback(const NeuroCModel& 
     if (candidate.bytes() <= config.flash_size) {
       r.selected = kind;
       r.selected_bytes = candidate.bytes();
-      return DeployImage(std::move(candidate.image), std::move(candidate.kernels), config,
-                         candidate.image_base);
+      return TryDeploy(std::move(candidate));
     }
   }
   return Status(ErrorCode::kResourceExhausted,

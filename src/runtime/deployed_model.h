@@ -66,6 +66,23 @@ class DeployedModel {
   static StatusOr<DeployedModel> TryDeploy(const MlpModel& model,
                                            const MachineConfig& config = {});
 
+  // A NeuroCModel packed, code-generated and assembled for `config`'s flash (its kernels
+  // first, at the reset address like a real linker script, its image after them), not
+  // yet on a machine. A caller that sizes a model before deploying it builds it once and
+  // deploys that build (RandomSearch, TryDeployWithFallback).
+  struct Program {
+    Program(const NeuroCModel& model, const MachineConfig& config);
+    // The program-memory footprint, as EstimateProgramBytes reports it.
+    size_t bytes() const;
+
+    MachineConfig config;
+    KernelSet kernels;
+    uint32_t image_base = 0;
+    DeviceModelImage image;
+  };
+  // TryDeploy of a built program.
+  static StatusOr<DeployedModel> TryDeploy(Program program);
+
   // Flash-budget guard: deploys `model` if it fits the platform flash; otherwise reports
   // the overflow as a structured kResourceExhausted Status (in `report->overflow`) and
   // falls back to the best fitting encoding — candidates tried in kFallbackEncodings

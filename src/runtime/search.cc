@@ -91,13 +91,14 @@ SearchResult RandomSearch(const Dataset& train, const Dataset& validation,
       Train(net, train, validation, train_cfg);
       NeuroCModel model = NeuroCModel::FromTrained(net, train);
       cand.accuracy = model.EvaluateAccuracy(qval);
-      cand.program_bytes = DeployedModel::EstimateProgramBytes(model);
+      // One build: the program that is sized is the one deployed.
+      DeployedModel::Program program(model, platform.ToMachineConfig());
+      cand.program_bytes = program.bytes();
       if (cand.program_bytes <= constraints.max_program_bytes &&
           cand.program_bytes <= platform.flash_bytes) {
         // Fault-isolated: a degenerate candidate that fails to deploy or faults on the
         // simulator is recorded as infeasible with a reason instead of killing the search.
-        StatusOr<DeployedModel> deployed =
-            DeployedModel::TryDeploy(model, platform.ToMachineConfig());
+        StatusOr<DeployedModel> deployed = DeployedModel::TryDeploy(std::move(program));
         if (deployed.ok()) {
           StatusOr<double> latency = deployed->TryMeasureLatencyMs();
           if (latency.ok()) {

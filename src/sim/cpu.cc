@@ -1235,6 +1235,27 @@ void Cpu::AbortLanes() {
   ls.open = false;
 }
 
+const char* Cpu::LaneExecutorName(LaneExecutor executor) {
+  return executor == LaneExecutor::kAvx2 ? "avx2" : "generic";
+}
+
+bool Cpu::LaneExecutorSupported(LaneExecutor executor) {
+  if (executor == LaneExecutor::kGeneric) {
+    return true;
+  }
+#if NEUROC_AVX2_LANES
+  static const bool host_has_avx2 = __builtin_cpu_supports("avx2");
+  return host_has_avx2;
+#else
+  return false;
+#endif
+}
+
+void Cpu::SetLaneExecutorForTest(LaneExecutor executor) {
+  NEUROC_CHECK(LaneExecutorSupported(executor));
+  lane_executor_for_test_ = executor;
+}
+
 std::optional<uint64_t> Cpu::RunLanes(uint32_t entry, uint64_t max_instructions,
                                       uint64_t cycle_budget) {
   Lanes& ls = *lanes_;
@@ -1257,12 +1278,23 @@ std::optional<uint64_t> Cpu::RunLanes(uint32_t entry, uint64_t max_instructions,
   bool ok = false;
   if (first == nullptr) {
     ok = ls.pc == (kStopAddress & ~1u);
-  } else if (ls.width == 2) {
-    ok = ExecuteLanes<2>(first, memory);
-  } else if (ls.width == 4) {
-    ok = ExecuteLanes<4>(first, memory);
   } else {
-    ok = ExecuteLanes<kMaxLanes>(first, memory);
+    const LaneExecutor executor = lane_executor_for_test_.value_or(
+        LaneExecutorSupported(LaneExecutor::kAvx2) ? LaneExecutor::kAvx2
+                                                   : LaneExecutor::kGeneric);
+    last_lane_executor_ = executor;
+#if NEUROC_AVX2_LANES
+    if (executor == LaneExecutor::kAvx2) {
+      ok = ls.width == 2   ? ExecuteLanesAvx2<2>(first, memory)
+           : ls.width == 4 ? ExecuteLanesAvx2<4>(first, memory)
+                           : ExecuteLanesAvx2<kMaxLanes>(first, memory);
+    } else
+#endif
+    {
+      ok = ls.width == 2   ? ExecuteLanes<2>(first, memory)
+           : ls.width == 4 ? ExecuteLanes<4>(first, memory)
+                           : ExecuteLanes<kMaxLanes>(first, memory);
+    }
   }
   if (!ok) {
     AbortLanes();
@@ -1312,7 +1344,8 @@ inline const Cpu::Block* Cpu::NextLaneBlock() {
 // difference from it accumulates in `diverged`; that and the memory's failure flag are
 // checked at each block exit, so the batch fails at the first block the lanes would
 // leave in different ways. Accounting happens once per block for one lane; the commit
-// multiplies it.
+// multiplies it. Both executors, ExecuteLanes and its AVX2 twin, are this one body
+// (execute_lanes.inc).
 #define NEUROC_REG(r) regs[r]
 #define NEUROC_FLAGS flags
 #define NEUROC_COND(cond) (CondHolds<Word>(flags, cond).v)
@@ -1333,81 +1366,16 @@ inline const Cpu::Block* Cpu::NextLaneBlock() {
   } while (0)
 #define NEUROC_TAKEN
 template <size_t W>
-#if defined(__GNUC__) && !defined(__clang__)
-// As for ExecuteBlock: keep each body's dispatch jump its own, for the branch predictor.
-__attribute__((optimize("no-gcse")))
-#endif
 bool Cpu::ExecuteLanes(const Block* b, LaneMemory& memory) {
-  using Word = typename LaneTypes<W>::Word;
-  Lanes& ls = *lanes_;
-  Word regs[16];
-  LaneFlags<Word> flags;
-  for (size_t r = 0; r < 16; ++r) {
-    std::memcpy(&regs[r], ls.regs[r].data(), sizeof(Word));
-  }
-  std::memcpy(&flags.n, ls.flags[0].data(), sizeof(Word));
-  std::memcpy(&flags.z, ls.flags[1].data(), sizeof(Word));
-  std::memcpy(&flags.c, ls.flags[2].data(), sizeof(Word));
-  std::memcpy(&flags.v, ls.flags[3].data(), sizeof(Word));
-  const uint32_t fetch_ws = static_cast<uint32_t>(model_.flash_wait_states);
-  const uint32_t flash_base = memory.flash_base;
-  const uint32_t flash_size = memory.flash_size;
-  uint32_t pc = 0;
-  uint64_t dyn = 0;
-  Word diverged{};
-  bool ok = false;
-  const BlockOp* op = b->ops.data();
-  const BlockOp* op_end = op + b->ops.size();
-  const auto scalar = [&diverged](const Word& x) -> uint32_t {
-    diverged |= x ^ Splat<Word>(x[0]).v;
-    return x[0];
-  };
-  const auto charge_mem = [&](uint32_t a) {
-    if (fetch_ws != 0 && a - flash_base < flash_size) {
-      dyn += fetch_ws;
-    }
-  };
-  static const void* const kDispatch[] = {
-#define NEUROC_OP_LABEL(name, ...) &&lbl_##name,
-      NEUROC_THUMB_OPS(NEUROC_OP_LABEL)
-#undef NEUROC_OP_LABEL
-  };
-  goto* kDispatch[static_cast<size_t>(op->op)];
-#include "src/sim/thumb_ops.inc"
-lanes_exit : {
-  uint32_t any = 0;
-  for (size_t j = 0; j < W; ++j) {
-    any |= diverged[j];
-  }
-  if (any != 0 || memory.failed) {
-    goto done;
-  }
-  const BlockOp& last = b->ops.back();
-  ls.pc = b->terminated ? pc : last.addr + 2u * last.fetch_reads;
-  ls.r15 = last.addr + 4;
+#include "src/sim/execute_lanes.inc"
 }
-  ls.cycles += b->static_cycles + dyn;
-  dyn = 0;
-  ls.instructions += b->ops.size();
-  ls.fetch_reads += b->fetch_reads;
-  b = NextLaneBlock();
-  if (b == nullptr) {
-    ok = ls.pc == (kStopAddress & ~1u);
-    goto done;
-  }
-  op = b->ops.data();
-  op_end = op + b->ops.size();
-  goto* kDispatch[static_cast<size_t>(op->op)];
-done:
-  for (size_t r = 0; r < 16; ++r) {
-    std::memcpy(ls.regs[r].data(), &regs[r], sizeof(Word));
-  }
-  std::memcpy(ls.flags[0].data(), &flags.n, sizeof(Word));
-  std::memcpy(ls.flags[1].data(), &flags.z, sizeof(Word));
-  std::memcpy(ls.flags[2].data(), &flags.c, sizeof(Word));
-  std::memcpy(ls.flags[3].data(), &flags.v, sizeof(Word));
-  return ok;
+
+#if NEUROC_AVX2_LANES
+template <size_t W>
+bool Cpu::ExecuteLanesAvx2(const Block* b, LaneMemory& memory) {
+#include "src/sim/execute_lanes.inc"
 }
+#endif
 
 #undef NEUROC_REG
 #undef NEUROC_FLAGS

@@ -21,6 +21,13 @@
 #include "src/sim/cycle_model.h"
 #include "src/sim/memory.h"
 
+// Whether the lane executor has an AVX2 twin (Cpu::ExecuteLanesAvx2): on x86-64 only.
+#if defined(__x86_64__)
+#define NEUROC_AVX2_LANES 1
+#else
+#define NEUROC_AVX2_LANES 0
+#endif
+
 namespace neuroc {
 
 struct LaneMemory;
@@ -212,6 +219,20 @@ class Cpu {
   // Abandons an open batch: the CPU and memory read exactly as before BeginLanes.
   void AbortLanes();
 
+  // The lane executor is compiled twice from one body: a generic copy for the build's
+  // baseline ISA, and on x86-64 an AVX2 twin that holds 8 lanes in one host vector.
+  // RunLanes uses the AVX2 twin when the host supports AVX2, decided once per process at
+  // first use; both leave bit-identical state.
+  enum class LaneExecutor : uint8_t { kGeneric, kAvx2 };
+  static const char* LaneExecutorName(LaneExecutor executor);
+  // Whether this build has `executor` and this host can run it.
+  static bool LaneExecutorSupported(LaneExecutor executor);
+  // Test hook: RunLanes on this CPU uses `executor` (which must be supported) instead of
+  // the host's choice.
+  void SetLaneExecutorForTest(LaneExecutor executor);
+  // The executor this CPU's last RunLanes ran the lanes on; empty before any did.
+  std::optional<LaneExecutor> last_lane_executor() const { return last_lane_executor_; }
+
   const CycleModel& cycle_model() const { return model_; }
   MemoryMap& memory() { return *mem_; }
 
@@ -319,6 +340,14 @@ class Cpu {
   // when they diverged, one would have faulted, or they left compiled code or a limit.
   template <size_t W>
   bool ExecuteLanes(const Block* b, LaneMemory& memory);
+#if NEUROC_AVX2_LANES
+  // ExecuteLanes compiled for AVX2, from the same body. The target attribute sits on this
+  // declaration because GCC ignores it on a template's out-of-class definition. The
+  // helpers it inlines become AVX2 code inside it; any it calls stay baseline code, so
+  // no AVX2 instruction can reach a path a host without AVX2 runs.
+  template <size_t W>
+  __attribute__((target("avx2"))) bool ExecuteLanesAvx2(const Block* b, LaneMemory& memory);
+#endif
   // Runs one compiled block: the op bodies Step runs, token-threaded, with the block's
   // static cycles, instructions and fetches accounted once at exit (or patched
   // to the faulting instruction's step-interpreter state on a mid-block fault).
@@ -368,6 +397,8 @@ class Cpu {
   // Mutable so CollectBlockProfile / FlushBlockProfiles can run through const paths.
   mutable std::map<uint32_t, ProfiledPc> block_profile_;
   std::unique_ptr<Lanes> lanes_;
+  std::optional<LaneExecutor> lane_executor_for_test_;
+  std::optional<LaneExecutor> last_lane_executor_;
 };
 
 }  // namespace neuroc

@@ -512,6 +512,11 @@ TEST(AssemblerTest, UnknownMnemonicAborts) {
   EXPECT_DEATH(Assemble("frobnicate r0\n", 0), "unknown mnemonic");
 }
 
+// The literal pool always follows the last statement; there is no directive to place it.
+TEST(AssemblerTest, PoolDirectiveAborts) {
+  EXPECT_DEATH(Assemble("ldr r0, =0x12345678\n.pool\nnop\n", 0), "unknown mnemonic: .pool");
+}
+
 TEST(AssemblerTest, AluAliases) {
   // movs rd, rm becomes lsls rd, rm, #0; negs becomes rsbs.
   const AssembledProgram p = Assemble("movs r1, r2\nnegs r0, r3\nmuls r2, r4, r2\n", 0);

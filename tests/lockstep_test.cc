@@ -7,7 +7,8 @@
 // reading state the previous one left — must make the batch fall back with the machine
 // untouched, so the sequential rerun gives exactly the sequential result. The positive
 // controls show the checks compare values: the same fragments commit when the lanes do
-// agree.
+// agree. Every case runs on each lane executor the host supports (the generic one and,
+// on AVX2 hosts, its AVX2 twin), chosen through Cpu::SetLaneExecutorForTest.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,34 @@ namespace {
 
 using testutil::ExpectFaultsEqual;
 using testutil::ExpectSnapshotsEqual;
+
+// The lane executor the running case uses: the batch machines below are set to it, and a
+// batch that ran lanes must have run them on it.
+Cpu::LaneExecutor executor_under_test = Cpu::LaneExecutor::kGeneric;
+
+// The LockstepBatch and LockstepFallback cases, once per lane executor; a case skips on
+// a host that cannot run its executor. The fixture hides the machine's LockstepBatch,
+// which is therefore spelled neuroc::LockstepBatch below.
+class LaneExecutorTest : public ::testing::TestWithParam<Cpu::LaneExecutor> {
+ protected:
+  void SetUp() override {
+    if (!Cpu::LaneExecutorSupported(GetParam())) {
+      GTEST_SKIP() << "this host cannot run the " << Cpu::LaneExecutorName(GetParam())
+                   << " lane executor";
+    }
+    executor_under_test = GetParam();
+  }
+};
+class LockstepBatch : public LaneExecutorTest {};
+class LockstepFallback : public LaneExecutorTest {};
+
+std::string ExecutorName(const ::testing::TestParamInfo<Cpu::LaneExecutor>& info) {
+  return Cpu::LaneExecutorName(info.param);
+}
+const auto kExecutors =
+    ::testing::Values(Cpu::LaneExecutor::kGeneric, Cpu::LaneExecutor::kAvx2);
+INSTANTIATE_TEST_SUITE_P(Executors, LockstepBatch, kExecutors, ExecutorName);
+INSTANTIATE_TEST_SUITE_P(Executors, LockstepFallback, kExecutors, ExecutorName);
 
 // Every counter an inference can move, besides runtime.lockstep_fallbacks.
 const char* const kInferenceCounters[] = {
@@ -103,6 +132,7 @@ void ExpectBatchMatchesSequential(const Shape& shape, EncodingKind kind, size_t 
   const uint64_t seed = 40 + shape.dims[1] + batch;
   GuardedModel lockstep = MakeGuarded(shape, kind, seed);
   GuardedModel sequential = MakeGuarded(shape, kind, seed);
+  lockstep.deployed().machine().cpu().SetLaneExecutorForTest(executor_under_test);
   Rng rng(seed);
   for (int round = 0; round < 2; ++round) {
     std::vector<std::vector<int8_t>> inputs;
@@ -115,6 +145,9 @@ void ExpectBatchMatchesSequential(const Shape& shape, EncodingKind kind, size_t 
     const std::vector<GuardedResult> got = lockstep.PredictBatch(inputs, &cycles);
     const std::vector<uint64_t> batch_delta = Delta(InferenceCounters(), before_batch);
     EXPECT_EQ(Fallbacks(), fallbacks) << "the batch did not run in lockstep";
+    if (batch > 1) {
+      EXPECT_EQ(lockstep.deployed().machine().cpu().last_lane_executor(), executor_under_test);
+    }
 
     const std::vector<uint64_t> before_loop = InferenceCounters();
     ASSERT_EQ(got.size(), batch);
@@ -139,7 +172,7 @@ void ExpectBatchMatchesSequential(const Shape& shape, EncodingKind kind, size_t 
 constexpr size_t kBatchSizes[] = {1, 2, 3, 4, 5, 6, 7, 8};
 
 // The serve_mt models; 64-32-10 is also the fault campaign's shape.
-TEST(LockstepBatch, ServeShapesMatchSequential) {
+TEST_P(LockstepBatch, ServeShapesMatchSequential) {
   const Shape shapes[] = {
       {{16, 12, 10}, 0.3}, {{16, 20, 10}, 0.2}, {{33, 32, 5}, 0.2}, {{64, 32, 10}, 0.2}};
   for (const Shape& shape : shapes) {
@@ -153,7 +186,7 @@ TEST(LockstepBatch, ServeShapesMatchSequential) {
 
 // The mcu_infer models: 784-128-10 in every encoding, and 784-256-10 in delta (the
 // encoding its unrolled request falls back to).
-TEST(LockstepBatch, McuShapesMatchSequential) {
+TEST_P(LockstepBatch, McuShapesMatchSequential) {
   for (EncodingKind kind : kAllEncodingKinds) {
     for (size_t batch : kBatchSizes) {
       ExpectBatchMatchesSequential({{784, 128, 10}, 0.05}, kind, batch);
@@ -165,17 +198,18 @@ TEST(LockstepBatch, McuShapesMatchSequential) {
 }
 
 // A batch long enough for several lockstep chunks, with a chunk of one left over.
-TEST(LockstepBatch, LongBatchMatchesSequential) {
+TEST_P(LockstepBatch, LongBatchMatchesSequential) {
   ExpectBatchMatchesSequential({{64, 32, 10}, 0.2}, EncodingKind::kBlock, 19);
 }
 
 // A faulting lane at the guarded level: with the kernel code overwritten by undefined
 // instructions the batch falls back, and every input gets the fault report and recovery
 // rung it gets from Predict (the scrub rung repairs flash for the rest of the batch).
-TEST(LockstepBatch, FaultingBatchMatchesSequential) {
+TEST_P(LockstepBatch, FaultingBatchMatchesSequential) {
   const Shape shape{{64, 32, 10}, 0.2};
   GuardedModel lockstep = MakeGuarded(shape, EncodingKind::kCsc, 9);
   GuardedModel sequential = MakeGuarded(shape, EncodingKind::kCsc, 9);
+  lockstep.deployed().machine().cpu().SetLaneExecutorForTest(executor_under_test);
   for (GuardedModel* gm : {&lockstep, &sequential}) {
     const AssembledProgram& code = gm->deployed().kernel_program();
     std::vector<uint8_t> udf(code.bytes.size());
@@ -265,7 +299,7 @@ struct BatchRun {
 BatchRun RunBatch(Machine& m, const std::vector<LockstepCall>& calls, uint64_t budget,
                   const std::vector<std::vector<uint8_t>>& inputs) {
   std::vector<std::span<const uint8_t>> spans(inputs.begin(), inputs.end());
-  LockstepBatch batch;
+  neuroc::LockstepBatch batch;
   batch.input_addr = kInput;
   batch.inputs = spans;
   batch.calls = calls;
@@ -297,6 +331,7 @@ bool BatchMatchesSequential(const Fragment& frag,
   const std::vector<LockstepCall> calls = Calls(p);
   Machine batch(frag.config);
   Machine sequential(frag.config);
+  batch.cpu().SetLaneExecutorForTest(executor_under_test);
   for (Machine* m : {&batch, &sequential}) {
     m->LoadBytes(kFlash, p.bytes);
     if (attach) {
@@ -304,6 +339,9 @@ bool BatchMatchesSequential(const Fragment& frag,
     }
   }
   const BatchRun run = RunBatch(batch, calls, frag.cycle_budget, inputs);
+  if (run.committed) {
+    EXPECT_EQ(batch.cpu().last_lane_executor(), executor_under_test);
+  }
   EXPECT_EQ(run.outputs, RunSequential(sequential, calls, frag.cycle_budget, inputs));
   ExpectMachinesEqual(batch, sequential);
   if (compare) {
@@ -333,7 +371,7 @@ done:
     bx lr
 )", {}};
 
-TEST(LockstepFallback, DataDependentBranch) {
+TEST_P(LockstepFallback, DataDependentBranch) {
   EXPECT_FALSE(BatchMatchesSequential(kBranchOnData, Inputs({0, 1, 1})));
   EXPECT_TRUE(BatchMatchesSequential(kBranchOnData, Inputs({1, 2, 3})));
 }
@@ -348,7 +386,7 @@ f:
     bx lr
 )", {}};
 
-TEST(LockstepFallback, DataDependentAddress) {
+TEST_P(LockstepFallback, DataDependentAddress) {
   EXPECT_FALSE(BatchMatchesSequential(kAddressFromData, Inputs({0, 0, 1})));
   EXPECT_TRUE(BatchMatchesSequential(kAddressFromData, Inputs({2, 2, 2})));
 }
@@ -374,7 +412,7 @@ std::vector<std::vector<uint8_t>> LastDiffers(size_t n, uint8_t same, uint8_t od
 
 // The last active lane of a partly filled width (3 lanes of 4, 5 to 7 of 8) diverges
 // beside the lanes that mirror lane 0: by branch, by address, and by faulting.
-TEST(LockstepFallback, DivergenceInLastActiveLane) {
+TEST_P(LockstepFallback, DivergenceInLastActiveLane) {
   for (size_t n : {3, 5, 6, 7}) {
     SCOPED_TRACE("lanes " + std::to_string(n));
     EXPECT_FALSE(BatchMatchesSequential(kBranchOnData, LastDiffers(n, 1, 0)));
@@ -387,7 +425,7 @@ TEST(LockstepFallback, DivergenceInLastActiveLane) {
 }
 
 // Stores into flash: every lane faults, at the same instruction.
-TEST(LockstepFallback, FaultingLane) {
+TEST_P(LockstepFallback, FaultingLane) {
   const Fragment store_to_flash{R"(
 f:
     ldr r1, =0x08000100
@@ -407,7 +445,7 @@ f:
     bx lr
 )", {}};
 
-TEST(LockstepFallback, SramReadBeforeWrite) {
+TEST_P(LockstepFallback, SramReadBeforeWrite) {
   EXPECT_FALSE(BatchMatchesSequential(kSramDependence, Inputs({1, 1, 1})));
   // Adding zero leaves the word as it was: the next inference reads what it would
   // sequentially.
@@ -422,7 +460,7 @@ f:
     bx lr
 )", {}};
 
-TEST(LockstepFallback, RegisterReadBeforeWrite) {
+TEST_P(LockstepFallback, RegisterReadBeforeWrite) {
   EXPECT_FALSE(BatchMatchesSequential(kRegisterDependence, Inputs({1, 1})));
   EXPECT_TRUE(BatchMatchesSequential(kRegisterDependence, Inputs({0, 0, 0})));
 }
@@ -438,7 +476,7 @@ f:
     bx lr
 )", {}};
 
-TEST(LockstepFallback, FlagReadBeforeWrite) {
+TEST_P(LockstepFallback, FlagReadBeforeWrite) {
   EXPECT_FALSE(BatchMatchesSequential(kFlagDependence, Inputs({1, 1})));
   EXPECT_TRUE(BatchMatchesSequential(kFlagDependence, Inputs({0, 2, 4})));
 }
@@ -454,14 +492,14 @@ loop:
     bx lr
 )";
 
-TEST(LockstepFallback, WatchdogDeadline) {
+TEST_P(LockstepFallback, WatchdogDeadline) {
   Fragment frag{kCountedLoop, {}, /*cycle_budget=*/100};
   EXPECT_FALSE(BatchMatchesSequential(frag, Inputs({1, 2})));
   frag.cycle_budget = 10'000;
   EXPECT_TRUE(BatchMatchesSequential(frag, Inputs({1, 2})));
 }
 
-TEST(LockstepFallback, InstructionBudget) {
+TEST_P(LockstepFallback, InstructionBudget) {
   Fragment frag{kCountedLoop, {}};
   frag.config.max_instructions = 60;
   EXPECT_FALSE(BatchMatchesSequential(frag, Inputs({1, 2})));
@@ -471,7 +509,7 @@ TEST(LockstepFallback, InstructionBudget) {
 
 // The first call spends exactly the budget (bx costs 3 cycles): the second call's
 // deadline falls on the boundary, where the inference stops without running it.
-TEST(LockstepFallback, DeadlineOnCallBoundary) {
+TEST_P(LockstepFallback, DeadlineOnCallBoundary) {
   const Fragment frag{R"(
 f:
     bx lr
@@ -484,7 +522,7 @@ g:
 }
 
 // Calls a `bx lr` the host placed in SRAM: execution leaves compiled flash.
-TEST(LockstepFallback, CodeOutsideFlash) {
+TEST_P(LockstepFallback, CodeOutsideFlash) {
   EXPECT_FALSE(BatchMatchesSequential(
       {R"(
 f:
@@ -498,23 +536,24 @@ f:
 }
 
 // Inputs or outputs outside SRAM: the batch declines up front, untouched.
-TEST(LockstepFallback, InputOrOutputOutsideSram) {
+TEST_P(LockstepFallback, InputOrOutputOutsideSram) {
   const AssembledProgram p = Assemble("f:\n    bx lr\n", kFlash);
   const std::vector<LockstepCall> calls = Calls(p);
   Machine m;
+  m.cpu().SetLaneExecutorForTest(executor_under_test);
   m.LoadBytes(kFlash, p.bytes);
   const std::vector<std::vector<uint8_t>> inputs = Inputs({1, 2});
   std::vector<std::span<const uint8_t>> spans(inputs.begin(), inputs.end());
   const MachineSnapshot before = m.Snapshot();
   for (const uint32_t input_addr : {kFlash + 0x100, kRam + 16 * 1024 - 2, kRam - 4}) {
-    LockstepBatch batch;
+    neuroc::LockstepBatch batch;
     batch.input_addr = input_addr;
     batch.inputs = spans;
     batch.calls = calls;
     EXPECT_FALSE(m.TryRunLockstep(batch).has_value());
   }
   for (const uint32_t output_addr : {kFlash, kRam + 16 * 1024 - 2}) {
-    LockstepBatch batch;
+    neuroc::LockstepBatch batch;
     batch.input_addr = kInput;
     batch.inputs = spans;
     batch.calls = calls;
@@ -539,13 +578,13 @@ loop:
     pop {r4, pc}
 )", {}};
 
-TEST(LockstepFallback, NoObserverCommits) {
+TEST_P(LockstepFallback, NoObserverCommits) {
   EXPECT_TRUE(BatchMatchesSequential(kObserved, Inputs({1, 2, 3})));
 }
 
 // With a flash wait state, literal loads and taken branches add dynamic cycles, which
 // every lane accrues alike.
-TEST(LockstepBatch, FlashWaitStatesMatchSequential) {
+TEST_P(LockstepBatch, FlashWaitStatesMatchSequential) {
   Fragment frag{R"(
 f:
     push {r4, lr}
@@ -572,7 +611,7 @@ class CountingProbe : public CpuProbe {
   std::vector<std::pair<uint32_t, uint32_t>> retired;
 };
 
-TEST(LockstepFallback, ProbeAttached) {
+TEST_P(LockstepFallback, ProbeAttached) {
   std::map<const Machine*, CountingProbe> probes;
   EXPECT_FALSE(BatchMatchesSequential(
       kObserved, Inputs({1, 2, 3}),
@@ -584,12 +623,12 @@ TEST(LockstepFallback, ProbeAttached) {
       }));
 }
 
-TEST(LockstepFallback, HeatmapAttached) {
+TEST_P(LockstepFallback, HeatmapAttached) {
   EXPECT_FALSE(BatchMatchesSequential(kObserved, Inputs({1, 2, 3}),
                                       [](Machine& m) { m.memory().EnableHeatmap(64); }));
 }
 
-TEST(LockstepFallback, StackWatchAttached) {
+TEST_P(LockstepFallback, StackWatchAttached) {
   EXPECT_FALSE(BatchMatchesSequential(
       kObserved, Inputs({1, 2, 3}),
       [](Machine& m) { m.memory().EnableStackWatch(kRam + 0x200); },
@@ -598,7 +637,7 @@ TEST(LockstepFallback, StackWatchAttached) {
       }));
 }
 
-TEST(LockstepFallback, BlockProfileAttached) {
+TEST_P(LockstepFallback, BlockProfileAttached) {
   EXPECT_FALSE(BatchMatchesSequential(
       kObserved, Inputs({1, 2, 3}), [](Machine& m) { m.cpu().EnableBlockProfile(true); },
       [](Machine& a, Machine& b) {
@@ -613,7 +652,7 @@ TEST(LockstepFallback, BlockProfileAttached) {
       }));
 }
 
-TEST(LockstepFallback, AlarmArmed) {
+TEST_P(LockstepFallback, AlarmArmed) {
   std::map<const Machine*, int> fired;
   EXPECT_FALSE(BatchMatchesSequential(
       kObserved, Inputs({1, 2, 3}),
@@ -624,11 +663,40 @@ TEST(LockstepFallback, AlarmArmed) {
       }));
 }
 
-TEST(LockstepFallback, BlockDispatchOff) {
+TEST_P(LockstepFallback, BlockDispatchOff) {
   EXPECT_FALSE(BatchMatchesSequential(kObserved, Inputs({1, 2}),
                                       [](Machine& m) { m.cpu().EnableBlockCompile(false); }));
   EXPECT_FALSE(BatchMatchesSequential(kObserved, Inputs({1, 2}),
                                       [](Machine& m) { m.cpu().EnableDecodeCache(false); }));
+}
+
+// The hook switches the executor both ways, last_lane_executor() names the one that
+// ran, and without the hook RunLanes runs the host's best.
+TEST(LaneExecutor, HookSwitchesExecutor) {
+  using E = Cpu::LaneExecutor;
+  const AssembledProgram p = Assemble(kObserved.source, kFlash);
+  const std::vector<std::vector<uint8_t>> inputs = Inputs({1, 2, 3});
+  const bool avx2 = Cpu::LaneExecutorSupported(E::kAvx2);
+  Machine host_choice;
+  host_choice.LoadBytes(kFlash, p.bytes);
+  EXPECT_FALSE(host_choice.cpu().last_lane_executor().has_value());
+  ASSERT_TRUE(RunBatch(host_choice, Calls(p), 0, inputs).committed);
+  EXPECT_EQ(host_choice.cpu().last_lane_executor(), avx2 ? E::kAvx2 : E::kGeneric);
+
+  Machine m;
+  m.LoadBytes(kFlash, p.bytes);
+  for (const E executor : {E::kGeneric, E::kAvx2, E::kGeneric}) {
+    if (!Cpu::LaneExecutorSupported(executor)) {
+      continue;
+    }
+    SCOPED_TRACE(Cpu::LaneExecutorName(executor));
+    m.cpu().SetLaneExecutorForTest(executor);
+    ASSERT_TRUE(RunBatch(m, Calls(p), 0, inputs).committed);
+    EXPECT_EQ(m.cpu().last_lane_executor(), executor);
+  }
+  if (!avx2) {
+    GTEST_SKIP() << "this host has no AVX2 lane executor to switch to";
+  }
 }
 
 }  // namespace
