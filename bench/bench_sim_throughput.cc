@@ -1,13 +1,13 @@
-// Host-side simulator throughput: three decode/execute paths (legacy decode-every-step,
-// predecoded-instruction cache, block-compiled), lockstep batches of 2, 4 and 8 on the
-// block path, and the profiled paths × the adjacency encodings, plus RandomSearch
-// wall-clock at 1 vs N threads.
+// Host-side simulator throughput: the two decode/execute paths (the step interpreter,
+// which fetches and decodes every instruction, and block-compiled execution), lockstep
+// batches of 2, 4 and 8 on the block path, and the profiled paths × the adjacency
+// encodings, plus RandomSearch wall-clock at 1 vs N threads.
 //
 // Every reported paper metric (cycles, latency) flows through the CPU's execute loop, so
 // simulation speed bounds how many candidate architectures a search can afford. This bench
-// tracks what the decode cache and the block compiler (src/sim/cpu.*) buy in host
-// wall-clock per simulated inference and in simulated MIPS, verifies cycle counts are
-// bit-identical across all three paths, and times RandomSearch across thread counts
+// tracks what the block compiler (src/sim/cpu.*) buys in host wall-clock per simulated
+// inference and in simulated MIPS, verifies cycle counts are bit-identical on every
+// path, and times RandomSearch across thread counts
 // (asserting the results are byte-identical, the contract that makes parallel search safe
 // to use for paper numbers). Emits BENCH_sim_throughput.json.
 //
@@ -45,15 +45,14 @@ namespace {
 // are interleaved, so a noisy window penalizes one run of many of them rather than
 // skewing one encoding's rows or a ratio.
 constexpr int kRepeats = 5;
-// legacy / cached / block, plus three profiled paths: block-compiled execution with the
-// block-granular counters (block_profiled) and the step-interpreter CpuProbe profiler
-// over both step paths (step_profiled = predecode cache + probe, legacy_profiled =
-// decode-every-step + probe, the pre-block-profiler default). The profiled rows bound
-// what turning attribution on costs on each path. block_lockstep2/4/8 run the inferences
-// as lockstep batches (DeployedModel::TryPredictLockstep) on the block path, one per
-// vector width of the lane executor.
-constexpr int kModes = 9;
-constexpr int kFirstLockstepMode = 6;
+// step / block, plus two profiled paths: block-compiled execution with the
+// block-granular counters (block_profiled) and the step interpreter with the CpuProbe
+// profiler attached (step_profiled, the pre-block-profiler default). The profiled rows
+// bound what turning attribution on costs on each path. block_lockstep2/4/8 run the
+// inferences as lockstep batches (DeployedModel::TryPredictLockstep) on the block path,
+// one per vector width of the lane executor.
+constexpr int kModes = 7;
+constexpr int kFirstLockstepMode = 4;
 constexpr size_t kLockstepLanes[] = {2, 4, 8};
 
 double Seconds(std::chrono::steady_clock::time_point t0,
@@ -80,7 +79,7 @@ NeuroCModel MakeBenchModel(EncodingKind kind) {
 
 struct InferenceResult {
   std::string encoding;
-  std::string decode;  // "legacy" | "cached" | "block"
+  std::string decode;  // "step" | "block" | ..., one of the kModes paths
   uint64_t cycles_per_inference = 0;
   uint64_t instructions_per_inference = 0;
   double wall_ms_per_inference = 0.0;
@@ -120,50 +119,43 @@ double TimeBlock(DeployedModel& deployed, const std::vector<std::vector<int8_t>>
   return Seconds(t0, t1) / inferences;
 }
 
-// The nine execute/profile paths of one encoding: a deployment per path, the profilers
-// attached to three of them, the input, and each lockstep path's batch (the first 2, 4
-// or 8 of the inputs). Results are {legacy, cached, block, block_profiled,
-// step_profiled, legacy_profiled, block_lockstep2, block_lockstep4, block_lockstep8}.
+// The seven execute/profile paths of one encoding: a deployment per path, the profilers
+// attached to two of them, the input, and each lockstep path's batch (the first 2, 4 or 8
+// of the inputs). Results are {step, block, block_profiled, step_profiled,
+// block_lockstep2, block_lockstep4, block_lockstep8}.
 class InferenceSweep {
  public:
   explicit InferenceSweep(EncodingKind kind)
-      : legacy_(DeployedModel::Deploy(MakeBenchModel(kind))),
-        cached_(DeployedModel::Deploy(MakeBenchModel(kind))),
+      : step_(DeployedModel::Deploy(MakeBenchModel(kind))),
         block_(DeployedModel::Deploy(MakeBenchModel(kind))),
         block_prof_(DeployedModel::Deploy(MakeBenchModel(kind))),
         step_prof_(DeployedModel::Deploy(MakeBenchModel(kind))),
-        legacy_prof_(DeployedModel::Deploy(MakeBenchModel(kind))),
         lockstep2_(DeployedModel::Deploy(MakeBenchModel(kind))),
         lockstep4_(DeployedModel::Deploy(MakeBenchModel(kind))),
         lockstep8_(DeployedModel::Deploy(MakeBenchModel(kind))),
         block_profiler_(block_prof_.machine().cpu()),
-        attach_step_(step_prof_.machine().cpu(), &step_profiler_),
-        attach_legacy_(legacy_prof_.machine().cpu(), &legacy_profiler_) {
-    legacy_.machine().cpu().EnableDecodeCache(false);
-    cached_.machine().cpu().EnableBlockCompile(false);  // predecode cache only
-    legacy_prof_.machine().cpu().EnableDecodeCache(false);
+        attach_step_(step_prof_.machine().cpu(), &step_profiler_) {
+    step_.machine().cpu().EnableBlockCompile(false);
     Rng rng(17);
-    input_ = MakeRandomInput(legacy_.input_dim(), rng);
+    input_ = MakeRandomInput(step_.input_dim(), rng);
     std::vector<std::vector<int8_t>> inputs = {input_};
     while (inputs.size() < kLockstepLanes[std::size(kLockstepLanes) - 1]) {
-      inputs.push_back(MakeRandomInput(legacy_.input_dim(), rng));
+      inputs.push_back(MakeRandomInput(step_.input_dim(), rng));
     }
     for (size_t k = 0; k < batches_.size(); ++k) {
       batches_[k].assign(inputs.begin(), inputs.begin() + kLockstepLanes[k]);
     }
-    out_[0].decode = "legacy";
-    out_[1].decode = "cached";
-    out_[2].decode = "block";
-    out_[3].decode = "block_profiled";
-    out_[4].decode = "step_profiled";
-    out_[5].decode = "legacy_profiled";
+    out_[0].decode = "step";
+    out_[1].decode = "block";
+    out_[2].decode = "block_profiled";
+    out_[3].decode = "step_profiled";
     for (size_t k = 0; k < batches_.size(); ++k) {
       out_[kFirstLockstepMode + k].decode =
           "block_lockstep" + std::to_string(kLockstepLanes[k]);
     }
     for (int which = 0; which < kModes; ++which) {
       out_[which].encoding = EncodingKindName(kind);
-      models_[which]->Predict(input_);  // warm-up: builds the decode/block caches untimed
+      models_[which]->Predict(input_);  // warm-up: compiles the blocks untimed
       out_[which].cycles_per_inference = models_[which]->report().cycles_per_inference;
     }
   }
@@ -201,16 +193,12 @@ class InferenceSweep {
   }
 
  private:
-  DeployedModel legacy_, cached_, block_, block_prof_, step_prof_, legacy_prof_, lockstep2_,
-      lockstep4_, lockstep8_;
+  DeployedModel step_, block_, block_prof_, step_prof_, lockstep2_, lockstep4_, lockstep8_;
   const std::array<DeployedModel*, kModes> models_ = {
-      &legacy_,      &cached_,    &block_,     &block_prof_, &step_prof_,
-      &legacy_prof_, &lockstep2_, &lockstep4_, &lockstep8_};
+      &step_, &block_, &block_prof_, &step_prof_, &lockstep2_, &lockstep4_, &lockstep8_};
   BlockProfiler block_profiler_;
   SimProfiler step_profiler_;
   ScopedCpuProbe attach_step_;
-  SimProfiler legacy_profiler_;
-  ScopedCpuProbe attach_legacy_;
   std::vector<int8_t> input_;
   std::array<std::vector<std::vector<int8_t>>, std::size(kLockstepLanes)> batches_;
   std::array<InferenceResult, kModes> out_;
@@ -310,8 +298,7 @@ int main(int argc, char** argv) {
   std::printf("lockstep rows ran on the %s lane executor\n",
               Cpu::LaneExecutorName(lane_executor));
   // The execute path (profiled, lockstep-batched or not) must not change a single
-  // reported cycle or retired instruction: every row equals the legacy row, and so the
-  // block row.
+  // reported cycle or retired instruction: every row equals the step row.
   for (size_t i = 0; i + kModes - 1 < inference.size(); i += kModes) {
     for (size_t m = 1; m < kModes; ++m) {
       NEUROC_CHECK(inference[i].cycles_per_inference ==
@@ -354,20 +341,15 @@ int main(int argc, char** argv) {
   w.EndArray();
   w.Key("speedups").BeginObject();
   for (size_t i = 0; i + kModes - 1 < inference.size(); i += kModes) {
-    const InferenceResult& legacy = inference[i];
-    const InferenceResult& cached = inference[i + 1];
-    const InferenceResult& block = inference[i + 2];
+    const InferenceResult& step = inference[i];
+    const InferenceResult& block = inference[i + 1];
     char key[64];
-    std::snprintf(key, sizeof(key), "cached_vs_legacy_%s", legacy.encoding.c_str());
-    w.Key(key).ValueFixed(legacy.wall_ms_per_inference / cached.wall_ms_per_inference, 3);
-    std::snprintf(key, sizeof(key), "block_vs_cached_%s", legacy.encoding.c_str());
-    w.Key(key).ValueFixed(cached.wall_ms_per_inference / block.wall_ms_per_inference, 3);
-    std::snprintf(key, sizeof(key), "block_vs_legacy_%s", legacy.encoding.c_str());
-    w.Key(key).ValueFixed(legacy.wall_ms_per_inference / block.wall_ms_per_inference, 3);
+    std::snprintf(key, sizeof(key), "block_vs_step_%s", step.encoding.c_str());
+    w.Key(key).ValueFixed(step.wall_ms_per_inference / block.wall_ms_per_inference, 3);
     for (size_t m = kFirstLockstepMode; m < kModes; ++m) {
       const InferenceResult& lockstep = inference[i + m];
       std::snprintf(key, sizeof(key), "%s_vs_block_%s", lockstep.decode.c_str(),
-                    legacy.encoding.c_str());
+                    step.encoding.c_str());
       w.Key(key).ValueFixed(block.wall_ms_per_inference / lockstep.wall_ms_per_inference, 3);
     }
   }
@@ -378,10 +360,9 @@ int main(int argc, char** argv) {
   // obs PR's ≥5x acceptance bar reads).
   w.Key("profiling").BeginObject();
   for (size_t i = 0; i + kModes - 1 < inference.size(); i += kModes) {
-    const InferenceResult& block = inference[i + 2];
-    const InferenceResult& bp = inference[i + 3];
-    const InferenceResult& sp = inference[i + 4];
-    const InferenceResult& lp = inference[i + 5];
+    const InferenceResult& block = inference[i + 1];
+    const InferenceResult& bp = inference[i + 2];
+    const InferenceResult& sp = inference[i + 3];
     char key[64];
     std::snprintf(key, sizeof(key), "block_profiled_overhead_%s",
                   block.encoding.c_str());
@@ -389,9 +370,6 @@ int main(int argc, char** argv) {
     std::snprintf(key, sizeof(key), "block_profiled_vs_step_profiled_%s",
                   block.encoding.c_str());
     w.Key(key).ValueFixed(sp.wall_ms_per_inference / bp.wall_ms_per_inference, 3);
-    std::snprintf(key, sizeof(key), "block_profiled_vs_legacy_profiled_%s",
-                  block.encoding.c_str());
-    w.Key(key).ValueFixed(lp.wall_ms_per_inference / bp.wall_ms_per_inference, 3);
   }
   w.EndObject();
   // Energy proxy per inference (deterministic: derived from attributed cycles and
@@ -411,16 +389,15 @@ int main(int argc, char** argv) {
     w.EndObject();
   }
   w.EndObject();
-  // Context for the ratios: the legacy comparator here is the decode-every-step path of
-  // the *current* binary, which already shares the inlined MemoryMap accessors, and the
-  // search speedup is bounded by the cores the host actually grants us.
+  // Context for the ratios: the step comparator here is the fetch-and-decode-every-step
+  // path of the *current* binary, which already shares the inlined MemoryMap accessors
+  // and the op bodies, and the search speedup is bounded by the cores the host actually
+  // grants us.
   w.Key("notes").BeginArray();
   w.Value(
-      "cached_vs_legacy compares decode paths within this binary; decode+fetch is "
-      "~50% of a legacy step, so the ratio is Amdahl-capped near 2x");
-  w.Value(
-      "block fuses straight-line basic blocks into one dispatch with batched "
-      "accounting and lazy APSR flags, breaking the per-step Amdahl cap");
+      "block_vs_step compares decode paths within this binary: block fuses straight-line "
+      "basic blocks, decoded once when compiled, into one dispatch with batched "
+      "accounting and lazy APSR flags; step fetches and decodes every instruction");
   w.Value(
       "block_lockstep2/4/8 run batches of 2, 4 and 8 inferences through the compiled "
       "blocks once, each op run once as host vector operations over every lane, on the "

@@ -89,8 +89,8 @@ CaseResult RunIsaCase(const FuzzCase& c) {
   // Structural-fault leg: every halfword — valid or not — must either execute cleanly or
   // raise a structured guest fault. A NEUROC_CHECK abort anywhere in the decode/execute
   // path would kill the fuzzer process, which is exactly the signal this leg exists for.
-  // Cross-mode leg: the pair runs on a block-compiled machine and on a legacy
-  // decode-every-step one, and the two must agree on everything they report. r0-r12
+  // Cross-mode leg: the pair runs on a block-compiled machine and on one that fetches
+  // and decodes every step, and the two must agree on everything they report. r0-r12
   // start as a per-case mix of raw words, SRAM and flash addresses and small offsets, so
   // loads and stores both complete and fault; one flash wait state makes the fetch and
   // data-access charges visible.
@@ -98,8 +98,8 @@ CaseResult RunIsaCase(const FuzzCase& c) {
   mc.max_instructions = 64;  // random control flow may loop; keep runaways cheap
   mc.cycle_model.flash_wait_states = 1;
   Machine m(mc);
-  Machine legacy(mc);
-  legacy.cpu().EnableDecodeCache(false);
+  Machine step(mc);
+  step.cpu().EnableBlockCompile(false);
   Rng regs(SubSeed(c.case_seed, 1));
   for (int r = 0; r <= 12; ++r) {
     const uint32_t word = regs.NextU32();
@@ -111,7 +111,7 @@ CaseResult RunIsaCase(const FuzzCase& c) {
       default: break;
     }
     m.cpu().set_reg(r, value);
-    legacy.cpu().set_reg(r, value);
+    step.cpu().set_reg(r, value);
   }
   const std::vector<uint8_t> prog = {
       static_cast<uint8_t>(c.hw1 & 0xFF), static_cast<uint8_t>(c.hw1 >> 8),
@@ -119,12 +119,12 @@ CaseResult RunIsaCase(const FuzzCase& c) {
       0x70, 0x47,  // bx lr
   };
   m.LoadBytes(mc.flash_base, prog);
-  legacy.LoadBytes(mc.flash_base, prog);
+  step.LoadBytes(mc.flash_base, prog);
   const StatusOr<uint64_t> run = m.TryCallFunction(mc.flash_base, {});
-  const StatusOr<uint64_t> legacy_run = legacy.TryCallFunction(mc.flash_base, {});
-  const std::string diff = CrossModeDiff(m, run, legacy, legacy_run);
+  const StatusOr<uint64_t> step_run = step.TryCallFunction(mc.flash_base, {});
+  const std::string diff = CrossModeDiff(m, run, step, step_run);
   if (!diff.empty()) {
-    return {FuzzVerdict::kFail, "block and legacy decode disagree on " + hws + " (" +
+    return {FuzzVerdict::kFail, "block and step decode disagree on " + hws + " (" +
                                     OpName(d.op) + "): " + diff};
   }
   if (d.op == Op::kInvalid || d.op == Op::kUdf) {

@@ -100,20 +100,18 @@ CaseResult CompareFullWidthBatch(const Model& model,
   return CompareBatch(*batch_or, *sequential_or, cycled, predictions, cycles);
 }
 
-// One reference/device comparison across all three simulator decode paths. `block` runs
-// block-compiled execution (the deploy default), `cached` the predecoded-instruction path
-// with block fusion off, `legacy` the decode-every-step interpreter — all must agree with
-// the host byte-for-byte, and with each other on cycle counts (both the predecode cache
-// and block compilation are pure performance transforms). Then, on each lane executor
-// the host supports, a fresh deployment runs the inputs as one batch (CompareBatch),
-// which must end where `block` ended, and two more the full-width batch leg
-// (CompareFullWidthBatch).
+// One reference/device comparison on both simulator decode paths. `block` runs
+// block-compiled execution (the deploy default), `step` the interpreter that fetches and
+// decodes every instruction — both must agree with the host byte-for-byte, and with each
+// other on cycle counts (block compilation is a pure performance transform). Then, on
+// each lane executor the host supports, a fresh deployment runs the inputs as one batch
+// (CompareBatch), which must end where `block` ended, and two more the full-width batch
+// leg (CompareFullWidthBatch).
 template <typename Model>
 CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
   auto block_or = DeployedModel::TryDeploy(model);
-  auto cached_or = DeployedModel::TryDeploy(model);
-  auto legacy_or = DeployedModel::TryDeploy(model);
-  for (const auto* d : {&block_or, &cached_or, &legacy_or}) {
+  auto step_or = DeployedModel::TryDeploy(model);
+  for (const auto* d : {&block_or, &step_or}) {
     if (!d->ok()) {
       if (d->status().code() == ErrorCode::kResourceExhausted) {
         return {FuzzVerdict::kSkip, "resource_exhausted: model does not fit the device"};
@@ -125,11 +123,8 @@ CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
     const char* name;
     DeployedModel deployed;
   };
-  Mode modes[] = {{"block", std::move(*block_or)},
-                  {"cached", std::move(*cached_or)},
-                  {"legacy", std::move(*legacy_or)}};
+  Mode modes[] = {{"block", std::move(*block_or)}, {"step", std::move(*step_or)}};
   modes[1].deployed.machine().cpu().EnableBlockCompile(false);
-  modes[2].deployed.machine().cpu().EnableDecodeCache(false);
 
   const std::vector<std::vector<int8_t>> inputs = KernelCaseInputs(c);
   std::vector<int8_t> expected;

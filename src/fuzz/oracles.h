@@ -4,14 +4,14 @@
 // a case behaves identically whether it runs inside a parallel campaign, a corpus replay,
 // or a minimizer probe.
 //
-//   kernel  host NeuroCModel/MlpModel inference vs the simulated Thumb kernels, with the
-//           predecode cache on and off: outputs must match the host byte-for-byte and the
-//           two cache modes must report identical cycle counts.
+//   kernel  host NeuroCModel/MlpModel inference vs the simulated Thumb kernels, with block
+//           compilation on and off: outputs must match the host byte-for-byte and the
+//           two decode paths must report identical cycle counts.
 //   isa     random halfwords: valid decodes must fix-point through encode -> decode (and,
 //           for textually round-trippable ops, disassemble -> assemble -> decode), and
 //           every halfword — valid or not — must execute or fault *structurally* on the
 //           simulated CPU (Status/FaultReport, never a host abort), identically on the
-//           block-compiled and legacy decode paths from seeded registers.
+//           block-compiled and step decode paths from seeded registers.
 //   serde   random models: serialize -> deserialize -> re-serialize must be lossless and
 //           the reloaded model must deploy and predict identically; seeded single-bit
 //           mutations must be rejected with a structured error (CRC on v2 images).

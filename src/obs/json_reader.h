@@ -32,7 +32,7 @@ struct JsonValue {
 
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
-  // Dotted-path lookup ("speedups.block_vs_legacy_csc").
+  // Dotted-path lookup ("speedups.block_vs_step_csc").
   const JsonValue* FindPath(std::string_view dotted) const;
   double AsDouble(double fallback = 0.0) const {
     return kind == Kind::kNumber ? number : fallback;

@@ -15,7 +15,13 @@ namespace {
 
 constexpr uint32_t kScratchFlashBase = 0x08000000;
 
-uint32_t AlignUp4(uint32_t v) { return (v + 3u) & ~3u; }
+// Where a Program's image starts: after its kernels and the runtime's reserve,
+// word-aligned.
+uint32_t ImageBase(const KernelSet& kernels, const MachineConfig& cfg) {
+  return (cfg.flash_base + static_cast<uint32_t>(kernels.code_bytes()) +
+          static_cast<uint32_t>(kRuntimeOverheadBytes) + 3u) &
+         ~3u;
+}
 
 size_t EstimateFromParts(size_t code_bytes, size_t image_bytes) {
   return code_bytes + image_bytes + kRuntimeOverheadBytes;
@@ -54,9 +60,15 @@ DeployedModel::Program::Program(const NeuroCModel& model, const MachineConfig& c
     : config(cfg),
       kernels(KernelSet::Build(PackNeuroCModel(model, kScratchFlashBase, cfg.ram_base).variants,
                                cfg.flash_base, /*include_conv=*/false, &model)),
-      image_base(AlignUp4(cfg.flash_base + static_cast<uint32_t>(kernels.code_bytes()) +
-                          static_cast<uint32_t>(kRuntimeOverheadBytes))),
+      image_base(ImageBase(kernels, cfg)),
       image(PackNeuroCModel(model, image_base, cfg.ram_base)) {}
+
+DeployedModel::Program::Program(const MlpModel& model, const MachineConfig& cfg)
+    : config(cfg),
+      kernels(KernelSet::Build(PackMlpModel(model, kScratchFlashBase, cfg.ram_base).variants,
+                               cfg.flash_base)),
+      image_base(ImageBase(kernels, cfg)),
+      image(PackMlpModel(model, image_base, cfg.ram_base)) {}
 
 size_t DeployedModel::Program::bytes() const {
   return EstimateFromParts(kernels.code_bytes(), image.flash.size());
@@ -67,9 +79,7 @@ size_t DeployedModel::EstimateProgramBytes(const NeuroCModel& model) {
 }
 
 size_t DeployedModel::EstimateProgramBytes(const MlpModel& model) {
-  DeviceModelImage image = PackMlpModel(model, kScratchFlashBase, 0x20000000);
-  KernelSet kernels = KernelSet::Build(image.variants, kScratchFlashBase);
-  return EstimateFromParts(kernels.code_bytes(), image.flash.size());
+  return Program(model, MachineConfig{}).bytes();
 }
 
 StatusOr<DeployedModel> DeployedModel::DeployImage(DeviceModelImage image, KernelSet kernels,
@@ -161,13 +171,7 @@ StatusOr<DeployedModel> DeployedModel::TryDeployWithFallback(const NeuroCModel& 
 
 StatusOr<DeployedModel> DeployedModel::TryDeploy(const MlpModel& model,
                                                  const MachineConfig& config) {
-  KernelSet probe = KernelSet::Build(
-      PackMlpModel(model, kScratchFlashBase, config.ram_base).variants, config.flash_base);
-  const uint32_t image_base = AlignUp4(config.flash_base +
-                                       static_cast<uint32_t>(probe.code_bytes()) +
-                                       static_cast<uint32_t>(kRuntimeOverheadBytes));
-  DeviceModelImage image = PackMlpModel(model, image_base, config.ram_base);
-  return DeployImage(std::move(image), std::move(probe), config, image_base);
+  return TryDeploy(Program(model, config));
 }
 
 namespace {

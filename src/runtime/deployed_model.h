@@ -66,12 +66,15 @@ class DeployedModel {
   static StatusOr<DeployedModel> TryDeploy(const MlpModel& model,
                                            const MachineConfig& config = {});
 
-  // A NeuroCModel packed, code-generated and assembled for `config`'s flash (its kernels
-  // first, at the reset address like a real linker script, its image after them), not
-  // yet on a machine. A caller that sizes a model before deploying it builds it once and
-  // deploys that build (RandomSearch, TryDeployWithFallback).
+  // A model packed, code-generated and assembled for `config`'s flash, not yet on a
+  // machine: the one owner of the flash layout (kernels first, at the reset address like
+  // a real linker script, then the image after the runtime's reserve, word-aligned).
+  // Estimates, deploys and firmware images are all built through it; a caller that sizes
+  // a model before deploying it builds it once and deploys that build (RandomSearch,
+  // TryDeployWithFallback).
   struct Program {
     Program(const NeuroCModel& model, const MachineConfig& config);
+    Program(const MlpModel& model, const MachineConfig& config);
     // The program-memory footprint, as EstimateProgramBytes reports it.
     size_t bytes() const;
 

@@ -4,8 +4,6 @@
 #include <cstdio>
 
 #include "src/common/check.h"
-#include "src/kernels/kernel_set.h"
-#include "src/kernels/kernel_sources.h"
 
 namespace neuroc {
 
@@ -40,14 +38,6 @@ int HexDigit(char c) {
     return c - 'a' + 10;
   }
   return -1;
-}
-
-// Builds the complete firmware hex from a packed image + kernels.
-std::string HexFromParts(const KernelSet& kernels, const DeviceModelImage& image) {
-  std::vector<FirmwareChunk> chunks;
-  chunks.push_back({kernels.program().base_addr, kernels.program().bytes});
-  chunks.push_back({image.flash_data_base, image.flash});
-  return EmitIntelHex(chunks);
 }
 
 }  // namespace
@@ -164,25 +154,11 @@ std::optional<std::vector<FirmwareChunk>> ParseIntelHex(const std::string& text)
   return chunks;
 }
 
-std::string FirmwareHexForModel(const NeuroCModel& model, const MachineConfig& config) {
-  DeviceModelImage probe = PackNeuroCModel(model, config.flash_base, config.ram_base);
-  KernelSet kernels =
-      KernelSet::Build(probe.variants, config.flash_base, /*include_conv=*/false, &model);
-  const uint32_t image_base =
-      (config.flash_base + static_cast<uint32_t>(kernels.code_bytes()) +
-       static_cast<uint32_t>(kRuntimeOverheadBytes) + 3u) & ~3u;
-  DeviceModelImage image = PackNeuroCModel(model, image_base, config.ram_base);
-  return HexFromParts(kernels, image);
-}
-
-std::string FirmwareHexForModel(const MlpModel& model, const MachineConfig& config) {
-  DeviceModelImage probe = PackMlpModel(model, config.flash_base, config.ram_base);
-  KernelSet kernels = KernelSet::Build(probe.variants, config.flash_base);
-  const uint32_t image_base =
-      (config.flash_base + static_cast<uint32_t>(kernels.code_bytes()) +
-       static_cast<uint32_t>(kRuntimeOverheadBytes) + 3u) & ~3u;
-  DeviceModelImage image = PackMlpModel(model, image_base, config.ram_base);
-  return HexFromParts(kernels, image);
+std::string FirmwareHex(const DeployedModel::Program& program) {
+  const AssembledProgram& code = program.kernels.program();
+  const std::vector<FirmwareChunk> chunks = {{code.base_addr, code.bytes},
+                                             {program.image_base, program.image.flash}};
+  return EmitIntelHex(chunks);
 }
 
 }  // namespace neuroc

@@ -10,9 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/mlp_model.h"
-#include "src/core/neuroc_model.h"
-#include "src/sim/machine.h"
+#include "src/runtime/deployed_model.h"
 
 namespace neuroc {
 
@@ -28,10 +26,9 @@ std::string EmitIntelHex(std::span<const FirmwareChunk> chunks);
 // data is merged into maximal chunks sorted by address.
 std::optional<std::vector<FirmwareChunk>> ParseIntelHex(const std::string& text);
 
-// Convenience: the complete flash content (kernel code at the flash base, model image after
-// the runtime-overhead gap) for a deployable model, ready to flash.
-std::string FirmwareHexForModel(const NeuroCModel& model, const MachineConfig& config = {});
-std::string FirmwareHexForModel(const MlpModel& model, const MachineConfig& config = {});
+// The complete flash content of a built program (kernel code at the flash base, model
+// image after the runtime-overhead gap), ready to flash.
+std::string FirmwareHex(const DeployedModel::Program& program);
 
 }  // namespace neuroc
 

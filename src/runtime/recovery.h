@@ -16,7 +16,7 @@
 //     check, a RAM-only restore under persistent flash corruption yields a dual-run pair
 //     that agrees on the same wrong output. Rungs:
 //       1. kSnapshotRetry — restore SRAM + registers from the pristine deploy snapshot
-//          (no flash rewrite, no decode-cache invalidation) and retry. Fixes transient
+//          (no flash rewrite, no block retirement) and retry. Fixes transient
 //          and SRAM-resident faults. Skipped when the CRCs taken at first detection
 //          already name a corrupted flash section: a restore that never touches flash
 //          cannot pass the integrity check, so the retry could only burn cycles.

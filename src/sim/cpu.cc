@@ -87,33 +87,21 @@ struct Cpu::Lanes {
 };
 
 Cpu::Cpu(MemoryMap* memory, CycleModel model) : mem_(memory), model_(model) {
-  mem_->RegisterFlashWriteListener(&icache_valid_);
+  mem_->RegisterFlashWriteListener(&blocks_valid_);
 }
 
-Cpu::~Cpu() { mem_->UnregisterFlashWriteListener(&icache_valid_); }
-
-void Cpu::EnableDecodeCache(bool enabled) {
-  icache_enabled_ = enabled;
-  if (!enabled) {
-    FlushBlockProfiles();
-    icache_ = std::vector<Predecoded>();  // release memory, not just clear
-    blocks_ = std::vector<Block>();
-    block_index_ = std::vector<int32_t>();
-    free_blocks_ = std::vector<int32_t>();
-    icache_valid_ = false;
-  }
-}
+Cpu::~Cpu() { mem_->UnregisterFlashWriteListener(&blocks_valid_); }
 
 void Cpu::EnableBlockCompile(bool enabled) {
   block_enabled_ = enabled;
   if (!enabled) {
     FlushBlockProfiles();
-    blocks_ = std::vector<Block>();
+    blocks_ = std::vector<Block>();  // release memory, not just clear
     block_index_ = std::vector<int32_t>();
     free_blocks_ = std::vector<int32_t>();
   }
-  // Force a rebuild either way so block_index_ is (re)sized with the decode cache.
-  icache_valid_ = false;
+  // Force a sync either way so block_index_ is (re)sized over the covered flash.
+  blocks_valid_ = false;
 }
 
 void Cpu::EnableBlockProfile(bool enabled) {
@@ -139,16 +127,14 @@ const std::map<uint32_t, Cpu::ProfiledPc>& Cpu::CollectBlockProfile() const {
   return block_profile_;
 }
 
-void Cpu::RebuildDecodeCache() {
-  const std::span<const uint8_t> flash = mem_->flash_bytes();
-  // Only decode up to the load high-water mark: images occupy a few KB of the 128 KB
-  // flash, and slots past it hold the erase pattern the CPU normally never reaches (if it
-  // does, Step falls back to the interpreter path below, which behaves identically).
-  const size_t covered = std::min<size_t>(flash.size(), mem_->flash_high_water());
-  const size_t slots = covered / 2;
+void Cpu::SyncBlocksWithFlash() {
+  // Blocks cover flash only up to the load high-water mark: images occupy a few KB of the
+  // 128 KB flash, and slots past it hold the erase pattern the CPU normally never reaches
+  // (if it does, the step interpreter runs it, which behaves identically).
+  const size_t slots = std::min<size_t>(mem_->flash_size(), mem_->flash_high_water()) / 2;
   // Stale slots: those whose bytes changed, widened one slot back (a BL prefix decodes
-  // with the next halfword), plus every slot the cache does not cover yet. The changed
-  // range may extend past `slots` after a high-water rewind; blocks there retire too.
+  // with the next halfword), plus every slot not covered yet. The changed range may
+  // extend past `slots` after a high-water rewind; blocks there retire too.
   const FlashSpan dirty = mem_->TakeFlashDirtySpan();
   size_t lo = slots;
   size_t hi = 0;
@@ -156,34 +142,18 @@ void Cpu::RebuildDecodeCache() {
     lo = dirty.lo / 2 == 0 ? 0 : dirty.lo / 2 - 1;
     hi = (static_cast<size_t>(dirty.hi) + 1) / 2;
   }
-  if (icache_.size() < slots) {
-    lo = std::min(lo, icache_.size());
+  if (block_index_.size() < slots) {
+    lo = std::min(lo, block_index_.size());
     hi = std::max(hi, slots);
   }
-  // Compiled blocks are views over the predecoded slots: retire those over stale slots
-  // before the slots change under them.
   RetireBlocks(lo, hi);
-  icache_.resize(slots);
-  block_index_.resize(block_enabled_ ? slots : 0, kBlockNotCompiled);
-  hi = std::min(hi, slots);
-  for (size_t s = lo; s < hi; ++s) {
-    const uint16_t hw1 = static_cast<uint16_t>(flash[2 * s] | (flash[2 * s + 1] << 8));
-    // Same peek rule as the interpreter: hw2 is read only for a wide (BL-prefix)
-    // encoding, and reads as 0 when the prefix sits on the last mapped halfword.
-    uint16_t hw2 = 0;
-    uint8_t flash_reads = 1;
-    if ((hw1 & 0xF800) == 0xF000 && 2 * s + 3 < flash.size()) {
-      hw2 = static_cast<uint16_t>(flash[2 * s + 2] | (flash[2 * s + 3] << 8));
-      flash_reads = 2;
-    }
-    icache_[s] = Predecoded{DecodeInstr(hw1, hw2), hw1, flash_reads};
-    // Overlapping blocks are retired, so only a kBlockStepOnly verdict on the old decode
-    // can remain here.
-    if (s < block_index_.size()) {
-      block_index_[s] = kBlockNotCompiled;
-    }
+  block_index_.resize(slots, kBlockNotCompiled);
+  // Retiring unmapped the blocks over the stale slots, so only kBlockStepOnly verdicts on
+  // the old bytes can remain there.
+  for (size_t s = lo; s < std::min(hi, slots); ++s) {
+    block_index_[s] = kBlockNotCompiled;
   }
-  icache_valid_ = true;
+  blocks_valid_ = true;
 }
 
 void Cpu::RetireBlocks(size_t lo, size_t hi) {
@@ -407,29 +377,36 @@ inline Cpu::BlockOp Cpu::Lower(const Instr& in, uint32_t addr) {
   return o;
 }
 
-// Walks predecoded slots from `entry_slot` until a control-flow terminator, an
-// invalid/UDF decode, the end of decode coverage, or the length cap, fusing the run into
-// one Block. Returns the block index, or kBlockStepOnly when the entry cannot start a
-// block. A backward pass then marks which APSR writes are dead (overwritten before any
-// consumer — conditional branch or ADC/SBC — with no intervening possible-fault site) so
-// the executor can skip materializing them.
+// Decodes flash from `entry_slot` until a control-flow terminator, an invalid/UDF
+// decode, the end of block coverage, or the length cap, fusing the run into one Block.
+// Returns the block index, or kBlockStepOnly when the entry cannot start a block. A
+// backward pass then marks which APSR writes are dead (overwritten before any consumer —
+// conditional branch or ADC/SBC — with no intervening possible-fault site) so the
+// executor can skip materializing them.
 int32_t Cpu::CompileBlock(size_t entry_slot) {
   // Bounds compile time and the O(length) cold-path fault fixup; a longer straight-line
   // run simply continues as a fall-through successor block. Sized so the per-column bodies
   // of unrolled kernels (kUnrolled compiles ~3 ops per nonzero between `bl` terminators)
   // are eaten whole even for near-dense columns of wide layers.
   constexpr size_t kMaxBlockOps = 16384;
+  const std::span<const uint8_t> flash = mem_->flash_bytes();
+  const auto halfword = [flash](size_t s) {
+    return static_cast<uint16_t>(flash[2 * s] | (flash[2 * s + 1] << 8));
+  };
   Block b;
   uint32_t static_cycles = 0;
   size_t slot = entry_slot;
-  while (slot < icache_.size() && b.ops.size() < kMaxBlockOps) {
-    const Predecoded& pd = icache_[slot];
-    const Instr& in = pd.instr;
+  while (slot < block_index_.size() && b.ops.size() < kMaxBlockOps) {
+    // Step's fetch rule: the second halfword is read only for a wide (BL-prefix) encoding
+    // whose next halfword is in flash; a prefix on the last flash halfword decodes with 0.
+    const uint16_t hw1 = halfword(slot);
+    const bool wide = (hw1 & 0xF800) == 0xF000 && 2 * slot + 3 < flash.size();
+    const Instr in = DecodeInstr(hw1, wide ? halfword(slot + 1) : 0);
     if (in.op == Op::kInvalid || in.op == Op::kUdf) {
       break;  // the interpreter raises the fault with the exact seed diagnostics
     }
     BlockOp o = Lower(in, mem_->flash_base() + static_cast<uint32_t>(2 * slot));
-    o.fetch_reads = pd.flash_reads;
+    o.fetch_reads = wide ? 2 : 1;
     o.is_mem = MayFault(in.op) ? 1 : 0;
     o.cycles_before = static_cycles;
     static_cycles += static_cast<uint32_t>(model_.flash_wait_states) +
@@ -606,19 +583,19 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
     // again: one, or all of a block that could cross a limit.
     size_t steps = 1;
     if (BlockModeActive()) {
-      if (!icache_valid_) {
-        RebuildDecodeCache();
+      if (!blocks_valid_) {
+        SyncBlocksWithFlash();
       }
-      // Chained block dispatch: block mode's activation conditions and the cache validity
-      // cannot change inside this loop (probes attach between calls, an alarm callback
-      // runs on the step path, and the guest cannot write flash — it faults), so
+      // Chained block dispatch: block mode's activation conditions and the block cache's
+      // validity cannot change inside this loop (probes attach between calls, an alarm
+      // callback runs on the step path, and the guest cannot write flash — it faults), so
       // blocks execute back to back until the pc leaves compiled coverage, an entry can't
       // start a block, or a block could cross the instruction limit or the watchdog cycle
       // limit. That block then runs on the step interpreter, which keeps the
       // budget/deadline fault and the alarm firing at exactly the same retired
-      // instruction as the legacy path, without compiling a block at every entry it
-      // steps through. A wrapping pc (SRAM, unmapped, the halt sentinel) makes `slot`
-      // huge and exits the loop through the coverage check.
+      // instruction as the step interpreter alone, without compiling a block at every
+      // entry it steps through. A wrapping pc (SRAM, unmapped, the halt sentinel) makes
+      // `slot` huge and exits the loop through the coverage check.
       const uint32_t flash_base = mem_->flash_base();
       const size_t covered_slots = block_index_.size();
       for (;;) {
@@ -674,16 +651,17 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
 }
 
 // Executes one compiled block with a single dispatch: no per-step counter updates or
-// probe checks (block mode is inactive when a probe is attached), and no per-step
-// decode-cache lookups. Cycle, instruction and fetch accounting are applied once at
-// block exit; a GuestFault mid-block patches them to the exact interpreter state
-// for the faulting instruction before rethrowing. The ops run the bodies of
-// thumb_ops.inc, each ending in its own indirect jump through the label table (token
-// threading), which gives the host branch predictor one dispatch site per preceding op
-// instead of a single shared one. NEUROC_NEXT also advances the profiled hit-counter
-// cursor in lockstep with the op pointer (discarded in the unprofiled instantiation), so
-// charge_mem records a flash-wait hit with a plain `++*prof_slot` — no per-access
-// op-index math on the hot path.
+// probe checks (block mode is inactive when a probe is attached), and no per-step fetch
+// or decode. Cycle, instruction and fetch accounting are applied once at block exit; a
+// GuestFault mid-block patches them to the exact interpreter state for the faulting
+// instruction before rethrowing. The ops run the bodies of thumb_ops.inc, each ending in
+// an indirect jump through the label table to the next op's body. The source gives every
+// op its own jump, but the compiler may merge them into a few shared dispatch sites, so
+// the host branch predictor need not see one site per preceding op (DESIGN.md §12).
+// NEUROC_NEXT also advances the profiled hit-counter cursor in lockstep with the op
+// pointer (discarded in the unprofiled instantiation), so charge_mem records a
+// flash-wait hit with a plain `++*prof_slot` — no per-access op-index math on the hot
+// path.
 // The machine's own state, as both ExecuteBlock and Step present it to the op bodies
 // (with Word = uint32_t, so NEUROC_SCALAR has nothing to extract).
 #define NEUROC_REG(r) regs_[r]
@@ -710,11 +688,6 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
     if constexpr (kProfiled) ++b.prof_bcond_taken;    \
   } while (0)
 template <bool kProfiled>
-#if defined(__GNUC__) && !defined(__clang__)
-// Keep GCC's global CSE from re-merging the per-op indirect jumps into one shared
-// dispatch site, which would undo the branch-prediction benefit of token threading.
-__attribute__((optimize("no-gcse")))
-#endif
 void Cpu::ExecuteBlock(const Block& b) {
   using Word = uint32_t;
   const uint32_t fetch_ws = static_cast<uint32_t>(model_.flash_wait_states);
@@ -841,35 +814,14 @@ void Cpu::Step() {
   // non-faulting path is unaffected (table-based unwinding costs only on throw).
   try {
     const bool fetch_from_flash = mem_->InFlash(addr);
-    uint16_t hw1 = 0;
-    Instr in;
-    size_t slot = 0;
-    bool cached = false;
-    if (icache_enabled_ && fetch_from_flash) {
-      if (!icache_valid_) {
-        RebuildDecodeCache();
-      }
-      slot = static_cast<size_t>(addr - mem_->flash_base()) >> 1;
-      cached = slot < icache_.size();
-    }
-    if (cached) {
-      const Predecoded& pd = icache_[slot];
-      hw1 = pd.hw1;
-      in = pd.instr;
-      // Fetch accounting identical to the interpreter path: one counted flash read per
-      // halfword fetched (the per-slot count already encodes the wide/mapped rule).
-      mem_->CountFlashFetches(addr, pd.flash_reads);
-    } else {
-      hw1 = mem_->Read16(addr);
-      // Peek the second halfword only for 32-bit encodings (BL prefix). A wide prefix on
-      // the last mapped halfword is an undefined instruction (hw2 reads as 0), not a
-      // memory fault mid-fetch.
-      const bool wide = (hw1 & 0xF800) == 0xF000;
-      const uint16_t hw2 = (wide && mem_->RegionOf(addr + 2) != MemRegion::kNone)
-                               ? mem_->Read16(addr + 2)
-                               : 0;
-      in = DecodeInstr(hw1, hw2);
-    }
+    const uint16_t hw1 = mem_->Read16(addr);
+    // Peek the second halfword only for 32-bit encodings (BL prefix). A wide prefix on the
+    // last mapped halfword is an undefined instruction (hw2 reads as 0), not a memory
+    // fault mid-fetch.
+    const bool wide = (hw1 & 0xF800) == 0xF000;
+    const uint16_t hw2 =
+        (wide && mem_->RegionOf(addr + 2) != MemRegion::kNone) ? mem_->Read16(addr + 2) : 0;
+    const Instr in = DecodeInstr(hw1, hw2);
     if (in.op == Op::kInvalid || in.op == Op::kUdf) {
       char msg[48];
       std::snprintf(msg, sizeof(msg), "undefined instruction 0x%04x", hw1);
@@ -1260,8 +1212,8 @@ std::optional<uint64_t> Cpu::RunLanes(uint32_t entry, uint64_t max_instructions,
                                       uint64_t cycle_budget) {
   Lanes& ls = *lanes_;
   NEUROC_CHECK(ls.open);
-  if (!icache_valid_) {
-    RebuildDecodeCache();
+  if (!blocks_valid_) {
+    SyncBlocksWithFlash();
   }
   ls.call_start_cycles = ls.cycles;
   ls.call_budget_end = max_instructions > UINT64_MAX - ls.instructions

@@ -51,9 +51,9 @@ class CpuProbe {
   virtual void OnRetire(uint32_t addr, Op op, uint32_t cycles) = 0;
 };
 
-// Snapshot of the CPU's architectural state (see Cpu::SaveState). Derived state (decode
-// cache, compiled blocks, probe and alarm attachments) is deliberately absent — caches
-// rebuild deterministically and observers are host-side attachments, not machine state.
+// Snapshot of the CPU's architectural state (see Cpu::SaveState). Derived state (compiled
+// blocks, probe and alarm attachments) is deliberately absent — blocks recompile
+// deterministically and observers are host-side attachments, not machine state.
 struct CpuArchState {
   std::array<uint32_t, 16> regs{};
   uint32_t pc = 0;
@@ -68,7 +68,7 @@ class Cpu {
 
   Cpu(MemoryMap* memory, CycleModel model);
   ~Cpu();
-  // The CPU parks its decode-cache validity flag inside the MemoryMap (flash-write
+  // The CPU parks its block-cache validity flag inside the MemoryMap (flash-write
   // listener), so its address must stay stable for its lifetime.
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -83,7 +83,7 @@ class Cpu {
   bool halted() const { return pc_ == (kStopAddress & ~1u); }
 
   // Executes one instruction on the step interpreter; updates cycle and instruction
-  // counters. It fetches and decodes (through the decode cache when enabled), lowers the
+  // counters. It fetches through the counted memory accessors and decodes, lowers the
   // instruction with the block compiler's lowering and runs the same op body the block
   // executor runs, so the two paths share one definition of every op. Guest faults
   // (undefined instruction, unmapped/unaligned access, store into flash) propagate as
@@ -97,8 +97,8 @@ class Cpu {
   // deadline: an absolute bound on `cycles()` (0 disables). The first retired instruction
   // that pushes the counter past it throws GuestFault(kDeadlineExceeded) — block-compiled
   // execution runs any block that *could* cross the limit on the step interpreter, so the
-  // faulting instruction, counters and registers are bit-identical across all decode
-  // modes, and a limit that is never approached costs one compare per block.
+  // faulting instruction, counters and registers are bit-identical on both decode paths,
+  // and a limit that is never approached costs one compare per block.
   void Run(uint64_t max_instructions, uint64_t cycle_limit = 0);
 
   // One-shot instruction alarm, the hook for host events that strike mid-run (the fault
@@ -108,7 +108,7 @@ class Cpu {
   // leaves them after that instruction, on every decode path. Run folds the alarm into
   // the retired-instruction limit it already checks once per block, so only the block
   // holding the alarm instruction runs on the step interpreter and block dispatch resumes
-  // after it. The callback may write flash (the caches re-validate before the next
+  // after it. The callback may write flash (the block cache re-validates before the next
   // block), attach observers, or arm a new alarm. An instruction that faults never fires
   // it: the alarm stays armed until it fires or is cleared.
   void SetInstructionAlarm(uint64_t at_instructions, std::function<void()> on_alarm);
@@ -128,28 +128,19 @@ class Cpu {
   void set_probe(CpuProbe* probe) { probe_ = probe; }
   CpuProbe* probe() const { return probe_; }
 
-  // Predecoded-instruction cache: each halfword-aligned flash slot is decoded once, and
-  // re-decoded only when a host write or restore changes its bytes (or the second
-  // halfword of its BL pair), so the fetch path becomes a table lookup.
-  // Cycle/instruction counters, memory-access stats, heatmaps and probe callbacks are
-  // bit-identical with the cache on or off; the toggle exists so benchmarks can
-  // measure the legacy decode-every-step path. Disabling the decode cache also disables
-  // block-compiled execution (compiled blocks are built from the predecoded slots).
-  void EnableDecodeCache(bool enabled);
-  bool decode_cache_enabled() const { return icache_enabled_; }
-
-  // Block-compiled execution: straight-line Thumb basic blocks (runs of predecoded flash
-  // instructions ending at a branch/call/PC-writing instruction) are fused into compact
-  // op-chains executed with one dispatch per block, with cycle/instruction/fetch
-  // accounting batched at block exit and dead APSR flag writes elided (an op's flags are
-  // only materialized when a later consumer — conditional branch, ADC/SBC — or a possible
-  // guest-fault site can observe them). Execution falls back to the step interpreter at
-  // block boundaries, for SRAM or uncovered flash, when a CpuProbe is attached, and for
-  // blocks that could cross the instruction budget, an instruction alarm or the watchdog
-  // deadline, so every observable quantity (counters, stats, heatmaps, probe streams,
-  // fault reports) stays bit-identical to the interpreter. A flash change retires only
-  // the blocks whose slots it overlaps. On by default; benchmarks toggle it off to
-  // measure the predecode-cache-only path.
+  // Block-compiled execution: straight-line Thumb basic blocks (runs of flash
+  // instructions ending at a branch/call/PC-writing instruction, decoded from the flash
+  // bytes as the block compiler walks them) are fused into compact op-chains executed
+  // with one dispatch per block, with cycle/instruction/fetch accounting batched at block
+  // exit and dead APSR flag writes elided (an op's flags are only materialized when a
+  // later consumer — conditional branch, ADC/SBC — or a possible guest-fault site can
+  // observe them). Execution falls back to the step interpreter at block boundaries, for
+  // SRAM or uncovered flash, when a CpuProbe is attached, and for blocks that could cross
+  // the instruction budget, an instruction alarm or the watchdog deadline, so every
+  // observable quantity (counters, stats, heatmaps, probe streams, fault reports) stays
+  // bit-identical to the interpreter. A flash change retires only the blocks whose slots
+  // it overlaps. On by default; off, every instruction runs on the step interpreter, the
+  // reference the tests and fuzz oracles hold block execution to.
   void EnableBlockCompile(bool enabled);
   bool block_compile_enabled() const { return block_enabled_; }
   // Entries in the compiled-block table, live or awaiting reuse. Flash changes retire
@@ -237,20 +228,12 @@ class Cpu {
   MemoryMap& memory() { return *mem_; }
 
  private:
-  // One decoded flash slot, keyed by (addr - flash_base) >> 1. The first halfword rides
-  // along so undefined-instruction fault reports match the interpreter byte for byte;
-  // flash_reads is the number of counted halfword fetches (2 for a wide encoding whose
-  // second halfword is mapped, else 1), precomputed so the fetch path is branch-free.
-  struct Predecoded {
-    Instr instr;
-    uint16_t hw1 = 0;
-    uint8_t flash_reads = 1;
-  };
-  // Brings the decode cache up to date with flash: re-decodes the slots host writes and
-  // restores changed (one slot back for a BL pair) plus any newly covered slots, and
-  // retires the compiled blocks overlapping them. A first build, or one after the cache
-  // was dropped, is the same loop over the whole covered range.
-  void RebuildDecodeCache();
+  // Brings the block cache up to date with flash: retires the compiled blocks over the
+  // slots host writes and restores changed (one slot back, since a BL prefix decodes with
+  // the next halfword) and over newly covered slots, forgets the step-only verdicts
+  // there, and sizes block_index_ to the flash up to the load high-water mark. A first
+  // sync, or one after block compilation was re-enabled, covers the whole range.
+  void SyncBlocksWithFlash();
 
   // One lowered instruction, the form both executors run (src/sim/thumb_ops.inc).
   // PC-relative operands (literal-load and ADR addresses, branch targets) are resolved to
@@ -288,8 +271,8 @@ class Cpu {
     // Upper bound on the runtime-dynamic cycles one execution can add on top of
     // static_cycles (per-access flash wait states, the dearer kBcond outcome). The Run
     // loop uses static_cycles + dyn_bound to prove a block cannot cross the watchdog
-    // cycle limit; blocks that might cross fall back to the step interpreter so the
-    // deadline fires at exactly the same instruction as the legacy path.
+    // cycle limit; blocks that might cross run on the step interpreter, so the deadline
+    // fires at exactly the instruction it would without block dispatch.
     uint32_t dyn_bound = 0;
     uint64_t fetch_reads = 0;
     bool terminated = false;  // ends in a control-flow op (else falls through)
@@ -326,7 +309,7 @@ class Cpu {
   static BlockOp Lower(const Instr& in, uint32_t addr);
 
   bool BlockModeActive() const {
-    return block_enabled_ && icache_enabled_ && probe_ == nullptr;
+    return block_enabled_ && probe_ == nullptr;
   }
   int32_t CompileBlock(size_t entry_slot);
   // Lane state of an open lockstep batch (defined in cpu.cc); allocated on first use and
@@ -348,9 +331,11 @@ class Cpu {
   template <size_t W>
   __attribute__((target("avx2"))) bool ExecuteLanesAvx2(const Block* b, LaneMemory& memory);
 #endif
-  // Runs one compiled block: the op bodies Step runs, token-threaded, with the block's
-  // static cycles, instructions and fetches accounted once at exit (or patched
-  // to the faulting instruction's step-interpreter state on a mid-block fault).
+  // Runs one compiled block: the op bodies Step runs, each ending in a computed jump to
+  // the next op's body (the compiler may merge those jumps into a few shared dispatch
+  // sites), with the block's static cycles, instructions and fetches accounted once at
+  // exit (or patched to the faulting instruction's step-interpreter state on a mid-block
+  // fault).
   template <bool kProfiled>
   void ExecuteBlock(const Block& b);
   // Retires every block whose [entry_slot, end_slot) overlaps slots [lo, hi): folds its
@@ -376,13 +361,11 @@ class Cpu {
   uint64_t cycles_ = 0;
   uint64_t instructions_ = 0;
   CpuProbe* probe_ = nullptr;
-  std::vector<Predecoded> icache_;  // covers flash up to the load high-water mark
-  bool icache_enabled_ = true;
-  bool icache_valid_ = false;  // cleared by the MemoryMap on any change to flash
-  // Block cache, maintained with (and lazily on top of) the decode cache: block_index_
-  // maps a flash halfword slot to its compiled block, kBlockNotCompiled before first
-  // dispatch. A flash change clears the same listener flag; the rebuild then retires only
+  // Block cache: block_index_ maps a flash halfword slot, up to the load high-water mark,
+  // to its compiled block (kBlockNotCompiled before first dispatch). Any change to flash
+  // clears blocks_valid_ (the MemoryMap's listener flag); the next sync then retires only
   // the blocks over the changed slots, and free_blocks_ holds their indices for reuse.
+  bool blocks_valid_ = false;
   std::vector<Block> blocks_;
   std::vector<int32_t> block_index_;
   std::vector<int32_t> free_blocks_;

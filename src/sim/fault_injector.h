@@ -4,9 +4,9 @@
 // seeded single/multi-bit flips and stuck-at-0/1 faults into configurable flash or SRAM
 // ranges, applied either between inferences (host-triggered) or mid-inference after a
 // chosen number of retired instructions (via the CPU's instruction alarm). Injection goes
-// through the host-write path, so flash corruption invalidates the predecoded slots and
-// compiled blocks over the struck byte exactly like a legitimate image reload — corrupted
-// code takes effect on the next instruction, and the rest of the caches stay warm.
+// through the host-write path, so flash corruption retires the compiled blocks over the
+// struck byte exactly like a legitimate image reload — corrupted code takes effect on the
+// next instruction, and the rest of the blocks stay compiled.
 //
 // Everything is a pure function of the caller-provided Rng/seed: campaigns replay
 // bit-identically from (seed, config) regardless of thread count.

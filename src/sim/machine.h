@@ -30,9 +30,9 @@ struct MachineConfig {
 // Full architectural snapshot of a machine: CPU registers/flags/counters plus memory
 // contents and observation state. What is NOT captured (all host-side attachments or
 // deterministically rebuilt derived state): a probe attachment, an armed instruction
-// alarm, the decode cache, compiled blocks, and block-profile windows. Restoring is
-// therefore bit-identical for every architecturally observable quantity — cycles,
-// instructions, registers, memory, stats, heatmaps — across all decode modes.
+// alarm, compiled blocks, and block-profile windows. Restoring is therefore
+// bit-identical for every architecturally observable quantity — cycles, instructions,
+// registers, memory, stats, heatmaps — on both decode paths.
 struct MachineSnapshot {
   CpuArchState cpu;
   MemoryState memory;
@@ -67,10 +67,10 @@ struct LockstepResult {
 };
 
 // How much of a snapshot Restore rewinds. kFull also rewinds flash, rewriting only the
-// bytes that differ from the snapshot, so only the decoded slots and compiled blocks over
-// them are invalidated (restoring an intact image invalidates nothing); kRamAndRegisters
-// leaves flash and its derived caches untouched — the cheap retry path when flash is
-// known (or assumed) pristine.
+// bytes that differ from the snapshot, so only the compiled blocks over them are retired
+// (restoring an intact image retires nothing); kRamAndRegisters leaves flash and the
+// compiled blocks untouched — the cheap retry path when flash is known (or assumed)
+// pristine.
 enum class RestoreScope : uint8_t { kFull = 0, kRamAndRegisters = 1 };
 
 class Machine {

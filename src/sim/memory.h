@@ -55,8 +55,8 @@ struct MemHeatmap {
 
 // Snapshot of the architectural memory state (see MemoryMap::SaveState). Flash is stored
 // only up to the load high-water mark — the untouched erase pattern beyond it is implied —
-// so snapshots of a few-KB image don't copy the full 128 KB part. Derived state (decode
-// caches, compiled blocks) is deliberately absent: it is rebuilt deterministically.
+// so snapshots of a few-KB image don't copy the full 128 KB part. Derived state (compiled
+// blocks) is deliberately absent: it is rebuilt deterministically.
 struct MemoryState {
   std::vector<uint8_t> flash;  // [0, flash_high_water) at capture time
   uint32_t flash_high_water = 0;
@@ -146,16 +146,16 @@ class MemoryMap {
   // a flash byte or the high-water mark (restoring an unchanged image leaves it alone).
   uint64_t flash_generation() const { return flash_generation_; }
   // Returns the flash bytes that host writes and restores may have changed since the
-  // last call, and clears the record. The decoded-flash consumer takes it on rebuild and
-  // re-decodes only this range; a high-water rewind is included, so the consumer can
-  // drop the slots it uncovered.
+  // last call, and clears the record. The decoded-flash consumer takes it when it syncs
+  // and retires only what it built over this range; a high-water rewind is included, so
+  // the consumer can drop the slots it uncovered.
   FlashSpan TakeFlashDirtySpan() {
     const FlashSpan span = flash_dirty_;
     flash_dirty_ = FlashSpan{};
     return span;
   }
-  // Highest flash offset (exclusive) touched by a HostWrite; bounds how much of flash a
-  // decode-cache rebuild needs to cover. Only a flash restore rewinds it.
+  // Highest flash offset (exclusive) touched by a HostWrite; bounds how much of flash the
+  // block cache needs to cover. Only a flash restore rewinds it.
   uint32_t flash_high_water() const { return flash_high_water_; }
   // Raw flash contents for host-side decoding. Fetches routed through this must be
   // recorded via CountFlashFetch to keep the access counters identical to Read16.
@@ -163,9 +163,9 @@ class MemoryMap {
 
   // Records exactly what Read16 records for `reads` consecutive halfword instruction
   // fetches from flash starting at `addr`: one counted flash read per halfword plus the
-  // opt-in heatmap/stack observations, in fetch order. The predecoded fetch path calls
-  // this instead of Read16 so stats and heatmaps stay bit-identical to the interpreter
-  // that re-reads flash every step.
+  // opt-in heatmap/stack observations, in fetch order. The block executor calls this
+  // instead of Read16 so stats and heatmaps stay bit-identical to the step interpreter,
+  // which re-reads flash every step.
   void CountFlashFetches(uint32_t addr, uint32_t reads) {
     stats_.flash_reads += reads;
     if (observing()) {
@@ -233,7 +233,7 @@ class MemoryMap {
   // mark revert to capture time (bytes loaded after the capture are re-erased to 0).
   // Only bytes that differ from the capture are rewritten and reported as dirty, so
   // restoring an unchanged image bumps no generation and keeps every derived cache, and
-  // undoing a one-byte upset re-decodes two slots. Without `restore_flash` the flash image
+  // undoing a one-byte upset marks two slots dirty. Without `restore_flash` the flash image
   // is left untouched, making the RAM-and-stats restore cheap enough for per-trial forking.
   void RestoreState(const MemoryState& state, bool restore_flash);
 

@@ -64,6 +64,8 @@ NeuroCLayer::NeuroCLayer(size_t in_dim, size_t out_dim, Rng& rng, NeuroCLayerCon
       grad_latent_({in_dim, out_dim}),
       grad_scale_({size_t{1}, out_dim}),
       grad_bias_({size_t{1}, out_dim}) {
+  // A zero width would build empty tensors that training later indexes past.
+  NEUROC_CHECK_MSG(in_dim > 0 && out_dim > 0, "NeuroCLayer needs nonzero widths");
   // Glorot-style init on the latent weights; the ternary threshold adapts to their scale.
   const float stddev =
       cfg.latent_init_stddev_scale * std::sqrt(2.0f / static_cast<float>(in_dim + out_dim));

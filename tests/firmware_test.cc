@@ -88,23 +88,31 @@ TEST(IntelHexTest, KnownRecordBytes) {
 }
 
 TEST(FirmwareTest, ModelFirmwareMatchesSimulatorMemory) {
-  // The emitted firmware, parsed back and loaded into a fresh machine, must reproduce the
-  // exact flash content the DeployedModel path creates.
-  testutil::TestModelSpec spec;
-  spec.dims = {64, 16};
-  spec.final_relu = true;
-  NeuroCModel model = testutil::MakeTestModel(21, spec);
+  // The emitted firmware, parsed back, must reproduce the exact flash content the
+  // DeployedModel path creates, in every encoding (unrolled kernels are built per model).
+  for (const EncodingKind kind : kAllEncodingKinds) {
+    SCOPED_TRACE(EncodingKindName(kind));
+    testutil::TestModelSpec spec;
+    spec.dims = {64, 16};
+    spec.encoding = kind;
+    spec.final_relu = true;
+    NeuroCModel model = testutil::MakeTestModel(21, spec);
 
-  const std::string hex = FirmwareHexForModel(model);
-  auto chunks = ParseIntelHex(hex);
-  ASSERT_TRUE(chunks.has_value());
-  ASSERT_GE(chunks->size(), 1u);
+    const std::string hex = FirmwareHex(DeployedModel::Program(model, MachineConfig{}));
+    auto chunks = ParseIntelHex(hex);
+    ASSERT_TRUE(chunks.has_value());
+    ASSERT_GE(chunks->size(), 1u);
 
-  DeployedModel deployed = DeployedModel::Deploy(model);
-  for (const FirmwareChunk& chunk : *chunks) {
-    std::vector<uint8_t> actual(chunk.bytes.size());
-    deployed.machine().memory().HostRead(chunk.addr, actual);
-    EXPECT_EQ(actual, chunk.bytes) << "chunk at 0x" << std::hex << chunk.addr;
+    DeployedModel deployed = DeployedModel::Deploy(model);
+    size_t bytes = 0;
+    for (const FirmwareChunk& chunk : *chunks) {
+      std::vector<uint8_t> actual(chunk.bytes.size());
+      deployed.machine().memory().HostRead(chunk.addr, actual);
+      EXPECT_EQ(actual, chunk.bytes) << "chunk at 0x" << std::hex << chunk.addr;
+      bytes += chunk.bytes.size();
+    }
+    // Everything the deployment loaded, kernels and image, is in the firmware.
+    EXPECT_EQ(bytes, deployed.report().code_bytes + deployed.report().image_bytes);
   }
 }
 

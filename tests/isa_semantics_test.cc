@@ -14,7 +14,7 @@ namespace {
 
 constexpr uint32_t kFlash = 0x08000000;
 
-// Runs a fragment on all three decode paths, which must agree on every register, flag
+// Runs a fragment on both decode paths, which must agree on every register, flag
 // and counter, and returns the block path's CPU state for inspection.
 struct RunState {
   std::unique_ptr<Machine> machine;

@@ -666,8 +666,6 @@ TEST_P(LockstepFallback, AlarmArmed) {
 TEST_P(LockstepFallback, BlockDispatchOff) {
   EXPECT_FALSE(BatchMatchesSequential(kObserved, Inputs({1, 2}),
                                       [](Machine& m) { m.cpu().EnableBlockCompile(false); }));
-  EXPECT_FALSE(BatchMatchesSequential(kObserved, Inputs({1, 2}),
-                                      [](Machine& m) { m.cpu().EnableDecodeCache(false); }));
 }
 
 // The hook switches the executor both ways, last_lane_executor() names the one that

@@ -495,7 +495,6 @@ TEST(BlockProfilerTest, AttributionMatchesStepProbeAcrossEncodings) {
     // Same inference profiled without leaving block-compiled execution.
     DeployedModel blocked = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
     Cpu& cpu = blocked.machine().cpu();
-    cpu.EnableDecodeCache(true);
     cpu.EnableBlockCompile(true);
     cpu.ResetCounters();
     PcProfile block_profile;

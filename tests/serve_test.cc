@@ -847,9 +847,11 @@ TEST(ServeMetricsTest, DistinctNamesLeaveRegistryAndModelRecordsBounded) {
   EXPECT_EQ(service.ModelRecordsForTest(), 0u);
   EXPECT_EQ(CounterValue("serve.tenant_overflow.requests") - overflow_before,
             kNames - InferenceService::kMaxTenantScopes);
-  // At most four metrics per scope, each well under 128 bytes of JSON.
-  EXPECT_LT(registry_bytes() - bytes_before,
-            (InferenceService::kMaxTenantScopes + 1) * 4 * 128);
+  // At most four metrics per scope, each well under 128 bytes of JSON. Values already in
+  // the registry (gauges, histogram statistics) may print shorter afterwards, so compare
+  // without an unsigned difference that would wrap.
+  EXPECT_LT(registry_bytes(),
+            bytes_before + (InferenceService::kMaxTenantScopes + 1) * 4 * 128);
 }
 
 // --- workers, replicas, shutdown -----------------------------------------------------

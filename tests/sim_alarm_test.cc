@@ -166,7 +166,7 @@ TEST_P(AlarmParityTest, FiresAtTheSameInstructionOnEveryPath) {
 
   // Unarmed reference inference: its retired op stream picks the strike points, and an
   // observe-only strike must leave every final quantity exactly as it left them.
-  DeployedModel& oracle = machines[3];
+  DeployedModel& oracle = machines.back();
   oracle.Scrub();
   oracle.machine().memory().EnableHeatmap(64);
   CountingProbe recorder(0, [] {});
@@ -193,7 +193,7 @@ TEST_P(AlarmParityTest, FiresAtTheSameInstructionOnEveryPath) {
         EXPECT_EQ(want.fault.code, ErrorCode::kUndefinedInstruction);
         EXPECT_EQ(want.fault.pc, want.at_pc);
       }
-      for (size_t p = 0; p < 3; ++p) {
+      for (size_t p = 0; p < std::size(kAllPaths); ++p) {
         const Outcome got = RunStruck(machines[p], Strike::kAlarm, k, action, input);
         ASSERT_TRUE(got.fired);
         EXPECT_EQ(got.at_cycles, want.at_cycles);
@@ -234,9 +234,9 @@ TEST(AlarmTest, PassedTargetFiresNextAndCallbackMayRearm) {
 // fault report, outputs, counters, the cycles-at-strike latency anchor — agrees.
 TEST(TriggeredInjectorTest, KernelCodeStrikeIsIdenticalOnEveryPath) {
   std::vector<DeployedModel> machines;
-  for (size_t p = 0; p < 3; ++p) {
+  for (const Path path : kAllPaths) {
     machines.push_back(DeployedModel::Deploy(SmallModel(EncodingKind::kUnrolled)));
-    ConfigurePath(machines.back().machine().cpu(), kAllPaths[p]);
+    ConfigurePath(machines.back().machine().cpu(), path);
   }
   const uint32_t code_base = machines[0].kernel_program().base_addr;
   const uint32_t code_size = static_cast<uint32_t>(machines[0].kernel_program().bytes.size());
@@ -248,7 +248,7 @@ TEST(TriggeredInjectorTest, KernelCodeStrikeIsIdenticalOnEveryPath) {
     InjectedFault want_fault;
     uint64_t want_fired_at = 0;
     Outcome want;
-    for (size_t p = 0; p < 3; ++p) {
+    for (size_t p = 0; p < machines.size(); ++p) {
       DeployedModel& dm = machines[p];
       dm.Scrub();
       TriggeredInjector injector(trigger, code_base, code_size, FaultModel::kSingleBitFlip,

@@ -1,9 +1,10 @@
 // Block-compiled execution: fusing straight-line basic blocks into one dispatch per block
-// must be an invisible optimization, exactly like the predecode cache underneath it.
-// Cycles, instruction counts, op histograms, memory statistics, heatmaps, fault reports
-// and probe streams all have to be bit-identical across the three decode paths (legacy
-// interpreter, predecode cache, block compilation), and attaching a CpuProbe mid-run must
-// transparently fall back to the step interpreter with exact per-PC attribution.
+// must be an invisible optimization. Cycles, instruction counts, op histograms, memory
+// statistics, heatmaps, fault reports and probe streams all have to be bit-identical on
+// both decode paths (the step interpreter, which fetches and decodes every instruction,
+// and block compilation), host writes into flash must retire the compiled blocks over
+// them, and attaching a CpuProbe mid-run must transparently fall back to the step
+// interpreter with exact per-PC attribution.
 
 #include <gtest/gtest.h>
 
@@ -49,50 +50,41 @@ using testutil::Path;
 class BlockParityTest : public ::testing::TestWithParam<EncodingKind> {};
 
 // Full inference with heatmaps attached: every architectural and observational quantity
-// must agree across legacy / cached / block for the same model and inputs.
-TEST_P(BlockParityTest, FullInferenceBitIdenticalAcrossAllThreePaths) {
+// must agree between step and block for the same model and inputs.
+TEST_P(BlockParityTest, FullInferenceBitIdenticalOnBothPaths) {
   const EncodingKind kind = GetParam();
   DeployedModel block = DeployedModel::Deploy(MakeModel(21, kind));
-  DeployedModel cached = DeployedModel::Deploy(MakeModel(21, kind));
-  DeployedModel legacy = DeployedModel::Deploy(MakeModel(21, kind));
+  DeployedModel step = DeployedModel::Deploy(MakeModel(21, kind));
   ASSERT_TRUE(block.machine().cpu().block_compile_enabled());
-  ASSERT_TRUE(block.machine().cpu().decode_cache_enabled());
-  ConfigurePath(cached.machine().cpu(), Path::kCached);
-  ConfigurePath(legacy.machine().cpu(), Path::kLegacy);
+  ConfigurePath(step.machine().cpu(), Path::kStep);
 
   block.machine().memory().EnableHeatmap(64);
-  cached.machine().memory().EnableHeatmap(64);
-  legacy.machine().memory().EnableHeatmap(64);
+  step.machine().memory().EnableHeatmap(64);
 
   Rng rng(5);
   for (int rep = 0; rep < 3; ++rep) {
     const std::vector<int8_t> input = MakeRandomInput(block.input_dim(), rng);
-    const int b = block.Predict(input);
-    EXPECT_EQ(b, cached.Predict(input));
-    EXPECT_EQ(b, legacy.Predict(input));
-    EXPECT_EQ(block.report().cycles_per_inference, legacy.report().cycles_per_inference);
-    EXPECT_EQ(block.LastOutput(), legacy.LastOutput());
+    EXPECT_EQ(block.Predict(input), step.Predict(input));
+    EXPECT_EQ(block.report().cycles_per_inference, step.report().cycles_per_inference);
+    EXPECT_EQ(block.LastOutput(), step.LastOutput());
   }
 
   const Cpu& bc = block.machine().cpu();
-  const Cpu& cc = cached.machine().cpu();
-  const Cpu& lc = legacy.machine().cpu();
-  EXPECT_EQ(bc.cycles(), lc.cycles());
-  EXPECT_EQ(bc.instructions(), lc.instructions());
-  EXPECT_EQ(cc.cycles(), lc.cycles());
-  EXPECT_EQ(cc.instructions(), lc.instructions());
+  const Cpu& sc = step.machine().cpu();
+  EXPECT_EQ(bc.cycles(), sc.cycles());
+  EXPECT_EQ(bc.instructions(), sc.instructions());
 
   const MemAccessStats& bs = block.machine().memory().stats();
-  const MemAccessStats& ls = legacy.machine().memory().stats();
-  EXPECT_EQ(bs.flash_reads, ls.flash_reads);
-  EXPECT_EQ(bs.sram_reads, ls.sram_reads);
-  EXPECT_EQ(bs.sram_writes, ls.sram_writes);
+  const MemAccessStats& ss = step.machine().memory().stats();
+  EXPECT_EQ(bs.flash_reads, ss.flash_reads);
+  EXPECT_EQ(bs.sram_reads, ss.sram_reads);
+  EXPECT_EQ(bs.sram_writes, ss.sram_writes);
 
   const MemHeatmap& bh = block.machine().memory().heatmap();
-  const MemHeatmap& lh = legacy.machine().memory().heatmap();
-  EXPECT_EQ(bh.flash_reads, lh.flash_reads);
-  EXPECT_EQ(bh.sram_reads, lh.sram_reads);
-  EXPECT_EQ(bh.sram_writes, lh.sram_writes);
+  const MemHeatmap& sh = step.machine().memory().heatmap();
+  EXPECT_EQ(bh.flash_reads, sh.flash_reads);
+  EXPECT_EQ(bh.sram_reads, sh.sram_reads);
+  EXPECT_EQ(bh.sram_writes, sh.sram_writes);
 }
 
 // Attaching a profiler mid-run must transparently disable block dispatch (probe streams
@@ -171,22 +163,20 @@ CallResult RunProgram(const std::string& src, Path path, std::initializer_list<u
 void ExpectSameOutcome(const std::string& src, std::initializer_list<uint32_t> args,
                        uint64_t max_instructions = 400'000'000) {
   const CallResult b = RunProgram(src, Path::kBlock, args, max_instructions);
-  for (const Path path : {Path::kCached, Path::kLegacy}) {
-    const CallResult o = RunProgram(src, path, args, max_instructions);
-    EXPECT_EQ(b.cycles, o.cycles);
-    EXPECT_EQ(b.instructions, o.instructions);
-    EXPECT_EQ(b.r0, o.r0);
-    EXPECT_EQ(b.fault.code, o.fault.code);
-    EXPECT_EQ(b.fault.message, o.fault.message);
-    EXPECT_EQ(b.fault.pc, o.fault.pc);
-    EXPECT_EQ(b.fault.addr, o.fault.addr);
-    EXPECT_EQ(b.fault.cycles, o.fault.cycles);
-    EXPECT_EQ(b.fault.instructions, o.fault.instructions);
-    EXPECT_EQ(b.flags.n, o.flags.n);
-    EXPECT_EQ(b.flags.z, o.flags.z);
-    EXPECT_EQ(b.flags.c, o.flags.c);
-    EXPECT_EQ(b.flags.v, o.flags.v);
-  }
+  const CallResult s = RunProgram(src, Path::kStep, args, max_instructions);
+  EXPECT_EQ(b.cycles, s.cycles);
+  EXPECT_EQ(b.instructions, s.instructions);
+  EXPECT_EQ(b.r0, s.r0);
+  EXPECT_EQ(b.fault.code, s.fault.code);
+  EXPECT_EQ(b.fault.message, s.fault.message);
+  EXPECT_EQ(b.fault.pc, s.fault.pc);
+  EXPECT_EQ(b.fault.addr, s.fault.addr);
+  EXPECT_EQ(b.fault.cycles, s.fault.cycles);
+  EXPECT_EQ(b.fault.instructions, s.fault.instructions);
+  EXPECT_EQ(b.flags.n, s.flags.n);
+  EXPECT_EQ(b.flags.z, s.flags.z);
+  EXPECT_EQ(b.flags.c, s.flags.c);
+  EXPECT_EQ(b.flags.v, s.flags.v);
 }
 
 // A fault in the middle of a compiled block must report the same PC, data address, cycle
@@ -224,8 +214,9 @@ TEST(BlockFaultTest, InstructionBudgetFiresIdentically) {
   ExpectSameOutcome(spin, {}, /*max_instructions=*/1000);
 }
 
-// Host writes into flash invalidate compiled blocks (same listener flag as the predecode
-// cache): a patched halfword must change behaviour on the very next call.
+// Host writes into flash retire the compiled blocks over them (the MemoryMap's listener
+// flag): a full reload at the same address and a single patched halfword must each
+// change behaviour on the very next call.
 TEST(BlockInvalidationTest, FlashWriteInvalidatesCompiledBlocks) {
   Machine m;
   ASSERT_TRUE(m.cpu().block_compile_enabled());
@@ -234,28 +225,54 @@ TEST(BlockInvalidationTest, FlashWriteInvalidatesCompiledBlocks) {
   m.CallFunction(kFlash, {});
   EXPECT_EQ(m.ReturnValue(), 1u);
 
-  const AssembledProgram b = Assemble("movs r0, #9\n", kFlash);
-  m.LoadBytes(kFlash, std::span<const uint8_t>(b.bytes.data(), 2));
+  const AssembledProgram b = Assemble("movs r0, #9\nbx lr\n", kFlash);
+  m.LoadBytes(kFlash, b.bytes);
   m.CallFunction(kFlash, {});
   EXPECT_EQ(m.ReturnValue(), 9u);
+
+  const AssembledProgram c = Assemble("movs r0, #5\n", kFlash);
+  m.LoadBytes(kFlash, std::span<const uint8_t>(c.bytes.data(), 2));
+  m.CallFunction(kFlash, {});
+  EXPECT_EQ(m.ReturnValue(), 5u);
 }
 
 // Code in SRAM is outside block coverage: execution falls back to the interpreter and all
-// counters agree (no flash wait states on SRAM fetches).
+// counters agree with the step path (no flash wait states on SRAM fetches).
 TEST(BlockFallbackTest, SramExecutionMatchesInterpreter) {
   const AssembledProgram p = Assemble("adds r0, r0, r1\nbx lr\n", kRam);
   Machine block;
-  Machine legacy;
+  Machine step;
   ASSERT_TRUE(block.cpu().block_compile_enabled());
-  legacy.cpu().EnableDecodeCache(false);
+  ConfigurePath(step.cpu(), Path::kStep);
   block.LoadBytes(kRam, p.bytes);
-  legacy.LoadBytes(kRam, p.bytes);
+  step.LoadBytes(kRam, p.bytes);
   const uint64_t block_cycles = block.CallFunction(kRam, {30, 12});
-  const uint64_t legacy_cycles = legacy.CallFunction(kRam, {30, 12});
+  const uint64_t step_cycles = step.CallFunction(kRam, {30, 12});
   EXPECT_EQ(block.ReturnValue(), 42u);
-  EXPECT_EQ(legacy.ReturnValue(), 42u);
-  EXPECT_EQ(block_cycles, legacy_cycles);
-  EXPECT_EQ(block.cpu().instructions(), legacy.cpu().instructions());
+  EXPECT_EQ(step.ReturnValue(), 42u);
+  EXPECT_EQ(block_cycles, step_cycles);
+  EXPECT_EQ(block.cpu().instructions(), step.cpu().instructions());
+}
+
+// Regression: a BL prefix halfword (0xF000) sitting on the last mapped flash halfword used
+// to abort with a misleading "unmapped address" memory fault. It must be reported as an
+// undefined instruction at that halfword on both decode paths: the block compiler peeks
+// the second halfword by the step interpreter's rule, so the slot is step-only.
+void RunWidePrefixAtFlashEnd(Path path) {
+  MachineConfig cfg;
+  cfg.flash_size = 1024;
+  Machine m(cfg);
+  ConfigurePath(m.cpu(), path);
+  const uint32_t last_halfword = kFlash + cfg.flash_size - 2;
+  const uint8_t bl_prefix[2] = {0x00, 0xF0};
+  m.LoadBytes(last_halfword, bl_prefix);
+  m.CallFunction(last_halfword, {});
+}
+
+TEST(BlockFallbackDeathTest, WidePrefixAtFlashEndFaultsAsUndefined) {
+  const char* expected = "simulator: undefined instruction 0xf000 at 0x080003fe";
+  EXPECT_DEATH(RunWidePrefixAtFlashEnd(Path::kBlock), expected);
+  EXPECT_DEATH(RunWidePrefixAtFlashEnd(Path::kStep), expected);
 }
 
 // Dead-flag elision must never be observable: ADC consumes carry produced many

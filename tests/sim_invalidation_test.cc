@@ -1,9 +1,9 @@
-// Range-precise cache invalidation: a host write or restore re-decodes only the flash
-// slots it changed (one slot back for a BL pair) and retires only the compiled blocks over
-// them. That must stay invisible — block-mode and cached-mode state bit-identical to the
-// legacy path that re-reads flash every step — whatever the write hits: compiled code,
-// the second halfword of a BL pair, literal or weight bytes, or SRAM. Restores that change
-// nothing must keep the caches, and the block table must not grow with invalidations.
+// Range-precise block invalidation: a host write or restore retires only the compiled
+// blocks over the flash slots it changed (one slot back for a BL pair). That must stay
+// invisible — block-mode state bit-identical to the step interpreter, which re-reads flash
+// every step — whatever the write hits: compiled code, the second halfword of a BL pair,
+// literal or weight bytes, or SRAM. Restores that change nothing must keep the compiled
+// blocks, and the block table must not grow with invalidations.
 
 #include <gtest/gtest.h>
 
@@ -81,10 +81,10 @@ void ExpectSameRun(const RunState& got, const RunState& want) {
 
 class PreciseInvalidationTest : public ::testing::TestWithParam<EncodingKind> {};
 
-// The same random host writes land on a legacy, a cached and a block-compiled machine,
-// each followed by an inference (and now and then a scrub, whose restore undoes exactly
-// the bytes that differ): every run must agree bit for bit with the legacy decode.
-TEST_P(PreciseInvalidationTest, RandomHostWritesMatchLegacyDecode) {
+// The same random host writes land on a step and a block-compiled machine, each followed
+// by an inference (and now and then a scrub, whose restore undoes exactly the bytes that
+// differ): every run must agree bit for bit with the step interpreter.
+TEST_P(PreciseInvalidationTest, RandomHostWritesMatchStepDecode) {
   const EncodingKind kind = GetParam();
   std::vector<DeployedModel> machines;
   for (const Path path : kAllPaths) {
@@ -157,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(AllEncodings, PreciseInvalidationTest,
                          ::testing::ValuesIn(kAllEncodingKinds));
 
 // Scrubbing a machine whose flash is intact restores nothing in flash: the generation
-// (and with it every predecoded slot and compiled block) survives. A one-byte upset and
-// its undo are one change each.
+// (and with it every compiled block) survives. A one-byte upset and its undo are one
+// change each.
 TEST(PreciseInvalidationTest, RestoringAnUnchangedImageKeepsTheCaches) {
   DeployedModel dm = DeployWatched(EncodingKind::kDelta, {48, 20, 10});
   const std::vector<int8_t> input(dm.input_dim(), 3);
@@ -188,7 +188,7 @@ TEST(PreciseInvalidationTest, RestoringAnUnchangedImageKeepsTheCaches) {
 
 // Every inject/scrub cycle retires the blocks over the struck byte and recompiles them
 // on the next run; retired entries are reused, so the block table never outgrows the
-// decoded flash however many cycles run, and the machine still matches a fresh
+// covered flash however many cycles run, and the machine still matches a fresh
 // deployment at the end.
 TEST(PreciseInvalidationTest, BlockTableStaysBoundedOverManyInjectScrubCycles) {
   DeployedModel dm = DeployWatched(EncodingKind::kUnrolled, {32, 12});

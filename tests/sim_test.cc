@@ -11,7 +11,7 @@ namespace {
 constexpr uint32_t kFlash = 0x08000000;
 constexpr uint32_t kRam = 0x20000000;
 
-// Assembles, loads at flash base and calls with args on all three decode paths, which
+// Assembles, loads at flash base and calls with args on both decode paths, which
 // must agree on every register, flag and counter (see CallOnAllDecodePaths). Returns the
 // block path's r0; `machine_out` (default config when null) is that block-path machine.
 uint32_t RunProgram(const std::string& source, std::initializer_list<uint32_t> args,
@@ -78,6 +78,19 @@ TEST(MemoryMapTest, HostWriteMayTouchFlash) {
   const uint8_t bytes[4] = {1, 2, 3, 4};
   mem.HostWrite(kFlash + 8, bytes);
   EXPECT_EQ(mem.Read8(kFlash + 9), 2);
+}
+
+// The generation moves on flash writes only; SRAM loads leave it (and so the compiled
+// blocks) alone.
+TEST(MemoryMapTest, FlashGenerationTracksFlashWritesOnly) {
+  MemoryMap mem(kFlash, 1024, kRam, 1024);
+  const uint64_t g0 = mem.flash_generation();
+  const uint8_t bytes[2] = {0x01, 0x20};
+  mem.HostWrite(kRam, bytes);
+  EXPECT_EQ(mem.flash_generation(), g0);
+  mem.HostWrite(kFlash + 16, bytes);
+  EXPECT_GT(mem.flash_generation(), g0);
+  EXPECT_GE(mem.flash_high_water(), 18u);
 }
 
 TEST(MemoryMapTest, AccessCountersTrackRegions) {

@@ -1,6 +1,6 @@
 // Machine snapshot/restore: capturing the full architectural state (CPU registers,
 // flags, counters, flash, SRAM, memory stats, heatmaps) must be bit-exact on resume
-// across all three decode paths and all five weight encodings, and the
+// on both decode paths and all five weight encodings, and the
 // snapshot-based DeployedModel::Scrub must leave a fault-stricken machine byte-identical
 // to its fresh deployment — registers and counters included. GuardedModel::Fork, which
 // starts a fresh machine from the pristine snapshot, must be indistinguishable from a
@@ -42,7 +42,7 @@ class SnapshotTest : public ::testing::TestWithParam<EncodingKind> {};
 // on each decode path. The replayed cycle count must also agree across paths.
 TEST_P(SnapshotTest, RestoreReplaysInferenceBitIdenticallyOnEveryPath) {
   const EncodingKind kind = GetParam();
-  uint64_t replay_cycles[3] = {};
+  uint64_t replay_cycles[std::size(kAllPaths)] = {};
   int path_index = 0;
   for (const Path path : kAllPaths) {
     DeployedModel dm = DeployedModel::Deploy(SmallModel(11, kind));
@@ -70,7 +70,6 @@ TEST_P(SnapshotTest, RestoreReplaysInferenceBitIdenticallyOnEveryPath) {
     replay_cycles[path_index++] = after_first.cpu.cycles;
   }
   EXPECT_EQ(replay_cycles[0], replay_cycles[1]);
-  EXPECT_EQ(replay_cycles[0], replay_cycles[2]);
 }
 
 // The cheap retry path: kRamAndRegisters skips the flash rewrite but must still replay

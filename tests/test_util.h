@@ -1,6 +1,6 @@
 // Shared helpers for the unit tests: seeded random-model construction (previously
 // duplicated across the firmware, robustness and fault-campaign tests), the global
-// thread-pool guard, machine-snapshot equality, the decode paths and a call run on all three,
+// thread-pool guard, machine-snapshot equality, the decode paths and a call run on both,
 // and the FakeClient serve-protocol client (tests that use it must link neuroc_serve).
 // Layers are built sequentially from a single Rng, so a (seed, spec) pair fully
 // determines the model.
@@ -77,46 +77,35 @@ inline void ExpectSnapshotsEqual(const MachineSnapshot& a, const MachineSnapshot
   EXPECT_EQ(a.memory.heatmap.sram_writes, b.memory.heatmap.sram_writes);
 }
 
-// The three decode paths: legacy decode-every-step, the predecode cache alone, and block
-// compilation, the deploy default. ConfigurePath peels the optimization layers off a CPU
-// on its default path.
-enum class Path { kLegacy, kCached, kBlock };
-inline constexpr Path kAllPaths[] = {Path::kLegacy, Path::kCached, Path::kBlock};
+// The two decode paths: the step interpreter, which fetches and decodes every instruction
+// and is the reference, and block compilation, the deploy default. ConfigurePath turns
+// block compilation off on a CPU on its default path for the step path.
+enum class Path { kStep, kBlock };
+inline constexpr Path kAllPaths[] = {Path::kStep, Path::kBlock};
 
 inline void ConfigurePath(Cpu& cpu, Path path) {
-  switch (path) {
-    case Path::kLegacy: cpu.EnableDecodeCache(false); break;
-    case Path::kCached: cpu.EnableBlockCompile(false); break;
-    case Path::kBlock: break;
+  if (path == Path::kStep) {
+    cpu.EnableBlockCompile(false);
   }
 }
 
-// Loads `program` at the flash base of `block` and of two twins built from its config —
-// one on the predecode cache alone, one on legacy decode-every-step — calls it with
-// `args` on all three, and expects each twin's snapshot (registers, pc, flags, cycles,
-// instructions, memory and its statistics) to equal the block-compiled machine's.
-// `block` must be on its default path. Returns the block machine's call cycles.
+// Loads `program` at the flash base of `block` and of a twin built from its config on the
+// step interpreter, calls it with `args` on both, and expects the twin's snapshot
+// (registers, pc, flags, cycles, instructions, memory and its statistics) to equal the
+// block-compiled machine's. `block` must be on its default path. Returns the block
+// machine's call cycles.
 inline uint64_t CallOnAllDecodePaths(Machine& block, std::span<const uint8_t> program,
                                      std::initializer_list<uint32_t> args) {
-  Machine cached(block.config());
-  Machine legacy(block.config());
-  ConfigurePath(cached.cpu(), Path::kCached);
-  ConfigurePath(legacy.cpu(), Path::kLegacy);
+  Machine step(block.config());
+  ConfigurePath(step.cpu(), Path::kStep);
   const uint32_t entry = block.config().flash_base;
   uint64_t cycles = 0;
-  for (Machine* m : {&legacy, &cached, &block}) {
+  for (Machine* m : {&step, &block}) {
     m->LoadBytes(entry, program);
     cycles = m->CallFunction(entry, args);
   }
-  const MachineSnapshot want = block.Snapshot();
-  {
-    SCOPED_TRACE("predecode-cache path vs block path");
-    ExpectSnapshotsEqual(cached.Snapshot(), want);
-  }
-  {
-    SCOPED_TRACE("legacy path vs block path");
-    ExpectSnapshotsEqual(legacy.Snapshot(), want);
-  }
+  SCOPED_TRACE("step path vs block path");
+  ExpectSnapshotsEqual(step.Snapshot(), block.Snapshot());
   return cycles;
 }
 

@@ -297,6 +297,13 @@ TEST(NeuroCLayerTest, ScaleAndBiasGradientCheck) {
   }
 }
 
+// A zero width is a checked error at construction, not a crash in the first forward pass.
+TEST(NeuroCLayerDeathTest, ZeroWidthIsACheckedError) {
+  Rng rng(11);
+  EXPECT_DEATH(NeuroCLayer(0, 4, rng), "NeuroCLayer needs nonzero widths");
+  EXPECT_DEATH(NeuroCLayer(8, 0, rng), "NeuroCLayer needs nonzero widths");
+}
+
 TEST(NeuroCLayerTest, TnnVariantHasNoScaleParam) {
   Rng rng(11);
   NeuroCLayerConfig cfg;

@@ -208,7 +208,7 @@ TEST(WatchdogTest, DeadlineFiresIdenticallyAcrossPathsForEveryBudget) {
     uint32_t pc;
   };
   for (uint64_t budget = 1; budget <= 64; ++budget) {
-    Outcome outcomes[3];
+    Outcome outcomes[std::size(kAllPaths)];
     int i = 0;
     for (const Path path : kAllPaths) {
       Machine m;
@@ -219,7 +219,7 @@ TEST(WatchdogTest, DeadlineFiresIdenticallyAcrossPathsForEveryBudget) {
       const FaultReport& f = m.last_fault();
       outcomes[i++] = {f.code, f.cycles, f.instructions, f.pc};
     }
-    for (int p = 1; p < 3; ++p) {
+    for (size_t p = 1; p < std::size(kAllPaths); ++p) {
       EXPECT_EQ(outcomes[0].code, outcomes[p].code) << "budget=" << budget;
       EXPECT_EQ(outcomes[0].cycles, outcomes[p].cycles) << "budget=" << budget;
       EXPECT_EQ(outcomes[0].instructions, outcomes[p].instructions)

@@ -123,38 +123,105 @@ Dataset MakeDataset(const std::string& name, size_t count, uint64_t seed) {
   std::exit(2);
 }
 
-std::vector<size_t> ParseHidden(const std::string& s) {
-  std::vector<size_t> widths;
+// Splits "a,b,c" and parses every element with `parse`; returns false (after printing the
+// offending token) on the first failure.
+template <typename T, typename ParseFn>
+bool ParseCsvList(const char* csv, ParseFn parse, std::vector<T>* out) {
+  out->clear();
+  const std::string s = csv;
   size_t pos = 0;
-  while (pos < s.size()) {
+  while (pos <= s.size()) {
     size_t end = s.find(',', pos);
     if (end == std::string::npos) {
       end = s.size();
     }
-    widths.push_back(static_cast<size_t>(std::strtoul(s.substr(pos, end - pos).c_str(),
-                                                      nullptr, 10)));
+    const std::string token = s.substr(pos, end - pos);
+    T value;
+    if (!parse(token, &value)) {
+      std::fprintf(stderr, "cannot parse: %s\n", token.c_str());
+      return false;
+    }
+    out->push_back(value);
     pos = end + 1;
   }
-  return widths;
+  return !out->empty();
+}
+
+// Parses `text` as a whole decimal number in [min, max]. Signs, blanks, trailing
+// characters and out-of-range values fail.
+bool ParseBounded(const char* text, uint64_t min, uint64_t max, uint64_t* out) {
+  if (*text < '0' || *text > '9') {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// --seed, shared by every verb that draws random numbers: any whole decimal uint64.
+bool ParseSeed(const Args& args, uint64_t* seed) {
+  return ParseBounded(args.Get("seed", "1"), 0, std::numeric_limits<uint64_t>::max(), seed);
+}
+
+// A count option that must be at least one (epochs, trials, cases) and fit an int.
+bool ParseCount(const Args& args, const char* key, const char* fallback, int* out) {
+  uint64_t value = 0;
+  if (!ParseBounded(args.Get(key, fallback), 1, std::numeric_limits<int>::max(), &value)) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+// --density: a number in (0, 1], the fraction of nonzero ternary weights.
+bool ParseDensity(const char* text, float* out) {
+  char* end = nullptr;
+  errno = 0;
+  const float value = static_cast<float>(std::strtod(text, &end));
+  if (end == text || errno != 0 || *end != '\0' || !(value > 0.0f && value <= 1.0f)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// --hidden: comma-separated layer widths, each a whole number in [1, 65535] (the sparse
+// encodings store indices and counts in at most 16 bits).
+bool ParseHidden(const char* csv, std::vector<size_t>* widths) {
+  return ParseCsvList<size_t>(
+      csv,
+      [](const std::string& t, size_t* w) {
+        uint64_t value = 0;
+        if (!ParseBounded(t.c_str(), 1, 65535, &value)) {
+          return false;
+        }
+        *w = static_cast<size_t>(value);
+        return true;
+      },
+      widths);
 }
 
 int CmdTrain(const Args& args) {
-  if (!args.Has("dataset") || !args.Has("out")) {
+  uint64_t seed = 0;
+  NeuroCSpec spec;
+  TrainConfig cfg;
+  if (!args.Has("dataset") || !args.Has("out") || !ParseSeed(args, &seed) ||
+      !ParseHidden(args.Get("hidden", "128"), &spec.hidden) ||
+      !ParseDensity(args.Get("density", "0.12"), &spec.layer.ternary.target_density) ||
+      !ParseCount(args, "epochs", "8", &cfg.epochs)) {
     return Usage();
   }
-  const uint64_t seed = std::strtoull(args.Get("seed", "1"), nullptr, 10);
   Dataset all = MakeDataset(args.Get("dataset"), 4000, seed);
   Rng split_rng(seed + 1);
   auto [train, test] = all.Split(0.2, split_rng);
 
-  NeuroCSpec spec;
-  spec.hidden = ParseHidden(args.Get("hidden", "128"));
-  spec.layer.ternary.target_density =
-      static_cast<float>(std::strtod(args.Get("density", "0.12"), nullptr));
   spec.layer.use_per_neuron_scale = !args.Has("tnn");
 
-  TrainConfig cfg;
-  cfg.epochs = static_cast<int>(std::strtol(args.Get("epochs", "8"), nullptr, 10));
   cfg.batch_size = 64;
   cfg.learning_rate = 2e-3f;
   cfg.lr_decay = 0.9f;
@@ -201,11 +268,14 @@ StatusOr<NeuroCModel> LoadOrComplain(const Args& args) {
 }
 
 int CmdEval(const Args& args) {
+  uint64_t seed = 0;
+  if (!ParseSeed(args, &seed)) {
+    return Usage();
+  }
   auto model = LoadOrComplain(args);
   if (!model || !args.Has("dataset")) {
     return model ? Usage() : 1;
   }
-  const uint64_t seed = std::strtoull(args.Get("seed", "1"), nullptr, 10);
   Dataset all = MakeDataset(args.Get("dataset"), 4000, seed);
   Rng split_rng(seed + 1);
   auto [train, test] = all.Split(0.2, split_rng);
@@ -369,37 +439,13 @@ int CmdDeploy(const Args& args) {
     return 0;
   }
   if (format == "hex") {
-    const std::string hex = FirmwareHexForModel(*model);
+    const std::string hex = FirmwareHex(DeployedModel::Program(*model, MachineConfig{}));
     std::ofstream(args.Get("out")) << hex;
     std::printf("wrote %s (%zu bytes of Intel HEX)\n", args.Get("out"), hex.size());
     return 0;
   }
   std::fprintf(stderr, "unknown format: %s\n", format.c_str());
   return 2;
-}
-
-// Splits "a,b,c" and parses every element with `parse`; returns false (after printing the
-// offending token) on the first failure.
-template <typename T, typename ParseFn>
-bool ParseCsvList(const char* csv, ParseFn parse, std::vector<T>* out) {
-  out->clear();
-  const std::string s = csv;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t end = s.find(',', pos);
-    if (end == std::string::npos) {
-      end = s.size();
-    }
-    const std::string token = s.substr(pos, end - pos);
-    T value;
-    if (!parse(token, &value)) {
-      std::fprintf(stderr, "cannot parse: %s\n", token.c_str());
-      return false;
-    }
-    out->push_back(value);
-    pos = end + 1;
-  }
-  return !out->empty();
 }
 
 bool ParseEncodingKind(const std::string& text, EncodingKind* out) {
@@ -414,10 +460,14 @@ bool ParseEncodingKind(const std::string& text, EncodingKind* out) {
 
 int CmdFaultCampaign(const Args& args) {
   FaultCampaignConfig cfg;
-  cfg.seed = std::strtoull(args.Get("seed", "1"), nullptr, 10);
-  cfg.trials_per_encoding =
-      static_cast<int>(std::strtol(args.Get("trials", "256"), nullptr, 10));
-  cfg.bits = static_cast<int>(std::strtol(args.Get("bits", "2"), nullptr, 10));
+  uint64_t bits = 0;
+  // A multi-bit upset flips 1..8 bits of one byte.
+  if (!ParseSeed(args, &cfg.seed) ||
+      !ParseCount(args, "trials", "256", &cfg.trials_per_encoding) ||
+      !ParseBounded(args.Get("bits", "2"), 1, 8, &bits)) {
+    return Usage();
+  }
+  cfg.bits = static_cast<int>(bits);
   if (args.Has("no-retry")) {  // raw outcome distribution: no ladder at all
     cfg.policy.snapshot_retry = false;
     cfg.policy.scrub_retry = false;
@@ -431,8 +481,7 @@ int CmdFaultCampaign(const Args& args) {
     cfg.trials_per_encoding = 24;  // tier-1 CI mode: small but covers every cell
     cfg.policy.dual_run = true;    // exercise the full ladder including SDC detection
   }
-  if (cfg.trials_per_encoding < 0 ||
-      !ParseFaultModel(args.Get("fault", "bitflip"), &cfg.fault_model) ||
+  if (!ParseFaultModel(args.Get("fault", "bitflip"), &cfg.fault_model) ||
       !ParseFaultTrigger(args.Get("trigger", "pre"), &cfg.trigger)) {
     return Usage();
   }
@@ -536,8 +585,9 @@ int CmdFuzz(const Args& args) {
   }
 
   FuzzConfig cfg;
-  cfg.seed = std::strtoull(args.Get("seed", "1"), nullptr, 10);
-  cfg.cases = static_cast<int>(std::strtol(args.Get("cases", "256"), nullptr, 10));
+  if (!ParseSeed(args, &cfg.seed) || !ParseCount(args, "cases", "256", &cfg.cases)) {
+    return Usage();
+  }
   cfg.minimize = !args.Has("no-minimize");
   cfg.corpus_dir = args.Get("corpus-dir", "");
   if (!cfg.corpus_dir.empty()) {
@@ -592,22 +642,6 @@ int CmdFuzz(const Args& args) {
     }
   }
   return failed == 0 ? 0 : 1;
-}
-
-// Parses `text` as a whole decimal number in [min, max]. Signs, blanks, trailing
-// characters and out-of-range values fail.
-bool ParseBounded(const char* text, uint64_t min, uint64_t max, uint64_t* out) {
-  if (*text < '0' || *text > '9') {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || *end != '\0' || value < min || value > max) {
-    return false;
-  }
-  *out = value;
-  return true;
 }
 
 // Multi-tenant batched inference over TCP (see docs/SERVING.md). Blocks until killed.
