@@ -4,7 +4,9 @@
 // cycles on the fault-free path (the deadline is a supervisor-side compare, not guest
 // work), and dual-run execution must cost exactly two single runs. Host-varying metrics:
 // wall-clock of Snapshot(), full Restore(), the RAM+registers fast restore, and the
-// guarded clean-path dispatch relative to a plain TryPredict. Emits
+// guarded clean-path dispatch relative to a plain TryPredict, and the wall time of one
+// fault campaign at one thread and at every host thread (campaign_speedup_vs_1t, which
+// bench_compare gates only between runs stamped with at least 4 host threads). Emits
 // BENCH_recovery_overhead.json for the bench_compare gate.
 //
 // `--smoke` shrinks repetitions so the tier-1 ctest sweep can run this binary.
@@ -18,10 +20,12 @@
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/encoding.h"
 #include "src/core/synthetic.h"
 #include "src/obs/json_writer.h"
 #include "src/runtime/deployed_model.h"
+#include "src/runtime/fault_campaign.h"
 #include "src/runtime/recovery.h"
 #include "src/sim/fault_injector.h"
 
@@ -148,6 +152,42 @@ EncodingRow MeasureEncoding(EncodingKind kind, int iters) {
   return row;
 }
 
+// One mid-inference, dual-run fault campaign of 100 trials per encoding over all five
+// encodings (perfbench's fault_mid shape), timed at one thread and at every host thread:
+// best of kRepeats each, the two thread counts interleaved so a slow stretch of the host
+// lands on both. Both reports must be byte-identical.
+struct CampaignRow {
+  uint64_t trials = 0;
+  double wall_ms_1t = 0.0;
+  double wall_ms_all_threads = 0.0;
+};
+
+CampaignRow MeasureCampaign() {
+  FaultCampaignConfig cfg;
+  cfg.seed = 11;
+  cfg.trials_per_encoding = 100;
+  cfg.trigger = FaultTrigger::kMidInference;
+  cfg.policy.dual_run = true;
+  CampaignRow row;
+  std::string json[2];
+  double best[2] = {0.0, 0.0};
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (int k = 0; k < 2; ++k) {
+      ThreadPool::SetGlobalThreads(k == 0 ? 1 : 0);  // 0: every host thread
+      const auto t0 = std::chrono::steady_clock::now();
+      const FaultCampaignResult result = RunFaultCampaign(cfg);
+      const double ms = 1e3 * Seconds(t0, std::chrono::steady_clock::now());
+      best[k] = rep == 0 ? ms : std::min(best[k], ms);
+      json[k] = FaultCampaignJson(result);
+      row.trials = result.totals.trials;
+    }
+  }
+  NEUROC_CHECK_MSG(json[0] == json[1], "campaign report differs between thread counts");
+  row.wall_ms_1t = best[0];
+  row.wall_ms_all_threads = best[1];
+  return row;
+}
+
 }  // namespace
 }  // namespace neuroc
 
@@ -179,6 +219,12 @@ int main(int argc, char** argv) {
                 row.guarded_clean_overhead_ratio);
     rows.push_back(std::move(row));
   }
+  const CampaignRow campaign = MeasureCampaign();
+  const unsigned threads = DefaultThreadCount();
+  std::printf("campaign (%llu trials): %.2f ms at 1 thread, %.2f ms at %u -> %.2fx\n",
+              static_cast<unsigned long long>(campaign.trials), campaign.wall_ms_1t,
+              campaign.wall_ms_all_threads, threads,
+              campaign.wall_ms_1t / campaign.wall_ms_all_threads);
 
   JsonWriter w;
   w.BeginObject();
@@ -186,6 +232,7 @@ int main(int argc, char** argv) {
   w.Key("model").Value("128-32-10 density 0.15");
   w.Key("smoke").Value(smoke ? 1 : 0);
   w.Key("timing_reps").Value(static_cast<uint64_t>(iters));
+  w.Key("host_threads_available").Value(threads);
   w.Key("encodings").BeginArray();
   for (const EncodingRow& r : rows) {
     w.BeginObject();
@@ -204,6 +251,14 @@ int main(int argc, char** argv) {
     w.EndObject();
   }
   w.EndArray();
+  w.Key("campaign").BeginObject();
+  w.Key("shape").Value("mid-inference, dual_run, 100 trials x 5 encodings, seed 11");
+  w.Key("campaign_trials").Value(campaign.trials);
+  w.Key("wall_ms_1t").ValueFixed(campaign.wall_ms_1t, 3);
+  w.Key("wall_ms_all_threads").ValueFixed(campaign.wall_ms_all_threads, 3);
+  w.Key("campaign_speedup_vs_1t")
+      .ValueFixed(campaign.wall_ms_1t / campaign.wall_ms_all_threads, 3);
+  w.EndObject();
   w.Key("notes").BeginArray();
   w.Value(
       "watchdog_extra_cycles is asserted zero in-binary: the deadline is one supervisor "

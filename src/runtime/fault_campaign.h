@@ -2,12 +2,12 @@
 //
 // A campaign builds one synthetic model per weight encoding (same seeded adjacency for
 // every encoding, so rates are comparable across all five encodings — CSC, delta, mixed,
-// block, and unrolled per-model kernels), deploys it once on the simulated MCU behind a
-// GuardedModel, and runs seeded fault-injection trials on forks of that deployment
-// (GuardedModel::Fork). Each trial scrubs the device back to pristine state, injects one
-// fault (bit flip or stuck-at, into kernel code, layer descriptors, the packed weight
-// payload, or activation SRAM; before or mid-inference), runs one guarded inference and
-// classifies the outcome:
+// block, and unrolled per-model kernels), builds it once for the simulated MCU, deploys
+// that build behind a GuardedModel, and runs seeded fault-injection trials on forks of
+// that deployment (GuardedModel::Fork). Each trial scrubs the device back to pristine
+// state, injects one fault (bit flip or stuck-at, into kernel code, layer descriptors,
+// the packed weight payload, or activation SRAM; before or mid-inference), runs one
+// guarded inference and classifies the outcome:
 //
 //   correct            prediction matches the fault-free golden run (fault masked/benign)
 //   sdc                silent data corruption — wrong prediction, nothing detected

@@ -22,13 +22,20 @@ const char* RecoveryRungName(RecoveryRung rung) {
 StatusOr<GuardedModel> GuardedModel::Create(NeuroCModel model,
                                             const MachineConfig& config,
                                             const RecoveryPolicy& policy) {
+  DeployedModel::Program program(model, config);
+  return Create(std::move(model), std::move(program), policy);
+}
+
+StatusOr<GuardedModel> GuardedModel::Create(NeuroCModel model,
+                                            DeployedModel::Program program,
+                                            const RecoveryPolicy& policy) {
   NEUROC_CHECK(policy.watchdog_headroom == 0.0 || policy.watchdog_headroom >= 1.0);
   GuardedModel gm;
   gm.model_ = std::make_shared<const NeuroCModel>(std::move(model));
-  gm.config_ = config;
+  gm.config_ = program.config;
   gm.policy_ = policy;
   gm.primary_encoding_ = gm.model_->layers().front().encoding->kind();
-  Status deployed = gm.Deploy(*gm.model_, gm.primary_encoding_);
+  Status deployed = gm.Deploy(std::move(program), gm.primary_encoding_);
   if (!deployed.ok()) {
     return deployed;
   }
@@ -48,8 +55,8 @@ GuardedModel GuardedModel::Fork() const {
   return gm;
 }
 
-Status GuardedModel::Deploy(const NeuroCModel& model, EncodingKind kind) {
-  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(model, config_);
+Status GuardedModel::Deploy(DeployedModel::Program program, EncodingKind kind) {
+  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(std::move(program));
   if (!dm.ok()) {
     return dm.status();
   }
@@ -167,7 +174,8 @@ GuardedResult GuardedModel::Predict(std::span<const int8_t> input) {
       if (kind == active_encoding_) {
         continue;
       }
-      if (!Deploy(ReencodeModel(*model_, kind), kind).ok()) {
+      if (!Deploy(DeployedModel::Program(ReencodeModel(*model_, kind), config_), kind)
+               .ok()) {
         continue;
       }
       reg.GetCounter("recovery.redeploy").Add(1);

@@ -87,6 +87,11 @@ class GuardedModel {
   static StatusOr<GuardedModel> Create(NeuroCModel model,
                                        const MachineConfig& config = {},
                                        const RecoveryPolicy& policy = {});
+  // The same from a build of `model` (packed, code-generated and assembled; see
+  // DeployedModel::Program) that deploys `program` instead of building it again. The
+  // machine configuration is `program.config`.
+  static StatusOr<GuardedModel> Create(NeuroCModel model, DeployedModel::Program program,
+                                       const RecoveryPolicy& policy = {});
 
   // A second guarded deployment, indistinguishable from a fresh Create of the same
   // model, config and policy: the deployment is forked (DeployedModel::Fork — no
@@ -127,9 +132,10 @@ class GuardedModel {
   // is the simulated cycles the attempt consumed (both runs in dual mode — restores
   // rewind the machine's cycle counter, so callers cannot reconstruct this themselves).
   StatusOr<int> RunOnce(std::span<const int8_t> input, bool* mismatch, uint64_t* elapsed);
-  // Deploys `model` (model_ or a re-encoding of it), arms the watchdog per the policy and
-  // swaps the deployment in as encoding `kind`. On failure the current deployment stays.
-  Status Deploy(const NeuroCModel& model, EncodingKind kind);
+  // Deploys `program` (a build of model_ or of a re-encoding of it), arms the watchdog
+  // per the policy and swaps the deployment in as encoding `kind`. On failure the current
+  // deployment stays.
+  Status Deploy(DeployedModel::Program program, EncodingKind kind);
 
   // Host copy, re-encoded on the kRedeploy rung. Immutable and shared by forks: a
   // re-encoded copy would lose non-default EncodingOptions such as the block size.

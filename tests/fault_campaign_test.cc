@@ -1,7 +1,8 @@
 // Fault-injection campaign tests: integrity coverage (every single-bit flip in the model
 // image and kernel code is CRC-detectable), deterministic campaign output across thread
-// counts, and full recovery-ladder coverage (snapshot retry, scrub, redeploy, dual-run)
-// of detected faults.
+// counts, full recovery-ladder coverage (snapshot retry, scrub, redeploy, dual-run) of
+// detected faults, and the campaign's schedule (golden counters without trials, pooled
+// forks, region attribution).
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,10 @@
 #include <vector>
 
 #include "src/common/crc32.h"
+#include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/synthetic.h"
+#include "src/obs/registry.h"
 #include "src/runtime/deployed_model.h"
 #include "src/runtime/fault_campaign.h"
 #include "src/sim/fault_injector.h"
@@ -245,9 +248,10 @@ TEST(FaultCampaignTest, FullLadderJsonIsByteIdenticalAcrossThreadCounts) {
 
 TEST(FaultCampaignTest, RedeployRungNeverLeaksIntoTheNextTrial) {
   // Redeploy as the only rung: every detected trial swaps in a fallback encoding, and
-  // the next trial must start from a fresh fork of the primary deployment. One thread
-  // runs all trials in one chunk, four threads in chunks of 32, so a fallback that
-  // leaked into the next trial would move bytes between the two reports.
+  // the next trial must start from a machine on the primary deployment. One thread runs
+  // every trial in turn on pooled machines, four threads spread the chunks over their
+  // workers, so a fallback that leaked into the next trial, or back into the pool, would
+  // move bytes between the two reports.
   GlobalThreadsGuard guard;
   FaultCampaignConfig cfg = SmallCampaign();
   cfg.trials_per_encoding = 200;
@@ -270,7 +274,10 @@ TEST(FaultCampaignTest, JsonDigestsArePinned) {
   // The digests were taken when mid-inference strikes still came from a step-interpreter
   // CpuProbe and every flash change dropped the whole decode cache; running trials on the
   // block path with the instruction alarm and range-precise invalidation must not move a
-  // single byte of any report.
+  // single byte of any report. They were also taken when every chunk of trials forked
+  // its own machine: at one thread one pooled machine per encoding runs every trial of
+  // that encoding, the most reuse there can be, and the ambient pool spreads the chunks
+  // over its workers.
   struct Case {
     FaultTrigger trigger;
     bool dual_run;
@@ -282,18 +289,90 @@ TEST(FaultCampaignTest, JsonDigestsArePinned) {
       {FaultTrigger::kMidInference, false, 0x42ee6393u},
       {FaultTrigger::kMidInference, true, 0xae01010cu},
   };
-  for (const Case& c : cases) {
-    FaultCampaignConfig cfg;
-    cfg.seed = 11;
-    cfg.trials_per_encoding = 20;
-    cfg.trigger = c.trigger;
-    cfg.policy.dual_run = c.dual_run;
-    const std::string json = FaultCampaignJson(RunFaultCampaign(cfg));
-    EXPECT_EQ(Crc32(std::span<const uint8_t>(
-                  reinterpret_cast<const uint8_t*>(json.data()), json.size())),
-              c.crc)
-        << "trigger=" << FaultTriggerName(c.trigger) << " dual_run=" << c.dual_run;
+  GlobalThreadsGuard guard;
+  for (const unsigned threads : {1u, 0u}) {
+    ThreadPool::SetGlobalThreads(threads);  // 0: the ambient NEUROC_NUM_THREADS pool
+    for (const Case& c : cases) {
+      FaultCampaignConfig cfg;
+      cfg.seed = 11;
+      cfg.trials_per_encoding = 20;
+      cfg.trigger = c.trigger;
+      cfg.policy.dual_run = c.dual_run;
+      const std::string json = FaultCampaignJson(RunFaultCampaign(cfg));
+      EXPECT_EQ(Crc32(std::span<const uint8_t>(
+                    reinterpret_cast<const uint8_t*>(json.data()), json.size())),
+                c.crc)
+          << "trigger=" << FaultTriggerName(c.trigger) << " dual_run=" << c.dual_run
+          << " threads=" << ThreadPool::Global().num_threads();
+    }
   }
+}
+
+TEST(FaultCampaignTest, ZeroTrialCampaignMeasuresWhatAFullCampaignMeasures) {
+  // A golden-only campaign builds no guarded prototype, yet its golden counters must be
+  // the ones a campaign with trials reports: callers size and check deployments by them.
+  FaultCampaignConfig cfg = SmallCampaign();
+  const FaultCampaignResult full = RunFaultCampaign(cfg);
+  cfg.trials_per_encoding = 0;
+  const FaultCampaignResult golden = RunFaultCampaign(cfg);
+  ASSERT_EQ(golden.encodings.size(), full.encodings.size());
+  for (size_t e = 0; e < full.encodings.size(); ++e) {
+    SCOPED_TRACE(EncodingKindName(full.encodings[e].encoding));
+    EXPECT_EQ(golden.encodings[e].golden_instructions, full.encodings[e].golden_instructions);
+    EXPECT_EQ(golden.encodings[e].golden_cycles, full.encodings[e].golden_cycles);
+    EXPECT_EQ(golden.encodings[e].program_bytes, full.encodings[e].program_bytes);
+    EXPECT_EQ(golden.encodings[e].totals.trials, 0u);
+  }
+}
+
+TEST(FaultCampaignTest, ChunksReuseWarmForks) {
+  // With the redeploy rung off no machine is ever dropped mid-chunk, so each fork fills
+  // an empty pool: one per encoding at one thread, and at most one per worker and
+  // encoding on the ambient pool.
+  GlobalThreadsGuard guard;
+  FaultCampaignConfig cfg = SmallCampaign();
+  cfg.trials_per_encoding = 64;
+  cfg.policy.redeploy = false;
+  const MetricsRegistry::Counter& forks =
+      MetricsRegistry::Global().GetCounter("faultcampaign.forks");
+  for (const unsigned threads : {1u, 0u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const uint64_t workers = ThreadPool::Global().num_threads();
+    const uint64_t before = forks.value();
+    const FaultCampaignResult result = RunFaultCampaign(cfg);
+    const uint64_t made = forks.value() - before;
+    EXPECT_EQ(result.totals.recovered_redeploy, 0u);
+    EXPECT_GE(made, cfg.encodings.size()) << "threads=" << workers;
+    EXPECT_LE(made, workers * cfg.encodings.size()) << "threads=" << workers;
+    if (workers == 1) {
+      EXPECT_EQ(made, cfg.encodings.size());
+    }
+  }
+}
+
+TEST(FaultCampaignTest, TrialsPastRegion255LandInTheirOwnRegion) {
+  // Each trial draws its region index right after its input. With 300 region entries
+  // the index needs more than a byte, or region 256 is counted as region 0.
+  FaultCampaignConfig cfg = SmallCampaign();
+  cfg.seed = 3;
+  cfg.trials_per_encoding = 600;
+  cfg.encodings = {EncodingKind::kCsc};
+  cfg.regions.assign(300, CampaignRegion::kSram);
+  const FaultCampaignResult result = RunFaultCampaign(cfg);
+  std::vector<uint64_t> expected(cfg.regions.size(), 0);
+  for (uint64_t t = 0; t < 600; ++t) {
+    Rng rng(SubSeed(cfg.seed, t));
+    (void)MakeRandomInput(cfg.in_dim, rng);
+    ++expected[rng.NextBounded(cfg.regions.size())];
+  }
+  ASSERT_EQ(result.encodings.size(), 1u);
+  ASSERT_EQ(result.encodings[0].regions.size(), expected.size());
+  uint64_t past_255 = 0;
+  for (size_t r = 0; r < expected.size(); ++r) {
+    EXPECT_EQ(result.encodings[0].regions[r].trials, expected[r]) << "region " << r;
+    past_255 += r > 255 ? expected[r] : 0;
+  }
+  EXPECT_GT(past_255, 0u);
 }
 
 }  // namespace

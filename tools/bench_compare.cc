@@ -15,6 +15,10 @@
 //                  1-core and noisy, so smoke mode gates determinism only.
 //   ignored        environment/config stamps (host_threads_available, smoke, reps) that
 //                  legitimately differ between a committed full run and a CI smoke run.
+//   skipped        parallel speed-ups (`*_vs_1t`) unless both files stamp
+//                  host_threads_available >= 4 at their root: a speed-up measured with
+//                  fewer cores says nothing about four-core scaling, so it is reported
+//                  as skipped instead of compared.
 //
 // A key present in the baseline but missing from the fresh output FAILs (schema
 // regression); extra fresh keys are reported but harmless (new metrics land before the
@@ -67,13 +71,24 @@ MetricClass Classify(std::string_view key) {
   return MetricClass::kDeterministic;
 }
 
+// Fewest cores both runs must have had for their `*_vs_1t` speed-ups to be compared.
+constexpr double kMinThreadsForSpeedups = 4;
+
 struct CompareStats {
   int compared = 0;
   int warnings = 0;
   int failures = 0;
+  int skipped = 0;
   bool smoke = false;
   double tol = 0.5;
+  bool speedups_comparable = false;  // both files of the current pair have >= 4 threads
 };
+
+// host_threads_available stamped at the document root, or 0 when it is missing.
+double HostThreadsAvailable(const JsonValue& doc) {
+  const JsonValue* v = doc.is_object() ? doc.Find("host_threads_available") : nullptr;
+  return v != nullptr && v->is_number() ? v->number : 0.0;
+}
 
 double RelativeDelta(double baseline, double fresh) {
   if (baseline == fresh) {
@@ -149,6 +164,13 @@ void Compare(const std::string& path, std::string_view key, const JsonValue& bas
   if (cls == MetricClass::kIgnored || !fresh.is_number()) {
     return;
   }
+  if (key.ends_with("_vs_1t") && !stats->speedups_comparable) {
+    std::printf("SKIP %s: baseline=%g fresh=%g (compared only when both files have "
+                "host_threads_available >= %g)\n",
+                path.c_str(), baseline.number, fresh.number, kMinThreadsForSpeedups);
+    ++stats->skipped;
+    return;
+  }
   ++stats->compared;
   const double delta = RelativeDelta(baseline.number, fresh.number);
   if (cls == MetricClass::kDeterministic) {
@@ -211,10 +233,13 @@ int Main(int argc, char** argv) {
     }
     std::printf("comparing %s (baseline) vs %s (fresh)%s\n", files[p].c_str(),
                 files[p + 1].c_str(), stats.smoke ? " [smoke]" : "");
+    stats.speedups_comparable = HostThreadsAvailable(baseline) >= kMinThreadsForSpeedups &&
+                                HostThreadsAvailable(fresh) >= kMinThreadsForSpeedups;
     Compare("", "", baseline, fresh, &stats);
   }
-  std::printf("bench_compare: %d metric(s) compared, %d warning(s), %d failure(s)\n",
-              stats.compared, stats.warnings, stats.failures);
+  std::printf(
+      "bench_compare: %d metric(s) compared, %d warning(s), %d failure(s), %d skipped\n",
+      stats.compared, stats.warnings, stats.failures, stats.skipped);
   return stats.failures == 0 ? 0 : 1;
 }
 

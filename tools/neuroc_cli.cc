@@ -147,6 +147,18 @@ bool ParseCsvList(const char* csv, ParseFn parse, std::vector<T>* out) {
   return !out->empty();
 }
 
+// True when no two entries of `values` are equal; otherwise prints which option repeats
+// one. A campaign list that names an entry twice would run and report it twice.
+template <typename T>
+bool AllDistinct(const char* option, std::vector<T> values) {
+  std::sort(values.begin(), values.end());
+  if (std::adjacent_find(values.begin(), values.end()) != values.end()) {
+    std::fprintf(stderr, "--%s names an entry twice\n", option);
+    return false;
+  }
+  return true;
+}
+
 // Parses `text` as a whole decimal number in [min, max]. Signs, blanks, trailing
 // characters and out-of-range values fail.
 bool ParseBounded(const char* text, uint64_t min, uint64_t max, uint64_t* out) {
@@ -486,15 +498,17 @@ int CmdFaultCampaign(const Args& args) {
     return Usage();
   }
   if (args.Has("regions") &&
-      !ParseCsvList<CampaignRegion>(
-          args.Get("regions"),
-          [](const std::string& t, CampaignRegion* r) { return ParseCampaignRegion(t, r); },
-          &cfg.regions)) {
+      (!ParseCsvList<CampaignRegion>(
+           args.Get("regions"),
+           [](const std::string& t, CampaignRegion* r) { return ParseCampaignRegion(t, r); },
+           &cfg.regions) ||
+       !AllDistinct("regions", cfg.regions))) {
     return Usage();
   }
   if (args.Has("encodings") &&
-      !ParseCsvList<EncodingKind>(args.Get("encodings"), ParseEncodingKind,
-                                  &cfg.encodings)) {
+      (!ParseCsvList<EncodingKind>(args.Get("encodings"), ParseEncodingKind,
+                                   &cfg.encodings) ||
+       !AllDistinct("encodings", cfg.encodings))) {
     return Usage();
   }
 
