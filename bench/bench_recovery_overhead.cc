@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,10 @@
 namespace neuroc {
 namespace {
 
-constexpr int kRepeats = 5;  // best-of timing blocks, like bench_sim_throughput
+// Best of kRepeats timed blocks, like bench_sim_throughput: the blocks of every encoding
+// and metric are interleaved, so a slow window of the host (a cold process first of all)
+// lands on one block of many rows rather than on every block of the first encodings.
+constexpr int kRepeats = 5;
 
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
@@ -56,6 +60,12 @@ NeuroCModel MakeBenchModel(EncodingKind kind) {
   return NeuroCModel::FromLayers(std::move(layers));
 }
 
+GuardedModel MakeGuardedBenchModel(EncodingKind kind) {
+  StatusOr<GuardedModel> guarded = GuardedModel::Create(MakeBenchModel(kind));
+  NEUROC_CHECK(guarded.ok());
+  return std::move(*guarded);
+}
+
 struct EncodingRow {
   std::string encoding;
   // Deterministic: simulated cycles.
@@ -72,85 +82,104 @@ struct EncodingRow {
   double ladder_scrub_recovery_wall_ms = 0.0;  // detect + 2 rungs on a flash fault
 };
 
-// Best-of-kRepeats wall seconds for `fn` called `iters` times back to back.
+// Wall seconds per call of `fn`, called `iters` times back to back in one block, folded
+// into `best`.
 template <typename Fn>
-double BestWall(int iters, Fn&& fn) {
-  double best = 0.0;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      fn();
-    }
-    const double s = Seconds(t0, std::chrono::steady_clock::now());
-    if (best == 0.0 || s < best) {
-      best = s;
-    }
+void TimeBlock(int iters, double& best, Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) {
+    fn();
   }
-  return best / iters;
+  const double s = Seconds(t0, std::chrono::steady_clock::now()) / iters;
+  if (best == 0.0 || s < best) {
+    best = s;
+  }
 }
 
-EncodingRow MeasureEncoding(EncodingKind kind, int iters) {
-  EncodingRow row;
-  row.encoding = EncodingKindName(kind);
-  Rng rng(17);
+// One encoding's deployments. The constructor measures the simulated-cycle identities
+// (deterministic, so one run each is exact); TimeRound runs one timing block of each
+// wall cost, keeping the best.
+class EncodingSweep {
+ public:
+  EncodingSweep(EncodingKind kind, int iters)
+      : iters_(iters),
+        plain_(DeployedModel::Deploy(MakeBenchModel(kind))),
+        guarded_(MakeGuardedBenchModel(kind)) {
+    row_.encoding = EncodingKindName(kind);
+    Rng rng(17);
+    input_ = MakeRandomInput(plain_.input_dim(), rng);
+    NEUROC_CHECK(plain_.TryPredict(input_).ok());
+    row_.cycles_plain = plain_.report().cycles_per_inference;
 
-  // Simulated-cycle identities (deterministic, so one run each is exact).
-  DeployedModel plain = DeployedModel::Deploy(MakeBenchModel(kind));
-  const std::vector<int8_t> input = MakeRandomInput(plain.input_dim(), rng);
-  NEUROC_CHECK(plain.TryPredict(input).ok());
-  row.cycles_plain = plain.report().cycles_per_inference;
+    DeployedModel armed = DeployedModel::Deploy(MakeBenchModel(kind));
+    NEUROC_CHECK(armed.ArmWatchdog(8.0).ok());
+    NEUROC_CHECK(armed.TryPredict(input_).ok());
+    row_.cycles_watchdog = armed.report().cycles_per_inference;
+    NEUROC_CHECK(row_.cycles_watchdog == row_.cycles_plain);  // zero supervisor cycles
 
-  DeployedModel armed = DeployedModel::Deploy(MakeBenchModel(kind));
-  NEUROC_CHECK(armed.ArmWatchdog(8.0).ok());
-  NEUROC_CHECK(armed.TryPredict(input).ok());
-  row.cycles_watchdog = armed.report().cycles_per_inference;
-  NEUROC_CHECK(row.cycles_watchdog == row.cycles_plain);  // zero supervisor cycles
+    // Dual run: run, fast-restore RAM+registers, run again; both runs from cycle zero.
+    armed.Scrub();
+    NEUROC_CHECK(armed.TryPredict(input_).ok());
+    const uint64_t run1 = armed.machine().cpu().cycles();
+    armed.machine().Restore(armed.pristine_snapshot(), RestoreScope::kRamAndRegisters);
+    NEUROC_CHECK(armed.TryPredict(input_).ok());
+    row_.cycles_dual_run = run1 + armed.machine().cpu().cycles();
+    NEUROC_CHECK(row_.cycles_dual_run == 2 * row_.cycles_plain);
 
-  // Dual run: run, fast-restore RAM+registers, run again; both runs from cycle zero.
-  armed.Scrub();
-  NEUROC_CHECK(armed.TryPredict(input).ok());
-  const uint64_t run1 = armed.machine().cpu().cycles();
-  armed.machine().Restore(armed.pristine_snapshot(), RestoreScope::kRamAndRegisters);
-  NEUROC_CHECK(armed.TryPredict(input).ok());
-  row.cycles_dual_run = run1 + armed.machine().cpu().cycles();
-  NEUROC_CHECK(row.cycles_dual_run == 2 * row.cycles_plain);
+    snap_ = plain_.machine().Snapshot();
+    row_.snapshot_flash_bytes = snap_.memory.flash.size();
+    row_.snapshot_ram_bytes = snap_.memory.ram.size();
+  }
 
-  const MachineSnapshot snap = plain.machine().Snapshot();
-  row.snapshot_flash_bytes = snap.memory.flash.size();
-  row.snapshot_ram_bytes = snap.memory.ram.size();
+  void TimeRound() {
+    // Wall costs of the state machinery itself.
+    TimeBlock(iters_, snapshot_s_, [&] { (void)plain_.machine().Snapshot(); });
+    TimeBlock(iters_, restore_full_s_, [&] { plain_.machine().Restore(snap_); });
+    TimeBlock(iters_, restore_ram_s_, [&] {
+      plain_.machine().Restore(snap_, RestoreScope::kRamAndRegisters);
+    });
+    // Guarded clean-path dispatch vs a bare TryPredict (same machine work, so the ratio
+    // is the GuardedModel bookkeeping).
+    TimeBlock(iters_, plain_s_, [&] { (void)plain_.TryPredict(input_); });
+    TimeBlock(iters_, guarded_s_, [&] { (void)guarded_.Predict(input_); });
+    // Full-ladder recovery wall cost for a kernel-code flash fault: detection plus the
+    // snapshot rung (fails — flash still bad) plus the scrub rung (succeeds).
+    TimeBlock(std::max(1, iters_ / 8), ladder_s_, [&] {
+      Rng fault_rng(5);
+      InjectFault(guarded_.deployed().machine().memory(),
+                  guarded_.deployed().kernel_program().base_addr,
+                  static_cast<uint32_t>(guarded_.deployed().kernel_program().bytes.size()),
+                  FaultModel::kSingleBitFlip, 1, fault_rng);
+      const GuardedResult gr = guarded_.Predict(input_);
+      NEUROC_CHECK(gr.ok);
+    });
+  }
 
-  // Wall costs of the state machinery itself.
-  row.snapshot_wall_ms =
-      1e3 * BestWall(iters, [&] { (void)plain.machine().Snapshot(); });
-  row.restore_full_wall_ms =
-      1e3 * BestWall(iters, [&] { plain.machine().Restore(snap); });
-  row.restore_ram_wall_ms = 1e3 * BestWall(iters, [&] {
-    plain.machine().Restore(snap, RestoreScope::kRamAndRegisters);
-  });
+  // The row, from the best block of each wall cost.
+  EncodingRow Row() const {
+    EncodingRow row = row_;
+    row.snapshot_wall_ms = 1e3 * snapshot_s_;
+    row.restore_full_wall_ms = 1e3 * restore_full_s_;
+    row.restore_ram_wall_ms = 1e3 * restore_ram_s_;
+    row.guarded_clean_overhead_ratio = plain_s_ > 0.0 ? guarded_s_ / plain_s_ : 0.0;
+    row.ladder_scrub_recovery_wall_ms = 1e3 * ladder_s_;
+    return row;
+  }
 
-  // Guarded clean-path dispatch vs a bare TryPredict (same machine work, so the ratio is
-  // the GuardedModel bookkeeping).
-  StatusOr<GuardedModel> guarded = GuardedModel::Create(MakeBenchModel(kind));
-  NEUROC_CHECK(guarded.ok());
-  GuardedModel& gm = *guarded;
-  const double plain_ms =
-      1e3 * BestWall(iters, [&] { (void)plain.TryPredict(input); });
-  const double guarded_ms = 1e3 * BestWall(iters, [&] { (void)gm.Predict(input); });
-  row.guarded_clean_overhead_ratio = plain_ms > 0.0 ? guarded_ms / plain_ms : 0.0;
-
-  // Full-ladder recovery wall cost for a kernel-code flash fault: detection plus the
-  // snapshot rung (fails — flash still bad) plus the scrub rung (succeeds).
-  row.ladder_scrub_recovery_wall_ms = 1e3 * BestWall(std::max(1, iters / 8), [&] {
-    Rng fault_rng(5);
-    InjectFault(gm.deployed().machine().memory(),
-                gm.deployed().kernel_program().base_addr,
-                static_cast<uint32_t>(gm.deployed().kernel_program().bytes.size()),
-                FaultModel::kSingleBitFlip, 1, fault_rng);
-    const GuardedResult gr = gm.Predict(input);
-    NEUROC_CHECK(gr.ok);
-  });
-  return row;
-}
+ private:
+  int iters_;
+  EncodingRow row_;
+  DeployedModel plain_;
+  GuardedModel guarded_;
+  std::vector<int8_t> input_;
+  MachineSnapshot snap_;
+  double snapshot_s_ = 0.0;
+  double restore_full_s_ = 0.0;
+  double restore_ram_s_ = 0.0;
+  double plain_s_ = 0.0;
+  double guarded_s_ = 0.0;
+  double ladder_s_ = 0.0;
+};
 
 // One mid-inference, dual-run fault campaign of 100 trials per encoding over all five
 // encodings (perfbench's fault_mid shape), timed at one thread and at every host thread:
@@ -208,9 +237,18 @@ int main(int argc, char** argv) {
               iters);
   std::printf("%-8s %12s %12s %12s %10s %10s %10s %8s\n", "encoding", "cyc/inf",
               "cyc(wdog)", "cyc(dual)", "snap_ms", "restore_ms", "ram_ms", "guard_x");
-  std::vector<EncodingRow> rows;
+  std::vector<std::unique_ptr<EncodingSweep>> sweeps;
   for (EncodingKind kind : kAllEncodingKinds) {
-    EncodingRow row = MeasureEncoding(kind, iters);
+    sweeps.push_back(std::make_unique<EncodingSweep>(kind, iters));
+  }
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (const std::unique_ptr<EncodingSweep>& sweep : sweeps) {
+      sweep->TimeRound();
+    }
+  }
+  std::vector<EncodingRow> rows;
+  for (const std::unique_ptr<EncodingSweep>& sweep : sweeps) {
+    EncodingRow row = sweep->Row();
     std::printf("%-8s %12llu %12llu %12llu %10.4f %10.4f %10.4f %8.3f\n",
                 row.encoding.c_str(), static_cast<unsigned long long>(row.cycles_plain),
                 static_cast<unsigned long long>(row.cycles_watchdog),

@@ -295,6 +295,9 @@ std::optional<std::vector<int>> DeployedModel::TryPredictLockstep(
     cycles += c;
   }
   AccountInferences(inputs.size(), cycles);
+  static MetricsRegistry::Counter& lockstep_inferences =
+      MetricsRegistry::Global().GetCounter("runtime.lockstep_inferences");
+  lockstep_inferences.Add(inputs.size());
   std::vector<int> predictions;
   predictions.reserve(inputs.size());
   for (const std::vector<uint8_t>& out : result->outputs) {

@@ -122,10 +122,10 @@ class DeployedModel {
   // Batch entry point: runs `inputs` (1..Cpu::kMaxLanes) as one lockstep batch
   // (Machine::TryRunLockstep), under the watchdog like TryPredict. When the batch
   // commits, returns the predictions and leaves the machine, report() and the runtime.*
-  // counters exactly as TryPredict on each input in order would. Otherwise — the lanes
-  // diverged, one would fault or hit the watchdog, or an observer is attached — returns
-  // nullopt with nothing changed except runtime.lockstep_fallbacks, and the caller runs
-  // its per-input loop.
+  // counters exactly as TryPredict on each input in order would, and adds the batch
+  // size to runtime.lockstep_inferences. Otherwise — the lanes diverged, one would fault
+  // or hit the watchdog, or an observer is attached — returns nullopt with nothing
+  // changed except runtime.lockstep_fallbacks, and the caller runs its per-input loop.
   std::optional<std::vector<int>> TryPredictLockstep(
       std::span<const std::vector<int8_t>> inputs);
 

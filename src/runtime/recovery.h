@@ -113,7 +113,7 @@ class GuardedModel {
   // independently; `cycles` (when non-null) receives the per-inference simulated cycle
   // count of each successful element (0 on permanent failure). Results, the machine
   // state and the metrics are identical to calling Predict in a loop, apart from
-  // runtime.lockstep_fallbacks.
+  // runtime.lockstep_fallbacks and runtime.lockstep_inferences.
   std::vector<GuardedResult> PredictBatch(
       const std::vector<std::vector<int8_t>>& inputs,
       std::vector<uint64_t>* cycles = nullptr);

@@ -1,6 +1,7 @@
 #include "src/sim/cpu.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +35,15 @@ size_t NextTouchedWord(const std::vector<uint8_t>& state, size_t w) {
   return w;
 }
 
+// Where byte `off` of lane `lane` sits in the lanes' SRAM (Cpu::Lanes::ram): guest SRAM
+// word off / 4 of all `width` lanes is one host vector of `width` uint32_t, lane j's
+// little-endian word in element j. The vector loads and stores of the lane executor see
+// the same bytes only on a little-endian host.
+static_assert(std::endian::native == std::endian::little);
+constexpr size_t LaneByte(size_t off, size_t width, size_t lane) {
+  return (off & ~size_t{3}) * width + 4 * lane + (off & 3);
+}
+
 }  // namespace
 
 // An open lockstep batch of `count` inferences, run as `width` lanes (2, 4 or 8, the
@@ -41,21 +51,22 @@ size_t NextTouchedWord(const std::vector<uint8_t>& state, size_t w) {
 // never disagree with it). Every lane starts from the CPU's registers and flags and the
 // memory's SRAM as BeginLanes found them (the base). Lane j's registers and flags are
 // element j of the `regs` and `flags` rows, the form ExecuteLanes loads into vectors.
-// The lanes' SRAM is one interleaved buffer: byte `off` of lane j sits at
-// ram[off * width + j], so one guest byte of every lane is one contiguous row. It holds
-// only the bytes the lanes wrote; which bytes those are is the same for every lane,
-// since the lanes access the same addresses, so one `word_state` byte per SRAM word
-// records it for all of them, plus which bytes were read before being written. Reads of
-// bytes not written yet come from the base.
+// The lanes' SRAM is one buffer of lane words: guest SRAM word k of every lane is one
+// host vector, lane j's word in element j (LaneByte), so an aligned guest access of every
+// lane is one vector load or store. It holds only the bytes the lanes wrote; which bytes
+// those are is the same for every lane, since the lanes access the same addresses, so
+// one `word_state` byte per SRAM word records it for all of them, plus which bytes were
+// read before being written. Reads of bytes not written yet come from the base.
 struct Cpu::Lanes {
   std::array<std::array<uint32_t, kMaxLanes>, 16> regs{};
   std::array<std::array<uint32_t, kMaxLanes>, 4> flags{};  // n, z, c, v as 0 or 1
   size_t count = 0;
   size_t width = 0;
   bool open = false;
-  // The interleaved SRAM, kept for the next batch. From calloc rather than a zeroing
-  // vector: a batch reads only bytes its lanes wrote, and a large calloc block comes as
-  // untouched zero pages, so SRAM no lane writes costs no resident memory.
+  // The lane words, kept for the next batch: width × SRAM bytes, rounded up to whole
+  // words. From calloc rather than a zeroing vector: a batch reads only bytes its lanes
+  // wrote, and a large calloc block comes as untouched zero pages, so SRAM no lane writes
+  // costs no resident memory.
   struct FreeDeleter {
     void operator()(uint8_t* p) const { std::free(p); }
   };
@@ -275,9 +286,7 @@ struct Splat {
     if constexpr (std::is_same_v<Word, uint32_t>) {
       v = x;
     } else {
-      for (size_t i = 0; i < sizeof(Word) / sizeof(uint32_t); ++i) {
-        v[i] = x;
-      }
+      v = Word{} + x;
     }
   }
 };
@@ -883,8 +892,8 @@ void Cpu::Step() {
 #undef NEUROC_DYN
 
 // Where the lanes' data accesses go: the shared flash, the base SRAM image, the lanes'
-// interleaved SRAM and the per-word written/read-first record (Cpu::Lanes). `failed` is
-// set instead of faulting.
+// SRAM words and the per-word written/read-first record (Cpu::Lanes). `failed` is set
+// instead of faulting.
 struct LaneMemory {
   const uint8_t* flash;
   uint32_t flash_base;
@@ -892,7 +901,7 @@ struct LaneMemory {
   const uint8_t* base_ram;
   uint32_t ram_base;
   uint32_t ram_size;
-  uint8_t* rows;
+  uint8_t* words;
   uint8_t* word_state;
   MemAccessStats stats;  // one lane's accesses, the same in every lane
   bool failed = false;
@@ -900,24 +909,10 @@ struct LaneMemory {
 
 namespace {
 
-// The lane executor's value types for W lanes: a Word holds one uint32_t per lane and a
-// Row one byte per lane (one guest byte of the interleaved lane SRAM).
+// The lane executor's value type for W lanes: one uint32_t per lane.
 template <size_t W>
-struct LaneTypes;
-template <>
-struct LaneTypes<2> {
-  typedef uint32_t Word __attribute__((vector_size(8)));
-  typedef uint8_t Row __attribute__((vector_size(2)));
-};
-template <>
-struct LaneTypes<4> {
-  typedef uint32_t Word __attribute__((vector_size(16)));
-  typedef uint8_t Row __attribute__((vector_size(4)));
-};
-template <>
-struct LaneTypes<8> {
-  typedef uint32_t Word __attribute__((vector_size(32)));
-  typedef uint8_t Row __attribute__((vector_size(8)));
+struct LaneTypes {
+  typedef uint32_t Word __attribute__((vector_size(4 * W)));
 };
 
 // The bytes of its word an aligned access of kSize at SRAM offset `off` covers.
@@ -926,16 +921,31 @@ uint8_t WordBytes(uint32_t off) {
   return static_cast<uint8_t>(((1u << kSize) - 1) << (off & 3));
 }
 
+// The value mask of the bytes a WordBytes nibble names.
+constexpr uint32_t ByteMask(uint8_t bytes) {
+  return ((bytes & 1) ? 0xFFu : 0) | ((bytes & 2) ? 0xFF00u : 0) |
+         ((bytes & 4) ? 0xFF0000u : 0) | ((bytes & 8) ? 0xFF000000u : 0);
+}
+
+// The base SRAM's little-endian word at `off` (a multiple of 4). The last word of an SRAM
+// whose size is not a multiple of 4 reads only its bytes in range, the rest as 0.
+uint32_t BaseWord(const LaneMemory& m, uint32_t off) {
+  uint32_t x = 0;
+  for (uint32_t i = 0; i < 4 && off + i < m.ram_size; ++i) {
+    x |= static_cast<uint32_t>(m.base_ram[off + i]) << (8 * i);
+  }
+  return x;
+}
+
 // NEUROC_LOADn in the lane executor. MemoryMap's alignment, region and bounds checks and
 // its access count run once, on the lanes' common address; then a flash load broadcasts
-// one value to every lane, and an SRAM load gathers one row per byte. An access the
-// machine would fault on marks the batch failed and reads 0, which keeps every lane in
-// bounds until the block ends and the batch is abandoned (a sequential rerun then raises
-// the fault).
+// one value to every lane, and an SRAM load is one vector load of the lanes' word, shifted
+// and masked to the accessed bytes. An access the machine would fault on marks the batch
+// failed and reads 0, which keeps every lane in bounds until the block ends and the batch
+// is abandoned (a sequential rerun then raises the fault).
 template <size_t W, uint32_t kSize>
 struct LaneLoad {
   using Word = typename LaneTypes<W>::Word;
-  using Row = typename LaneTypes<W>::Row;
   Word v{};
   LaneLoad(LaneMemory& m, uint32_t a) {
     if (a % kSize != 0) {
@@ -962,43 +972,47 @@ struct LaneLoad {
       return;
     }
     ++m.stats.sram_reads;
+    Word w;
+    std::memcpy(&w, m.words + (off >> 2) * sizeof(Word), sizeof(Word));
     // Bytes this inference has not written yet come from the base, and are recorded as
-    // read before written.
+    // read before written. The lane words hold stale bytes there (the buffer is reused),
+    // so every unwritten byte of the word is merged.
     uint8_t& state = m.word_state[off >> 2];
     const uint8_t unwritten = WordBytes<kSize>(off) & ~state;
-    const uint8_t* row = m.rows + static_cast<size_t>(off) * W;
-    for (uint32_t i = 0; i < kSize; ++i, row += W) {
-      Word byte;
-      if (((unwritten >> ((off + i) & 3)) & 1) == 0) {
-        Row r;
-        std::memcpy(&r, row, W);
-        byte = __builtin_convertvector(r, Word);
-      } else {
-        byte = Splat<Word>(m.base_ram[off + i]).v;
-      }
-      v |= byte << (8 * i);
-    }
     if (unwritten != 0) {
+      const uint32_t written = ByteMask(state & 0xF);
+      w = (w & Splat<Word>(written).v) | Splat<Word>(BaseWord(m, off & ~3u) & ~written).v;
       state |= static_cast<uint8_t>(unwritten << kReadFirstShift);
+    }
+    if constexpr (kSize == 4) {
+      v = w;
+    } else {
+      v = (w >> (8 * (off & 3))) & Splat<Word>((1u << (8 * kSize)) - 1).v;
     }
   }
 };
 
-// NEUROC_STOREn in the lane executor: the checks and the count once, then one row per
-// byte.
+// NEUROC_STOREn in the lane executor: the checks and the count once, then one vector
+// store of the lanes' word, or for a byte or halfword one masked read-modify-write of it.
 template <size_t W, uint32_t kSize>
 void LaneStore(LaneMemory& m, uint32_t a, const typename LaneTypes<W>::Word& v) {
-  using Row = typename LaneTypes<W>::Row;
+  using Word = typename LaneTypes<W>::Word;
   const uint32_t off = a - m.ram_base;
   if (a % kSize != 0 || off > m.ram_size - kSize) {
     m.failed = true;  // unaligned, flash (read-only to the guest) or unmapped
     return;
   }
   ++m.stats.sram_writes;
-  uint8_t* row = m.rows + static_cast<size_t>(off) * W;
-  for (uint32_t i = 0; i < kSize; ++i, row += W) {
-    const Row r = __builtin_convertvector(v >> (8 * i), Row);
-    std::memcpy(row, &r, W);
+  uint8_t* slot = m.words + (off >> 2) * sizeof(Word);
+  if constexpr (kSize == 4) {
+    std::memcpy(slot, &v, sizeof(Word));
+  } else {
+    const uint32_t shift = 8 * (off & 3);
+    const Word mask = Splat<Word>(((1u << (8 * kSize)) - 1) << shift).v;
+    Word w;
+    std::memcpy(&w, slot, sizeof(Word));
+    w = (w & ~mask) | ((v << shift) & mask);
+    std::memcpy(slot, &w, sizeof(Word));
   }
   m.word_state[off >> 2] |= WordBytes<kSize>(off);
 }
@@ -1017,13 +1031,13 @@ bool Cpu::BeginLanes(size_t lanes) {
   Lanes& ls = *lanes_;
   ls.count = lanes;
   ls.width = lanes <= 2 ? 2 : lanes <= 4 ? 4 : kMaxLanes;
-  const size_t ram_size = mem_->ram_size();
-  if (ls.ram_bytes < ls.width * ram_size) {
-    ls.ram_bytes = ls.width * ram_size;
+  const size_t words = (mem_->ram_size() + 3) / 4;
+  if (ls.ram_bytes < ls.width * 4 * words) {
+    ls.ram_bytes = ls.width * 4 * words;
     ls.ram.reset(static_cast<uint8_t*>(std::calloc(ls.ram_bytes, 1)));
     NEUROC_CHECK(ls.ram != nullptr);
   }
-  ls.word_state.assign((ram_size + 3) / 4, 0);
+  ls.word_state.assign(words, 0);
   for (size_t r = 0; r < ls.regs.size(); ++r) {
     ls.regs[r].fill(regs_[r]);
   }
@@ -1059,9 +1073,8 @@ bool Cpu::WriteLanes(uint32_t addr, std::span<const std::span<const uint8_t>> by
   for (size_t j = 0; j < ls.width; ++j) {
     const std::span<const uint8_t> in = bytes[j < ls.count ? j : 0];
     NEUROC_CHECK(in.size() == size);
-    uint8_t* row = ls.ram.get() + off * ls.width + j;
-    for (size_t i = 0; i < size; ++i, row += ls.width) {
-      *row = in[i];
+    for (size_t i = 0; i < size; ++i) {
+      ls.ram.get()[LaneByte(off + i, ls.width, j)] = in[i];
     }
   }
   for (size_t i = off; i < off + size; ++i) {
@@ -1082,7 +1095,7 @@ bool Cpu::ReadLane(size_t lane, uint32_t addr, std::span<uint8_t> out) {
   for (size_t i = 0; i < out.size(); ++i) {
     const size_t b = off + i;
     const bool written = (ls.word_state[b >> 2] >> (b & 3)) & 1;
-    out[i] = written ? ls.ram.get()[b * ls.width + lane] : base[b];
+    out[i] = written ? ls.ram.get()[LaneByte(b, ls.width, lane)] : base[b];
   }
   return true;
 }
@@ -1107,7 +1120,7 @@ bool Cpu::CommitLanes() {
   // hold in lane j's end state what they hold in the base.
   const uint8_t base_flags = FlagBits(ls.base_flags);
   const uint8_t* base_ram = mem_->sram_bytes().data();
-  const uint8_t* rows = ls.ram.get();
+  const uint8_t* ram = ls.ram.get();
   const size_t width = ls.width;
   for (size_t j = 0; j + 1 < ls.count; ++j) {
     for (size_t r = 0; r < kRegPc; ++r) {
@@ -1130,7 +1143,7 @@ bool Cpu::CommitLanes() {
       if ((dependent >> i) & 1) {
         const size_t off = 4 * w + i;
         for (size_t j = 0; j + 1 < ls.count; ++j) {
-          if (rows[off * width + j] != base_ram[off]) {
+          if (ram[LaneByte(off, width, j)] != base_ram[off]) {
             AbortLanes();
             return false;
           }
@@ -1139,7 +1152,7 @@ bool Cpu::CommitLanes() {
     }
   }
   // Commit the last lane's state: its registers and flags, and the SRAM bytes the lanes
-  // wrote (the rest still holds the base, as sequentially), gathered from their rows.
+  // wrote (the rest still holds the base, as sequentially), gathered from its words.
   const size_t last = ls.count - 1;
   const uint32_t ram_base = mem_->ram_base();
   for (size_t w = NextTouchedWord(ls.word_state, 0); w < words;) {
@@ -1149,7 +1162,7 @@ bool Cpu::CommitLanes() {
         if ((written >> i) & 1) {
           const size_t off = 4 * w + i;
           mem_->HostWrite(ram_base + static_cast<uint32_t>(off),
-                          std::span<const uint8_t>(rows + off * width + last, 1));
+                          std::span<const uint8_t>(ram + LaneByte(off, width, last), 1));
         }
       }
       w = NextTouchedWord(ls.word_state, w + 1);
@@ -1161,7 +1174,7 @@ bool Cpu::CommitLanes() {
     }
     ls.commit_bytes.resize(4 * (end - w));
     for (size_t k = 0; k < ls.commit_bytes.size(); ++k) {
-      ls.commit_bytes[k] = rows[(4 * w + k) * width + last];
+      ls.commit_bytes[k] = ram[LaneByte(4 * w + k, width, last)];
     }
     mem_->HostWrite(ram_base + static_cast<uint32_t>(4 * w), ls.commit_bytes);
     w = NextTouchedWord(ls.word_state, end);

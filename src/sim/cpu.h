@@ -313,7 +313,7 @@ class Cpu {
   }
   int32_t CompileBlock(size_t entry_slot);
   // Lane state of an open lockstep batch (defined in cpu.cc); allocated on first use and
-  // kept, its interleaved lane SRAM included, for the next batch.
+  // kept, its lane SRAM words included, for the next batch.
   struct Lanes;
   // The next block for the open batch's lanes (RunLanes); nullptr when they have
   // returned, and when they cannot go on in lockstep.

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <optional>
@@ -61,7 +63,8 @@ const auto kExecutors =
 INSTANTIATE_TEST_SUITE_P(Executors, LockstepBatch, kExecutors, ExecutorName);
 INSTANTIATE_TEST_SUITE_P(Executors, LockstepFallback, kExecutors, ExecutorName);
 
-// Every counter an inference can move, besides runtime.lockstep_fallbacks.
+// Every counter an inference can move, besides runtime.lockstep_fallbacks and
+// runtime.lockstep_inferences.
 const char* const kInferenceCounters[] = {
     "runtime.inferences",       "runtime.inference_cycles", "recovery.deadline_faults",
     "recovery.dual_run_mismatch", "recovery.snapshot_retry", "recovery.scrub_retry",
@@ -86,6 +89,10 @@ std::vector<uint64_t> Delta(const std::vector<uint64_t>& after,
 
 uint64_t Fallbacks() {
   return MetricsRegistry::Global().GetCounter("runtime.lockstep_fallbacks").value();
+}
+
+uint64_t LockstepInferences() {
+  return MetricsRegistry::Global().GetCounter("runtime.lockstep_inferences").value();
 }
 
 void ExpectMachinesEqual(const Machine& a, const Machine& b) {
@@ -140,11 +147,16 @@ void ExpectBatchMatchesSequential(const Shape& shape, EncodingKind kind, size_t 
       inputs.push_back(MakeRandomInput(shape.dims.front(), rng));
     }
     const uint64_t fallbacks = Fallbacks();
+    const uint64_t lockstep_inferences = LockstepInferences();
     const std::vector<uint64_t> before_batch = InferenceCounters();
     std::vector<uint64_t> cycles;
     const std::vector<GuardedResult> got = lockstep.PredictBatch(inputs, &cycles);
     const std::vector<uint64_t> batch_delta = Delta(InferenceCounters(), before_batch);
     EXPECT_EQ(Fallbacks(), fallbacks) << "the batch did not run in lockstep";
+    // PredictBatch runs chunks of 2 to kMaxLanes inputs in lockstep; a last input left
+    // alone runs by itself.
+    EXPECT_EQ(LockstepInferences() - lockstep_inferences,
+              batch % Cpu::kMaxLanes == 1 ? batch - 1 : batch);
     if (batch > 1) {
       EXPECT_EQ(lockstep.deployed().machine().cpu().last_lane_executor(), executor_under_test);
     }
@@ -225,10 +237,12 @@ TEST_P(LockstepBatch, FaultingBatchMatchesSequential) {
     inputs.push_back(MakeRandomInput(64, rng));
   }
   const uint64_t fallbacks = Fallbacks();
+  const uint64_t lockstep_inferences = LockstepInferences();
   const std::vector<uint64_t> before_batch = InferenceCounters();
   const std::vector<GuardedResult> got = lockstep.PredictBatch(inputs);
   const std::vector<uint64_t> batch_delta = Delta(InferenceCounters(), before_batch);
   EXPECT_EQ(Fallbacks(), fallbacks + 1);
+  EXPECT_EQ(LockstepInferences(), lockstep_inferences);
   const std::vector<uint64_t> before_loop = InferenceCounters();
   ASSERT_EQ(got.size(), inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
@@ -252,6 +266,10 @@ struct Fragment {
   std::string source;  // assembled at kFlash; label `f` is called, then `g` if present
   MachineConfig config;
   uint64_t cycle_budget = 0;
+  // Where each inference's input is written and its output read back.
+  uint32_t input_addr = kInput;
+  uint32_t output_addr = kInput;
+  uint32_t output_size = 4;
 };
 
 std::vector<LockstepCall> Calls(const AssembledProgram& p) {
@@ -264,13 +282,14 @@ std::vector<LockstepCall> Calls(const AssembledProgram& p) {
 
 // One input after another, as DeployedModel::TryPredict runs an inference: host write,
 // then the calls, each with what the earlier ones left of the budget; a spent budget
-// stops the inference at the call boundary. Returns each inference's 4 bytes at kInput.
+// stops the inference at the call boundary. Returns each inference's output bytes.
 std::vector<std::vector<uint8_t>> RunSequential(
-    Machine& m, const std::vector<LockstepCall>& calls, uint64_t budget,
+    Machine& m, const Fragment& frag, const std::vector<LockstepCall>& calls,
     const std::vector<std::vector<uint8_t>>& inputs) {
+  const uint64_t budget = frag.cycle_budget;
   std::vector<std::vector<uint8_t>> outputs;
   for (const std::vector<uint8_t>& input : inputs) {
-    m.LoadBytes(kInput, input);
+    m.LoadBytes(frag.input_addr, input);
     uint64_t used = 0;
     for (const LockstepCall& call : calls) {
       if (budget != 0 && used >= budget) {
@@ -283,8 +302,8 @@ std::vector<std::vector<uint8_t>> RunSequential(
       }
       used += *cycles;
     }
-    outputs.emplace_back(4);
-    m.memory().HostRead(kInput, outputs.back());
+    outputs.emplace_back(frag.output_size);
+    m.memory().HostRead(frag.output_addr, outputs.back());
   }
   return outputs;
 }
@@ -296,16 +315,16 @@ struct BatchRun {
 
 // The batch path under test: lockstep, and on a fallback the sequential loop. A batch
 // that falls back must leave the machine untouched.
-BatchRun RunBatch(Machine& m, const std::vector<LockstepCall>& calls, uint64_t budget,
+BatchRun RunBatch(Machine& m, const Fragment& frag, const std::vector<LockstepCall>& calls,
                   const std::vector<std::vector<uint8_t>>& inputs) {
   std::vector<std::span<const uint8_t>> spans(inputs.begin(), inputs.end());
   neuroc::LockstepBatch batch;
-  batch.input_addr = kInput;
+  batch.input_addr = frag.input_addr;
   batch.inputs = spans;
   batch.calls = calls;
-  batch.cycle_budget = budget;
-  batch.output_addr = kInput;
-  batch.output_size = 4;
+  batch.cycle_budget = frag.cycle_budget;
+  batch.output_addr = frag.output_addr;
+  batch.output_size = frag.output_size;
   const MachineSnapshot before = m.Snapshot();
   if (std::optional<LockstepResult> result = m.TryRunLockstep(batch)) {
     return {true, std::move(result->outputs)};
@@ -316,7 +335,7 @@ BatchRun RunBatch(Machine& m, const std::vector<LockstepCall>& calls, uint64_t b
     ExpectSnapshotsEqual(after, before);
     ExpectFaultsEqual(after.last_fault, before.last_fault);
   }
-  return {false, RunSequential(m, calls, budget, inputs)};
+  return {false, RunSequential(m, frag, calls, inputs)};
 }
 
 // Runs `inputs` through the fragment as a batch on one machine and one by one on a twin,
@@ -338,11 +357,11 @@ bool BatchMatchesSequential(const Fragment& frag,
       attach(*m);
     }
   }
-  const BatchRun run = RunBatch(batch, calls, frag.cycle_budget, inputs);
+  const BatchRun run = RunBatch(batch, frag, calls, inputs);
   if (run.committed) {
     EXPECT_EQ(batch.cpu().last_lane_executor(), executor_under_test);
   }
-  EXPECT_EQ(run.outputs, RunSequential(sequential, calls, frag.cycle_budget, inputs));
+  EXPECT_EQ(run.outputs, RunSequential(sequential, frag, calls, inputs));
   ExpectMachinesEqual(batch, sequential);
   if (compare) {
     compare(batch, sequential);
@@ -668,6 +687,290 @@ TEST_P(LockstepFallback, BlockDispatchOff) {
                                       [](Machine& m) { m.cpu().EnableBlockCompile(false); }));
 }
 
+// --- Sub-word lane memory --------------------------------------------------------------
+//
+// The lanes keep SRAM as lane words: an aligned guest word of every lane is one host
+// vector, a byte or halfword access shifts and masks within it, and the bytes a batch
+// has not written come from the base SRAM. These fragments store, load and read back
+// bytes of words that are partly written and partly base, at every width and legal
+// offset, on every batch size.
+
+// A 16-byte window whose base pattern is odd bytes, half of them with the sign bit set.
+// The lanes write only even bytes (LaneInputs), so a byte taken from the wrong side
+// shows.
+constexpr uint32_t kWindow = kRam + 0x200;
+
+void LoadWindowBase(Machine& m) {
+  std::vector<uint8_t> pattern(16);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>((0x35 + 0x4C * i) | 1);
+  }
+  m.LoadBytes(kWindow, pattern);
+}
+
+// `n` inputs, one per lane, of `size` random even bytes.
+std::vector<std::vector<uint8_t>> LaneInputs(size_t n, size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<uint8_t>> inputs(n, std::vector<uint8_t>(size));
+  for (std::vector<uint8_t>& input : inputs) {
+    for (uint8_t& b : input) {
+      b = static_cast<uint8_t>(rng.NextU32() & 0xFE);
+    }
+  }
+  return inputs;
+}
+
+std::string Hex(uint32_t x) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "0x%08X", x);
+  return buf;
+}
+
+// One load of `size` bytes (1, 2 or 4) at [r4, #off] into r3; signed ones take their
+// offset from r5.
+std::string Load(uint32_t size, bool sign, uint32_t off) {
+  const std::string o = std::to_string(off);
+  if (sign) {
+    std::string s = "    movs r5, #";
+    s += o + (size == 1 ? "\n    ldrsb" : "\n    ldrsh") + " r3, [r4, r5]\n";
+    return s;
+  }
+  std::string s = size == 1 ? "    ldrb" : size == 2 ? "    ldrh" : "    ldr";
+  s += " r3, [r4, #" + o + "]\n";
+  return s;
+}
+
+// Stores r3 to output word `slot`, from [r0, #8] on.
+std::string ToOutput(int slot) {
+  std::string s = "    str r3, [r0, #";
+  s += std::to_string(8 + 4 * slot) + "]\n";
+  return s;
+}
+
+// Each lane's two input words in r1 and r2, and r4 pointing at `addr`.
+std::string Prologue(uint32_t addr) {
+  std::string s = "f:\n    ldr r4, =";
+  s += Hex(addr) + "\n    ldr r1, [r0, #0]\n    ldr r2, [r0, #4]\n";
+  return s;
+}
+
+// The 13 loads of every width, signedness and legal offset of the word at [r4], each to
+// its own output word.
+constexpr int kWordLoads = 13;
+std::string LoadEveryOffset() {
+  std::string s;
+  int slot = 0;
+  for (const bool sign : {false, true}) {
+    for (uint32_t off = 0; off < 4; ++off) {
+      s += Load(1, sign, off) + ToOutput(slot++);
+    }
+    for (uint32_t off = 0; off < 4; off += 2) {
+      s += Load(2, sign, off) + ToOutput(slot++);
+    }
+  }
+  return s + Load(4, false, 0) + ToOutput(slot);
+}
+
+// Stores that write exactly the bytes `written` (a nibble) of the word at [r4]: a
+// halfword where both its bytes are written, else bytes, high halfword first and
+// alternating r1 and r2, so a byte or halfword store lands beside bytes already written
+// with other bytes in its register.
+std::string StoreBytes(uint8_t written) {
+  std::string s;
+  bool r1 = true;
+  for (int h = 1; h >= 0; --h) {
+    const uint32_t pair = (written >> (2 * h)) & 3u;
+    if (pair == 0) {
+      continue;
+    }
+    const uint32_t off = 2 * h + (pair == 2 ? 1 : 0);
+    s += pair == 3 ? "    strh " : "    strb ";
+    s += std::string(r1 ? "r1" : "r2") + ", [r4, #" + std::to_string(off) + "]\n";
+    r1 = !r1;
+  }
+  return s;
+}
+
+// Writes the bytes `written` of a base word (or, with `whole`, all of it with one str),
+// then loads it at every offset.
+Fragment SubWordFragment(uint8_t written, bool whole) {
+  Fragment frag;
+  frag.source = Prologue(kWindow + 4) + (whole ? "    str r1, [r4, #0]\n" : StoreBytes(written)) +
+                LoadEveryOffset() + "    bx lr\n";
+  frag.output_size = 8 + 4 * kWordLoads;
+  return frag;
+}
+
+TEST_P(LockstepBatch, SubWordStoresAndLoadsMatchSequential) {
+  for (uint32_t written = 0; written <= 16; ++written) {  // 16: one str
+    const Fragment frag = SubWordFragment(static_cast<uint8_t>(written & 0xF), written == 16);
+    for (size_t batch : kBatchSizes) {
+      SCOPED_TRACE("written " + std::to_string(written) + " batch " + std::to_string(batch));
+      EXPECT_TRUE(
+          BatchMatchesSequential(frag, LaneInputs(batch, 8, 100 * written + batch), LoadWindowBase));
+    }
+  }
+}
+
+// Inputs of odd length at odd addresses: the words at either end are partly input and
+// partly base. Every word the input touches is loaded at each byte, each halfword and
+// whole.
+TEST_P(LockstepBatch, OddInputsAtOddAddressesMatchSequential) {
+  for (uint32_t start : {1u, 3u}) {
+    for (size_t size : {1, 3, 5, 9}) {
+      Fragment frag;
+      frag.input_addr = kWindow + start;
+      frag.source = "f:\n    ldr r4, =" + Hex(kWindow) + "\n";
+      int slot = 0;
+      for (uint32_t word = 0; word < 12; word += 4) {
+        for (uint32_t off = 0; off < 4; ++off) {
+          frag.source += Load(1, off % 2 == 1, word + off) + ToOutput(slot++);
+        }
+        frag.source += Load(2, false, word) + ToOutput(slot++);
+        frag.source += Load(2, true, word + 2) + ToOutput(slot++);
+        frag.source += Load(4, false, word) + ToOutput(slot++);
+      }
+      frag.source += "    bx lr\n";
+      frag.output_size = 8 + 4 * static_cast<uint32_t>(slot);
+      for (size_t batch : kBatchSizes) {
+        SCOPED_TRACE("input at +" + std::to_string(start) + " size " + std::to_string(size) +
+                     " batch " + std::to_string(batch));
+        EXPECT_TRUE(
+            BatchMatchesSequential(frag, LaneInputs(batch, size, 31 * size + batch), LoadWindowBase));
+      }
+    }
+  }
+}
+
+// Outputs read back from words the lanes wrote only in part, at odd and even addresses:
+// the bytes the lanes did not write read as the base.
+TEST_P(LockstepBatch, OutputsFromPartlyWrittenWordsMatchSequential) {
+  Fragment frag;
+  frag.source = Prologue(kWindow) + R"(
+    strb r1, [r4, #2]
+    strh r2, [r4, #6]
+    lsrs r1, r1, #8
+    strb r1, [r4, #9]
+    bx lr
+)";
+  for (uint32_t start : {0u, 1u, 3u}) {
+    for (uint32_t size : {1u, 6u, 11u}) {
+      frag.output_addr = kWindow + start;
+      frag.output_size = size;
+      for (size_t batch : kBatchSizes) {
+        SCOPED_TRACE("output at +" + std::to_string(start) + " size " + std::to_string(size) +
+                     " batch " + std::to_string(batch));
+        EXPECT_TRUE(BatchMatchesSequential(frag, LaneInputs(batch, 8, 57 * size + batch),
+                                           LoadWindowBase));
+      }
+    }
+  }
+}
+
+// An SRAM whose size is not a multiple of 4 (16 KB plus 1, 2 or 3 bytes): its last word
+// lies partly past the end. Loads of its bytes in range merge the base from those bytes
+// only, before and after a lane writes its first byte; a load or store that crosses the
+// end faults on every lane, and the batch falls back.
+TEST_P(LockstepBatch, SramSizeNotAMultipleOfFour) {
+  constexpr uint32_t kLastWord = kRam + 16 * 1024;
+  for (uint32_t tail : {1u, 2u, 3u}) {
+    SCOPED_TRACE("tail " + std::to_string(tail));
+    std::string loads;
+    int slot = 0;
+    for (uint32_t off = 0; off < tail; ++off) {
+      loads += Load(1, false, off) + ToOutput(slot++);
+      loads += Load(1, true, off) + ToOutput(slot++);
+    }
+    if (tail >= 2) {
+      loads += Load(2, false, 0) + ToOutput(slot++);
+      loads += Load(2, true, 0) + ToOutput(slot++);
+    }
+    Fragment read;
+    read.config.ram_size = 16 * 1024 + tail;
+    read.source = Prologue(kLastWord) + loads + "    bx lr\n";
+    read.output_size = 8 + 4 * static_cast<uint32_t>(slot);
+    Fragment write = read;
+    write.source = Prologue(kLastWord) + "    strb r1, [r4, #0]\n" + loads + "    bx lr\n";
+    Fragment cross_load = read;
+    cross_load.source = Prologue(kLastWord) + Load(4, false, 0) + ToOutput(0) + "    bx lr\n";
+    Fragment cross_store = read;
+    cross_store.source = Prologue(kLastWord) + "    strh r1, [r4, #" +
+                         std::to_string(tail & ~1u) + "]\n    bx lr\n";
+    const auto base = [tail](Machine& m) {
+      const uint8_t pattern[] = {0x81, 0x35, 0xF3};
+      m.LoadBytes(kLastWord, std::span<const uint8_t>(pattern, tail));
+    };
+    for (size_t batch : kBatchSizes) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      const std::vector<std::vector<uint8_t>> inputs = LaneInputs(batch, 8, tail * 10 + batch);
+      EXPECT_TRUE(BatchMatchesSequential(read, inputs, base));
+      EXPECT_TRUE(BatchMatchesSequential(write, inputs, base));
+      EXPECT_FALSE(BatchMatchesSequential(cross_load, inputs, base));
+      if (tail % 2 == 1) {
+        EXPECT_FALSE(BatchMatchesSequential(cross_store, inputs, base));
+      }
+    }
+  }
+}
+
+// A seeded straight-line fragment of 16 loads and stores of random width, signedness and
+// aligned offset over the window, each load's value going to the output. A store to a
+// byte an earlier load read from the base makes the inference depend on the one before
+// it, and the batch falls back unless it wrote the base value back. One fragment in
+// eight may store anywhere; the others store only to bytes not read first, and load
+// where no such store fits.
+Fragment RandomMemoryFragment(Rng& rng) {
+  constexpr int kOps = 16;
+  const bool may_depend = rng.NextBool(1.0 / 8);
+  Fragment frag;
+  frag.source = Prologue(kWindow) + "    adds r3, r1, r2\n";
+  bool written[16] = {};
+  bool read_first[16] = {};
+  int slot = 0;
+  for (int i = 0; i < kOps; ++i) {
+    const uint32_t size = 1u << rng.NextBounded(3);
+    uint32_t off = size * static_cast<uint32_t>(rng.NextBounded(16 / size));
+    std::vector<uint32_t> independent;
+    for (uint32_t o = 0; o < 16; o += size) {
+      if (std::none_of(read_first + o, read_first + o + size, [](bool b) { return b; })) {
+        independent.push_back(o);
+      }
+    }
+    if (rng.NextBool(0.5) && (may_depend || !independent.empty())) {
+      if (!may_depend) {
+        off = independent[rng.NextBounded(independent.size())];
+      }
+      const char* const regs[] = {"r1", "r2", "r3"};
+      frag.source += size == 1 ? "    strb " : size == 2 ? "    strh " : "    str ";
+      frag.source += std::string(regs[rng.NextBounded(3)]) + ", [r4, #" +
+                     std::to_string(off) + "]\n";
+      std::fill(written + off, written + off + size, true);
+    } else {
+      frag.source += Load(size, size < 4 && rng.NextBool(0.5), off) + ToOutput(slot++);
+      for (uint32_t b = off; b < off + size; ++b) {
+        read_first[b] = read_first[b] || !written[b];
+      }
+    }
+  }
+  frag.source += "    bx lr\n";
+  frag.output_size = 8 + 4 * kOps;
+  return frag;
+}
+
+TEST_P(LockstepBatch, RandomLoadStoreFragmentsMatchSequential) {
+  constexpr int kFragments = 96;
+  Rng rng(2903);
+  int committed = 0;
+  for (int i = 0; i < kFragments; ++i) {
+    const size_t batch = kBatchSizes[static_cast<size_t>(i) % std::size(kBatchSizes)];
+    const Fragment frag = RandomMemoryFragment(rng);
+    SCOPED_TRACE("fragment " + std::to_string(i) + " batch " + std::to_string(batch) + "\n" +
+                 frag.source);
+    committed += BatchMatchesSequential(frag, LaneInputs(batch, 8, 7000 + i), LoadWindowBase);
+  }
+  EXPECT_GE(committed, kFragments * 3 / 4);
+}
+
 // The hook switches the executor both ways, last_lane_executor() names the one that
 // ran, and without the hook RunLanes runs the host's best.
 TEST(LaneExecutor, HookSwitchesExecutor) {
@@ -678,7 +981,7 @@ TEST(LaneExecutor, HookSwitchesExecutor) {
   Machine host_choice;
   host_choice.LoadBytes(kFlash, p.bytes);
   EXPECT_FALSE(host_choice.cpu().last_lane_executor().has_value());
-  ASSERT_TRUE(RunBatch(host_choice, Calls(p), 0, inputs).committed);
+  ASSERT_TRUE(RunBatch(host_choice, kObserved, Calls(p), inputs).committed);
   EXPECT_EQ(host_choice.cpu().last_lane_executor(), avx2 ? E::kAvx2 : E::kGeneric);
 
   Machine m;
@@ -689,7 +992,7 @@ TEST(LaneExecutor, HookSwitchesExecutor) {
     }
     SCOPED_TRACE(Cpu::LaneExecutorName(executor));
     m.cpu().SetLaneExecutorForTest(executor);
-    ASSERT_TRUE(RunBatch(m, Calls(p), 0, inputs).committed);
+    ASSERT_TRUE(RunBatch(m, kObserved, Calls(p), inputs).committed);
     EXPECT_EQ(m.cpu().last_lane_executor(), executor);
   }
   if (!avx2) {
